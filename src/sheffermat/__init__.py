@@ -17,6 +17,7 @@ from .audit import (
     run_worked_example_audit,
 )
 from .errors import (
+    ContractError,
     InsufficientOrderError,
     NotDeltaSeriesError,
     NotInvertibleError,
@@ -75,7 +76,7 @@ from .sequences import (
     sheffer_appell_sequence,
     sheffer_sequence,
 )
-from .series import TruncatedSeries, exp_xy, lift, log_derivative, x_multiple
+from .series import TruncatedSeries, exp_xy, lift, log_derivative
 from .verify import (
     CheckResult,
     lemma_checks,
@@ -95,6 +96,7 @@ __all__ = [
     "CheckResult",
     "CoeffTriple",
     "COEFF_EXTRACTORS",
+    "ContractError",
     "FAMILIES",
     "FamilySpec",
     "InsufficientOrderError",
@@ -154,5 +156,4 @@ __all__ = [
     "wronskian_matrix",
     "wronskian_powers_matrix",
     "wronskian_vector",
-    "x_multiple",
 ]

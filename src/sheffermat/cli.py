@@ -8,10 +8,10 @@ Verbs:
 * ``verify``                         run residual / lemma / property checks
 * ``audit``                          evaluate the printed worked examples
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-error.  JSON output is byte-deterministic (sorted keys, two-space
-indent); set NO_COLOR (or redirect stdout) to suppress the PASS/FAIL
-coloring in `verify` and `audit --format table`.
+Exit codes: 0 success, 1 verification failure, 2 usage error (also for
+--n above MAX_N), 3 internal error.  JSON output is byte-deterministic
+(sorted keys, two-space indent); set NO_COLOR (or redirect stdout) to
+suppress the PASS/FAIL coloring in `verify` and `audit --format table`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from .audit import run_worked_example_audit
-from .errors import ParameterError, ShefferMatError, UnknownFamilyError
+from .errors import ContractError, ParameterError, ShefferMatError, UnknownFamilyError
 from .families import list_families, make_pair
 from .identities import COEFF_EXTRACTORS, LABELS
 from .polynomials import Poly
@@ -37,6 +37,10 @@ KIND_CHOICES = ("sheffer", "appell", "sheffer-appell")
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
+
+# Largest --n accepted by gen, coeffs, verify and audit: a larger one is a
+# usage error, raised before any pair is built rather than after hours.
+MAX_N = 100
 
 
 def _styled(text: str, color: str) -> str:
@@ -241,6 +245,8 @@ def _cmd_audit(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "n", 0) > MAX_N:
+        parser.error(f"--n must be <= {MAX_N}")
     try:
         if args.verb == "families":
             return _cmd_families(args)
@@ -258,15 +264,15 @@ def main(argv: list[str] | None = None) -> int:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return USAGE_ERROR
+    except (ContractError, AssertionError) as exc:
+        print(f"internal error: contract violation: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     except ShefferMatError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except AssertionError as exc:
-        print(f"internal error: contract violation: {exc}", file=sys.stderr)
-        return INTERNAL_ERROR
     return 0
 
 

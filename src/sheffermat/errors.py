@@ -28,3 +28,8 @@ class UnknownFamilyError(ShefferMatError, KeyError):
 
 class ParameterError(ShefferMatError, ValueError):
     """A family parameter is missing, unknown, or has an invalid value."""
+
+
+class ContractError(ShefferMatError):
+    """An internal consistency check failed: a computed result broke a
+    relation it must satisfy.  Raised explicitly, so it survives python -O."""

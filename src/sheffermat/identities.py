@@ -23,10 +23,14 @@ matching the CLI's --theorem flag:
             sA_{n+1} = sum_k C(n,k) (x a_k + b_k + c_k) sA_{n-k}
 ==========  ==========================================================
 
+The (a, b, c) series are computed once per pair (``pair.derived``, see
+:mod:`sheffermat.pairs`); an extractor slices them to k = 0..n.
+
 There is also the matrix factorization check: the lower triangular
 matrix of scaled x-derivatives sA_i^(j)(x)/j! equals
 W[1, g, ..., g^n] Omega^{-1} P[1/l] P[1/l(h)] P[e^{xy}] with g = h^{-1},
-all evaluated at y = 0.
+all evaluated at y = 0.  It is checked over the rationals, without the
+fixed polynomial factor P[e^{xy}] (see :func:`factorization_check`).
 """
 
 from __future__ import annotations
@@ -35,10 +39,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InsufficientOrderError
+from .errors import ContractError, InsufficientOrderError
 from .matrices import (
     Matrix,
-    lift_matrix,
     omega_inverse,
     pascal_matrix,
     wronskian_powers_matrix,
@@ -46,7 +49,7 @@ from .matrices import (
 from .pairs import ShefferPair
 from .polynomials import Poly
 from .rationals import Rational, format_rational
-from .series import TruncatedSeries, exp_xy
+from .series import TruncatedSeries
 from .sequences import sheffer_appell_sequence
 
 LABELS = ("2.1", "3.1", "3.2", "3.3")
@@ -76,65 +79,36 @@ class CoeffTriple:
         }
 
 
-def _coeff_parts(pair: ShefferPair, n: int):
-    """Truncated l, h, their derivatives, and the working order for extractors."""
-    m = pair.order - 1
-    if m < n:
+def _triple(label: str, pair: ShefferPair, n: int, attr: str) -> CoeffTriple:
+    """Slice the pair's stored (a, b, c) series of ``label`` to k = 0..n."""
+    if pair.order - 1 < n:
         raise InsufficientOrderError(
             f"coefficients to k = {n} need pair order >= {n + 1}, got {pair.order}"
         )
-    return (
-        pair.l.truncate(m),
-        pair.h.truncate(m),
-        pair.l.derivative(),
-        pair.h.derivative(),
-        m,
-    )
-
-
-def _dv(series: TruncatedSeries, n: int) -> tuple[Rational, ...]:
-    return series.truncate(n).derivatives_at_zero()
+    series = getattr(pair.derived, attr)
+    return CoeffTriple(label, *(s.truncate(n).derivatives_at_zero() for s in series))
 
 
 def differential_equation_coeffs(pair: ShefferPair, n: int) -> CoeffTriple:
     """Label "2.1": a = dv(h/h'), b = dv(-h l'(h)/l(h)), c = dv(-h l'/(h' l))."""
-    l, h, lp, hp, _ = _coeff_parts(pair, n)
-    a = h * hp.reciprocal()
-    b = -(h * lp.compose(h)) * l.compose(h).reciprocal()
-    c = -(h * lp) * (hp * l).reciprocal()
-    return CoeffTriple("2.1", _dv(a, n), _dv(b, n), _dv(c, n))
+    return _triple("2.1", pair, n, "differential_equation")
 
 
 def derivative_recurrence_coeffs(pair: ShefferPair, n: int) -> CoeffTriple:
     """Label "3.1": a = dv(1/h'), b = dv(-l'(h)/l(h)), c = dv(-l'/(h' l))."""
-    l, h, lp, hp, _ = _coeff_parts(pair, n)
-    a = hp.reciprocal()
-    b = -lp.compose(h) * l.compose(h).reciprocal()
-    c = -lp * (hp * l).reciprocal()
-    return CoeffTriple("3.1", _dv(a, n), _dv(b, n), _dv(c, n))
+    return _triple("3.1", pair, n, "derivative_recurrence")
 
 
 def mixed_recurrence_coeffs(pair: ShefferPair, n: int) -> CoeffTriple:
     """Label "3.2": a = dv(h'(g)), b = dv(-h'(g) l'/l), c = dv(-l'(g)/l(g))
     with g = h^{-1}."""
-    l, _, lp, hp, m = _coeff_parts(pair, n)
-    g = pair.h.compositional_inverse().truncate(m)
-    a = hp.compose(g)
-    b = -(a * lp) * l.reciprocal()
-    c = -lp.compose(g) * l.compose(g).reciprocal()
-    return CoeffTriple("3.2", _dv(a, n), _dv(b, n), _dv(c, n))
+    return _triple("3.2", pair, n, "mixed_recurrence")
 
 
 def convolution_recurrence_coeffs(pair: ShefferPair, n: int) -> CoeffTriple:
     """Label "3.3": a = dv(1/h'(g)), b = dv(-l'/l),
     c = dv(-l'(g)/(h'(g) l(g))) with g = h^{-1}."""
-    l, _, lp, hp, m = _coeff_parts(pair, n)
-    g = pair.h.compositional_inverse().truncate(m)
-    hpg = hp.compose(g)
-    a = hpg.reciprocal()
-    b = -lp * l.reciprocal()
-    c = -lp.compose(g) * (hpg * l.compose(g)).reciprocal()
-    return CoeffTriple("3.3", _dv(a, n), _dv(b, n), _dv(c, n))
+    return _triple("3.3", pair, n, "convolution_recurrence")
 
 
 COEFF_EXTRACTORS = {
@@ -217,18 +191,21 @@ def scaled_derivative_matrix(pair: ShefferPair, n: int) -> Matrix:
 def factorization_check(pair: ShefferPair, n: int) -> bool:
     """Entrywise-exact matrix factorization of the scaled derivative matrix.
 
-    Checks  [sA_i^(j)/j!] = W[1, g, ..., g^n] Omega^{-1} P[1/l] P[1/l(h)]
-    P[e^{xy}]  at y = 0, with g = h^{-1}.
+    In  [sA_i^(j)/j!] = R P[e^{xy}]  with  R = W[1, g, ..., g^n] Omega^{-1}
+    P[1/l] P[1/l(h)]  (at y = 0, g = h^{-1}), column j of either side is
+    the j-th scaled x-derivative of its column 0, and column 0 of the
+    right side is R (1, x, x^2, ...)^T.  So the identity holds iff row i
+    of the rational matrix R is the coefficient row of sA_i.
     """
-    lhs = scaled_derivative_matrix(pair, n)
-    g = pair.h.compositional_inverse()
-    rational_part = (
-        wronskian_powers_matrix(g, n)
+    s = sheffer_appell_sequence(pair, n)
+    lhs = Matrix([p.coeffs + (Fraction(0),) * (n - i) for i, p in enumerate(s)])
+    d = pair.derived
+    rhs = (
+        wronskian_powers_matrix(d.g, n)
         @ omega_inverse(n)
-        @ pascal_matrix(pair.l.reciprocal(), n)
-        @ pascal_matrix(pair.l.compose(pair.h).reciprocal(), n)
+        @ pascal_matrix(d.reciprocal_l, n)
+        @ pascal_matrix(d.reciprocal_l_of_h, n)
     )
-    rhs = lift_matrix(rational_part) @ pascal_matrix(exp_xy(n), n)
     return lhs == rhs
 
 
@@ -237,7 +214,7 @@ def associated_residual(pair: ShefferPair, n: int, which: str) -> Poly:
 
     The "3.2" specialization coincides with "3.1" and is checked as that
     same derivative recurrence.  Requires l to be the constant series 1;
-    b and c then vanish identically, which is asserted.
+    b and c then vanish identically, which is checked.
     """
     if which not in LABELS:
         raise ValueError(f"which must be one of {LABELS}, got {which!r}")
@@ -246,6 +223,6 @@ def associated_residual(pair: ShefferPair, n: int, which: str) -> Poly:
         raise ValueError("associated-sequence identities require l = 1")
     effective = "3.1" if which == "3.2" else which
     triple = COEFF_EXTRACTORS[effective](pair, n)
-    assert all(v == 0 for v in triple.b)
-    assert all(v == 0 for v in triple.c)
+    if any(v != 0 for v in triple.b + triple.c):
+        raise ContractError(f"identity {effective} has nonzero b or c with l = 1")
     return RESIDUALS[effective](pair, n)

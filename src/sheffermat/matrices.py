@@ -120,15 +120,19 @@ class Matrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        columns = list(zip(*other._rows))
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = self._rows[i][0] * other._rows[0][j]
-                for k in range(1, self.cols):
-                    acc = acc + self._rows[i][k] * other._rows[k][j]
-                row.append(acc)
-            out.append(row)
+        for row in self._rows:
+            out_row = []
+            for col in columns:
+                acc = row[0] * col[0]
+                # Zero terms are skipped: triangular and diagonal factors
+                # are mostly zeros, and exact rings gain nothing from them.
+                for a, b in zip(row[1:], col[1:]):
+                    if a and b:
+                        acc = acc + a * b
+                out_row.append(acc)
+            out.append(out_row)
         return Matrix(out)
 
     def __eq__(self, other: object) -> bool:

@@ -4,12 +4,22 @@ l must be an invertible series (nonzero constant term) and h a delta
 series (h(0) = 0, h'(0) != 0), both truncated at the same order and with
 rational coefficients.  The pair is validated once at construction; all
 sequence and identity code downstream can then assume it is well formed.
+
+Series derived from the pair (g = h^{-1}, 1/l, the sequence arrays, ...)
+live in ``pair.derived``: each is computed on first use, once, at the
+pair's order N (the identity vectors at N - 1, the order their extractors
+need), and kept.  Products, reciprocals, composition with a delta series
+and compositional inversion are prefix-stable, so a consumer that wants
+degree n <= N slices a stored value and gets exactly what a computation
+at order n would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import factorial
 
 from .errors import (
     NotDeltaSeriesError,
@@ -44,9 +54,14 @@ class ShefferPair:
     def truncate(self, order: int) -> ShefferPair:
         return ShefferPair(self.l.truncate(order), self.h.truncate(order))
 
+    @cached_property
+    def derived(self) -> DerivedSeries:
+        """The pair's derived series, built on first use and kept."""
+        return DerivedSeries(self.l, self.h)
+
     def h_inverse(self) -> TruncatedSeries:
         """The compositional inverse of h, at the pair's order."""
-        return self.h.compositional_inverse()
+        return self.derived.g
 
     @classmethod
     def appell(cls, l: TruncatedSeries) -> ShefferPair:
@@ -57,3 +72,88 @@ class ShefferPair:
     def associated(cls, h: TruncatedSeries) -> ShefferPair:
         """The associated pair (1, h)."""
         return cls(TruncatedSeries.constant(Fraction(1), h.order), h)
+
+
+def riordan_polys(d: TruncatedSeries, g: TruncatedSeries) -> tuple[Poly, ...]:
+    """Degrees 0..order of the exponential Riordan array [d, g]: the x^k
+    coefficient of degree i is i!/k! [y^i] d g^k."""
+    columns = [d.coeffs]
+    for _ in range(d.order):
+        d = d * g
+        columns.append(d.coeffs)
+    return tuple(
+        Poly(factorial(i) // factorial(k) * columns[k][i] for k in range(i + 1))
+        for i in range(len(columns))
+    )
+
+
+class DerivedSeries:
+    """The derived series of one pair, each computed on first use and kept."""
+
+    def __init__(self, l: TruncatedSeries, h: TruncatedSeries):
+        self.l, self.h = l, h
+
+    def _low(self, series: TruncatedSeries) -> TruncatedSeries:
+        return series.truncate(self.l.order - 1)
+
+    @cached_property
+    def g(self) -> TruncatedSeries:
+        return self.h.compositional_inverse()
+
+    @cached_property
+    def reciprocal_l(self) -> TruncatedSeries:
+        return self.l.reciprocal()
+
+    @cached_property
+    def reciprocal_l_of_g(self) -> TruncatedSeries:
+        return self.l.compose(self.g).reciprocal()
+
+    @cached_property
+    def reciprocal_l_of_h(self) -> TruncatedSeries:
+        return self.l.compose(self.h).reciprocal()
+
+    @cached_property
+    def hp_of_g(self) -> TruncatedSeries:
+        """h'(g), at order N - 1 like l'(g)."""
+        return self.h.derivative().compose(self._low(self.g))
+
+    @cached_property
+    def lp_of_g(self) -> TruncatedSeries:
+        return self.l.derivative().compose(self._low(self.g))
+
+    @cached_property
+    def sheffer_polys(self) -> tuple[Poly, ...]:
+        return riordan_polys(self.reciprocal_l_of_g, self.g)
+
+    @cached_property
+    def sheffer_appell_polys(self) -> tuple[Poly, ...]:
+        return riordan_polys(self.reciprocal_l_of_g * self.reciprocal_l, self.g)
+
+    # (a, b, c) series of the identities "2.1", "3.1", "3.2" and "3.3".
+
+    def _lp_over_l(self) -> TruncatedSeries:
+        return self.l.derivative() * self._low(self.reciprocal_l)
+
+    @cached_property
+    def derivative_recurrence(self) -> tuple[TruncatedSeries, ...]:
+        """1/h', -l'(h)/l(h), -l'/(h' l)."""
+        a = self.h.derivative().reciprocal()
+        lp_of_h = self.l.derivative().compose(self._low(self.h))
+        return a, -lp_of_h * self._low(self.reciprocal_l_of_h), -self._lp_over_l() * a
+
+    @cached_property
+    def differential_equation(self) -> tuple[TruncatedSeries, ...]:
+        """h times each series of the derivative recurrence."""
+        return tuple(self._low(self.h) * s for s in self.derivative_recurrence)
+
+    @cached_property
+    def mixed_recurrence(self) -> tuple[TruncatedSeries, ...]:
+        """h'(g), -h'(g) l'/l, -l'(g)/l(g)."""
+        c = -self.lp_of_g * self._low(self.reciprocal_l_of_g)
+        return self.hp_of_g, -self.hp_of_g * self._lp_over_l(), c
+
+    @cached_property
+    def convolution_recurrence(self) -> tuple[TruncatedSeries, ...]:
+        """1/h'(g), -l'/l, -l'(g)/(h'(g) l(g))."""
+        a = self.hp_of_g.reciprocal()
+        return a, -self._lp_over_l(), self.mixed_recurrence[2] * a

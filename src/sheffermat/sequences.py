@@ -1,16 +1,18 @@
-"""Polynomial sequence generators driven by exponential generating functions.
+"""Polynomial sequences of a pair (l, h), read off exponential Riordan arrays.
 
 For a pair (l, h) with compositional inverse g = h^{-1}, three sequence
-kinds are produced by extracting y-coefficients from a composite series
-and scaling by k!:
+kinds have exponential generating functions
 
 * Sheffer:        e^{x g(y)} / l(g(y))
 * Appell:         e^{x y} / l(y)
 * Sheffer-Appell: e^{x g(y)} / (l(g(y)) l(y))
 
-Each generating function is expanded once at the pair's full truncation
-order and sliced, so regenerating at a higher order reproduces the lower
-degrees exactly.
+each of the form d(y) e^{x g(y)}: the exponential Riordan array [d, g],
+whose degree-i polynomial has x^k coefficient i!/k! [y^i] d g^k.  The
+Sheffer and Sheffer-Appell arrays are built once per pair at its full
+order (``pair.derived``, see :mod:`sheffermat.pairs`) and sliced here, so
+a lower degree reproduces the same polynomials.  The Appell array needs
+only 1/l: its x^k coefficient of degree i is C(i, k) (1/l)^(i-k)(0).
 """
 
 from __future__ import annotations
@@ -18,16 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
-from .errors import InsufficientOrderError, NotInvertibleError
+from .errors import ContractError, InsufficientOrderError, NotInvertibleError
 from .pairs import ShefferPair
 from .polynomials import Poly
 from .rationals import Rational
-from .series import TruncatedSeries, lift, x_multiple, exp_xy
+from .series import TruncatedSeries
 
-KINDS = ("sheffer", "appell", "sheffer_appell", "associated")
+KINDS = ("sheffer", "appell", "sheffer_appell")
 
 
 @dataclass(frozen=True)
@@ -67,52 +68,42 @@ def _require_degree(pair_order: int, n: int) -> None:
         )
 
 
-def _polys_from_egf(gf: TruncatedSeries, n: int) -> tuple[Poly, ...]:
-    return tuple(gf.coeffs[k] * math.factorial(k) for k in range(n + 1))
-
-
-@lru_cache(maxsize=None)
-def _sheffer_appell_egf(pair: ShefferPair) -> TruncatedSeries:
-    g = pair.h.compositional_inverse()
-    denominator = (pair.l.compose(g) * pair.l).reciprocal()
-    return x_multiple(g).exp() * lift(denominator)
-
-
-@lru_cache(maxsize=None)
-def _sheffer_egf(pair: ShefferPair) -> TruncatedSeries:
-    g = pair.h.compositional_inverse()
-    return x_multiple(g).exp() * lift(pair.l.compose(g).reciprocal())
+def _checked(
+    kind: str, polys: tuple[Poly, ...], pair: ShefferPair, lead: Fraction
+) -> PolySequence:
+    """Contract: the degree-k leading coefficient is lead / h'(0)^k."""
+    slope = Fraction(1) / pair.h.coeffs[1]
+    for k, p in enumerate(polys):
+        if p.leading_coefficient != lead * slope**k:
+            raise ContractError(f"{kind} degree {k} has the wrong leading coefficient")
+    return PolySequence(kind, polys)
 
 
 def sheffer_appell_sequence(pair: ShefferPair, n: int) -> PolySequence:
     """Degrees 0..n of the Sheffer-Appell sequence of (l, h)."""
     _require_degree(pair.order, n)
-    polys = _polys_from_egf(_sheffer_appell_egf(pair), n)
-    lead = Fraction(1) / pair.l.constant_term ** 2
-    slope = Fraction(1) / pair.h.coeffs[1]
-    for k, p in enumerate(polys):
-        assert p.leading_coefficient == lead * slope**k
-    return PolySequence("sheffer_appell", polys)
+    polys = pair.derived.sheffer_appell_polys[: n + 1]
+    return _checked("sheffer_appell", polys, pair, 1 / pair.l.constant_term**2)
 
 
 def sheffer_sequence(pair: ShefferPair, n: int) -> PolySequence:
     """Degrees 0..n of the Sheffer sequence of (l, h)."""
     _require_degree(pair.order, n)
-    polys = _polys_from_egf(_sheffer_egf(pair), n)
-    lead = Fraction(1) / pair.l.constant_term
-    slope = Fraction(1) / pair.h.coeffs[1]
-    for k, p in enumerate(polys):
-        assert p.leading_coefficient == lead * slope**k
-    return PolySequence("sheffer", polys)
+    polys = pair.derived.sheffer_polys[: n + 1]
+    return _checked("sheffer", polys, pair, 1 / pair.l.constant_term)
 
 
 def appell_sequence(l: TruncatedSeries, n: int) -> PolySequence:
-    """Degrees 0..n of the Appell sequence with generating function e^{xy}/l."""
+    """Degrees 0..n of the Appell sequence with generating function e^{xy}/l:
+    the x^k coefficient of degree i is C(i, k) (1/l)^(i-k)(0)."""
     if not l.is_invertible:
         raise NotInvertibleError("l must have a nonzero constant term")
     _require_degree(l.order, n)
-    gf = exp_xy(l.order) * lift(l.reciprocal())
-    return PolySequence("appell", _polys_from_egf(gf, n))
+    dv = l.truncate(n).reciprocal().derivatives_at_zero()
+    polys = tuple(
+        Poly(math.comb(i, k) * dv[i - k] for k in range(i + 1)) for i in range(n + 1)
+    )
+    return PolySequence("appell", polys)
 
 
 def discrete_convolution(

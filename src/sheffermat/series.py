@@ -14,8 +14,8 @@ Binary operations require equal orders; mixing orders is a loud
 Beyond the ring operations the module provides the pieces of series
 calculus needed downstream: derivative, reciprocal of an invertible
 series, composition with a delta series (zero constant term, nonzero
-linear term), compositional inverse of a delta series, and the
-exponential of a series with zero constant term.
+linear term), compositional inverse of a delta series (by Lagrange
+inversion), and the exponential of a series with zero constant term.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Union
 
 from .errors import (
+    ContractError,
     InsufficientOrderError,
     NotDeltaSeriesError,
     NotInvertibleError,
@@ -247,9 +248,9 @@ class TruncatedSeries:
     def compositional_inverse(self) -> TruncatedSeries:
         """The delta series g with self(g(y)) = y modulo y^(order+1).
 
-        Coefficients are determined order by order: once g is known
-        through y^(m-1), the y^m coefficient of self(g) is linear in
-        g_m with slope f'(0).
+        Lagrange inversion: g_m = (1/m) [y^(m-1)] (y/h)^m, reading one
+        coefficient off each successive power of y/h.  The defining
+        relation h(g) = y is checked before the result is returned.
         """
         if not self.is_delta:
             raise NotDeltaSeriesError("only a delta series has a compositional inverse")
@@ -258,17 +259,16 @@ class TruncatedSeries:
                 "compositional inverse is defined for rational-coefficient series only"
             )
         n = self.order
-        h1 = self._coeffs[1]
-        g = [Fraction(0)] * (n + 1)
-        g[1] = Fraction(1) / h1
-        for m in range(2, n + 1):
-            trial = TruncatedSeries(g[: m + 1])
-            residue = self.truncate(m).compose(trial).coeffs[m]
-            g[m] = -residue / h1
+        y_over_h = TruncatedSeries(self._coeffs[1:]).reciprocal()
+        power = y_over_h
+        g = [Fraction(0)]
+        for m in range(1, n + 1):
+            g.append(power.coeffs[m - 1] / m)
+            if m < n:
+                power = power * y_over_h
         inverse = TruncatedSeries(g)
-        assert self.compose(inverse).coeffs == TruncatedSeries.identity(n).coeffs, (
-            "compositional inverse failed its defining relation"
-        )
+        if self.compose(inverse) != TruncatedSeries.identity(n):
+            raise ContractError("compositional inverse failed its defining relation")
         return inverse
 
     def exp(self) -> TruncatedSeries:
@@ -337,11 +337,6 @@ def lift(series: TruncatedSeries) -> TruncatedSeries:
     return series.map_coefficients(
         lambda c: c if isinstance(c, Poly) else Poly.constant(c)
     )
-
-
-def x_multiple(series: TruncatedSeries) -> TruncatedSeries:
-    """Map a rational series f(y) to the polynomial-coefficient series x*f(y)."""
-    return series.map_coefficients(lambda c: Poly((Fraction(0), c)))
 
 
 def exp_xy(order: int) -> TruncatedSeries:

@@ -1,6 +1,10 @@
 """Verification drivers: residual sweeps, the factorization check, and a
 seeded randomized property suite for the Pascal/Wronskian matrix identities.
 
+A sweep over degrees 0..n reuses one pair, so the pair's derived series
+(g = h^{-1}, the Sheffer-Appell array, the (a, b, c) series) are computed
+once, at the pair's order, and every degree slices them.
+
 Everything returns lists of CheckResult so callers (the CLI, tests) can
 aggregate pass/fail and print diagnostics uniformly.
 """

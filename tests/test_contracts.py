@@ -1,0 +1,114 @@
+"""Contract checks that survive ``python -O``, and the bound on --n."""
+
+import os
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
+
+import pytest
+
+from sheffermat import ContractError, Poly, associated_residual, make_pair
+from sheffermat import cli, identities, pairs, sheffer_appell_sequence
+from sheffermat.cli import MAX_N, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_contract_check_survives_python_O():
+    script = textwrap.dedent(
+        """
+        import sys
+        from sheffermat import ContractError, TruncatedSeries
+        from sheffermat.cli import main
+
+        TruncatedSeries.compose = lambda self, inner: self  # breaks h(g) = y
+        try:
+            TruncatedSeries([0, 1, 1, 1]).compositional_inverse()
+        except ContractError:
+            print("ContractError", sys.flags.optimize)
+        print(main(["gen", "--family", "laguerre", "--param", "lambda=0", "--n", "4"]))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.stdout.split("\n")[:2] == ["ContractError 1", "3"], proc.stderr
+    assert "internal error: contract violation" in proc.stderr
+
+
+def test_wrong_leading_coefficient_is_a_contract_error(monkeypatch):
+    honest = pairs.riordan_polys
+    monkeypatch.setattr(
+        pairs, "riordan_polys", lambda d, g: tuple(p * 2 for p in honest(d, g))
+    )
+    with pytest.raises(ContractError):
+        sheffer_appell_sequence(make_pair("laguerre", 4, {"lambda": 0}), 4)
+
+
+def test_nonzero_associated_vectors_are_a_contract_error(monkeypatch):
+    pair = make_pair("log-assoc", 6)
+    honest = identities.COEFF_EXTRACTORS["3.1"]
+
+    def drifted(pair, n):
+        t = honest(pair, n)
+        return identities.CoeffTriple(t.label, t.a, (1,) + t.b[1:], t.c)
+
+    monkeypatch.setitem(identities.COEFF_EXTRACTORS, "3.1", drifted)
+    with pytest.raises(ContractError):
+        associated_residual(pair, 3, "3.1")
+    assert associated_residual(pair, 3, "3.3") == Poly.zero()
+
+
+def test_cli_maps_contract_errors_to_exit_3(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ContractError("h(g) != y")
+
+    monkeypatch.setattr(cli, "sheffer_appell_sequence", broken)
+    code = main(["gen", "--family", "hermite", "--n", "3"])
+    assert code == 3
+    assert capsys.readouterr().err == "internal error: contract violation: h(g) != y\n"
+
+
+# -- the bound on --n ----------------------------------------------------------
+
+LAGUERRE = ["--family", "laguerre", "--param", "lambda=0"]
+VERBS = {
+    "gen": ["gen", *LAGUERRE],
+    "coeffs": ["coeffs", *LAGUERRE, "--theorem", "3.1"],
+    "verify": ["verify", *LAGUERRE, "--all", "--lemma"],
+    "audit": ["audit"],
+}
+
+
+class PairBuilt(Exception):
+    pass
+
+
+@pytest.fixture
+def no_pairs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise PairBuilt
+
+    monkeypatch.setattr(cli, "make_pair", refuse)
+    monkeypatch.setattr(cli, "verify_family", refuse)
+    monkeypatch.setattr(cli, "run_worked_example_audit", refuse)
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+@pytest.mark.parametrize("n", [MAX_N + 1, 10**9])
+def test_n_above_max_is_a_fast_usage_error(verb, n, no_pairs, capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as info:
+        main(VERBS[verb] + ["--n", str(n)])
+    assert time.perf_counter() - start < 1
+    assert info.value.code == 2
+    assert f"--n must be <= {MAX_N}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+def test_max_n_itself_is_accepted(verb, no_pairs):
+    with pytest.raises(PairBuilt):
+        main(VERBS[verb] + ["--n", str(MAX_N)])

@@ -1,0 +1,197 @@
+"""The per-pair derived series: independent oracles and the once-per-pair cost."""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.ring_series import (
+    rs_exp,
+    rs_mul,
+    rs_series_inversion,
+    rs_series_reversion,
+    rs_trunc,
+)
+from sympy.polys.rings import ring
+
+from sheffermat import (
+    FAMILIES,
+    LABELS,
+    Matrix,
+    Poly,
+    ShefferPair,
+    TruncatedSeries,
+    appell_sequence,
+    exp_xy,
+    factorization_check,
+    lemma_checks,
+    lift_matrix,
+    make_pair,
+    omega_inverse,
+    pascal_matrix,
+    residual_checks,
+    scaled_derivative_matrix,
+    sheffer_appell_sequence,
+    sheffer_sequence,
+    wronskian_powers_matrix,
+)
+
+# -- sympy oracle on random valid pairs --------------------------------------
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+nonzero = small.filter(lambda q: q != 0)
+
+
+@st.composite
+def pairs(draw):
+    order = draw(st.integers(min_value=1, max_value=6))
+    l = [draw(nonzero)] + [draw(small) for _ in range(order)]
+    h = [Fraction(0), draw(nonzero)] + [draw(small) for _ in range(order - 1)]
+    return ShefferPair(TruncatedSeries(l), TruncatedSeries(h))
+
+
+def sympy_sequences(pair: ShefferPair) -> dict[str, list[Poly]]:
+    """Degrees 0..N of all three kinds, from sympy's own power-series
+    expansion of d(y) e^{x g(y)} (ring_series: reversion, exp, inversion)."""
+    R, x, y = ring("x, y", QQ)
+    prec = pair.order + 1
+
+    def poly_in_y(series):
+        return sum(
+            (QQ(c.numerator, c.denominator) * y**k for k, c in enumerate(series)),
+            R(0),
+        )
+
+    l, h = poly_in_y(pair.l), poly_in_y(pair.h)
+    g = rs_series_reversion(h, y, prec, x).compose(x, y)
+    l_of_g = rs_trunc(l.compose(y, g), y, prec)
+    generating = {
+        "sheffer": (g, l_of_g),
+        "appell": (y, l),
+        "sheffer_appell": (g, rs_mul(l_of_g, l, y, prec)),
+    }
+    out = {}
+    for kind, (inner, denominator) in generating.items():
+        exp_part = rs_exp(x * inner, y, prec)
+        gf = rs_mul(exp_part, rs_series_inversion(denominator, y, prec), y, prec)
+        polys = []
+        for i in range(prec):
+            row = gf.coeff_wrt(y, i) * math.factorial(i)
+            polys.append(
+                Poly(
+                    Fraction(int(c.numerator), int(c.denominator))
+                    for c in (row.coeff(x**k) for k in range(i + 1))
+                )
+            )
+        out[kind] = polys
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs())
+def test_sequences_match_sympy_expansion(pair):
+    expected = sympy_sequences(pair)
+    n = pair.order
+    assert list(sheffer_sequence(pair, n)) == expected["sheffer"]
+    assert list(appell_sequence(pair.l, n)) == expected["appell"]
+    assert list(sheffer_appell_sequence(pair, n)) == expected["sheffer_appell"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs().filter(lambda pair: pair.order >= 2))
+def test_identities_hold_for_random_pairs(pair):
+    checks = residual_checks(pair, pair.order - 1) + lemma_checks(pair, pair.order)
+    assert [c.name for c in checks if not c.passed] == []
+
+
+# -- the rational factorization against the Poly-matrix product --------------
+
+
+def poly_matrix_factorization(pair: ShefferPair, n: int) -> bool:
+    """Reference: the full identity with the polynomial factor P[e^{xy}],
+    compared entrywise against the matrix of scaled x-derivatives."""
+    rational_part = (
+        wronskian_powers_matrix(pair.h.compositional_inverse(), n)
+        @ omega_inverse(n)
+        @ pascal_matrix(pair.l.reciprocal(), n)
+        @ pascal_matrix(pair.l.compose(pair.h).reciprocal(), n)
+    )
+    rhs = lift_matrix(rational_part) @ pascal_matrix(exp_xy(n), n)
+    return scaled_derivative_matrix(pair, n) == rhs
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_rational_factorization_agrees_with_poly_matrices(family):
+    params = {"lambda": Fraction(1, 2), "m": 2}
+    spec_params = {k: v for k, v in params.items() if k in FAMILIES[family].params}
+    pair = make_pair(family, 6, spec_params)
+    for n in range(7):
+        assert factorization_check(pair, n) == poly_matrix_factorization(pair, n)
+        assert factorization_check(pair, n)
+
+
+def test_factorization_checks_agree_on_a_wrong_sequence(monkeypatch):
+    from sheffermat import identities
+
+    pair = make_pair("laguerre", 6, {"lambda": 0})
+    other = make_pair("exp-shift", 6)
+    monkeypatch.setattr(
+        identities,
+        "sheffer_appell_sequence",
+        lambda _pair, n: sheffer_appell_sequence(other, n),
+    )
+    for n in range(1, 7):
+        assert not factorization_check(pair, n)
+        assert not poly_matrix_factorization(pair, n)
+
+
+def test_scaled_derivatives_are_column_zero_derivatives():
+    pair = make_pair("log-assoc", 5)
+    m = scaled_derivative_matrix(pair, 5)
+    p_exy = pascal_matrix(exp_xy(5), 5)
+    rows = [
+        [Poly.constant(c) for c in p.coeffs + (Fraction(0),) * (5 - i)]
+        for i, p in enumerate(sheffer_appell_sequence(pair, 5))
+    ]
+    assert Matrix(rows) @ p_exy == m
+
+
+# -- one compositional inverse per pair --------------------------------------
+
+
+def test_sweep_inverts_h_once_per_pair(monkeypatch):
+    calls = []
+    inverse = TruncatedSeries.compositional_inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(TruncatedSeries, "compositional_inverse", counted)
+    pairs_ = [
+        make_pair("laguerre", 8, {"lambda": Fraction(5, 2)}),
+        make_pair("log-assoc", 8),
+        make_pair("hermite", 8),
+    ]
+    for pair in pairs_:
+        assert all(r.passed for r in residual_checks(pair, 6, LABELS))
+        assert all(r.passed for r in lemma_checks(pair, 6))
+    assert len(calls) == len(pairs_)
+
+
+def test_derived_series_are_built_lazily():
+    pair = make_pair("laguerre", 6, {"lambda": 0})
+    assert "derived" not in vars(pair)
+    sheffer_sequence(pair, 3)
+    built = vars(pair.derived)
+    assert "g" in built and "sheffer_polys" in built
+    assert "sheffer_appell_polys" not in built
+    assert "mixed_recurrence" not in built
+
+
+def test_h_inverse_is_the_stored_inverse():
+    pair = make_pair("log-assoc", 6)
+    assert pair.h_inverse() is pair.derived.g
+    assert pair.h.compose(pair.h_inverse()) == TruncatedSeries.identity(6)

@@ -15,7 +15,6 @@ from sheffermat import (
     exp_xy,
     lift,
     log_derivative,
-    x_multiple,
 )
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -253,11 +252,6 @@ def test_derivative_vector_scaled_linear():
 
 
 # -- helpers -------------------------------------------------------------------
-
-
-def test_x_multiple():
-    s = TruncatedSeries([2, Fraction(1, 2)])
-    assert x_multiple(s).coeffs == (Poly((0, 2)), Poly((0, Fraction(1, 2))))
 
 
 def test_log_derivative():
