@@ -8,9 +8,8 @@ import math
 from fractions import Fraction
 
 from sheffermat import (
+    Matrix,
     TruncatedSeries,
-    exp_xy,
-    lift_matrix,
     omega,
     omega_inverse,
     pascal_matrix,
@@ -61,16 +60,18 @@ print("checked: W[f o h] = W[1, h, ..., h^4] Omega^{-1} W[f]")
 print("         for f = 1/(1-y), h = y/(y-1);  f o h = 1 - y exactly")
 print()
 
-# --- polynomial-valued series -------------------------------------------------
-# The same operators work when coefficients are polynomials in x.  The
-# derivative vector of e^{xy} at y = 0 is the column of pure powers of x,
-# which is what lets matrix identities talk about polynomial sequences.
-powers = wronskian_vector(exp_xy(5), 5)
-print("W_5[e^{xy}]:", [str(p) for p in powers.column_entries(0)])
+# --- the exponential e^{xy} ---------------------------------------------------
+# The derivative vector of e^{xy} at y = 0 is the column of pure powers of
+# x, which is what lets matrix identities talk about polynomial sequences.
+# Each entry is a polynomial of degree <= n in x, so the identity can be
+# checked over the rationals: at x = t the series is e^{ty}.
+t = Fraction(3, 2)
+powers = wronskian_vector((TruncatedSeries.identity(5) * t).exp(), 5)
+assert powers == Matrix.column([t**k for k in range(6)])
+print("W_5[e^{ty}] at t = 3/2:", [str(p) for p in powers.column_entries(0)])
 
-# Rational matrices lift entrywise into the polynomial ring when the two
-# worlds need to be multiplied together.
-scaled = lift_matrix(omega(5)) @ powers
+# Rational matrices multiply it directly: Omega_5 scales the k-th entry by k!.
+scaled = omega(5) @ powers
 for k, entry in enumerate(scaled.column_entries(0)):
     assert entry == powers.column_entries(0)[k] * math.factorial(k)
-print("checked: lifted Omega_5 scales the k-th entry of W_5[e^{xy}] by k!")
+print("checked: Omega_5 scales the k-th entry of W_5[e^{ty}] by k!")

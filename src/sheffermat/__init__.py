@@ -56,7 +56,6 @@ from .matrices import (
     check_property_composition,
     check_property_product_pascal,
     check_property_product_wronskian,
-    lift_matrix,
     omega,
     omega_inverse,
     pascal_matrix,
@@ -76,7 +75,7 @@ from .sequences import (
     sheffer_appell_sequence,
     sheffer_sequence,
 )
-from .series import TruncatedSeries, exp_xy, lift, log_derivative
+from .series import TruncatedSeries, log_derivative
 from .verify import (
     CheckResult,
     lemma_checks,
@@ -130,12 +129,9 @@ __all__ = [
     "differential_equation_coeffs",
     "differential_equation_residual",
     "discrete_convolution",
-    "exp_xy",
     "factorization_check",
     "format_rational",
     "lemma_checks",
-    "lift",
-    "lift_matrix",
     "list_families",
     "log_derivative",
     "make_pair",

@@ -3,8 +3,10 @@
 Everything here is evaluated at y = 0: the Pascal functional matrix of a
 series f is the lower triangular matrix with entry (i, j) equal to
 C(i, j) * f^(i-j)(0), and the Wronskian column of f stacks
-f(0), f'(0), ..., f^(n)(0).  Entries live in the same exact ring as the
-series coefficients (rationals, or polynomials in x).
+f(0), f'(0), ..., f^(n)(0).  Entries are rationals, like the series
+coefficients; the one producer of polynomial entries is
+:func:`~sheffermat.identities.scaled_derivative_matrix`, and the
+arithmetic below is duck-typed so such matrices still multiply.
 
 The four classical identities relating these matrices are exposed as
 boolean checks:
@@ -244,16 +246,6 @@ def omega_inverse(n: int) -> Matrix:
     if n < 0:
         raise ValueError("n must be >= 0")
     return Matrix.diagonal([Fraction(1, math.factorial(k)) for k in range(n + 1)])
-
-
-def lift_matrix(m: Matrix) -> Matrix:
-    """Lift a rational matrix into the polynomial ring entrywise."""
-    return Matrix(
-        [
-            [e if isinstance(e, Poly) else Poly.constant(e) for e in m.row(i)]
-            for i in range(m.rows)
-        ]
-    )
 
 
 def check_property_product_pascal(

@@ -40,8 +40,6 @@ class ShefferPair:
             raise OrderMismatchError(
                 f"l has order {self.l.order} but h has order {self.h.order}"
             )
-        if any(isinstance(c, Poly) for c in self.l.coeffs + self.h.coeffs):
-            raise TypeError("pair series must have rational coefficients")
         if not self.l.is_invertible:
             raise NotInvertibleError("l must have a nonzero constant term")
         if not self.h.is_delta:

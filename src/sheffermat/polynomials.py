@@ -1,6 +1,6 @@
 """Univariate polynomials in x with exact rational coefficients.
 
-Coefficients are stored densely in ascending degree and kept canonical:
+The coefficients are stored densely in ascending degree and kept canonical:
 no trailing zero coefficient, the zero polynomial is the empty tuple.
 The degree of the zero polynomial is ``-inf`` (a sentinel that compares
 correctly against every integer degree) rather than -1.
@@ -80,7 +80,7 @@ class Poly:
         return self._coeffs[-1]
 
     def coeff(self, k: int) -> Fraction:
-        """Coefficient of x**k (zero beyond the stored length)."""
+        """The coefficient of x**k (zero beyond the stored length)."""
         if 0 <= k < len(self._coeffs):
             return self._coeffs[k]
         return Fraction(0)
@@ -182,7 +182,7 @@ class Poly:
     # -- text and wire form --------------------------------------------
 
     def to_strings(self) -> list[str]:
-        """Coefficients as exact strings, ascending degree (JSON form)."""
+        """The coefficients as exact strings, ascending degree (JSON form)."""
         return [format_rational(c) for c in self._coeffs]
 
     @classmethod

@@ -18,12 +18,17 @@ _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
 def rat(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, ``"p/q"`` string, or Fraction to a Fraction."""
+    """Coerce an int, ``"p/q"`` string, or Fraction to a Fraction.
+
+    Anything else (a float, None, a polynomial) raises TypeError.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    return parse_rational(value)
+    if isinstance(value, str):
+        return parse_rational(value)
+    raise TypeError(f"not a rational: {value!r}")
 
 
 def parse_rational(text: str) -> Fraction:

@@ -1,11 +1,10 @@
-"""Truncated formal power series in y over an exact coefficient ring.
+"""Truncated formal power series in y with rational coefficients.
 
 A :class:`TruncatedSeries` of order n stores the n+1 coefficients of
-y^0 .. y^n; every operation is exact modulo y^(n+1) and makes no claim
-beyond the truncation order.  Two coefficient rings are supported: the
-rationals (:class:`fractions.Fraction`) and :class:`~sheffermat.polynomials.Poly`,
-so a series can carry plain Taylor coefficients or polynomial-valued
-ones such as the expansion of exp(x*y).
+y^0 .. y^n as :class:`fractions.Fraction` values; every operation is
+exact modulo y^(n+1) and makes no claim beyond the truncation order.
+Each coefficient is coerced by :func:`~sheffermat.rationals.rat`, which
+rejects anything that is not a rational, such as a float or a polynomial.
 
 Binary operations require equal orders; mixing orders is a loud
 :class:`OrderMismatchError`, never a silent truncation.  Use
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from .errors import (
     ContractError,
@@ -31,29 +30,18 @@ from .errors import (
     NotInvertibleError,
     OrderMismatchError,
 )
-from .polynomials import Poly
 from .rationals import format_rational, rat
-
-Coefficient = Union[Fraction, Poly]
-
-
-def _zero_like(sample: Coefficient) -> Coefficient:
-    return Poly.zero() if isinstance(sample, Poly) else Fraction(0)
-
-
-def _one_like(sample: Coefficient) -> Coefficient:
-    return Poly.one() if isinstance(sample, Poly) else Fraction(1)
 
 
 class TruncatedSeries:
-    """A power series in y truncated at a fixed order, with exact coefficients."""
+    """A power series in y truncated at a fixed order, with rational coefficients."""
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[Coefficient], order: int | None = None):
-        items = [
-            c if isinstance(c, (Fraction, Poly)) else rat(c) for c in coeffs
-        ]
+    def __init__(
+        self, coeffs: Iterable[Fraction | int | str], order: int | None = None
+    ):
+        items = [rat(c) for c in coeffs]
         if not items:
             raise ValueError("a truncated series needs at least a constant term")
         if order is not None:
@@ -64,8 +52,7 @@ class TruncatedSeries:
                     f"{len(items)} coefficients exceed order {order}; "
                     "truncate explicitly instead"
                 )
-            zero = _zero_like(items[0])
-            items.extend([zero] * (order + 1 - len(items)))
+            items.extend([Fraction(0)] * (order + 1 - len(items)))
         self._coeffs = tuple(items)
 
     # -- constructors ---------------------------------------------------
@@ -74,14 +61,11 @@ class TruncatedSeries:
     def from_rationals(
         cls, coeffs: Iterable[Fraction | int | str], order: int | None = None
     ) -> TruncatedSeries:
-        """Build a rational-coefficient series, coercing ints and 'p/q' strings."""
-        items = [rat(c) for c in coeffs]
-        if not items:
-            items = [Fraction(0)]
-        return cls(items, order)
+        """Like the constructor, but an empty input is the zero series."""
+        return cls(list(coeffs) or [Fraction(0)], order)
 
     @classmethod
-    def constant(cls, value: Coefficient, order: int) -> TruncatedSeries:
+    def constant(cls, value: Fraction | int, order: int) -> TruncatedSeries:
         return cls([value], order)
 
     @classmethod
@@ -94,7 +78,7 @@ class TruncatedSeries:
     # -- structure --------------------------------------------------------
 
     @property
-    def coeffs(self) -> tuple[Coefficient, ...]:
+    def coeffs(self) -> tuple[Fraction, ...]:
         return self._coeffs
 
     @property
@@ -102,25 +86,20 @@ class TruncatedSeries:
         return len(self._coeffs) - 1
 
     @property
-    def constant_term(self) -> Coefficient:
+    def constant_term(self) -> Fraction:
         return self._coeffs[0]
 
     @property
     def is_delta(self) -> bool:
         """True iff f(0) = 0 and f'(0) != 0."""
-        zero = _zero_like(self._coeffs[0])
-        return (
-            self.order >= 1
-            and self._coeffs[0] == zero
-            and self._coeffs[1] != zero
-        )
+        return self.order >= 1 and self._coeffs[0] == 0 and self._coeffs[1] != 0
 
     @property
     def is_invertible(self) -> bool:
         """True iff the constant term is nonzero."""
-        return self._coeffs[0] != _zero_like(self._coeffs[0])
+        return self._coeffs[0] != 0
 
-    def __iter__(self) -> Iterator[Coefficient]:
+    def __iter__(self) -> Iterator[Fraction]:
         return iter(self._coeffs)
 
     def truncate(self, order: int) -> TruncatedSeries:
@@ -132,10 +111,6 @@ class TruncatedSeries:
                 f"cannot extend a series of order {self.order} to order {order}"
             )
         return TruncatedSeries(self._coeffs[: order + 1])
-
-    def map_coefficients(self, fn: Callable[[Coefficient], Coefficient]) -> TruncatedSeries:
-        """Apply ``fn`` to every coefficient (e.g. lifting into another ring)."""
-        return TruncatedSeries([fn(c) for c in self._coeffs])
 
     def _require_same_order(self, other: TruncatedSeries, op: str) -> None:
         if self.order != other.order:
@@ -160,24 +135,23 @@ class TruncatedSeries:
     def __neg__(self) -> TruncatedSeries:
         return TruncatedSeries([-c for c in self._coeffs])
 
-    def __mul__(self, other: TruncatedSeries | Coefficient | int) -> TruncatedSeries:
+    def __mul__(self, other: TruncatedSeries | Fraction | int) -> TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._require_same_order(other, "multiply")
             n = self.order
-            zero = _zero_like(self._coeffs[0]) * _zero_like(other._coeffs[0])
-            out = [zero] * (n + 1)
+            out = [Fraction(0)] * (n + 1)
             for i, a in enumerate(self._coeffs):
-                if a == _zero_like(a):
+                if a == 0:
                     continue
                 for j in range(n + 1 - i):
-                    out[i + j] = out[i + j] + a * other._coeffs[j]
+                    out[i + j] += a * other._coeffs[j]
             return TruncatedSeries(out)
-        if isinstance(other, (Fraction, int, Poly)):
+        if isinstance(other, (Fraction, int)):
             return TruncatedSeries([c * other for c in self._coeffs])
         return NotImplemented
 
-    def __rmul__(self, other: Coefficient | int) -> TruncatedSeries:
-        if isinstance(other, (Fraction, int, Poly)):
+    def __rmul__(self, other: Fraction | int) -> TruncatedSeries:
+        if isinstance(other, (Fraction, int)):
             return TruncatedSeries([other * c for c in self._coeffs])
         return NotImplemented
 
@@ -186,7 +160,7 @@ class TruncatedSeries:
             return NotImplemented
         return self * other.reciprocal()
 
-    def _add_constant(self, value: Coefficient) -> TruncatedSeries:
+    def _add_constant(self, value: Fraction) -> TruncatedSeries:
         return TruncatedSeries(
             (self._coeffs[0] + value,) + self._coeffs[1:]
         )
@@ -206,13 +180,9 @@ class TruncatedSeries:
     def reciprocal(self) -> TruncatedSeries:
         """Multiplicative inverse: self * result = 1 modulo y^(order+1).
 
-        The constant term must be a nonzero rational.
+        The constant term must be nonzero.
         """
         c0 = self._coeffs[0]
-        if not isinstance(c0, Fraction):
-            raise NotInvertibleError(
-                "reciprocal is defined for rational-coefficient series only"
-            )
         if c0 == 0:
             raise NotInvertibleError("series with zero constant term has no reciprocal")
         inv0 = Fraction(1) / c0
@@ -236,13 +206,10 @@ class TruncatedSeries:
         if not inner.is_delta:
             raise NotDeltaSeriesError("composition requires a delta series inner factor")
         n = self.order
-        g = inner
-        if isinstance(self._coeffs[0], Poly) and isinstance(inner._coeffs[0], Fraction):
-            g = lift(inner)
         # Horner in the series ring: f0 + g*(f1 + g*(f2 + ...))
         result = TruncatedSeries.constant(self._coeffs[n], n)
         for k in range(n - 1, -1, -1):
-            result = (result * g)._add_constant(self._coeffs[k])
+            result = (result * inner)._add_constant(self._coeffs[k])
         return result
 
     def compositional_inverse(self) -> TruncatedSeries:
@@ -254,10 +221,6 @@ class TruncatedSeries:
         """
         if not self.is_delta:
             raise NotDeltaSeriesError("only a delta series has a compositional inverse")
-        if not isinstance(self._coeffs[0], Fraction):
-            raise NotDeltaSeriesError(
-                "compositional inverse is defined for rational-coefficient series only"
-            )
         n = self.order
         y_over_h = TruncatedSeries(self._coeffs[1:]).reciprocal()
         power = y_over_h
@@ -272,25 +235,19 @@ class TruncatedSeries:
         return inverse
 
     def exp(self) -> TruncatedSeries:
-        """exp(self) = sum self^k / k!, requiring a zero constant term.
-
-        Works over both coefficient rings; over Poly it yields series
-        such as the expansion of exp(x*y).
-        """
-        zero = _zero_like(self._coeffs[0])
-        if self._coeffs[0] != zero:
+        """exp(self) = sum self^k / k!, requiring a zero constant term."""
+        if self._coeffs[0] != 0:
             raise NotDeltaSeriesError(
                 "exp of a truncated series requires a zero constant term"
             )
         n = self.order
-        one = _one_like(self._coeffs[0])
         # Horner: 1 + g/1*(1 + g/2*(1 + ... (1 + g/n)))
-        result = TruncatedSeries.constant(one, n)
+        result = TruncatedSeries.constant(Fraction(1), n)
         for k in range(n, 0, -1):
-            result = (result * self * Fraction(1, k))._add_constant(one)
+            result = (result * self * Fraction(1, k))._add_constant(Fraction(1))
         return result
 
-    def derivatives_at_zero(self) -> tuple[Coefficient, ...]:
+    def derivatives_at_zero(self) -> tuple[Fraction, ...]:
         """The vector [f(0), f'(0), ..., f^(order)(0)], i.e. k! * coeffs[k]."""
         return tuple(c * math.factorial(k) for k, c in enumerate(self._coeffs))
 
@@ -307,45 +264,20 @@ class TruncatedSeries:
     # -- text and wire form -----------------------------------------------------
 
     def to_json(self) -> dict:
-        """JSON form: {"order": n, "coeffs": [...]}, ascending powers of y.
-
-        Rational coefficients serialize as "p/q" strings, polynomial
-        coefficients as arrays of such strings.
-        """
-        coeffs: list = []
-        for c in self._coeffs:
-            coeffs.append(c.to_strings() if isinstance(c, Poly) else format_rational(c))
+        """JSON form: {"order": n, "coeffs": [...]}, ascending powers of y,
+        each coefficient a "p/q" string."""
+        coeffs = [format_rational(c) for c in self._coeffs]
         return {"order": self.order, "coeffs": coeffs}
 
     @classmethod
     def from_json(cls, data: dict) -> TruncatedSeries:
-        coeffs: list[Coefficient] = []
-        for c in data["coeffs"]:
-            coeffs.append(Poly.from_strings(c) if isinstance(c, list) else rat(c))
-        series = cls(coeffs)
+        series = cls(data["coeffs"])
         if series.order != data["order"]:
             raise ValueError("order field disagrees with coefficient count")
         return series
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self._coeffs)!r})"
-
-
-def lift(series: TruncatedSeries) -> TruncatedSeries:
-    """Lift a rational-coefficient series into the polynomial ring
-    (each coefficient becomes a constant polynomial)."""
-    return series.map_coefficients(
-        lambda c: c if isinstance(c, Poly) else Poly.constant(c)
-    )
-
-
-def exp_xy(order: int) -> TruncatedSeries:
-    """The polynomial-coefficient expansion of exp(x*y): coefficients x^k/k!."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return TruncatedSeries(
-        [Poly.monomial(k) * Fraction(1, math.factorial(k)) for k in range(order + 1)]
-    )
 
 
 def log_derivative(series: TruncatedSeries) -> TruncatedSeries:

@@ -24,10 +24,9 @@ from sheffermat import (
     ShefferPair,
     TruncatedSeries,
     appell_sequence,
-    exp_xy,
+    derivative_recurrence_coeffs,
     factorization_check,
     lemma_checks,
-    lift_matrix,
     make_pair,
     omega_inverse,
     pascal_matrix,
@@ -109,6 +108,19 @@ def test_identities_hold_for_random_pairs(pair):
 # -- the rational factorization against the Poly-matrix product --------------
 
 
+def pascal_of_exp_xy(n: int) -> Matrix:
+    """P[e^{xy}] at y = 0: entry (i, j) = C(i, j) x^(i-j), zero above."""
+    return Matrix(
+        [
+            [
+                Poly.monomial(i - j, math.comb(i, j)) if i >= j else Poly.zero()
+                for j in range(n + 1)
+            ]
+            for i in range(n + 1)
+        ]
+    )
+
+
 def poly_matrix_factorization(pair: ShefferPair, n: int) -> bool:
     """Reference: the full identity with the polynomial factor P[e^{xy}],
     compared entrywise against the matrix of scaled x-derivatives."""
@@ -118,7 +130,7 @@ def poly_matrix_factorization(pair: ShefferPair, n: int) -> bool:
         @ pascal_matrix(pair.l.reciprocal(), n)
         @ pascal_matrix(pair.l.compose(pair.h).reciprocal(), n)
     )
-    rhs = lift_matrix(rational_part) @ pascal_matrix(exp_xy(n), n)
+    rhs = rational_part @ pascal_of_exp_xy(n)
     return scaled_derivative_matrix(pair, n) == rhs
 
 
@@ -150,12 +162,67 @@ def test_factorization_checks_agree_on_a_wrong_sequence(monkeypatch):
 def test_scaled_derivatives_are_column_zero_derivatives():
     pair = make_pair("log-assoc", 5)
     m = scaled_derivative_matrix(pair, 5)
-    p_exy = pascal_matrix(exp_xy(5), 5)
     rows = [
-        [Poly.constant(c) for c in p.coeffs + (Fraction(0),) * (5 - i)]
+        p.coeffs + (Fraction(0),) * (5 - i)
         for i, p in enumerate(sheffer_appell_sequence(pair, 5))
     ]
-    assert Matrix(rows) @ p_exy == m
+    assert Matrix(rows) @ pascal_of_exp_xy(5) == m
+
+
+# -- production-matrix oracle -------------------------------------------------
+
+
+def production_matrix(pair: ShefferPair, n: int) -> list[list[Fraction]]:
+    """P with R[0..n] P = R[1..n+1], where row i of R holds the x-coefficients
+    of sA_i; solved by forward substitution, as R is lower triangular with a
+    nonzero diagonal."""
+    s = sheffer_appell_sequence(pair, n + 1)
+    r = [[p.coeff(k) for k in range(n + 2)] for p in s]
+    prod: list[list[Fraction]] = []
+    for i in range(n + 1):
+        prod.append(
+            [
+                (r[i + 1][k] - sum(r[i][j] * prod[j][k] for j in range(i))) / r[i][i]
+                for k in range(n + 2)
+            ]
+        )
+    return prod
+
+
+def production_closed_form(pair: ShefferPair, n: int) -> list[list[Fraction]]:
+    """Deutsch, Ferrari & Rinaldi, "Production matrices and Riordan arrays"
+    (2009): an exponential Riordan array [d, g] has production matrix
+    P[i][j] = i!/j! (z_{i-j} + j a_{i-j+1}) for j <= i+1, zero elsewhere,
+    with z_{-1} = 0, A(t) = g'(g^{-1}(t)) and Z(t) = d'/d (g^{-1}(t)).
+    For sA, d = 1/(l(g) l) and g = h^{-1}, so A = 1/h' and Z = b + c: the
+    ordinary coefficients of the "3.1" series, read off independently."""
+    t = derivative_recurrence_coeffs(pair, n + 1)
+    fact = [math.factorial(k) for k in range(n + 2)]
+    a = [v / fact[k] for k, v in enumerate(t.a)]
+    z = [(b + c) / fact[k] for k, (b, c) in enumerate(zip(t.b, t.c))]
+
+    def entry(i: int, j: int) -> Fraction:
+        if j > i + 1:
+            return Fraction(0)
+        z_term = z[i - j] if j <= i else Fraction(0)
+        return Fraction(fact[i], fact[j]) * (z_term + j * a[i - j + 1])
+
+    return [[entry(i, j) for j in range(n + 2)] for i in range(n + 1)]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_production_matrix_of_catalog_families(family):
+    params = {"lambda": Fraction(5, 2), "m": 1}
+    spec_params = {k: v for k, v in params.items() if k in FAMILIES[family].params}
+    pair = make_pair(family, 10, spec_params)
+    assert production_matrix(pair, 8) == production_closed_form(pair, 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs().filter(lambda pair: pair.order >= 2))
+def test_production_matrix_of_random_pairs(pair):
+    n = pair.order - 2
+    assert production_matrix(pair, n) == production_closed_form(pair, n)
 
 
 # -- one compositional inverse per pair --------------------------------------

@@ -38,9 +38,10 @@ def test_h_must_be_delta():
 
 
 def test_polynomial_coefficients_rejected():
-    lifted = TruncatedSeries([Poly((1,)), Poly((0, 1))])
     with pytest.raises(TypeError):
-        ShefferPair(lifted, TruncatedSeries([0, 1]))
+        ShefferPair(
+            TruncatedSeries([Poly((1,)), Poly((0, 1))]), TruncatedSeries([0, 1])
+        )
 
 
 def test_truncate():

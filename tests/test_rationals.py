@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sheffermat import format_rational, parse_rational, rat
+from sheffermat import Poly, format_rational, parse_rational, rat
 
 
 def test_parse_plain_integer():
@@ -41,6 +41,14 @@ def test_rat_coerces_int_str_fraction():
     assert rat(3) == Fraction(3)
     assert rat("2/4") == Fraction(1, 2)
     assert rat(Fraction(1, 3)) == Fraction(1, 3)
+
+
+@pytest.mark.parametrize(
+    "bad", [1.5, None, Poly.x()], ids=["float", "None", "Poly"]
+)
+def test_rat_rejects_non_rationals(bad):
+    with pytest.raises(TypeError, match="not a rational"):
+        rat(bad)
 
 
 @given(st.fractions(max_denominator=1000))
