@@ -48,7 +48,7 @@ from .matrices import (
 )
 from .pairs import ShefferPair
 from .polynomials import Poly
-from .rationals import Rational, format_rational
+from .rationals import Rational, common_denominator, format_rational
 from .series import TruncatedSeries
 from .sequences import sheffer_appell_sequence
 
@@ -120,12 +120,22 @@ COEFF_EXTRACTORS = {
 
 
 def _derivative_combination(triple: CoeffTriple, poly: Poly, n: int) -> Poly:
-    """sum_{k=0}^{n} (x a_k + b_k + c_k) * poly^(k)(x) / k!."""
-    acc = Poly.zero()
-    for k in range(n + 1):
-        factor = Poly((triple.b[k] + triple.c[k], triple.a[k]))
-        acc = acc + factor * poly.derivative(k) * Fraction(1, math.factorial(k))
-    return acc
+    """sum_{k=0}^{n} (x a_k + b_k + c_k) * poly^(k)(x) / k!.
+
+    The x^j coefficient of poly^(k)/k! is C(j+k, k) p_{j+k}; the sum is
+    taken on integer numerators and each output coefficient reduced once.
+    """
+    dp, p = common_denominator(poly.coeffs)
+    m = min(n + 1, len(p))
+    bc = [b + c for b, c in zip(triple.b[:m], triple.c[:m])]
+    dt, t = common_denominator(bc + list(triple.a[:m]))
+    out = [0] * (len(p) + 1)
+    for k in range(m):
+        for j in range(len(p) - k):
+            term = math.comb(j + k, k) * p[j + k]
+            out[j] += t[k] * term
+            out[j + 1] += t[m + k] * term
+    return Poly([Fraction(c, dp * dt) for c in out])
 
 
 def differential_equation_residual(pair: ShefferPair, n: int) -> Poly:

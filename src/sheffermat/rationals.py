@@ -9,8 +9,10 @@ a bit-exact round trip.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from typing import Sequence
 
 Rational = Fraction
 
@@ -45,6 +47,12 @@ def parse_rational(text: str) -> Fraction:
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(num, den)
+
+
+def common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(D, [v * D for v in values]) with D the lcm of the denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def format_rational(value: Fraction) -> str:

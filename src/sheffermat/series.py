@@ -15,6 +15,11 @@ calculus needed downstream: derivative, reciprocal of an invertible
 series, composition with a delta series (zero constant term, nonzero
 linear term), compositional inverse of a delta series (by Lagrange
 inversion), and the exponential of a series with zero constant term.
+
+The product runs on integers: each operand is scaled to integer numerators
+over the lcm of its denominators, and each output coefficient is reduced
+once.  The reciprocal is Newton iteration on that product (Brent & Kung,
+"Fast algorithms for manipulating formal power series", J. ACM 25, 1978).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .errors import (
     NotInvertibleError,
     OrderMismatchError,
 )
-from .rationals import format_rational, rat
+from .rationals import common_denominator, format_rational, rat
 
 
 class TruncatedSeries:
@@ -56,13 +61,6 @@ class TruncatedSeries:
         self._coeffs = tuple(items)
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def from_rationals(
-        cls, coeffs: Iterable[Fraction | int | str], order: int | None = None
-    ) -> TruncatedSeries:
-        """Like the constructor, but an empty input is the zero series."""
-        return cls(list(coeffs) or [Fraction(0)], order)
 
     @classmethod
     def constant(cls, value: Fraction | int, order: int) -> TruncatedSeries:
@@ -138,14 +136,14 @@ class TruncatedSeries:
     def __mul__(self, other: TruncatedSeries | Fraction | int) -> TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._require_same_order(other, "multiply")
-            n = self.order
-            out = [Fraction(0)] * (n + 1)
-            for i, a in enumerate(self._coeffs):
-                if a == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    out[i + j] += a * other._coeffs[j]
-            return TruncatedSeries(out)
+            da, a = common_denominator(self._coeffs)
+            db, b = common_denominator(other._coeffs)
+            out = [0] * len(a)
+            for i, ai in enumerate(a):
+                if ai:
+                    out[i:] = [o + ai * bj for o, bj in zip(out[i:], b)]
+            den = da * db
+            return TruncatedSeries([Fraction(c, den) for c in out])
         if isinstance(other, (Fraction, int)):
             return TruncatedSeries([c * other for c in self._coeffs])
         return NotImplemented
@@ -180,19 +178,18 @@ class TruncatedSeries:
     def reciprocal(self) -> TruncatedSeries:
         """Multiplicative inverse: self * result = 1 modulo y^(order+1).
 
-        The constant term must be nonzero.
+        The constant term must be nonzero.  Newton step: if b = 1/self
+        mod y^(m+1), then b (2 - self b) = 1/self mod y^(2m+2).
         """
         c0 = self._coeffs[0]
         if c0 == 0:
             raise NotInvertibleError("series with zero constant term has no reciprocal")
-        inv0 = Fraction(1) / c0
-        out: list[Fraction] = [inv0]
-        for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for i in range(1, n + 1):
-                acc += self._coeffs[i] * out[n - i]
-            out.append(-inv0 * acc)
-        return TruncatedSeries(out)
+        b = TruncatedSeries([1 / c0])
+        while b.order < self.order:
+            k = min(2 * b.order + 1, self.order)
+            b = TruncatedSeries(b._coeffs, k)
+            b = b * (-(self.truncate(k) * b))._add_constant(Fraction(2))
+        return b
 
     def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
         """self(inner(y)) truncated at the shared order.

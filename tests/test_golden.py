@@ -1,0 +1,66 @@
+"""Outputs match the benchmark's frozen digests, run in this process.
+
+``perfbench/reference.json`` holds the SHA-256 and exit code of every
+benchmark cell, checked against a sympy expansion when it was made.  Here
+every session cell (sequence, triples, residuals and factorization of one
+pair at degree n) and every ``gen``/``coeffs`` CLI cell with n <= 20 is
+recomputed and compared, so a change to the arithmetic kernels that moves
+one output byte fails tier-1, not only the benchmark.  The cells, the
+session task and its serialization come from ``perfbench/`` itself.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+from session_worker import build_pool, run_task, serialize  # noqa: E402
+from workloads import cell_argv  # noqa: E402
+
+from sheffermat.cli import main  # noqa: E402
+
+with open(PERFBENCH / "reference.json", encoding="utf-8") as fh:
+    REFERENCE = json.load(fh)["cells"]
+
+SESSION_CELLS = sorted(c for c in REFERENCE if c.startswith("task|"))
+CLI_CELLS = sorted(
+    c
+    for c in REFERENCE
+    if c.split("|")[0] in ("gen", "coeffs") and int(c.split("|")[3]) <= 20
+)
+
+
+@pytest.fixture(scope="module")
+def pool():
+    return build_pool()
+
+
+def test_cell_counts():
+    assert len(SESSION_CELLS) == 72
+    assert len(CLI_CELLS) == 156
+
+
+@pytest.mark.parametrize("cell", SESSION_CELLS)
+def test_session_cell_digest(pool, cell):
+    digest = hashlib.sha256(serialize(run_task(pool, cell))).hexdigest()
+    assert digest == REFERENCE[cell]["sha256"]
+
+
+@pytest.mark.parametrize("cell", CLI_CELLS)
+def test_cli_cell_digest(cell):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = main(cell_argv(cell))
+        except SystemExit as exc:
+            code = exc.code
+    assert code == REFERENCE[cell]["exit"]
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == REFERENCE[cell]["sha256"]

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheffermat import (
     COEFF_EXTRACTORS,
@@ -9,7 +11,6 @@ from sheffermat import (
     RESIDUALS,
     CoeffTriple,
     InsufficientOrderError,
-    Matrix,
     Poly,
     ShefferPair,
     TruncatedSeries,
@@ -22,6 +23,7 @@ from sheffermat import (
     mixed_recurrence_coeffs,
     scaled_derivative_matrix,
 )
+from sheffermat.identities import _derivative_combination
 
 
 def zeros(n):
@@ -217,3 +219,43 @@ def test_associated_rejects_unknown_label():
     pair = make_pair("monomial", 5)
     with pytest.raises(ValueError):
         associated_residual(pair, 3, "4.1")
+
+
+def repeated_derivative_combination(triple, poly, n):
+    """The Poly.derivative form that _derivative_combination replaced,
+    kept as the reference."""
+    acc = Poly.zero()
+    for k in range(n + 1):
+        factor = Poly((triple.b[k] + triple.c[k], triple.a[k]))
+        acc = acc + factor * poly.derivative(k) * Fraction(1, math.factorial(k))
+    return acc
+
+
+small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_derivative_combination_matches_repeated_derivatives(data):
+    degree = data.draw(st.integers(-1, 12), label="degree")  # -1: the zero polynomial
+    n = data.draw(st.integers(0, 15), label="n")
+    coeffs = data.draw(st.lists(small_rationals, min_size=degree + 1, max_size=degree + 1))
+    vector = st.lists(small_rationals, min_size=n + 1, max_size=n + 1).map(tuple)
+    triple = CoeffTriple("2.1", data.draw(vector), data.draw(vector), data.draw(vector))
+    poly = Poly(coeffs)
+    expected = repeated_derivative_combination(triple, poly, n)
+    assert _derivative_combination(triple, poly, n) == expected
+
+
+def test_derivative_combination_edge_cases():
+    triple = CoeffTriple("3.1", (1, 2, 3), (4, 5, 6), (7, 8, 9))
+    assert _derivative_combination(triple, Poly.zero(), 2) == Poly.zero()
+    # degree 1 < n = 2: only k = 0, 1 contribute; (x + 11)(3 + 2x) + (2x + 13) 2
+    expected = Poly((11, 1)) * Poly((3, 2)) + Poly((13, 2)) * 2
+    assert _derivative_combination(triple, Poly((3, 2)), 2) == expected
+    # every k up to the degree contributes
+    dense = Poly(Fraction(j + 1, 7 - j % 5) for j in range(13))
+    vector = tuple(Fraction(k - 4, k + 1) for k in range(16))
+    triple = CoeffTriple("2.1", vector, vector[::-1], vector[3:] + vector[:3])
+    expected = repeated_derivative_combination(triple, dense, 15)
+    assert _derivative_combination(triple, dense, 15) == expected

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sheffermat import Poly, format_rational, parse_rational, rat
+from sheffermat.rationals import common_denominator
 
 
 def test_parse_plain_integer():
@@ -49,6 +50,12 @@ def test_rat_coerces_int_str_fraction():
 def test_rat_rejects_non_rationals(bad):
     with pytest.raises(TypeError, match="not a rational"):
         rat(bad)
+
+
+def test_common_denominator():
+    values = [Fraction(1, 4), Fraction(-5, 6), Fraction(3)]
+    assert common_denominator(values) == (12, [3, -10, 36])
+    assert common_denominator([]) == (1, [])
 
 
 @given(st.fractions(max_denominator=1000))

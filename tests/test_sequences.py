@@ -7,7 +7,6 @@ from sheffermat import (
     NotInvertibleError,
     Poly,
     PolySequence,
-    ShefferPair,
     TruncatedSeries,
     appell_kernel,
     appell_sequence,
@@ -83,7 +82,7 @@ def test_hermite_and_bernoulli_values():
 
 
 def test_appell_sequence_function():
-    l = TruncatedSeries.from_rationals([1, 1, Fraction(1, 2), Fraction(1, 6)])
+    l = TruncatedSeries([1, 1, Fraction(1, 2), Fraction(1, 6)])
     seq = appell_sequence(l, 3)
     assert seq.kind == "appell"
     for k in range(4):
@@ -139,7 +138,7 @@ def test_identity_kernel_is_noop():
 
 
 def test_exp_kernel_shifts_powers():
-    l = TruncatedSeries.from_rationals(
+    l = TruncatedSeries(
         [1, 1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 24)]
     )
     kernel = appell_kernel(l)

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheffermat import (
@@ -302,3 +302,68 @@ def test_derivative_vector_matches_coeffs(s):
 @given(delta_strategy(4), delta_strategy(4))
 def test_exp_is_additive(f, g):
     assert (f + g).exp() == f.exp() * g.exp()
+
+
+# -- integer kernels against schoolbook Fraction references ------------------
+
+
+def schoolbook_product(a, b):
+    """The Fraction convolution that ``*`` replaced, kept as the reference."""
+    n = len(a) - 1
+    out = [Fraction(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def schoolbook_reciprocal(c):
+    """The Fraction recurrence that ``reciprocal`` replaced, kept as the reference."""
+    inv0 = 1 / c[0]
+    out = [inv0]
+    for n in range(1, len(c)):
+        out.append(-inv0 * sum(c[i] * out[n - i] for i in range(1, n + 1)))
+    return out
+
+
+# Denominators up to 10^6, zeros, ones and a negative non-unit constant.
+wide = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-7, 3)]),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+)
+wide_nonzero = wide.filter(lambda q: q != 0)
+kernel_orders = st.integers(min_value=0, max_value=40)
+
+
+def kernel_operand(order, constant=wide):
+    """A dense series, or a zero-heavy one c0 + c y^k (c y^k when c0 = 0)."""
+    dense = st.lists(wide, min_size=order, max_size=order)
+    sparse = st.tuples(st.integers(1, max(order, 1)), wide_nonzero).map(
+        lambda t: [Fraction(0)] * (t[0] - 1) + [t[1]] + [Fraction(0)] * (order - t[0])
+    )
+    tail = st.one_of(dense, sparse) if order else st.just([])
+    return st.tuples(constant, tail).map(lambda t: TruncatedSeries([t[0], *t[1]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_orders.flatmap(lambda n: st.tuples(kernel_operand(n), kernel_operand(n))))
+def test_product_matches_schoolbook(operands):
+    a, b = operands
+    assert list((a * b).coeffs) == schoolbook_product(a.coeffs, b.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_orders.flatmap(lambda n: kernel_operand(n, constant=wide_nonzero)))
+def test_reciprocal_matches_schoolbook(c):
+    assert list(c.reciprocal().coeffs) == schoolbook_reciprocal(c.coeffs)
+
+
+def test_reciprocal_order_zero_and_one():
+    assert TruncatedSeries([Fraction(-7, 3)]).reciprocal() == TruncatedSeries(
+        [Fraction(-3, 7)]
+    )
+    # 1/(c0 + c1 y) = 1/c0 - c1/c0^2 y
+    assert TruncatedSeries([Fraction(-7, 3), 5]).reciprocal() == TruncatedSeries(
+        [Fraction(-3, 7), Fraction(-45, 49)]
+    )
+    assert TruncatedSeries([1, 0]).reciprocal() == TruncatedSeries([1, 0])
