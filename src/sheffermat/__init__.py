@@ -48,10 +48,8 @@ from .identities import (
     factorization_check,
     mixed_recurrence_coeffs,
     mixed_recurrence_residual,
-    scaled_derivative_matrix,
 )
 from .matrices import (
-    LowerTriangularMatrix,
     Matrix,
     check_property_composition,
     check_property_product_pascal,
@@ -59,7 +57,6 @@ from .matrices import (
     omega,
     omega_inverse,
     pascal_matrix,
-    wronskian_matrix,
     wronskian_powers_matrix,
     wronskian_vector,
 )
@@ -75,7 +72,7 @@ from .sequences import (
     sheffer_appell_sequence,
     sheffer_sequence,
 )
-from .series import TruncatedSeries, log_derivative
+from .series import TruncatedSeries
 from .verify import (
     CheckResult,
     lemma_checks,
@@ -101,7 +98,6 @@ __all__ = [
     "InsufficientOrderError",
     "KINDS",
     "LABELS",
-    "LowerTriangularMatrix",
     "Matrix",
     "NotDeltaSeriesError",
     "NotInvertibleError",
@@ -133,7 +129,6 @@ __all__ = [
     "format_rational",
     "lemma_checks",
     "list_families",
-    "log_derivative",
     "make_pair",
     "mixed_recurrence_coeffs",
     "mixed_recurrence_residual",
@@ -145,11 +140,9 @@ __all__ = [
     "rat",
     "residual_checks",
     "run_worked_example_audit",
-    "scaled_derivative_matrix",
     "sheffer_appell_sequence",
     "sheffer_sequence",
     "verify_family",
-    "wronskian_matrix",
     "wronskian_powers_matrix",
     "wronskian_vector",
 ]

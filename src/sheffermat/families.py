@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 from .errors import ParameterError, UnknownFamilyError
 from .pairs import ShefferPair
-from .rationals import Rational, parse_rational, rat
+from .rationals import Rational, rat
 from .series import TruncatedSeries
 
 Params = Mapping[str, Rational]
@@ -190,7 +190,7 @@ def make_pair(
     values: dict[str, Rational] = {}
     for key, raw in given.items():
         try:
-            values[key] = parse_rational(raw) if isinstance(raw, str) else rat(raw)
-        except ValueError as exc:
-            raise ParameterError(f"parameter {key}={raw!r}: {exc}") from None
+            values[key] = rat(raw)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"parameter {key}={raw!r}: {exc}") from exc
     return spec.build(order, values)

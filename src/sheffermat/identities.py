@@ -26,11 +26,12 @@ matching the CLI's --theorem flag:
 The (a, b, c) series are computed once per pair (``pair.derived``, see
 :mod:`sheffermat.pairs`); an extractor slices them to k = 0..n.
 
-There is also the matrix factorization check: the lower triangular
-matrix of scaled x-derivatives sA_i^(j)(x)/j! equals
+There is also the matrix factorization: the lower triangular matrix of
+scaled x-derivatives sA_i^(j)(x)/j! equals
 W[1, g, ..., g^n] Omega^{-1} P[1/l] P[1/l(h)] P[e^{xy}] with g = h^{-1},
 all evaluated at y = 0.  It is checked over the rationals, without the
-fixed polynomial factor P[e^{xy}] (see :func:`factorization_check`).
+fixed polynomial factor P[e^{xy}], and one size-n product answers it for
+every size 0..n (see :func:`first_factorization_mismatch`).
 """
 
 from __future__ import annotations
@@ -40,12 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractError, InsufficientOrderError
-from .matrices import (
-    Matrix,
-    omega_inverse,
-    pascal_matrix,
-    wronskian_powers_matrix,
-)
+from .matrices import omega_inverse, pascal_matrix, wronskian_powers_matrix
 from .pairs import ShefferPair
 from .polynomials import Poly
 from .rationals import Rational, common_denominator, format_rational
@@ -183,19 +179,24 @@ RESIDUALS = {
 }
 
 
-def scaled_derivative_matrix(pair: ShefferPair, n: int) -> Matrix:
-    """Lower triangular matrix with entry (i, j) = sA_i^(j)(x) / j!.
+def first_factorization_mismatch(pair: ShefferPair, n: int) -> int:
+    """The first row i <= n where the size-n factorization differs, else n + 1.
 
-    Differentiation here is in x, unlike every other matrix in this
-    package, which differentiates the series variable y.
+    By the prefix argument of :func:`factorization_check`, the size-d
+    factorization holds exactly when d is below the returned row.
     """
     s = sheffer_appell_sequence(pair, n)
-    return Matrix(
-        [
-            [s[i].derivative(j) * Fraction(1, math.factorial(j)) for j in range(n + 1)]
-            for i in range(n + 1)
-        ]
+    d = pair.derived
+    rhs = (
+        wronskian_powers_matrix(d.g, n)
+        @ omega_inverse(n)
+        @ pascal_matrix(d.reciprocal_l, n)
+        @ pascal_matrix(d.reciprocal_l_of_h, n)
     )
+    for i, p in enumerate(s):
+        if p.coeffs + (Fraction(0),) * (n - i) != rhs.row(i):
+            return i
+    return n + 1
 
 
 def factorization_check(pair: ShefferPair, n: int) -> bool:
@@ -206,17 +207,13 @@ def factorization_check(pair: ShefferPair, n: int) -> bool:
     the j-th scaled x-derivative of its column 0, and column 0 of the
     right side is R (1, x, x^2, ...)^T.  So the identity holds iff row i
     of the rational matrix R is the coefficient row of sA_i.
+
+    Prefix argument: the four factors of R are lower triangular with
+    entries that do not depend on n, so the leading (d+1) x (d+1) block of
+    the size-n R is the size-d R, and row i of the left side depends only
+    on sA_i.  So one size-n comparison decides every size d <= n.
     """
-    s = sheffer_appell_sequence(pair, n)
-    lhs = Matrix([p.coeffs + (Fraction(0),) * (n - i) for i, p in enumerate(s)])
-    d = pair.derived
-    rhs = (
-        wronskian_powers_matrix(d.g, n)
-        @ omega_inverse(n)
-        @ pascal_matrix(d.reciprocal_l, n)
-        @ pascal_matrix(d.reciprocal_l_of_h, n)
-    )
-    return lhs == rhs
+    return first_factorization_mismatch(pair, n) > n
 
 
 def associated_residual(pair: ShefferPair, n: int, which: str) -> Poly:

@@ -3,10 +3,9 @@
 Everything here is evaluated at y = 0: the Pascal functional matrix of a
 series f is the lower triangular matrix with entry (i, j) equal to
 C(i, j) * f^(i-j)(0), and the Wronskian column of f stacks
-f(0), f'(0), ..., f^(n)(0).  Entries are rationals, like the series
-coefficients; the one producer of polynomial entries is
-:func:`~sheffermat.identities.scaled_derivative_matrix`, and the
-arithmetic below is duck-typed so such matrices still multiply.
+f(0), f'(0), ..., f^(n)(0).  Every entry is coerced by
+:func:`~sheffermat.rationals.rat`, as the series coefficients are, so a
+matrix holds rationals only; a float or a polynomial is a TypeError.
 
 The four classical identities relating these matrices are exposed as
 boolean checks:
@@ -24,23 +23,20 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import InsufficientOrderError, NotDeltaSeriesError
-from .polynomials import Poly
-from .rationals import format_rational
+from .rationals import format_rational, rat
 from .series import TruncatedSeries
-
-Entry = Union[Fraction, Poly]
 
 
 class Matrix:
-    """A dense rectangular matrix over an exact ring (Fraction or Poly)."""
+    """A dense rectangular matrix over the rationals."""
 
     __slots__ = ("_rows",)
 
-    def __init__(self, rows: Iterable[Iterable[Entry]]):
-        packed = tuple(tuple(row) for row in rows)
+    def __init__(self, rows: Iterable[Iterable[Fraction | int | str]]):
+        packed = tuple(tuple(rat(e) for e in row) for row in rows)
         if not packed or not packed[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(packed[0])
@@ -55,7 +51,7 @@ class Matrix:
         return cls.diagonal([Fraction(1)] * n)
 
     @classmethod
-    def diagonal(cls, entries: Sequence[Entry]) -> Matrix:
+    def diagonal(cls, entries: Sequence[Fraction | int]) -> Matrix:
         size = len(entries)
         return cls(
             [
@@ -65,7 +61,7 @@ class Matrix:
         )
 
     @classmethod
-    def column(cls, entries: Sequence[Entry]) -> Matrix:
+    def column(cls, entries: Sequence[Fraction | int]) -> Matrix:
         return cls([[e] for e in entries])
 
     # -- structure ----------------------------------------------------------
@@ -78,24 +74,14 @@ class Matrix:
     def cols(self) -> int:
         return len(self._rows[0])
 
-    def entry(self, i: int, j: int) -> Entry:
+    def entry(self, i: int, j: int) -> Fraction:
         return self._rows[i][j]
 
-    def row(self, i: int) -> tuple[Entry, ...]:
+    def row(self, i: int) -> tuple[Fraction, ...]:
         return self._rows[i]
 
-    def column_entries(self, j: int) -> tuple[Entry, ...]:
+    def column_entries(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self._rows)
-
-    def transpose(self) -> Matrix:
-        return Matrix(zip(*self._rows))
-
-    def is_lower_triangular(self) -> bool:
-        return all(
-            self._rows[i][j] == 0
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -108,8 +94,8 @@ class Matrix:
             [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)
         )
 
-    def __mul__(self, scalar: Entry | int) -> Matrix:
-        if isinstance(scalar, (Fraction, int, Poly)):
+    def __mul__(self, scalar: Fraction | int) -> Matrix:
+        if isinstance(scalar, (Fraction, int)):
             return Matrix([c * scalar for c in row] for row in self._rows)
         return NotImplemented
 
@@ -147,32 +133,12 @@ class Matrix:
 
     # -- wire form ---------------------------------------------------------------
 
-    def to_json(self) -> list[list]:
-        """Nested row-major arrays; rational entries as "p/q" strings,
-        polynomial entries as arrays of such strings."""
-        return [
-            [
-                e.to_strings() if isinstance(e, Poly) else format_rational(e)
-                for e in row
-            ]
-            for row in self._rows
-        ]
+    def to_json(self) -> list[list[str]]:
+        """Nested row-major arrays of "p/q" strings."""
+        return [[format_rational(e) for e in row] for row in self._rows]
 
     def __repr__(self) -> str:
         return f"Matrix({[list(r) for r in self._rows]!r})"
-
-
-class LowerTriangularMatrix(Matrix):
-    """A square matrix validated to have zero entries above the diagonal."""
-
-    __slots__ = ()
-
-    def __init__(self, rows: Iterable[Iterable[Entry]]):
-        super().__init__(rows)
-        if self.rows != self.cols:
-            raise ValueError("lower triangular matrix must be square")
-        if not self.is_lower_triangular():
-            raise ValueError("entries above the diagonal must be zero")
 
 
 def _require_order(f: TruncatedSeries, n: int, what: str) -> None:
@@ -182,38 +148,24 @@ def _require_order(f: TruncatedSeries, n: int, what: str) -> None:
         )
 
 
-def pascal_matrix(f: TruncatedSeries, n: int) -> LowerTriangularMatrix:
+def pascal_matrix(f: TruncatedSeries, n: int) -> Matrix:
     """The (n+1) x (n+1) Pascal functional matrix of f at y = 0.
 
-    Entry (i, j) = C(i, j) * f^(i-j)(0) for i >= j, zero above the
+    The (i, j) entry is C(i, j) * f^(i-j)(0) for i >= j, zero above the
     diagonal; the Pascal matrix of the constant series 1 is the identity.
     """
     _require_order(f, n, "Pascal matrix")
     dv = f.truncate(n).derivatives_at_zero()
-    zero = dv[0] * 0
-    rows = [
-        [math.comb(i, j) * dv[i - j] if i >= j else zero for j in range(n + 1)]
+    return Matrix(
+        [math.comb(i, j) * dv[i - j] if i >= j else 0 for j in range(n + 1)]
         for i in range(n + 1)
-    ]
-    return LowerTriangularMatrix(rows)
+    )
 
 
 def wronskian_vector(f: TruncatedSeries, n: int) -> Matrix:
     """The Wronskian column [f(0), f'(0), ..., f^(n)(0)]^T."""
     _require_order(f, n, "Wronskian vector")
     return Matrix.column(f.truncate(n).derivatives_at_zero())
-
-
-def wronskian_matrix(fs: Sequence[TruncatedSeries], n: int) -> Matrix:
-    """The (n+1) x m Wronskian matrix of several series, columnwise."""
-    if not fs:
-        raise ValueError("need at least one series")
-    for f in fs:
-        _require_order(f, n, "Wronskian matrix")
-    columns = [f.truncate(n).derivatives_at_zero() for f in fs]
-    return Matrix(
-        [[col[i] for col in columns] for i in range(n + 1)]
-    )
 
 
 def wronskian_powers_matrix(h: TruncatedSeries, n: int) -> Matrix:
@@ -227,11 +179,11 @@ def wronskian_powers_matrix(h: TruncatedSeries, n: int) -> Matrix:
     _require_order(h, n, "powers matrix")
     base = h.truncate(n)
     power = TruncatedSeries.constant(Fraction(1), n)
-    powers = [power]
+    columns = [power.derivatives_at_zero()]
     for _ in range(n):
         power = power * base
-        powers.append(power)
-    return wronskian_matrix(powers, n)
+        columns.append(power.derivatives_at_zero())
+    return Matrix(zip(*columns))
 
 
 def omega(n: int) -> Matrix:

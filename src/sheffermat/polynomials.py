@@ -185,10 +185,6 @@ class Poly:
         """The coefficients as exact strings, ascending degree (JSON form)."""
         return [format_rational(c) for c in self._coeffs]
 
-    @classmethod
-    def from_strings(cls, items: Iterable[str]) -> Poly:
-        return cls(items)
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"

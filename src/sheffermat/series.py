@@ -275,8 +275,3 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self._coeffs)!r})"
-
-
-def log_derivative(series: TruncatedSeries) -> TruncatedSeries:
-    """f'/f at order one below the input's order; f must be invertible."""
-    return series.derivative() / series.truncate(series.order - 1)

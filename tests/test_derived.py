@@ -26,12 +26,12 @@ from sheffermat import (
     appell_sequence,
     derivative_recurrence_coeffs,
     factorization_check,
+    identities,
     lemma_checks,
     make_pair,
     omega_inverse,
     pascal_matrix,
     residual_checks,
-    scaled_derivative_matrix,
     sheffer_appell_sequence,
     sheffer_sequence,
     wronskian_powers_matrix,
@@ -106,32 +106,65 @@ def test_identities_hold_for_random_pairs(pair):
 
 
 # -- the rational factorization against the Poly-matrix product --------------
+# The Poly matrices here are nested lists; the engine's Matrix holds
+# rationals only.  The sequence is read through the identities module, so
+# a test that patches the engine's sequence patches the reference too.
 
 
-def pascal_of_exp_xy(n: int) -> Matrix:
+def scaled_derivative_matrix(pair: ShefferPair, n: int) -> list[list[Poly]]:
+    """Entry (i, j) = sA_i^(j)(x) / j!, lower triangular.
+
+    Differentiation here is in x, unlike the package's matrices, which
+    differentiate the series variable y.
+    """
+    s = identities.sheffer_appell_sequence(pair, n)
+    return [
+        [s[i].derivative(j) * Fraction(1, math.factorial(j)) for j in range(n + 1)]
+        for i in range(n + 1)
+    ]
+
+
+def pascal_of_exp_xy(n: int) -> list[list[Poly]]:
     """P[e^{xy}] at y = 0: entry (i, j) = C(i, j) x^(i-j), zero above."""
-    return Matrix(
+    return [
         [
-            [
-                Poly.monomial(i - j, math.comb(i, j)) if i >= j else Poly.zero()
-                for j in range(n + 1)
-            ]
-            for i in range(n + 1)
+            Poly.monomial(i - j, math.comb(i, j)) if i >= j else Poly.zero()
+            for j in range(n + 1)
         ]
+        for i in range(n + 1)
+    ]
+
+
+def poly_matmul(rational_rows, poly_rows) -> list[list[Poly]]:
+    """The product of a rational matrix and a Poly matrix, as nested lists."""
+    return [
+        [sum((a * p for a, p in zip(row, col)), Poly.zero()) for col in zip(*poly_rows)]
+        for row in rational_rows
+    ]
+
+
+def coefficient_rows(pair: ShefferPair, n: int) -> list[tuple[Fraction, ...]]:
+    s = identities.sheffer_appell_sequence(pair, n)
+    return [p.coeffs + (Fraction(0),) * (n - i) for i, p in enumerate(s)]
+
+
+def rational_factor(pair: ShefferPair, n: int) -> Matrix:
+    """W[1, g, ..., g^n] Omega^-1 P[1/l] P[1/l(h)], built from the pair's
+    own series rather than its stored derived ones."""
+    return (
+        wronskian_powers_matrix(pair.h.compositional_inverse(), n)
+        @ omega_inverse(n)
+        @ pascal_matrix(pair.l.reciprocal(), n)
+        @ pascal_matrix(pair.l.compose(pair.h).reciprocal(), n)
     )
 
 
 def poly_matrix_factorization(pair: ShefferPair, n: int) -> bool:
     """Reference: the full identity with the polynomial factor P[e^{xy}],
     compared entrywise against the matrix of scaled x-derivatives."""
-    rational_part = (
-        wronskian_powers_matrix(pair.h.compositional_inverse(), n)
-        @ omega_inverse(n)
-        @ pascal_matrix(pair.l.reciprocal(), n)
-        @ pascal_matrix(pair.l.compose(pair.h).reciprocal(), n)
-    )
-    rhs = rational_part @ pascal_of_exp_xy(n)
-    return scaled_derivative_matrix(pair, n) == rhs
+    rational_part = rational_factor(pair, n)
+    rows = [rational_part.row(i) for i in range(n + 1)]
+    return scaled_derivative_matrix(pair, n) == poly_matmul(rows, pascal_of_exp_xy(n))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -145,8 +178,6 @@ def test_rational_factorization_agrees_with_poly_matrices(family):
 
 
 def test_factorization_checks_agree_on_a_wrong_sequence(monkeypatch):
-    from sheffermat import identities
-
     pair = make_pair("laguerre", 6, {"lambda": 0})
     other = make_pair("exp-shift", 6)
     monkeypatch.setattr(
@@ -161,12 +192,85 @@ def test_factorization_checks_agree_on_a_wrong_sequence(monkeypatch):
 
 def test_scaled_derivatives_are_column_zero_derivatives():
     pair = make_pair("log-assoc", 5)
-    m = scaled_derivative_matrix(pair, 5)
-    rows = [
-        p.coeffs + (Fraction(0),) * (5 - i)
-        for i, p in enumerate(sheffer_appell_sequence(pair, 5))
+    product = poly_matmul(coefficient_rows(pair, 5), pascal_of_exp_xy(5))
+    assert product == scaled_derivative_matrix(pair, 5)
+
+
+def test_scaled_derivative_matrix_monomial():
+    m = scaled_derivative_matrix(make_pair("monomial", 3), 3)
+    assert len(m) == 4 and all(len(row) == 4 for row in m)
+    # entry (i, j) = C(i, j) x^{i-j}
+    assert m[3][1] == Poly((0, 0, 3))
+    assert m[2][2] == Poly.one()
+    assert m[1][2] == Poly.zero()
+
+
+# -- the lemma sweep read off one size-n product ------------------------------
+
+
+def per_size_lemma(pair: ShefferPair, n: int) -> list[bool]:
+    """Reference: the factorization at each size d = 0..n on its own, as a
+    comparison of whole (d+1) x (d+1) matrices."""
+    return [
+        Matrix(coefficient_rows(pair, d)) == rational_factor(pair, d)
+        for d in range(n + 1)
     ]
-    assert Matrix(rows) @ pascal_of_exp_xy(5) == m
+
+
+def break_row(monkeypatch, row: int) -> None:
+    """Make the engine's sA_row wrong by one in its constant coefficient."""
+    engine = identities.sheffer_appell_sequence
+
+    def broken(pair, n):
+        s = list(engine(pair, n))
+        if row <= n:
+            s[row] = s[row] + 1
+        return s
+
+    monkeypatch.setattr(identities, "sheffer_appell_sequence", broken)
+
+
+SWEEP_PAIRS = [
+    ("laguerre", {"lambda": Fraction(5, 2)}),
+    ("log-assoc", {}),
+    ("hermite", {}),
+]
+
+
+@pytest.mark.parametrize("family, params", SWEEP_PAIRS)
+@pytest.mark.parametrize("row", [0, 3, 9, 10])
+def test_lemma_sweep_fails_from_the_first_bad_row(monkeypatch, family, params, row):
+    # row 10 lies beyond n, so nothing is broken and every size passes
+    n = 9
+    pair = make_pair(family, n + 2, params)
+    break_row(monkeypatch, row)
+    passed = [c.passed for c in lemma_checks(pair, n)]
+    assert passed == [d < row for d in range(n + 1)]
+    assert passed == per_size_lemma(pair, n)
+
+
+def test_lemma_sweep_edge_sizes(monkeypatch):
+    pair = make_pair("hermite", 4)
+    assert lemma_checks(pair, -1) == []
+    assert [(c.name, c.passed) for c in lemma_checks(pair, 0)] == [
+        ("factorization n=0", True)
+    ]
+    break_row(monkeypatch, 0)
+    assert [c.passed for c in lemma_checks(pair, 0)] == [False]
+
+
+def test_lemma_sweep_builds_one_product(monkeypatch):
+    calls = []
+    powers = identities.wronskian_powers_matrix
+
+    def counted(h, n):
+        calls.append(n)
+        return powers(h, n)
+
+    monkeypatch.setattr(identities, "wronskian_powers_matrix", counted)
+    pair = make_pair("laguerre", 12, {"lambda": Fraction(5, 2)})
+    assert all(c.passed for c in lemma_checks(pair, 10))
+    assert calls == [10]
 
 
 # -- production-matrix oracle -------------------------------------------------

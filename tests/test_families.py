@@ -134,6 +134,12 @@ def test_invalid_parameter_value():
         make_pair("laguerre", 4, {"lambda": "x"})
 
 
+@pytest.mark.parametrize("value", [1.5, None, "1.5"])
+def test_non_rational_parameter_is_a_parameter_error(value):
+    with pytest.raises(ParameterError, match="parameter lambda="):
+        make_pair("laguerre", 4, {"lambda": value})
+
+
 def test_string_and_fraction_parameters_agree():
     via_str = make_pair("miller-lee", 4, {"m": "3"})
     via_int = make_pair("miller-lee", 4, {"m": 3})

@@ -3,10 +3,13 @@
 ``perfbench/reference.json`` holds the SHA-256 and exit code of every
 benchmark cell, checked against a sympy expansion when it was made.  Here
 every session cell (sequence, triples, residuals and factorization of one
-pair at degree n) and every ``gen``/``coeffs`` CLI cell with n <= 20 is
-recomputed and compared, so a change to the arithmetic kernels that moves
-one output byte fails tier-1, not only the benchmark.  The cells, the
-session task and its serialization come from ``perfbench/`` itself.
+pair at degree n), every ``gen``/``coeffs`` CLI cell with n <= 20, and
+every ``verify``/``audit`` CLI cell (residual sweeps, the factorization
+sweep, the matrix property suite and the worked-example audit) is
+recomputed and compared, so a change to the arithmetic kernels or the
+matrix layer that moves one output byte fails tier-1, not only the
+benchmark.  The cells, the session task and its serialization come from
+``perfbench/`` itself.
 """
 
 import contextlib
@@ -30,10 +33,12 @@ with open(PERFBENCH / "reference.json", encoding="utf-8") as fh:
     REFERENCE = json.load(fh)["cells"]
 
 SESSION_CELLS = sorted(c for c in REFERENCE if c.startswith("task|"))
+VERIFY_VERBS = ("verify-all", "verify-thm", "verify-props", "audit")
 CLI_CELLS = sorted(
     c
     for c in REFERENCE
-    if c.split("|")[0] in ("gen", "coeffs") and int(c.split("|")[3]) <= 20
+    if c.split("|")[0] in VERIFY_VERBS
+    or (c.split("|")[0] in ("gen", "coeffs") and int(c.split("|")[3]) <= 20)
 )
 
 
@@ -44,7 +49,7 @@ def pool():
 
 def test_cell_counts():
     assert len(SESSION_CELLS) == 72
-    assert len(CLI_CELLS) == 156
+    assert len(CLI_CELLS) == 254
 
 
 @pytest.mark.parametrize("cell", SESSION_CELLS)

@@ -21,7 +21,6 @@ from sheffermat import (
     factorization_check,
     make_pair,
     mixed_recurrence_coeffs,
-    scaled_derivative_matrix,
 )
 from sheffermat.identities import _derivative_combination
 
@@ -166,16 +165,6 @@ def test_residual_requires_order():
 
 
 # -- matrix factorization ----------------------------------------------------
-
-
-def test_scaled_derivative_matrix_monomial():
-    pair = make_pair("monomial", 3)
-    m = scaled_derivative_matrix(pair, 3)
-    assert m.rows == 4 and m.cols == 4
-    # entry (i, j) = C(i, j) x^{i-j}
-    assert m.entry(3, 1) == Poly((0, 0, 3))
-    assert m.entry(2, 2) == Poly.one()
-    assert m.entry(1, 2) == Poly.zero()
 
 
 def test_factorization_examples():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sheffermat import (
     InsufficientOrderError,
-    LowerTriangularMatrix,
     Matrix,
     NotDeltaSeriesError,
     Poly,
@@ -18,7 +17,6 @@ from sheffermat import (
     omega,
     omega_inverse,
     pascal_matrix,
-    wronskian_matrix,
     wronskian_powers_matrix,
     wronskian_vector,
 )
@@ -40,6 +38,10 @@ def exponential(order):
 
 def geometric(order):
     return TruncatedSeries([Fraction(1)] * (order + 1))
+
+
+def above_diagonal(m):
+    return [m.entry(i, j) for i in range(m.rows) for j in range(i + 1, m.cols)]
 
 
 # -- Matrix basics -----------------------------------------------------------
@@ -76,25 +78,23 @@ def test_scalar_and_addition():
     assert a + a == a * 2
 
 
-def test_transpose_and_column():
-    a = Matrix([[1, 2, 3]])
-    assert a.transpose() == Matrix.column([1, 2, 3])
-    assert a.transpose().column_entries(0) == (1, 2, 3)
-
-
-def test_lower_triangular_validation():
-    LowerTriangularMatrix([[1, 0], [5, 2]])
-    with pytest.raises(ValueError):
-        LowerTriangularMatrix([[1, 1], [0, 1]])
-    with pytest.raises(ValueError):
-        LowerTriangularMatrix([[1, 0, 0], [0, 1, 0]])
+def test_column_entries():
+    a = Matrix.column([1, 2, 3])
+    assert (a.rows, a.cols) == (3, 1)
+    assert a.column_entries(0) == (1, 2, 3)
 
 
 def test_matrix_json_is_row_major_strings():
     a = Matrix([[Fraction(1, 2), 0], [3, 1]])
     assert a.to_json() == [["1/2", "0"], ["3", "1"]]
-    p = Matrix([[Poly((0, 1))]])
-    assert p.to_json() == [[["0", "1"]]]
+
+
+def test_matrix_entries_are_rational():
+    assert Matrix([["-1/3", 2]]).row(0) == (Fraction(-1, 3), Fraction(2))
+    with pytest.raises(TypeError):
+        Matrix([[Poly.x()]])
+    with pytest.raises(TypeError):
+        Matrix([[1.5]])
 
 
 # -- Pascal matrices -----------------------------------------------------------
@@ -145,13 +145,6 @@ def test_wronskian_of_y_squared():
     assert wronskian_vector(y2, 2) == Matrix.column([0, 0, 2])
 
 
-def test_wronskian_matrix_stacks_columns():
-    y = TruncatedSeries.identity(2)
-    one = TruncatedSeries.constant(Fraction(1), 2)
-    m = wronskian_matrix([one, y], 2)
-    assert m == Matrix([[1, 0], [0, 1], [0, 0]])
-
-
 # -- powers matrix and omega ---------------------------------------------------
 
 
@@ -170,7 +163,7 @@ def test_powers_matrix_of_mobius():
 def test_powers_matrix_diagonal_entries():
     h = TruncatedSeries([0, Fraction(2, 3), 5, 1])
     m = wronskian_powers_matrix(h, 3)
-    assert m.is_lower_triangular()
+    assert all(e == 0 for e in above_diagonal(m))
     for j in range(4):
         assert m.entry(j, j) == math.factorial(j) * Fraction(2, 3) ** j
     assert m.entry(1, 1) == Fraction(2, 3)
@@ -237,6 +230,7 @@ def test_linearity_of_pascal_and_wronskian(f, g, u, v):
 
 @given(rational_series(4), rational_series(4))
 def test_pascal_product_randomized(f, g):
+    assert all(e == 0 for e in above_diagonal(pascal_matrix(f, 4)))
     assert check_property_product_pascal(f, g, 4)
 
 

@@ -12,7 +12,6 @@ from sheffermat import (
     OrderMismatchError,
     Poly,
     TruncatedSeries,
-    log_derivative,
 )
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -238,12 +237,6 @@ def test_derivative_vector_scaled_linear():
 
 
 # -- helpers -------------------------------------------------------------------
-
-
-def test_log_derivative():
-    # (e^y)'/e^y = 1
-    e = exponential(4)
-    assert log_derivative(e) == TruncatedSeries.constant(Fraction(1), 3)
 
 
 def test_truncate_shrinks_only():
