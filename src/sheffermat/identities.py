@@ -24,7 +24,10 @@ matching the CLI's --theorem flag:
 ==========  ==========================================================
 
 The (a, b, c) series are computed once per pair (``pair.derived``, see
-:mod:`sheffermat.pairs`); an extractor slices them to k = 0..n.
+:mod:`sheffermat.pairs`); an extractor slices them to k = 0..n.  Every
+residual is one sum of terms (beta + alpha x) q^(k)/k!, each q an sA_m,
+formed on integers by the one kernel
+:func:`sheffermat.polynomials.derivative_combination`.
 
 There is also the matrix factorization: the lower triangular matrix of
 scaled x-derivatives sA_i^(j)(x)/j! equals
@@ -43,8 +46,8 @@ from fractions import Fraction
 from .errors import ContractError, InsufficientOrderError
 from .matrices import omega_inverse, pascal_matrix, wronskian_powers_matrix
 from .pairs import ShefferPair
-from .polynomials import Poly
-from .rationals import Rational, common_denominator, format_rational
+from .polynomials import Poly, derivative_combination
+from .rationals import Rational, format_rational
 from .series import TruncatedSeries
 from .sequences import sheffer_appell_sequence
 
@@ -115,60 +118,43 @@ COEFF_EXTRACTORS = {
 }
 
 
-def _derivative_combination(triple: CoeffTriple, poly: Poly, n: int) -> Poly:
-    """sum_{k=0}^{n} (x a_k + b_k + c_k) * poly^(k)(x) / k!.
-
-    The x^j coefficient of poly^(k)/k! is C(j+k, k) p_{j+k}; the sum is
-    taken on integer numerators and each output coefficient reduced once.
-    """
-    dp, p = common_denominator(poly.coeffs)
-    m = min(n + 1, len(p))
-    bc = [b + c for b, c in zip(triple.b[:m], triple.c[:m])]
-    dt, t = common_denominator(bc + list(triple.a[:m]))
-    out = [0] * (len(p) + 1)
-    for k in range(m):
-        for j in range(len(p) - k):
-            term = math.comb(j + k, k) * p[j + k]
-            out[j] += t[k] * term
-            out[j + 1] += t[m + k] * term
-    return Poly([Fraction(c, dp * dt) for c in out])
-
-
 def differential_equation_residual(pair: ShefferPair, n: int) -> Poly:
     """Residual of identity "2.1" at degree n; zero for every valid pair."""
-    triple = differential_equation_coeffs(pair, n)
+    t = differential_equation_coeffs(pair, n)
     s = sheffer_appell_sequence(pair, n)
-    return _derivative_combination(triple, s[n], n) - s[n] * n
+    terms = [(t.a[k], t.b[k] + t.c[k], s[n], k) for k in range(n + 1)]
+    return derivative_combination(terms + [(0, -n, s[n], 0)])
 
 
 def derivative_recurrence_residual(pair: ShefferPair, n: int) -> Poly:
     """Residual of identity "3.1" at degree n; zero for every valid pair."""
-    triple = derivative_recurrence_coeffs(pair, n)
+    t = derivative_recurrence_coeffs(pair, n)
     s = sheffer_appell_sequence(pair, n + 1)
-    return s[n + 1] - _derivative_combination(triple, s[n], n)
+    terms = [(-t.a[k], -t.b[k] - t.c[k], s[n], k) for k in range(n + 1)]
+    return derivative_combination([(0, 1, s[n + 1], 0)] + terms)
 
 
 def mixed_recurrence_residual(pair: ShefferPair, n: int) -> Poly:
     """Residual of identity "3.2" at degree n; zero for every valid pair."""
     t = mixed_recurrence_coeffs(pair, n)
     s = sheffer_appell_sequence(pair, n + 1)
-    acc = s[n + 1] * t.a[0] - Poly.x() * s[n]
+    terms = [(0, t.a[0], s[n + 1], 0), (-1, 0, s[n], 0)]
     for k in range(n + 1):
-        acc = acc - math.comb(n, k) * (t.b[k] + t.c[k]) * s[n - k]
+        terms.append((0, -math.comb(n, k) * (t.b[k] + t.c[k]), s[n - k], 0))
     for k in range(1, n + 1):
-        acc = acc + math.comb(n, k) * t.a[k] * s[n + 1 - k]
-    return acc
+        terms.append((0, math.comb(n, k) * t.a[k], s[n + 1 - k], 0))
+    return derivative_combination(terms)
 
 
 def convolution_recurrence_residual(pair: ShefferPair, n: int) -> Poly:
     """Residual of identity "3.3" at degree n; zero for every valid pair."""
     t = convolution_recurrence_coeffs(pair, n)
     s = sheffer_appell_sequence(pair, n + 1)
-    acc = s[n + 1]
-    for k in range(n + 1):
-        factor = Poly((t.b[k] + t.c[k], t.a[k]))
-        acc = acc - math.comb(n, k) * factor * s[n - k]
-    return acc
+    terms = [
+        (-math.comb(n, k) * t.a[k], -math.comb(n, k) * (t.b[k] + t.c[k]), s[n - k], 0)
+        for k in range(n + 1)
+    ]
+    return derivative_combination([(0, 1, s[n + 1], 0)] + terms)
 
 
 RESIDUALS = {

@@ -6,15 +6,19 @@ The degree of the zero polynomial is ``-inf`` (a sentinel that compares
 correctly against every integer degree) rather than -1.
 
 Polynomials are immutable and hashable; all arithmetic is exact.
+
+:func:`derivative_combination` is the integer kernel behind every sum
+sum_t (beta_t + alpha_t x) q_t^(k_t)(x)/k_t! in the package: the four
+identity residuals and the binomial convolution of sequences.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
-from .rationals import format_rational, rat
+from .rationals import common_denominator, format_rational, rat
 
 Scalar = Union[Fraction, int]
 
@@ -208,3 +212,28 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({[format_rational(c) for c in self._coeffs]})"
+
+
+def derivative_combination(terms: Sequence[tuple[Scalar, Scalar, Poly, int]]) -> Poly:
+    """sum of (beta + alpha x) q^(k)(x)/k! over the terms (alpha, beta, q, k).
+
+    The x^j coefficient of q^(k)/k! is C(j+k, k) q_{j+k}.  Each distinct q
+    is scaled once to integer numerators over the lcm of its denominators,
+    all weights share one common denominator, the sum runs on integers, and
+    each output coefficient is reduced once.
+    """
+    terms = [term for term in terms if term[0] or term[1]]
+    polys = {id(q): q for _, _, q, _ in terms}
+    rows = {key: common_denominator(q.coeffs) for key, q in polys.items()}
+    lq = math.lcm(*(den for den, _ in rows.values()))
+    dw, w = common_denominator([v for term in terms for v in term[:2]])
+    out = [0] * max((len(q) - k + 1 for _, _, q, k in terms), default=0)
+    for i, (_, _, q, k) in enumerate(terms):
+        den, p = rows[id(q)]
+        row = [math.comb(m, k) * c for m, c in enumerate(p[k:], k)] if k else p
+        for shift, weight in zip((1, 0), w[2 * i : 2 * i + 2]):
+            if weight:
+                weight *= lq // den
+                end = shift + len(row)
+                out[shift:end] = [o + weight * c for o, c in zip(out[shift:end], row)]
+    return Poly(Fraction(c, lq * dw) for c in out)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .errors import ContractError, InsufficientOrderError, NotInvertibleError
 from .pairs import ShefferPair
-from .polynomials import Poly
+from .polynomials import Poly, derivative_combination
 from .rationals import Rational
 from .series import TruncatedSeries
 
@@ -120,9 +120,8 @@ def discrete_convolution(
             f"kernel has {len(kernel)} entries but degree {top} needs {top + 1}"
         )
     polys = tuple(
-        sum(
-            (math.comb(n, k) * kernel[k] * s[n - k] for k in range(n + 1)),
-            Poly.zero(),
+        derivative_combination(
+            [(0, math.comb(n, k) * kernel[k], s[n - k], 0) for k in range(n + 1)]
         )
         for n in range(top + 1)
     )

@@ -153,11 +153,6 @@ class TruncatedSeries:
             return TruncatedSeries([other * c for c in self._coeffs])
         return NotImplemented
 
-    def __truediv__(self, other: TruncatedSeries) -> TruncatedSeries:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self * other.reciprocal()
-
     def _add_constant(self, value: Fraction) -> TruncatedSeries:
         return TruncatedSeries(
             (self._coeffs[0] + value,) + self._coeffs[1:]

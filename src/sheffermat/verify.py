@@ -100,23 +100,17 @@ def verify_family(
 # -- randomized matrix property suite -------------------------------------
 
 
+def _scalar(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+
 def _random_series(rng: random.Random, order: int) -> TruncatedSeries:
-    return TruncatedSeries(
-        [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(order + 1)]
-    )
+    return TruncatedSeries([_scalar(rng) for _ in range(order + 1)])
 
 
 def _random_delta_series(rng: random.Random, order: int) -> TruncatedSeries:
-    coeffs = [Fraction(0)]
-    nonzero = [v for v in range(-5, 6) if v != 0]
-    coeffs.append(Fraction(rng.choice(nonzero), rng.randint(1, 4)))
-    for _ in range(order - 1):
-        coeffs.append(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-    return TruncatedSeries(coeffs)
-
-
-def _scalar(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    slope = Fraction(rng.choice([v for v in range(-5, 6) if v != 0]), rng.randint(1, 4))
+    return TruncatedSeries([0, slope] + [_scalar(rng) for _ in range(order - 1)])
 
 
 def _linearity_case(rng: random.Random) -> bool:
@@ -189,11 +183,7 @@ def property_suite(
     )
     results = []
     for name, case in suite:
-        failed_at = None
-        for i in range(cases):
-            if not case(rng):
-                failed_at = i
-                break
+        failed_at = next((i for i in range(cases) if not case(rng)), None)
         results.append(
             CheckResult(
                 name,

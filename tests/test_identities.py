@@ -19,10 +19,12 @@ from sheffermat import (
     derivative_recurrence_coeffs,
     differential_equation_coeffs,
     factorization_check,
+    identities,
     make_pair,
     mixed_recurrence_coeffs,
+    sheffer_appell_sequence,
 )
-from sheffermat.identities import _derivative_combination
+from sheffermat.polynomials import derivative_combination
 
 
 def zeros(n):
@@ -211,13 +213,19 @@ def test_associated_rejects_unknown_label():
 
 
 def repeated_derivative_combination(triple, poly, n):
-    """The Poly.derivative form that _derivative_combination replaced,
-    kept as the reference."""
+    """The repeated Poly.derivative form of sum_k (x a_k + b_k + c_k)
+    poly^(k)/k!, kept as the reference for the integer kernel."""
     acc = Poly.zero()
     for k in range(n + 1):
         factor = Poly((triple.b[k] + triple.c[k], triple.a[k]))
         acc = acc + factor * poly.derivative(k) * Fraction(1, math.factorial(k))
     return acc
+
+
+def triple_combination(triple, poly, n):
+    """The same sum through the integer kernel."""
+    terms = [(triple.a[k], triple.b[k] + triple.c[k], poly, k) for k in range(n + 1)]
+    return derivative_combination(terms)
 
 
 small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
@@ -233,18 +241,156 @@ def test_derivative_combination_matches_repeated_derivatives(data):
     triple = CoeffTriple("2.1", data.draw(vector), data.draw(vector), data.draw(vector))
     poly = Poly(coeffs)
     expected = repeated_derivative_combination(triple, poly, n)
-    assert _derivative_combination(triple, poly, n) == expected
+    assert triple_combination(triple, poly, n) == expected
 
 
 def test_derivative_combination_edge_cases():
     triple = CoeffTriple("3.1", (1, 2, 3), (4, 5, 6), (7, 8, 9))
-    assert _derivative_combination(triple, Poly.zero(), 2) == Poly.zero()
+    assert triple_combination(triple, Poly.zero(), 2) == Poly.zero()
     # degree 1 < n = 2: only k = 0, 1 contribute; (x + 11)(3 + 2x) + (2x + 13) 2
     expected = Poly((11, 1)) * Poly((3, 2)) + Poly((13, 2)) * 2
-    assert _derivative_combination(triple, Poly((3, 2)), 2) == expected
+    assert triple_combination(triple, Poly((3, 2)), 2) == expected
     # every k up to the degree contributes
     dense = Poly(Fraction(j + 1, 7 - j % 5) for j in range(13))
     vector = tuple(Fraction(k - 4, k + 1) for k in range(16))
     triple = CoeffTriple("2.1", vector, vector[::-1], vector[3:] + vector[:3])
     expected = repeated_derivative_combination(triple, dense, 15)
-    assert _derivative_combination(triple, dense, 15) == expected
+    assert triple_combination(triple, dense, 15) == expected
+
+
+def plain_combination(terms):
+    """sum (beta + alpha x) q^(k)/k! in plain Poly arithmetic."""
+    acc = Poly.zero()
+    for alpha, beta, q, k in terms:
+        factor = Poly((beta, alpha)) * Fraction(1, math.factorial(k))
+        acc = acc + factor * q.derivative(k)
+    return acc
+
+
+kernel_terms = st.lists(
+    st.tuples(
+        small_rationals,
+        small_rationals,
+        st.lists(small_rationals, max_size=10).map(Poly),
+        st.integers(0, 12),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_terms, st.data())
+def test_kernel_matches_plain_poly_arithmetic(terms, data):
+    # Repeat some polynomials by identity: their integer rows are shared.
+    reuse = st.tuples(small_rationals, small_rationals, st.integers(0, 7), st.integers(0, 4))
+    for alpha, beta, i, k in data.draw(st.lists(reuse, max_size=4)):
+        if i < len(terms):
+            terms.append((alpha, beta, terms[i][2], k))
+    assert derivative_combination(terms) == plain_combination(terms)
+
+
+def test_kernel_nonzero_example():
+    q = Poly((Fraction(1, 3), 2, Fraction(-5, 7), 1))
+    terms = [(Fraction(1, 2), 3, q, 0), (0, Fraction(-2, 5), q, 2), (7, 0, Poly((1, 1)), 1)]
+    # (3 + x/2) q  -  (2/5) q''/2  +  7x,  q''/2 = -5/7 + 3x
+    expected = (
+        Poly((3, Fraction(1, 2))) * q
+        - Poly((Fraction(-5, 7), 3)) * Fraction(2, 5)
+        + Poly((0, 7))
+    )
+    result = derivative_combination(terms)
+    assert result == expected == plain_combination(terms)
+    assert not result.is_zero
+
+
+def test_kernel_edge_cases():
+    q = Poly((1, 2, 3))
+    assert derivative_combination([]) == Poly.zero()
+    assert derivative_combination([(0, 0, q, 0), (0, 0, q, 1)]) == Poly.zero()
+    assert derivative_combination([(Fraction(1, 2), 5, q, 3)]) == Poly.zero()
+    assert derivative_combination([(Fraction(1, 2), 5, q, 7)]) == Poly.zero()
+    assert derivative_combination([(3, 4, Poly.zero(), 0)]) == Poly.zero()
+    # zero weights, k > deg q and the zero polynomial add nothing to a live term
+    live = (Fraction(-1, 3), 2, q, 2)  # (2 - x/3) * 3
+    terms = [(0, 0, q, 0), live, (3, 4, Poly.zero(), 0), (1, 1, q, 9)]
+    assert derivative_combination(terms) == Poly((6, -1))
+    # cancelling terms give the canonical zero polynomial
+    assert derivative_combination([(1, 1, q, 1), (-1, -1, q, 1)]) == Poly.zero()
+
+
+# -- the four residuals against Poly references -----------------------------
+
+
+def differential_reference(t, s, n):
+    return repeated_derivative_combination(t, s[n], n) - s[n] * n
+
+
+def derivative_reference(t, s, n):
+    return s[n + 1] - repeated_derivative_combination(t, s[n], n)
+
+
+def mixed_reference(t, s, n):
+    """Residual "3.2" built one Poly per term, as before the integer kernel."""
+    acc = s[n + 1] * t.a[0] - Poly.x() * s[n]
+    for k in range(n + 1):
+        acc = acc - math.comb(n, k) * (t.b[k] + t.c[k]) * s[n - k]
+    for k in range(1, n + 1):
+        acc = acc + math.comb(n, k) * t.a[k] * s[n + 1 - k]
+    return acc
+
+
+def convolution_reference(t, s, n):
+    """Residual "3.3" built one Poly per term, as before the integer kernel."""
+    acc = s[n + 1]
+    for k in range(n + 1):
+        factor = Poly((t.b[k] + t.c[k], t.a[k]))
+        acc = acc - math.comb(n, k) * factor * s[n - k]
+    return acc
+
+
+REFERENCES = {
+    "2.1": ("differential_equation_coeffs", differential_reference),
+    "3.1": ("derivative_recurrence_coeffs", derivative_reference),
+    "3.2": ("mixed_recurrence_coeffs", mixed_reference),
+    "3.3": ("convolution_recurrence_coeffs", convolution_reference),
+}
+
+tiny = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+tiny_nonzero = tiny.filter(lambda q: q != 0)
+
+
+@st.composite
+def random_pairs(draw):
+    order = draw(st.integers(min_value=2, max_value=7))
+    l = [draw(tiny_nonzero)] + [draw(tiny) for _ in range(order)]
+    h = [Fraction(0), draw(tiny_nonzero)] + [draw(tiny) for _ in range(order - 1)]
+    return ShefferPair(TruncatedSeries(l), TruncatedSeries(h))
+
+
+@pytest.mark.parametrize("label", sorted(REFERENCES))
+@settings(max_examples=30, deadline=None)
+@given(pair=random_pairs(), other=random_pairs())
+def test_residuals_match_references(label, pair, other):
+    """Equal to the references on valid pairs (both zero), and on the
+    sequence of one pair with the coefficients of another (in general a
+    nonzero residual)."""
+    extractor, reference = REFERENCES[label]
+    for n in range(min(pair.order, other.order)):
+        s = sheffer_appell_sequence(pair, n + 1)
+        own = getattr(identities, extractor)(pair, n)
+        assert RESIDUALS[label](pair, n) == reference(own, s, n) == Poly.zero()
+        foreign = getattr(identities, extractor)(other, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(identities, extractor, lambda _pair, _n: foreign)
+            assert RESIDUALS[label](pair, n) == reference(foreign, s, n)
+
+
+@pytest.mark.parametrize("label", sorted(REFERENCES))
+def test_residuals_on_foreign_coefficients(monkeypatch, label):
+    extractor, reference = REFERENCES[label]
+    pair = make_pair("laguerre", 8, {"lambda": Fraction(5, 2)})
+    foreign = getattr(identities, extractor)(make_pair("log-assoc", 8), 6)
+    monkeypatch.setattr(identities, extractor, lambda _pair, _n: foreign)
+    residual = RESIDUALS[label](pair, 6)
+    assert not residual.is_zero
+    assert residual == reference(foreign, sheffer_appell_sequence(pair, 7), 6)
