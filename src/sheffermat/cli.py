@@ -93,6 +93,8 @@ def _parse_params(raw: list[str] | None, parser: argparse.ArgumentParser) -> dic
         name, eq, value = item.partition("=")
         if not eq or not name:
             parser.error(f"--param expects name=value, got {item!r}")
+        if name in params:
+            parser.error(f"--param {name} given more than once")
         try:
             params[name] = parse_rational(value)
         except ValueError as exc:

@@ -23,11 +23,10 @@ matching the CLI's --theorem flag:
             sA_{n+1} = sum_k C(n,k) (x a_k + b_k + c_k) sA_{n-k}
 ==========  ==========================================================
 
-The (a, b, c) series are computed once per pair (``pair.derived``, see
+The (a, b, c) vectors are computed once per pair (``pair.derived``, see
 :mod:`sheffermat.pairs`); an extractor slices them to k = 0..n.  Every
 residual is one sum of terms (beta + alpha x) q^(k)/k!, each q an sA_m,
-formed on integers by the one kernel
-:func:`sheffermat.polynomials.derivative_combination`.
+formed on integers by :func:`sheffermat.polynomials.derivative_combination`.
 
 There is also the matrix factorization: the lower triangular matrix of
 scaled x-derivatives sA_i^(j)(x)/j! equals
@@ -79,13 +78,12 @@ class CoeffTriple:
 
 
 def _triple(label: str, pair: ShefferPair, n: int, attr: str) -> CoeffTriple:
-    """Slice the pair's stored (a, b, c) series of ``label`` to k = 0..n."""
+    """Slice the pair's stored (a, b, c) vectors of ``label`` to k = 0..n."""
     if pair.order - 1 < n:
         raise InsufficientOrderError(
             f"coefficients to k = {n} need pair order >= {n + 1}, got {pair.order}"
         )
-    series = getattr(pair.derived, attr)
-    return CoeffTriple(label, *(s.truncate(n).derivatives_at_zero() for s in series))
+    return CoeffTriple(label, *(v[: n + 1] for v in getattr(pair.derived, attr)))
 
 
 def differential_equation_coeffs(pair: ShefferPair, n: int) -> CoeffTriple:

@@ -6,6 +6,10 @@ C(i, j) * f^(i-j)(0), and the Wronskian column of f stacks
 f(0), f'(0), ..., f^(n)(0).  Every entry is coerced by
 :func:`~sheffermat.rationals.rat`, as the series coefficients are, so a
 matrix holds rationals only; a float or a polynomial is a TypeError.
+A product scales each row of the right factor to integers once and forms
+each row of the result with :func:`~sheffermat.rationals.combine`, which
+skips zero weights, so triangular and diagonal factors cost only their
+nonzero entries.
 
 The four classical identities relating these matrices are exposed as
 boolean checks:
@@ -26,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InsufficientOrderError, NotDeltaSeriesError
-from .rationals import format_rational, rat
+from .rationals import combine, common_denominator, rat
 from .series import TruncatedSeries
 
 
@@ -47,18 +51,9 @@ class Matrix:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def identity(cls, n: int) -> Matrix:
-        return cls.diagonal([Fraction(1)] * n)
-
-    @classmethod
     def diagonal(cls, entries: Sequence[Fraction | int]) -> Matrix:
-        size = len(entries)
-        return cls(
-            [
-                [entries[i] if i == j else Fraction(0) for j in range(size)]
-                for i in range(size)
-            ]
-        )
+        n = len(entries)
+        return cls([entries[i] if i == j else 0 for j in range(n)] for i in range(n))
 
     @classmethod
     def column(cls, entries: Sequence[Fraction | int]) -> Matrix:
@@ -73,9 +68,6 @@ class Matrix:
     @property
     def cols(self) -> int:
         return len(self._rows[0])
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self._rows[i][j]
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self._rows[i]
@@ -108,20 +100,8 @@ class Matrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        columns = list(zip(*other._rows))
-        out = []
-        for row in self._rows:
-            out_row = []
-            for col in columns:
-                acc = row[0] * col[0]
-                # Zero terms are skipped: triangular and diagonal factors
-                # are mostly zeros, and exact rings gain nothing from them.
-                for a, b in zip(row[1:], col[1:]):
-                    if a and b:
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(out)
+        scaled = [common_denominator(row) for row in other._rows]
+        return Matrix(combine(row, scaled) for row in self._rows)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Matrix):
@@ -130,12 +110,6 @@ class Matrix:
 
     def __hash__(self) -> int:
         return hash(("Matrix", self._rows))
-
-    # -- wire form ---------------------------------------------------------------
-
-    def to_json(self) -> list[list[str]]:
-        """Nested row-major arrays of "p/q" strings."""
-        return [[format_rational(e) for e in row] for row in self._rows]
 
     def __repr__(self) -> str:
         return f"Matrix({[list(r) for r in self._rows]!r})"

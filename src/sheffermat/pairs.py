@@ -11,7 +11,9 @@ pair's order N (the identity vectors at N - 1, the order their extractors
 need), and kept.  Products, reciprocals, composition with a delta series
 and compositional inversion are prefix-stable, so a consumer that wants
 degree n <= N slices a stored value and gets exactly what a computation
-at order n would give.
+at order n would give.  The identities' (a, b, c) series are kept as
+their derivative vectors, and each sequence array is checked against its
+leading-coefficient contract once, when it is built.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from functools import cached_property
 from math import factorial
 
 from .errors import (
+    ContractError,
     NotDeltaSeriesError,
     NotInvertibleError,
     OrderMismatchError,
@@ -49,17 +52,10 @@ class ShefferPair:
     def order(self) -> int:
         return self.l.order
 
-    def truncate(self, order: int) -> ShefferPair:
-        return ShefferPair(self.l.truncate(order), self.h.truncate(order))
-
     @cached_property
     def derived(self) -> DerivedSeries:
         """The pair's derived series, built on first use and kept."""
         return DerivedSeries(self.l, self.h)
-
-    def h_inverse(self) -> TruncatedSeries:
-        """The compositional inverse of h, at the pair's order."""
-        return self.derived.g
 
     @classmethod
     def appell(cls, l: TruncatedSeries) -> ShefferPair:
@@ -111,47 +107,66 @@ class DerivedSeries:
         return self.l.compose(self.h).reciprocal()
 
     @cached_property
-    def hp_of_g(self) -> TruncatedSeries:
-        """h'(g), at order N - 1 like l'(g)."""
-        return self.h.derivative().compose(self._low(self.g))
+    def _of_g(self) -> tuple[TruncatedSeries, TruncatedSeries]:
+        """h'(g) and l'(g)/l(g), at order N - 1."""
+        g = self._low(self.g)
+        lp_over_l = self.l.derivative().compose(g) * self._low(self.reciprocal_l_of_g)
+        return self.h.derivative().compose(g), lp_over_l
 
-    @cached_property
-    def lp_of_g(self) -> TruncatedSeries:
-        return self.l.derivative().compose(self._low(self.g))
+    def _checked(
+        self, kind: str, polys: tuple[Poly, ...], lead: Fraction
+    ) -> tuple[Poly, ...]:
+        """Contract: the degree-k leading coefficient is lead / h'(0)^k."""
+        for k, p in enumerate(polys):
+            if p.leading_coefficient != lead / self.h.coeffs[1] ** k:
+                msg = f"{kind} degree {k} has the wrong leading coefficient"
+                raise ContractError(msg)
+        return polys
 
     @cached_property
     def sheffer_polys(self) -> tuple[Poly, ...]:
-        return riordan_polys(self.reciprocal_l_of_g, self.g)
+        polys = riordan_polys(self.reciprocal_l_of_g, self.g)
+        return self._checked("sheffer", polys, 1 / self.l.constant_term)
 
     @cached_property
     def sheffer_appell_polys(self) -> tuple[Poly, ...]:
-        return riordan_polys(self.reciprocal_l_of_g * self.reciprocal_l, self.g)
+        polys = riordan_polys(self.reciprocal_l_of_g * self.reciprocal_l, self.g)
+        return self._checked("sheffer_appell", polys, 1 / self.l.constant_term**2)
 
-    # (a, b, c) series of the identities "2.1", "3.1", "3.2" and "3.3".
+    # (a, b, c) derivative vectors, k = 0..N-1, of "2.1", "3.1", "3.2", "3.3".
 
     def _lp_over_l(self) -> TruncatedSeries:
         return self.l.derivative() * self._low(self.reciprocal_l)
 
     @cached_property
-    def derivative_recurrence(self) -> tuple[TruncatedSeries, ...]:
-        """1/h', -l'(h)/l(h), -l'/(h' l)."""
+    def _recurrence_series(self) -> tuple[TruncatedSeries, ...]:
         a = self.h.derivative().reciprocal()
         lp_of_h = self.l.derivative().compose(self._low(self.h))
         return a, -lp_of_h * self._low(self.reciprocal_l_of_h), -self._lp_over_l() * a
 
     @cached_property
-    def differential_equation(self) -> tuple[TruncatedSeries, ...]:
+    def derivative_recurrence(self) -> tuple[tuple[Fraction, ...], ...]:
+        """1/h', -l'(h)/l(h), -l'/(h' l)."""
+        return _vectors(self._recurrence_series)
+
+    @cached_property
+    def differential_equation(self) -> tuple[tuple[Fraction, ...], ...]:
         """h times each series of the derivative recurrence."""
-        return tuple(self._low(self.h) * s for s in self.derivative_recurrence)
+        return _vectors(self._low(self.h) * s for s in self._recurrence_series)
 
     @cached_property
-    def mixed_recurrence(self) -> tuple[TruncatedSeries, ...]:
+    def mixed_recurrence(self) -> tuple[tuple[Fraction, ...], ...]:
         """h'(g), -h'(g) l'/l, -l'(g)/l(g)."""
-        c = -self.lp_of_g * self._low(self.reciprocal_l_of_g)
-        return self.hp_of_g, -self.hp_of_g * self._lp_over_l(), c
+        hp, lp_over_l = self._of_g
+        return _vectors((hp, -hp * self._lp_over_l(), -lp_over_l))
 
     @cached_property
-    def convolution_recurrence(self) -> tuple[TruncatedSeries, ...]:
+    def convolution_recurrence(self) -> tuple[tuple[Fraction, ...], ...]:
         """1/h'(g), -l'/l, -l'(g)/(h'(g) l(g))."""
-        a = self.hp_of_g.reciprocal()
-        return a, -self._lp_over_l(), self.mixed_recurrence[2] * a
+        hp, lp_over_l = self._of_g
+        a = hp.reciprocal()
+        return _vectors((a, -self._lp_over_l(), -lp_over_l * a))
+
+
+def _vectors(series) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(s.derivatives_at_zero() for s in series)

@@ -7,9 +7,10 @@ correctly against every integer degree) rather than -1.
 
 Polynomials are immutable and hashable; all arithmetic is exact.
 
-:func:`derivative_combination` is the integer kernel behind every sum
-sum_t (beta_t + alpha_t x) q_t^(k_t)(x)/k_t! in the package: the four
-identity residuals and the binomial convolution of sequences.
+:func:`derivative_combination` forms every sum
+sum_t (beta_t + alpha_t x) q_t^(k_t)(x)/k_t! in the package (the four
+identity residuals); it and the product of two polynomials build integer
+rows and leave the sum to :func:`sheffermat.rationals.combine`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-from .rationals import common_denominator, format_rational, rat
+from .rationals import combine, common_denominator, format_rational, rat
 
 Scalar = Union[Fraction, int]
 
@@ -124,15 +125,9 @@ class Poly:
 
     def __mul__(self, other: Poly | Scalar) -> Poly:
         if isinstance(other, Poly):
-            if self.is_zero or other.is_zero:
-                return Poly.zero()
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
+            den, row = common_denominator(other._coeffs)
+            shifted = [(den, [0] * i + row) for i in range(len(self._coeffs))]
+            return Poly(combine(self._coeffs, shifted))
         if isinstance(other, (Fraction, int)):
             return Poly(c * other for c in self._coeffs)
         return NotImplemented
@@ -143,13 +138,8 @@ class Poly:
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
         result = Poly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        for _ in range(exponent):
+            result = result * self
         return result
 
     # -- calculus and evaluation ---------------------------------------
@@ -217,23 +207,19 @@ class Poly:
 def derivative_combination(terms: Sequence[tuple[Scalar, Scalar, Poly, int]]) -> Poly:
     """sum of (beta + alpha x) q^(k)(x)/k! over the terms (alpha, beta, q, k).
 
-    The x^j coefficient of q^(k)/k! is C(j+k, k) q_{j+k}.  Each distinct q
-    is scaled once to integer numerators over the lcm of its denominators,
-    all weights share one common denominator, the sum runs on integers, and
-    each output coefficient is reduced once.
+    The x^j coefficient of q^(k)/k! is C(j+k, k) q_{j+k}; the alpha x part
+    is that row shifted up one place (an empty row when alpha is zero, as
+    combine never reads a zero-weight row).  Each distinct q is scaled to
+    integers once, and the rows are summed by
+    :func:`~sheffermat.rationals.combine`.
     """
     terms = [term for term in terms if term[0] or term[1]]
     polys = {id(q): q for _, _, q, _ in terms}
-    rows = {key: common_denominator(q.coeffs) for key, q in polys.items()}
-    lq = math.lcm(*(den for den, _ in rows.values()))
-    dw, w = common_denominator([v for term in terms for v in term[:2]])
-    out = [0] * max((len(q) - k + 1 for _, _, q, k in terms), default=0)
-    for i, (_, _, q, k) in enumerate(terms):
-        den, p = rows[id(q)]
+    scaled = {key: common_denominator(q.coeffs) for key, q in polys.items()}
+    weights, rows = [], []
+    for alpha, beta, q, k in terms:
+        den, p = scaled[id(q)]
         row = [math.comb(m, k) * c for m, c in enumerate(p[k:], k)] if k else p
-        for shift, weight in zip((1, 0), w[2 * i : 2 * i + 2]):
-            if weight:
-                weight *= lq // den
-                end = shift + len(row)
-                out[shift:end] = [o + weight * c for o, c in zip(out[shift:end], row)]
-    return Poly(Fraction(c, lq * dw) for c in out)
+        weights += [beta, alpha]
+        rows += [(den, row), (den, [0, *row] if alpha else [])]
+    return Poly(combine(weights, rows))

@@ -1,10 +1,17 @@
-"""Exact rational scalars and their text form.
+"""Exact rational scalars, their text form, and exact linear combinations.
 
 The scalar field everywhere in this package is the arbitrary-precision
 rational numbers, represented by :class:`fractions.Fraction` (always
 reduced, denominator positive, zero is ``0/1``).  This module fixes the
 wire format: ``"p/q"``, or just ``"p"`` when the denominator is 1, with
 a bit-exact round trip.
+
+:func:`combine` is the one exact row-combination routine of the package:
+matrix products, the derivative combinations behind the identity
+residuals, polynomial products and the binomial convolution of sequences
+all run through it.  A row is scaled to integers once
+(:func:`common_denominator`), the sum runs on integers, and each output
+entry is reduced once.
 """
 
 from __future__ import annotations
@@ -53,6 +60,28 @@ def common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """(D, [v * D for v in values]) with D the lcm of the denominators."""
     den = math.lcm(*(v.denominator for v in values))
     return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def combine(
+    weights: Sequence[Fraction | int], rows: Sequence[tuple[int, list[int]]]
+) -> list[Fraction]:
+    """sum_t weights[t] * rows[t], each row a ``(D, numerators)`` pair from
+    :func:`common_denominator`; a short row counts as zero-padded, and the
+    result is as long as the longest row.
+
+    Zero weights are skipped before any row is touched, the weights share
+    one common denominator, the sum runs on integers, and each output entry
+    is reduced once.
+    """
+    live = [(w, row) for w, row in zip(weights, rows, strict=True) if w]
+    lq = math.lcm(*(den for _, (den, _) in live))
+    dw, scaled = common_denominator([w for w, _ in live])
+    out = [0] * max((len(p) for _, p in rows), default=0)
+    for weight, (_, (den, p)) in zip(scaled, live):
+        weight *= lq // den
+        out[: len(p)] = [o + weight * c for o, c in zip(out, p)]
+    den = lq * dw
+    return [Fraction(c, den) for c in out]
 
 
 def format_rational(value: Fraction) -> str:

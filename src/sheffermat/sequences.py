@@ -11,21 +11,24 @@ each of the form d(y) e^{x g(y)}: the exponential Riordan array [d, g],
 whose degree-i polynomial has x^k coefficient i!/k! [y^i] d g^k.  The
 Sheffer and Sheffer-Appell arrays are built once per pair at its full
 order (``pair.derived``, see :mod:`sheffermat.pairs`) and sliced here, so
-a lower degree reproduces the same polynomials.  The Appell array needs
-only 1/l: its x^k coefficient of degree i is C(i, k) (1/l)^(i-k)(0).
+a lower degree reproduces the same polynomials; their leading-coefficient
+contract is checked there, once per array.  The Appell array needs only
+1/l: its x^k coefficient of degree i is C(i, k) (1/l)^(i-k)(0).
+
+The binomial convolution scales each polynomial of its input to integers
+once and forms every degree with :func:`sheffermat.rationals.combine`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .errors import ContractError, InsufficientOrderError, NotInvertibleError
+from .errors import InsufficientOrderError, NotInvertibleError
 from .pairs import ShefferPair
-from .polynomials import Poly, derivative_combination
-from .rationals import Rational
+from .polynomials import Poly
+from .rationals import Rational, combine, common_denominator
 from .series import TruncatedSeries
 
 KINDS = ("sheffer", "appell", "sheffer_appell")
@@ -68,29 +71,16 @@ def _require_degree(pair_order: int, n: int) -> None:
         )
 
 
-def _checked(
-    kind: str, polys: tuple[Poly, ...], pair: ShefferPair, lead: Fraction
-) -> PolySequence:
-    """Contract: the degree-k leading coefficient is lead / h'(0)^k."""
-    slope = Fraction(1) / pair.h.coeffs[1]
-    for k, p in enumerate(polys):
-        if p.leading_coefficient != lead * slope**k:
-            raise ContractError(f"{kind} degree {k} has the wrong leading coefficient")
-    return PolySequence(kind, polys)
-
-
 def sheffer_appell_sequence(pair: ShefferPair, n: int) -> PolySequence:
     """Degrees 0..n of the Sheffer-Appell sequence of (l, h)."""
     _require_degree(pair.order, n)
-    polys = pair.derived.sheffer_appell_polys[: n + 1]
-    return _checked("sheffer_appell", polys, pair, 1 / pair.l.constant_term**2)
+    return PolySequence("sheffer_appell", pair.derived.sheffer_appell_polys[: n + 1])
 
 
 def sheffer_sequence(pair: ShefferPair, n: int) -> PolySequence:
     """Degrees 0..n of the Sheffer sequence of (l, h)."""
     _require_degree(pair.order, n)
-    polys = pair.derived.sheffer_polys[: n + 1]
-    return _checked("sheffer", polys, pair, 1 / pair.l.constant_term)
+    return PolySequence("sheffer", pair.derived.sheffer_polys[: n + 1])
 
 
 def appell_sequence(l: TruncatedSeries, n: int) -> PolySequence:
@@ -119,10 +109,9 @@ def discrete_convolution(
         raise ValueError(
             f"kernel has {len(kernel)} entries but degree {top} needs {top + 1}"
         )
+    rows = [common_denominator(p.coeffs) for p in s]
     polys = tuple(
-        derivative_combination(
-            [(0, math.comb(n, k) * kernel[k], s[n - k], 0) for k in range(n + 1)]
-        )
+        Poly(combine([math.comb(n, k) * kernel[k] for k in range(n + 1)], rows[n::-1]))
         for n in range(top + 1)
     )
     return PolySequence(s.kind, polys)

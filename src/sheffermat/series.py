@@ -35,7 +35,7 @@ from .errors import (
     NotInvertibleError,
     OrderMismatchError,
 )
-from .rationals import common_denominator, format_rational, rat
+from .rationals import common_denominator, rat
 
 
 class TruncatedSeries:
@@ -252,21 +252,6 @@ class TruncatedSeries:
 
     def __hash__(self) -> int:
         return hash(("TruncatedSeries", self._coeffs))
-
-    # -- text and wire form -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        """JSON form: {"order": n, "coeffs": [...]}, ascending powers of y,
-        each coefficient a "p/q" string."""
-        coeffs = [format_rational(c) for c in self._coeffs]
-        return {"order": self.order, "coeffs": coeffs}
-
-    @classmethod
-    def from_json(cls, data: dict) -> TruncatedSeries:
-        series = cls(data["coeffs"])
-        if series.order != data["order"]:
-            raise ValueError("order field disagrees with coefficient count")
-        return series
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self._coeffs)!r})"

@@ -344,6 +344,14 @@ def test_non_rational_param_is_usage_error():
     assert info.value.code == 2
 
 
+def test_repeated_param_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "--family", "laguerre", "--param", "lambda=1",
+              "--param", "lambda=2", "--n", "1"])
+    assert info.value.code == 2
+    assert "--param lambda given more than once" in capsys.readouterr().err
+
+
 def test_negative_n_is_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["gen", "--family", "monomial", "--n", "-1"])

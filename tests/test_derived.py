@@ -17,6 +17,7 @@ from sympy.polys.ring_series import (
 from sympy.polys.rings import ring
 
 from sheffermat import (
+    COEFF_EXTRACTORS,
     FAMILIES,
     LABELS,
     Matrix,
@@ -36,6 +37,7 @@ from sheffermat import (
     sheffer_sequence,
     wronskian_powers_matrix,
 )
+from sheffermat.pairs import DerivedSeries
 
 # -- sympy oracle on random valid pairs --------------------------------------
 
@@ -362,7 +364,36 @@ def test_derived_series_are_built_lazily():
     assert "mixed_recurrence" not in built
 
 
-def test_h_inverse_is_the_stored_inverse():
-    pair = make_pair("log-assoc", 6)
-    assert pair.h_inverse() is pair.derived.g
-    assert pair.h.compose(pair.h_inverse()) == TruncatedSeries.identity(6)
+def test_coefficient_vectors_are_built_once_per_pair(monkeypatch):
+    pair = make_pair("log-assoc", 12)
+    top = {label: COEFF_EXTRACTORS[label](pair, 10) for label in LABELS}
+    calls = []
+    vector = TruncatedSeries.derivatives_at_zero
+
+    def counted(self):
+        calls.append(self)
+        return vector(self)
+
+    monkeypatch.setattr(TruncatedSeries, "derivatives_at_zero", counted)
+    for label in LABELS:
+        for n in range(11):
+            t, full = COEFF_EXTRACTORS[label](pair, n), top[label]
+            for got, want in zip((t.a, t.b, t.c), (full.a, full.b, full.c)):
+                assert got == want[: n + 1]
+    assert calls == []
+
+
+def test_leading_coefficient_contract_runs_once_per_array(monkeypatch):
+    calls = []
+    check = DerivedSeries._checked
+
+    def counted(self, kind, polys, lead):
+        calls.append(kind)
+        return check(self, kind, polys, lead)
+
+    monkeypatch.setattr(DerivedSeries, "_checked", counted)
+    pair = make_pair("laguerre", 10, {"lambda": Fraction(5, 2)})
+    for n in range(11):
+        sheffer_appell_sequence(pair, n)
+        sheffer_sequence(pair, n)
+    assert sorted(calls) == ["sheffer", "sheffer_appell"]

@@ -41,18 +41,18 @@ def geometric(order):
 
 
 def above_diagonal(m):
-    return [m.entry(i, j) for i in range(m.rows) for j in range(i + 1, m.cols)]
+    return [m.row(i)[j] for i in range(m.rows) for j in range(i + 1, m.cols)]
 
 
 # -- Matrix basics -----------------------------------------------------------
 
 
 def test_identity_and_diagonal():
-    i2 = Matrix.identity(2)
+    i2 = Matrix.diagonal([1, 1])
     assert i2.row(0) == (1, 0)
     assert i2.row(1) == (0, 1)
     d = Matrix.diagonal([Fraction(2), Fraction(3)])
-    assert d.entry(0, 0) == 2 and d.entry(1, 1) == 3 and d.entry(0, 1) == 0
+    assert d.row(0) == (2, 0) and d.row(1) == (0, 3)
 
 
 def test_rectangularity_enforced():
@@ -70,6 +70,50 @@ def test_matmul_and_shapes():
         a @ Matrix([[1, 2]])
 
 
+def schoolbook_product(a, b):
+    """Reference product: one Fraction multiply-add at a time."""
+    return [
+        [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+        for row in a
+    ]
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(A, B) with A p x q and B q x r: dense, or both lower triangular,
+    with some rows of A set to zero."""
+    p, q, r = (draw(st.integers(1, 5)) for _ in range(3))
+    triangular = draw(st.booleans())
+    if triangular:
+        p = q = r
+
+    def entries(rows, cols):
+        row = st.lists(rationals, min_size=cols, max_size=cols)
+        m = draw(st.lists(row, min_size=rows, max_size=rows))
+        if triangular:
+            m = [[e if j <= i else 0 for j, e in enumerate(line)]
+                 for i, line in enumerate(m)]
+        return m
+
+    a, b = entries(p, q), entries(q, r)
+    zero_rows = draw(st.sets(st.integers(0, p - 1), max_size=p))
+    a = [[0] * q if i in zero_rows else row for i, row in enumerate(a)]
+    return a, b
+
+
+@given(matrix_pairs())
+def test_matmul_is_the_schoolbook_product(case):
+    a, b = case
+    assert Matrix(a) @ Matrix(b) == Matrix(schoolbook_product(a, b))
+
+
+def test_triangular_matmul_matches_schoolbook():
+    p = pascal_matrix(geometric(6), 6)
+    w = wronskian_powers_matrix(TruncatedSeries([0, Fraction(2, 3), 5, 1, 0, 0, 7]), 6)
+    p_rows, w_rows = ([m.row(i) for i in range(7)] for m in (p, w))
+    assert p @ w == Matrix(schoolbook_product(p_rows, w_rows))
+
+
 def test_scalar_and_addition():
     a = Matrix([[1, 2], [3, 4]])
     assert a * Fraction(1, 2) == Matrix(
@@ -82,11 +126,6 @@ def test_column_entries():
     a = Matrix.column([1, 2, 3])
     assert (a.rows, a.cols) == (3, 1)
     assert a.column_entries(0) == (1, 2, 3)
-
-
-def test_matrix_json_is_row_major_strings():
-    a = Matrix([[Fraction(1, 2), 0], [3, 1]])
-    assert a.to_json() == [["1/2", "0"], ["3", "1"]]
 
 
 def test_matrix_entries_are_rational():
@@ -107,7 +146,7 @@ def test_pascal_of_exponential():
 
 def test_pascal_of_one_is_identity():
     one = TruncatedSeries.constant(Fraction(1), 2)
-    assert pascal_matrix(one, 2) == Matrix.identity(3)
+    assert pascal_matrix(one, 2) == Matrix.diagonal([1] * 3)
 
 
 def test_pascal_of_geometric():
@@ -165,8 +204,8 @@ def test_powers_matrix_diagonal_entries():
     m = wronskian_powers_matrix(h, 3)
     assert all(e == 0 for e in above_diagonal(m))
     for j in range(4):
-        assert m.entry(j, j) == math.factorial(j) * Fraction(2, 3) ** j
-    assert m.entry(1, 1) == Fraction(2, 3)
+        assert m.row(j)[j] == math.factorial(j) * Fraction(2, 3) ** j
+    assert m.row(1)[1] == Fraction(2, 3)
 
 
 def test_powers_matrix_requires_delta():
@@ -179,7 +218,7 @@ def test_omega_and_inverse():
     assert omega_inverse(3) == Matrix.diagonal(
         [1, 1, Fraction(1, 2), Fraction(1, 6)]
     )
-    assert omega(4) @ omega_inverse(4) == Matrix.identity(5)
+    assert omega(4) @ omega_inverse(4) == Matrix.diagonal([1] * 5)
 
 
 # -- the four properties ---------------------------------------------------

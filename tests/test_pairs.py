@@ -44,18 +44,10 @@ def test_polynomial_coefficients_rejected():
         )
 
 
-def test_truncate():
-    pair = ShefferPair(TruncatedSeries([1, 2, 3]), TruncatedSeries([0, 1, 5]))
-    cut = pair.truncate(1)
-    assert cut.order == 1
-    assert cut.l.coeffs == (1, 2)
-    assert cut.h.coeffs == (0, 1)
-
-
 def test_h_inverse_round_trip():
     h = TruncatedSeries([0, 1, 1, 1, 1])
     pair = ShefferPair.associated(h)
-    g = pair.h_inverse()
+    g = pair.derived.g
     assert h.compose(g) == TruncatedSeries.identity(4)
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sheffermat import Poly
+from sheffermat import Poly, polynomials
+from sheffermat.polynomials import derivative_combination
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 polys = st.lists(rationals, max_size=6).map(Poly)
@@ -111,3 +112,21 @@ def test_results_stay_canonical(p, q):
 @given(polys)
 def test_serialization_round_trip(p):
     assert Poly(p.to_strings()) == p
+
+
+def test_derivative_combination_scales_each_distinct_poly_once(monkeypatch):
+    p, q = Poly((Fraction(1, 2), 3, Fraction(-2, 7))), Poly((5, Fraction(1, 3)))
+    calls = []
+    honest = polynomials.common_denominator
+
+    def counted(values):
+        calls.append(values)
+        return honest(values)
+
+    monkeypatch.setattr(polynomials, "common_denominator", counted)
+    terms = [(1, 2, p, 0), (0, 1, p, 1), (Fraction(1, 3), 0, q, 0), (0, 0, q, 1)]
+    got = derivative_combination(terms * 3)
+    assert calls == [p.coeffs, q.coeffs]
+    x = Poly.x()
+    once = (x + 2) * p + p.derivative() + Fraction(1, 3) * x * q
+    assert got == once * 3

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sheffermat import Poly, format_rational, parse_rational, rat
-from sheffermat.rationals import common_denominator
+from sheffermat.rationals import combine, common_denominator
 
 
 def test_parse_plain_integer():
@@ -56,6 +56,60 @@ def test_common_denominator():
     values = [Fraction(1, 4), Fraction(-5, 6), Fraction(3)]
     assert common_denominator(values) == (12, [3, -10, 36])
     assert common_denominator([]) == (1, [])
+
+
+def fraction_sum(weights, rows):
+    """Reference: sum_t weights[t] * rows[t] one Fraction at a time, short
+    rows zero-padded to the longest."""
+    out = [Fraction(0)] * max((len(r) for r in rows), default=0)
+    for w, r in zip(weights, rows):
+        for j, c in enumerate(r):
+            out[j] += w * c
+    return out
+
+
+small = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+weight = st.one_of(st.just(0), st.integers(-6, 6), small)
+
+
+@st.composite
+def weighted_rows(draw):
+    count = draw(st.integers(0, 6))
+    weights = draw(st.lists(weight, min_size=count, max_size=count))
+    rows = draw(
+        st.lists(st.lists(small, max_size=7), min_size=count, max_size=count)
+    )
+    return weights, rows
+
+
+@given(weighted_rows())
+def test_combine_is_the_fraction_sum(case):
+    weights, rows = case
+    got = combine(weights, [common_denominator(r) for r in rows])
+    assert got == fraction_sum(weights, rows)
+    assert all(type(c) is Fraction for c in got)
+
+
+def test_combine_edge_cases():
+    assert combine([], []) == []
+    rows = [common_denominator([Fraction(1, 3), 2]), common_denominator([5])]
+    assert combine([0, 0], rows) == [0, 0]
+    assert combine([Fraction(3, 4)], rows[:1]) == [Fraction(1, 4), Fraction(3, 2)]
+    assert combine([1, -1], rows) == [Fraction(-14, 3), 2]
+
+
+def test_combine_skips_zero_weight_rows():
+    class Untouchable(list):
+        def __iter__(self):
+            raise AssertionError("a zero-weight row was read")
+
+    rows = [(7, Untouchable([1, 2])), common_denominator([Fraction(1, 2)])]
+    assert combine([0, 4], rows) == [2, 0]
+
+
+def test_combine_needs_one_weight_per_row():
+    with pytest.raises(ValueError):
+        combine([1], [])
 
 
 @given(st.fractions(max_denominator=1000))

@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheffermat import (
     InsufficientOrderError,
@@ -15,6 +18,8 @@ from sheffermat import (
     sheffer_appell_sequence,
     sheffer_sequence,
 )
+from sheffermat import rationals, sequences
+from sheffermat.polynomials import derivative_combination
 
 
 def test_polysequence_validates_kind_and_degrees():
@@ -159,6 +164,64 @@ def test_kernel_times_sheffer_is_sheffer_appell():
             appell_kernel(pair.l), sheffer_sequence(pair, 8)
         )
         assert list(convolved) == list(sheffer_appell_sequence(pair, 8))
+
+
+def per_degree_convolution(kernel, s):
+    """Reference: one derivative_combination per degree over all of
+    s[0..n], so every s[m] is rescaled at every later degree."""
+    polys = tuple(
+        derivative_combination(
+            [(0, math.comb(n, k) * kernel[k], s[n - k], 0) for k in range(n + 1)]
+        )
+        for n in range(s.top_degree + 1)
+    )
+    return PolySequence(s.kind, polys)
+
+
+def fraction_convolution(kernel, s):
+    """Reference in plain Fraction arithmetic, independent of the integer rows."""
+    polys = tuple(
+        sum((math.comb(n, k) * kernel[k] * s[n - k] for k in range(n + 1)), Poly.zero())
+        for n in range(s.top_degree + 1)
+    )
+    return PolySequence(s.kind, polys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(
+        [("laguerre", {"lambda": Fraction(5, 2)}), ("log-assoc", None), ("euler", None)]
+    ),
+    st.lists(
+        st.one_of(st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=7)),
+        min_size=9,
+        max_size=9,
+    ).filter(lambda kernel: kernel[0] != 0),
+)
+def test_convolution_matches_the_per_degree_form(family, kernel):
+    name, params = family
+    seq = sheffer_sequence(make_pair(name, 8, params), 8)
+    expected = fraction_convolution(kernel, seq)
+    assert per_degree_convolution(kernel, seq) == expected
+    assert discrete_convolution(kernel, seq) == expected
+
+
+def test_convolution_scales_each_polynomial_once(monkeypatch):
+    pair = make_pair("laguerre", 12, {"lambda": Fraction(5, 2)})
+    seq = sheffer_sequence(pair, 12)
+    coeffs = {id(p.coeffs) for p in seq}
+    scaled = []
+    honest = rationals.common_denominator
+
+    def counted(values):
+        if id(values) in coeffs:
+            scaled.append(id(values))
+        return honest(values)
+
+    monkeypatch.setattr(rationals, "common_denominator", counted)
+    monkeypatch.setattr(sequences, "common_denominator", counted)
+    discrete_convolution(appell_kernel(pair.l), seq)
+    assert sorted(scaled) == sorted(coeffs)
 
 
 def test_convolution_preserves_kind():
