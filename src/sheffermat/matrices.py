@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 from .errors import InsufficientOrderError, NotDeltaSeriesError
 from .rationals import combine, common_denominator, rat
-from .series import TruncatedSeries
+from .series import TruncatedSeries, power_rows
 
 
 class Matrix:
@@ -151,13 +151,11 @@ def wronskian_powers_matrix(h: TruncatedSeries, n: int) -> Matrix:
     if not h.is_delta:
         raise NotDeltaSeriesError("powers matrix requires a delta series")
     _require_order(h, n, "powers matrix")
-    base = h.truncate(n)
-    power = TruncatedSeries.constant(Fraction(1), n)
-    columns = [power.derivatives_at_zero()]
-    for _ in range(n):
-        power = power * base
-        columns.append(power.derivatives_at_zero())
-    return Matrix(zip(*columns))
+    columns = power_rows(common_denominator(h.truncate(n).coeffs), n)
+    return Matrix(
+        [Fraction(p[i] * math.factorial(i), den) for den, p in columns]
+        for i in range(n + 1)
+    )
 
 
 def omega(n: int) -> Matrix:

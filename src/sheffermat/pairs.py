@@ -30,7 +30,8 @@ from .errors import (
     OrderMismatchError,
 )
 from .polynomials import Poly
-from .series import TruncatedSeries
+from .rationals import common_denominator
+from .series import TruncatedSeries, power_rows
 
 
 @dataclass(frozen=True)
@@ -71,12 +72,14 @@ class ShefferPair:
 def riordan_polys(d: TruncatedSeries, g: TruncatedSeries) -> tuple[Poly, ...]:
     """Degrees 0..order of the exponential Riordan array [d, g]: the x^k
     coefficient of degree i is i!/k! [y^i] d g^k."""
-    columns = [d.coeffs]
-    for _ in range(d.order):
-        d = d * g
-        columns.append(d.coeffs)
+    columns = power_rows(
+        common_denominator(g.coeffs), d.order, start=common_denominator(d.coeffs)
+    )
     return tuple(
-        Poly(factorial(i) // factorial(k) * columns[k][i] for k in range(i + 1))
+        Poly(
+            Fraction(factorial(i) // factorial(k) * p[i], den)
+            for k, (den, p) in enumerate(columns[: i + 1])
+        )
         for i in range(len(columns))
     )
 
@@ -135,6 +138,7 @@ class DerivedSeries:
 
     # (a, b, c) derivative vectors, k = 0..N-1, of "2.1", "3.1", "3.2", "3.3".
 
+    @cached_property
     def _lp_over_l(self) -> TruncatedSeries:
         return self.l.derivative() * self._low(self.reciprocal_l)
 
@@ -142,7 +146,7 @@ class DerivedSeries:
     def _recurrence_series(self) -> tuple[TruncatedSeries, ...]:
         a = self.h.derivative().reciprocal()
         lp_of_h = self.l.derivative().compose(self._low(self.h))
-        return a, -lp_of_h * self._low(self.reciprocal_l_of_h), -self._lp_over_l() * a
+        return a, -lp_of_h * self._low(self.reciprocal_l_of_h), -self._lp_over_l * a
 
     @cached_property
     def derivative_recurrence(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -158,14 +162,14 @@ class DerivedSeries:
     def mixed_recurrence(self) -> tuple[tuple[Fraction, ...], ...]:
         """h'(g), -h'(g) l'/l, -l'(g)/l(g)."""
         hp, lp_over_l = self._of_g
-        return _vectors((hp, -hp * self._lp_over_l(), -lp_over_l))
+        return _vectors((hp, -hp * self._lp_over_l, -lp_over_l))
 
     @cached_property
     def convolution_recurrence(self) -> tuple[tuple[Fraction, ...], ...]:
         """1/h'(g), -l'/l, -l'(g)/(h'(g) l(g))."""
         hp, lp_over_l = self._of_g
         a = hp.reciprocal()
-        return _vectors((a, -self._lp_over_l(), -lp_over_l * a))
+        return _vectors((a, -self._lp_over_l, -lp_over_l * a))
 
 
 def _vectors(series) -> tuple[tuple[Fraction, ...], ...]:

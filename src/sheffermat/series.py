@@ -16,10 +16,12 @@ series, composition with a delta series (zero constant term, nonzero
 linear term), compositional inverse of a delta series (by Lagrange
 inversion), and the exponential of a series with zero constant term.
 
-The product runs on integers: each operand is scaled to integer numerators
-over the lcm of its denominators, and each output coefficient is reduced
-once.  The reciprocal is Newton iteration on that product (Brent & Kung,
-"Fast algorithms for manipulating formal power series", J. ACM 25, 1978).
+The product runs on integers: the truncated product of two ``(D, numerators)``
+rows (:func:`~sheffermat.rationals.common_denominator`) is reduced once by
+the gcd of D and the numerators, and a loop of products by one fixed factor
+(:func:`power_rows`) scales that factor once.  The reciprocal is Newton
+iteration on the product; composition is Paterson-Stockmeyer (Brent & Kung,
+"Fast algorithms for manipulating formal power series", J. ACM 25, 1978, §2).
 """
 
 from __future__ import annotations
@@ -35,7 +37,31 @@ from .errors import (
     NotInvertibleError,
     OrderMismatchError,
 )
-from .rationals import common_denominator, rat
+from .rationals import combine, common_denominator, rat
+
+Row = tuple[int, list[int]]
+
+
+def _product(a: Row, b: Row) -> Row:
+    """Truncated product of two equal-length ``(D, numerators)`` rows, reduced
+    once by the gcd of D and the numerators; zeros of ``a`` are skipped."""
+    (da, pa), (db, pb) = a, b
+    out = [0] * len(pa)
+    for i, ai in enumerate(pa):
+        if ai:
+            out[i:] = [o + ai * bj for o, bj in zip(out[i:], pb)]
+    den = da * db
+    g = math.gcd(den, *out)
+    return den // g, [c // g for c in out]
+
+
+def power_rows(factor: Row, count: int, start: Row | None = None) -> list[Row]:
+    """start * factor^k for k = 0..count as rows (start defaults to 1): the
+    fixed factor is scaled once, by the caller, and never again."""
+    rows = [start or (1, [1] + [0] * (len(factor[1]) - 1))]
+    for _ in range(count):
+        rows.append(_product(rows[-1], factor))
+    return rows
 
 
 class TruncatedSeries:
@@ -136,13 +162,9 @@ class TruncatedSeries:
     def __mul__(self, other: TruncatedSeries | Fraction | int) -> TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._require_same_order(other, "multiply")
-            da, a = common_denominator(self._coeffs)
-            db, b = common_denominator(other._coeffs)
-            out = [0] * len(a)
-            for i, ai in enumerate(a):
-                if ai:
-                    out[i:] = [o + ai * bj for o, bj in zip(out[i:], b)]
-            den = da * db
+            den, out = _product(
+                common_denominator(self._coeffs), common_denominator(other._coeffs)
+            )
             return TruncatedSeries([Fraction(c, den) for c in out])
         if isinstance(other, (Fraction, int)):
             return TruncatedSeries([c * other for c in self._coeffs])
@@ -152,11 +174,6 @@ class TruncatedSeries:
         if isinstance(other, (Fraction, int)):
             return TruncatedSeries([other * c for c in self._coeffs])
         return NotImplemented
-
-    def _add_constant(self, value: Fraction) -> TruncatedSeries:
-        return TruncatedSeries(
-            (self._coeffs[0] + value,) + self._coeffs[1:]
-        )
 
     # -- calculus -----------------------------------------------------------
 
@@ -174,35 +191,41 @@ class TruncatedSeries:
         """Multiplicative inverse: self * result = 1 modulo y^(order+1).
 
         The constant term must be nonzero.  Newton step: if b = 1/self
-        mod y^(m+1), then b (2 - self b) = 1/self mod y^(2m+2).
+        mod y^(m+1), then b (2 - self b) = 1/self mod y^(2m+2); self is
+        scaled to integers once and b stays an integer row.
         """
         c0 = self._coeffs[0]
         if c0 == 0:
             raise NotInvertibleError("series with zero constant term has no reciprocal")
-        b = TruncatedSeries([1 / c0])
-        while b.order < self.order:
-            k = min(2 * b.order + 1, self.order)
-            b = TruncatedSeries(b._coeffs, k)
-            b = b * (-(self.truncate(k) * b))._add_constant(Fraction(2))
-        return b
+        ds, fixed = common_denominator(self._coeffs)
+        den, b = common_denominator([1 / c0])
+        while len(b) <= self.order:
+            b += [0] * (min(2 * len(b), len(fixed)) - len(b))
+            de, e = _product((ds, fixed[: len(b)]), (den, b))
+            den, b = _product((den, b), (de, [2 * de - e[0]] + [-c for c in e[1:]]))
+        return TruncatedSeries([Fraction(c, den) for c in b])
 
     def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
         """self(inner(y)) truncated at the shared order.
 
         ``inner`` must be a delta series of the same order; the zero
         constant term is what makes the truncated composition exact.
+        Paterson-Stockmeyer: the m ~ sqrt(n) baby powers inner^0..inner^(m-1)
+        and the giant step inner^m cost about 2 sqrt(n) products, not n.
         """
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("compose expects a TruncatedSeries")
         self._require_same_order(inner, "compose")
         if not inner.is_delta:
             raise NotDeltaSeriesError("composition requires a delta series inner factor")
-        n = self.order
-        # Horner in the series ring: f0 + g*(f1 + g*(f2 + ...))
-        result = TruncatedSeries.constant(self._coeffs[n], n)
-        for k in range(n - 1, -1, -1):
-            result = (result * inner)._add_constant(self._coeffs[k])
-        return result
+        m = max(1, math.isqrt(self.order + 1))
+        *baby, giant = power_rows(common_denominator(inner._coeffs), m)
+        chunks = [self._coeffs[k : k + m] for k in range(0, self.order + 1, m)]
+        coeffs = combine(chunks[-1], baby[: len(chunks[-1])])
+        for chunk in reversed(chunks[:-1]):
+            carried = _product(giant, common_denominator(coeffs))
+            coeffs = combine((*chunk, 1), baby + [carried])
+        return TruncatedSeries(coeffs)
 
     def compositional_inverse(self) -> TruncatedSeries:
         """The delta series g with self(g(y)) = y modulo y^(order+1).
@@ -214,14 +237,11 @@ class TruncatedSeries:
         if not self.is_delta:
             raise NotDeltaSeriesError("only a delta series has a compositional inverse")
         n = self.order
-        y_over_h = TruncatedSeries(self._coeffs[1:]).reciprocal()
-        power = y_over_h
-        g = [Fraction(0)]
-        for m in range(1, n + 1):
-            g.append(power.coeffs[m - 1] / m)
-            if m < n:
-                power = power * y_over_h
-        inverse = TruncatedSeries(g)
+        y_over_h = common_denominator(TruncatedSeries(self._coeffs[1:]).reciprocal()._coeffs)
+        powers = power_rows(y_over_h, n - 1, start=y_over_h)
+        inverse = TruncatedSeries(
+            [0] + [Fraction(p[m - 1], den * m) for m, (den, p) in enumerate(powers, 1)]
+        )
         if self.compose(inverse) != TruncatedSeries.identity(n):
             raise ContractError("compositional inverse failed its defining relation")
         return inverse
@@ -232,12 +252,14 @@ class TruncatedSeries:
             raise NotDeltaSeriesError(
                 "exp of a truncated series requires a zero constant term"
             )
-        n = self.order
-        # Horner: 1 + g/1*(1 + g/2*(1 + ... (1 + g/n)))
-        result = TruncatedSeries.constant(Fraction(1), n)
-        for k in range(n, 0, -1):
-            result = (result * self * Fraction(1, k))._add_constant(Fraction(1))
-        return result
+        # Horner on one integer row: 1 + g/1*(1 + g/2*(1 + ... (1 + g/n)))
+        fixed = common_denominator(self._coeffs)
+        den, row = 1, [1] + [0] * self.order
+        for k in range(self.order, 0, -1):
+            den, row = _product(fixed, (den, row))
+            den *= k
+            row[0] += den
+        return TruncatedSeries([Fraction(c, den) for c in row])
 
     def derivatives_at_zero(self) -> tuple[Fraction, ...]:
         """The vector [f(0), f'(0), ..., f^(order)(0)], i.e. k! * coeffs[k]."""

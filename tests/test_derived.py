@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -352,6 +353,24 @@ def test_sweep_inverts_h_once_per_pair(monkeypatch):
         assert all(r.passed for r in residual_checks(pair, 6, LABELS))
         assert all(r.passed for r in lemma_checks(pair, 6))
     assert len(calls) == len(pairs_)
+
+
+def test_log_derivative_of_l_is_built_once_per_pair(monkeypatch):
+    calls = []
+    lp_over_l = DerivedSeries._lp_over_l.func
+
+    def counted(self):
+        calls.append(self)
+        return lp_over_l(self)
+
+    counted_property = cached_property(counted)
+    counted_property.__set_name__(DerivedSeries, "_lp_over_l")
+    monkeypatch.setattr(DerivedSeries, "_lp_over_l", counted_property)
+    pair = make_pair("laguerre", 8, {"lambda": Fraction(5, 2)})
+    for n in range(8):
+        for label in LABELS:
+            COEFF_EXTRACTORS[label](pair, n)
+    assert calls == [pair.derived]
 
 
 def test_derived_series_are_built_lazily():

@@ -199,6 +199,17 @@ def test_powers_matrix_of_mobius():
     )
 
 
+def test_powers_matrix_matches_repeated_products():
+    h = TruncatedSeries([0, Fraction(2, 3), 5, Fraction(-1, 7), 0, 2, Fraction(1, 9)])
+    columns, power = [], TruncatedSeries.constant(Fraction(1), 6)
+    for _ in range(7):
+        columns.append(power.derivatives_at_zero())
+        power = power * h
+    assert wronskian_powers_matrix(h, 6) == Matrix(zip(*columns))
+    assert wronskian_powers_matrix(h, 4) == Matrix(
+        [row[:5] for row in zip(*columns)][:5]
+    )
+
 def test_powers_matrix_diagonal_entries():
     h = TruncatedSeries([0, Fraction(2, 3), 5, 1])
     m = wronskian_powers_matrix(h, 3)

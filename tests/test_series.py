@@ -353,3 +353,125 @@ def test_reciprocal_order_zero_and_one():
         [Fraction(-3, 7), Fraction(-45, 49)]
     )
     assert TruncatedSeries([1, 0]).reciprocal() == TruncatedSeries([1, 0])
+
+
+# -- Paterson-Stockmeyer composition and fixed-factor loops -------------------
+
+
+def horner_compose(f, g):
+    """The Horner composition that ``compose`` replaced, kept as the reference."""
+    n = f.order
+    result = [Fraction(0)] * (n + 1)
+    for c in reversed(f.coeffs):
+        result = schoolbook_product(result, g.coeffs)
+        result[0] += c
+    return TruncatedSeries(result)
+
+
+def lagrange_inverse(h):
+    """Lagrange inversion by repeated ``*`` of y/h, kept as the reference."""
+    n = h.order
+    y_over_h = TruncatedSeries(h.coeffs[1:]).reciprocal()
+    power, g = y_over_h, [Fraction(0)]
+    for m in range(1, n + 1):
+        g.append(power.coeffs[m - 1] / m)
+        power = power * y_over_h
+    return TruncatedSeries(g)
+
+
+def horner_exp(g):
+    """exp by Horner on ``*`` and scalar multiples, kept as the reference."""
+    one = TruncatedSeries.constant(Fraction(1), g.order)
+    result = one
+    for k in range(g.order, 0, -1):
+        result = result * g * Fraction(1, k) + one
+    return result
+
+
+compose_orders = st.integers(min_value=1, max_value=40)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    compose_orders.flatmap(
+        lambda n: st.tuples(kernel_operand(n, constant=rationals), delta_strategy(n))
+    )
+)
+def test_compose_matches_horner(operands):
+    f, g = operands
+    assert f.compose(g) == horner_compose(f, g)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 8, 10, 15])
+def test_compose_chunk_boundaries(order):
+    # m = 1 at orders 1-2; at order 10 (m = 3) the last chunk holds 2 of 11
+    f = TruncatedSeries([Fraction(k + 1, 3 - k % 3) for k in range(order + 1)])
+    tail = [Fraction(1, k) for k in range(2, order + 1)]
+    g = TruncatedSeries([0, Fraction(-2, 5), *tail])
+    assert f.compose(g) == horner_compose(f, g)
+    assert f.compose(TruncatedSeries.identity(order)) == f
+
+
+def test_compose_with_all_zero_chunks():
+    # order 8 gives m = 3: chunks y^0..y^2, y^3..y^5 (zero), y^6..y^8 (zero)
+    f = TruncatedSeries([2, Fraction(-1, 3), 5], order=8)
+    g = TruncatedSeries([0, 1, Fraction(1, 2), 0, 0, 3, 0, 0, 1])
+    assert f.compose(g) == horner_compose(f, g)
+    middle = TruncatedSeries([1, 0, 0, 0, 0, 0, Fraction(7, 2), 0, 1])
+    assert middle.compose(g) == horner_compose(middle, g)
+    zero = TruncatedSeries.constant(Fraction(0), 8)
+    assert zero.compose(g) == zero
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=20).flatmap(delta_strategy))
+def test_compositional_inverse_matches_repeated_products(h):
+    assert h.compositional_inverse() == lagrange_inverse(h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=15).flatmap(delta_strategy))
+def test_exp_matches_repeated_products(g):
+    assert g.exp() == horner_exp(g)
+
+
+def test_riordan_polys_match_repeated_products():
+    from sheffermat.pairs import riordan_polys
+
+    d = TruncatedSeries([Fraction(3, 2), -1, Fraction(1, 7), 0, 2, Fraction(-5, 3)])
+    g = TruncatedSeries([0, Fraction(2, 3), 0, 1, Fraction(1, 4), -3])
+    columns, power = [], d
+    for _ in range(d.order + 1):
+        columns.append(power.coeffs)
+        power = power * g
+    want = tuple(
+        Poly(
+            math.factorial(i) // math.factorial(k) * columns[k][i]
+            for k in range(i + 1)
+        )
+        for i in range(d.order + 1)
+    )
+    assert riordan_polys(d, g) == want
+
+
+def test_fixed_factors_are_scaled_once(monkeypatch):
+    from sheffermat import series
+
+    f = TruncatedSeries([Fraction(k + 2, k + 1) for k in range(31)])
+    g = TruncatedSeries([0, Fraction(2, 3)] + [Fraction(1, k * k) for k in range(2, 31)])
+    h = TruncatedSeries([0, 1] + [Fraction(1, math.factorial(k)) for k in range(2, 31)])
+    y_over_h = TruncatedSeries(h.coeffs[1:]).reciprocal()
+    want = horner_compose(f, g), lagrange_inverse(h)
+    scaled = []
+    honest = series.common_denominator
+
+    def counted(values):
+        scaled.append(tuple(values))
+        return honest(values)
+
+    monkeypatch.setattr(series, "common_denominator", counted)
+    assert f.compose(g) == want[0]
+    assert scaled.count(g.coeffs) == 1
+    scaled.clear()
+    assert h.compositional_inverse() == want[1]
+    assert scaled.count(y_over_h.coeffs) == 1
