@@ -9,9 +9,10 @@ each printed identity *literally* — printed numbers, engine-generated
 polynomials — and reports PASS or FAIL per degree, alongside the
 engine-derived coefficient vectors for comparison.
 
-Ground truth is always the derivative-vector extraction; a FAIL here
-records that the printed identity does not hold as displayed, not an
-engine defect.
+Each printed residual is one sum of terms (alpha, beta, sA_m, 0), formed
+by :func:`sheffermat.polynomials.derivative_combination`.  Ground truth is
+always the derivative-vector extraction; a FAIL here records that the
+printed identity does not hold as displayed, not an engine defect.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .identities import (
     differential_equation_coeffs,
     mixed_recurrence_coeffs,
 )
-from .polynomials import Poly
+from .polynomials import Poly, derivative_combination
 from .rationals import Rational, format_rational, rat
 from .sequences import PolySequence, sheffer_appell_sequence
 
@@ -143,54 +144,50 @@ def _miller_lee_mixed_printed(m: Fraction, n: int) -> dict:
 # -- the printed recurrences, evaluated literally -------------------------
 
 
-def _laguerre_differential_residual(s: PolySequence, d: int, lam: Fraction) -> Poly:
+def _laguerre_differential_terms(s: PolySequence, d: int, lam: Fraction) -> list:
     # sum_{k=1}^{d} C(d,k) k! (x - k(k-1)(k+4)(lam+1)/6) sA_{d-k} = d sA_d
-    acc = Poly.zero()
+    terms = [(0, -d, s[d], 0)]
     for k in range(1, d + 1):
-        shift = -Fraction(k * (k - 1) * (k + 4)) * (lam + 1) / 6
-        acc = acc + math.comb(d, k) * math.factorial(k) * Poly((shift, 1)) * s[d - k]
-    return acc - s[d] * d
+        w = math.perm(d, k)
+        terms.append((w, -w * (lam + 1) * k * (k - 1) * (k + 4) / 6, s[d - k], 0))
+    return terms
 
 
-def _laguerre_derivative_residual(s: PolySequence, d: int, lam: Fraction) -> Poly:
+def _laguerre_derivative_terms(s: PolySequence, d: int, lam: Fraction) -> list:
     # sA_{d+1} + (x + 2 lam + 2) sA_d = 2 x d sA_{d-1}
     #   - 2 (x + lam + 1) C(d,2) sA_{d-2} + (lam+1) sum_{k=3}^{d} C(d,k) k! sA_{d-k}
-    acc = s[d + 1] + Poly((2 * lam + 2, 1)) * s[d]
-    if d >= 1:
-        acc = acc - 2 * d * Poly.x() * s[d - 1]
-    if d >= 2:
-        acc = acc + 2 * math.comb(d, 2) * Poly((lam + 1, 1)) * s[d - 2]
-    for k in range(3, d + 1):
-        acc = acc - (lam + 1) * math.comb(d, k) * math.factorial(k) * s[d - k]
-    return acc
+    # Below d = 2 the sA_{d-1}, sA_{d-2} terms weigh zero and are dropped unread.
+    w = d * (d - 1)
+    terms = [(0, 1, s[d + 1], 0), (1, 2 * lam + 2, s[d], 0)]
+    terms += [(-2 * d, 0, s[d - 1], 0), (w, w * (lam + 1), s[d - 2], 0)]
+    terms += [(0, -(lam + 1) * math.perm(d, k), s[d - k], 0) for k in range(3, d + 1)]
+    return terms
 
 
-def _miller_lee_differential_residual(
-    s: PolySequence, d: int, printed: dict
-) -> Poly:
+def _miller_lee_differential_terms(s: PolySequence, d: int, printed: dict) -> list:
     # d sA_d - d x sA_{d-1} = sum_{k=1}^{d} C(d,k) sA_{d-k} (b_k + c_k)
-    acc = s[d] * d
-    if d >= 1:
-        acc = acc - d * Poly.x() * s[d - 1]
+    # At d = 0 the sA_{d-1} weight is zero and the term is dropped unread.
+    b, c = printed["b"], printed["c"]
+    terms = [(0, d, s[d], 0), (-d, 0, s[d - 1], 0)]
     for k in range(1, d + 1):
-        acc = acc - math.comb(d, k) * (printed["b"][k] + printed["c"][k]) * s[d - k]
-    return acc
+        terms.append((0, -math.comb(d, k) * (b[k] + c[k]), s[d - k], 0))
+    return terms
 
 
-def _miller_lee_derivative_residual(s: PolySequence, d: int, printed: dict) -> Poly:
+def _miller_lee_derivative_terms(s: PolySequence, d: int, printed: dict) -> list:
     # sA_{d+1} - x sA_d = sum_{k=0}^{d} C(d,k) sA_{d-k} (b_k + c_k)
-    acc = s[d + 1] - Poly.x() * s[d]
+    b, c = printed["b"], printed["c"]
+    terms = [(0, 1, s[d + 1], 0), (-1, 0, s[d], 0)]
     for k in range(d + 1):
-        acc = acc - math.comb(d, k) * (printed["b"][k] + printed["c"][k]) * s[d - k]
-    return acc
+        terms.append((0, -math.comb(d, k) * (b[k] + c[k]), s[d - k], 0))
+    return terms
 
 
-def _miller_lee_mixed_residual(s: PolySequence, d: int, m: Fraction) -> Poly:
+def _miller_lee_mixed_terms(s: PolySequence, d: int, m: Fraction) -> list:
     # sA_{d+1} = x sA_d - 2 (m+1) sum_{k=0}^{d} C(d,k) sA_{d-k} k!
-    acc = s[d + 1] - Poly.x() * s[d]
-    for k in range(d + 1):
-        acc = acc + 2 * (m + 1) * math.comb(d, k) * math.factorial(k) * s[d - k]
-    return acc
+    terms = [(0, 1, s[d + 1], 0), (-1, 0, s[d], 0)]
+    terms += [(0, 2 * (m + 1) * math.perm(d, k), s[d - k], 0) for k in range(d + 1)]
+    return terms
 
 
 def run_worked_example_audit(
@@ -211,6 +208,8 @@ def run_worked_example_audit(
     ga = sheffer_appell_sequence(miller_lee, n + 1)
     lag_params = {"lambda": format_rational(lam)}
     mil_params = {"m": format_rational(m)}
+    ml_differential = _miller_lee_differential_printed(m, n)
+    ml_derivative = _miller_lee_derivative_printed(m, n)
 
     plans = (
         (
@@ -218,42 +217,42 @@ def run_worked_example_audit(
             lag_params,
             differential_equation_coeffs(laguerre, n),
             _laguerre_differential_printed(lam, n),
-            lambda d, printed: _laguerre_differential_residual(la, d, lam),
+            (_laguerre_differential_terms, la, lam),
         ),
         (
             "laguerre-derivative-recurrence",
             lag_params,
             derivative_recurrence_coeffs(laguerre, n),
             _laguerre_derivative_printed(lam, n),
-            lambda d, printed: _laguerre_derivative_residual(la, d, lam),
+            (_laguerre_derivative_terms, la, lam),
         ),
         (
             "miller-lee-differential-recurrence",
             mil_params,
             differential_equation_coeffs(miller_lee, n),
-            _miller_lee_differential_printed(m, n),
-            lambda d, printed: _miller_lee_differential_residual(ga, d, printed),
+            ml_differential,
+            (_miller_lee_differential_terms, ga, ml_differential),
         ),
         (
             "miller-lee-derivative-recurrence",
             mil_params,
             derivative_recurrence_coeffs(miller_lee, n),
-            _miller_lee_derivative_printed(m, n),
-            lambda d, printed: _miller_lee_derivative_residual(ga, d, printed),
+            ml_derivative,
+            (_miller_lee_derivative_terms, ga, ml_derivative),
         ),
         (
             "miller-lee-mixed-recurrence",
             mil_params,
             mixed_recurrence_coeffs(miller_lee, n),
             _miller_lee_mixed_printed(m, n),
-            lambda d, printed: _miller_lee_mixed_residual(ga, d, m),
+            (_miller_lee_mixed_terms, ga, m),
         ),
     )
 
     entries = []
-    for identity, params, derived, printed, residual_at in plans:
+    for identity, params, t, printed, (terms, s, reads) in plans:
         for d in range(n + 1):
-            residual = residual_at(d, printed)
+            residual = derivative_combination(terms(s, d, reads))
             entries.append(
                 AuditEntry(
                     identity=identity,
@@ -262,10 +261,7 @@ def run_worked_example_audit(
                     status=PASS if residual.is_zero else FAIL,
                     residual=residual,
                     derived=CoeffTriple(
-                        derived.label,
-                        derived.a[: d + 1],
-                        derived.b[: d + 1],
-                        derived.c[: d + 1],
+                        t.label, *(v[: d + 1] for v in (t.a, t.b, t.c))
                     ),
                     printed={k: printed[k][: d + 1] for k in ("a", "b", "c")},
                 )

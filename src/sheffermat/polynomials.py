@@ -8,9 +8,10 @@ correctly against every integer degree) rather than -1.
 Polynomials are immutable and hashable; all arithmetic is exact.
 
 :func:`derivative_combination` forms every sum
-sum_t (beta_t + alpha_t x) q_t^(k_t)(x)/k_t! in the package (the four
-identity residuals); it and the product of two polynomials build integer
-rows and leave the sum to :func:`sheffermat.rationals.combine`.
+sum_t (beta_t + alpha_t x) q_t^(k_t)(x)/k_t! in the package: the four
+identity residuals and the five printed recurrences of the worked-example
+audit.  It and the product of two polynomials build integer rows and
+leave the sum to :func:`sheffermat.rationals.combine`.
 """
 
 from __future__ import annotations

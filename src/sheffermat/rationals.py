@@ -8,7 +8,8 @@ a bit-exact round trip.
 
 :func:`combine` is the one exact row-combination routine of the package:
 matrix products, the derivative combinations behind the identity
-residuals, polynomial products and the binomial convolution of sequences
+residuals and the audit's printed recurrences, polynomial products and the
+binomial convolution of sequences
 all run through it.  A row is scaled to integers once
 (:func:`common_denominator`), the sum runs on integers, and each output
 entry is reduced once.
@@ -23,7 +24,7 @@ from typing import Sequence
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -46,7 +47,7 @@ def parse_rational(text: str) -> Fraction:
     Raises ValueError for anything else (floats, spaces, empty strings,
     zero denominators).
     """
-    m = _RATIONAL_RE.match(text)
+    m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
     num = int(m.group(1))

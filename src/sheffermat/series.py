@@ -170,10 +170,7 @@ class TruncatedSeries:
             return TruncatedSeries([c * other for c in self._coeffs])
         return NotImplemented
 
-    def __rmul__(self, other: Fraction | int) -> TruncatedSeries:
-        if isinstance(other, (Fraction, int)):
-            return TruncatedSeries([other * c for c in self._coeffs])
-        return NotImplemented
+    __rmul__ = __mul__
 
     # -- calculus -----------------------------------------------------------
 

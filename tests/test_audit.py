@@ -1,3 +1,6 @@
+import hashlib
+import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,8 +10,12 @@ from sheffermat import (
     IDENTITY_IDS,
     PASS,
     Poly,
+    make_pair,
     run_worked_example_audit,
+    sheffer_appell_sequence,
 )
+from sheffermat import audit
+from sheffermat.polynomials import derivative_combination
 
 # Status-per-degree vectors for the default parameters (lambda = 0, m = 0),
 # confirmed against an independent symbolic expansion before being frozen
@@ -98,3 +105,107 @@ def test_statuses_stable_under_parameters():
 def test_minimum_degree_enforced():
     with pytest.raises(ValueError):
         run_worked_example_audit(2)
+
+
+# -- the kernel terms against the original Poly accumulations -------------
+#
+# The audit first built each printed residual one Poly term at a time.
+# Those five bodies are kept here as references; the kernel-term builders
+# in sheffermat.audit must give the same polynomial at every degree, also
+# at parameters other than the CLI's lambda = m = 0.
+
+
+def reference_laguerre_differential(s, d, lam):
+    acc = Poly.zero()
+    for k in range(1, d + 1):
+        shift = -Fraction(k * (k - 1) * (k + 4)) * (lam + 1) / 6
+        acc = acc + math.comb(d, k) * math.factorial(k) * Poly((shift, 1)) * s[d - k]
+    return acc - s[d] * d
+
+
+def reference_laguerre_derivative(s, d, lam):
+    acc = s[d + 1] + Poly((2 * lam + 2, 1)) * s[d]
+    if d >= 1:
+        acc = acc - 2 * d * Poly.x() * s[d - 1]
+    if d >= 2:
+        acc = acc + 2 * math.comb(d, 2) * Poly((lam + 1, 1)) * s[d - 2]
+    for k in range(3, d + 1):
+        acc = acc - (lam + 1) * math.comb(d, k) * math.factorial(k) * s[d - k]
+    return acc
+
+
+def reference_miller_lee_differential(s, d, printed):
+    acc = s[d] * d
+    if d >= 1:
+        acc = acc - d * Poly.x() * s[d - 1]
+    for k in range(1, d + 1):
+        acc = acc - math.comb(d, k) * (printed["b"][k] + printed["c"][k]) * s[d - k]
+    return acc
+
+
+def reference_miller_lee_derivative(s, d, printed):
+    acc = s[d + 1] - Poly.x() * s[d]
+    for k in range(d + 1):
+        acc = acc - math.comb(d, k) * (printed["b"][k] + printed["c"][k]) * s[d - k]
+    return acc
+
+
+def reference_miller_lee_mixed(s, d, m):
+    acc = s[d + 1] - Poly.x() * s[d]
+    for k in range(d + 1):
+        acc = acc + 2 * (m + 1) * math.comb(d, k) * math.factorial(k) * s[d - k]
+    return acc
+
+
+REFERENCE_N = 30
+REFERENCE_PARAMS = [
+    (Fraction(0), Fraction(0)),
+    (Fraction(5, 2), Fraction(-1, 3)),
+    (Fraction(-7, 3), Fraction(9, 4)),
+]
+
+
+@pytest.mark.parametrize("lam, m", REFERENCE_PARAMS, ids=["0,0", "5/2,-1/3", "-7/3,9/4"])
+def test_kernel_terms_match_reference_loops(lam, m):
+    n = REFERENCE_N
+    la = sheffer_appell_sequence(make_pair("laguerre", n + 2, {"lambda": lam}), n + 1)
+    ga = sheffer_appell_sequence(make_pair("miller-lee", n + 2, {"m": m}), n + 1)
+    ml_differential = audit._miller_lee_differential_printed(m, n)
+    ml_derivative = audit._miller_lee_derivative_printed(m, n)
+    cases = [
+        (audit._laguerre_differential_terms, reference_laguerre_differential, la, lam),
+        (audit._laguerre_derivative_terms, reference_laguerre_derivative, la, lam),
+        (
+            audit._miller_lee_differential_terms,
+            reference_miller_lee_differential,
+            ga,
+            ml_differential,
+        ),
+        (
+            audit._miller_lee_derivative_terms,
+            reference_miller_lee_derivative,
+            ga,
+            ml_derivative,
+        ),
+        (audit._miller_lee_mixed_terms, reference_miller_lee_mixed, ga, m),
+    ]
+    nonzero = 0
+    for terms, reference, s, reads in cases:
+        for d in range(n + 1):
+            expected = reference(s, d, reads)
+            assert derivative_combination(terms(s, d, reads)) == expected, (
+                terms.__name__,
+                d,
+            )
+            nonzero += not expected.is_zero
+    # Most printed identities fail, so the comparison is not between zeros.
+    assert nonzero > 3 * (n + 1)
+
+
+def test_report_json_at_nonzero_parameters():
+    # SHA-256 of the whole report, frozen from the Poly-accumulation audit.
+    report = run_worked_example_audit(20, lam=Fraction(-7, 3), m=Fraction(9, 4))
+    payload = json.dumps(report.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "44bb059a53e687eedade4561953b27d2212cd4ae02d71e8f703679128ef57f74"
+    )

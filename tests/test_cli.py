@@ -1,13 +1,17 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import sheffermat.cli as cli
 from sheffermat import CheckResult, InsufficientOrderError, Poly
 from sheffermat.cli import main, poly_to_latex
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -344,6 +348,12 @@ def test_non_rational_param_is_usage_error():
     assert info.value.code == 2
 
 
+def test_newline_suffixed_param_is_usage_error():
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "--family", "laguerre", "--param", "lambda=1/2\n", "--n", "2"])
+    assert info.value.code == 2
+
+
 def test_repeated_param_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["gen", "--family", "laguerre", "--param", "lambda=1",
@@ -386,6 +396,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "sheffermat", "families"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert proc.returncode == 0
     assert "laguerre" in proc.stdout

@@ -20,7 +20,9 @@ def test_parse_fraction():
     assert parse_rational("4/6") == Fraction(2, 3)
 
 
-@pytest.mark.parametrize("bad", ["", "1.5", "1/-2", "a", "1 / 2", "--3", "1/"])
+@pytest.mark.parametrize(
+    "bad", ["", "1.5", "1/-2", "a", "1 / 2", "--3", "1/", "3\n", "1/2\n", "\u0663"]
+)
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
