@@ -1,6 +1,7 @@
 """Command line interface.
 
-Verbs:
+Verbs, one subparser each whose ``run`` default is its handler (``gen``,
+``coeffs`` and ``verify`` share ``--family`` and ``--param``):
 
 * ``families``                       list the catalog
 * ``gen``                            generate a polynomial sequence
@@ -8,8 +9,9 @@ Verbs:
 * ``verify``                         run residual / lemma / property checks
 * ``audit``                          evaluate the printed worked examples
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (also for
---n above MAX_N), 3 internal error.  JSON output is byte-deterministic
+Exit codes: 0 success, 1 verification failure, 2 usage error (also for an
+--n that is not ``-?[0-9]+``, above MAX_N or below 0, checked once in
+:func:`main`), 3 internal error.  JSON output is byte-deterministic
 (sorted keys, two-space indent); set NO_COLOR (or redirect stdout) to
 suppress the PASS/FAIL coloring in `verify` and `audit --format table`.
 """
@@ -17,10 +19,9 @@ suppress the PASS/FAIL coloring in `verify` and `audit --format table`.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -43,15 +44,11 @@ INTERNAL_ERROR = 3
 MAX_N = 100
 
 
-def _styled(text: str, color: str) -> str:
-    if os.environ.get("NO_COLOR") or not sys.stdout.isatty():
-        return text
-    codes = {"green": "32", "red": "31"}
-    return f"\x1b[{codes[color]}m{text}\x1b[0m"
-
-
 def _status_word(passed: bool) -> str:
-    return _styled("PASS", "green") if passed else _styled("FAIL", "red")
+    word, color = ("PASS", "32") if passed else ("FAIL", "31")
+    if os.environ.get("NO_COLOR") or not sys.stdout.isatty():
+        return word
+    return f"\x1b[{color}m{word}\x1b[0m"
 
 
 def _emit_json(payload) -> None:
@@ -60,31 +57,20 @@ def _emit_json(payload) -> None:
 
 def poly_to_latex(p: Poly) -> str:
     """Render with descending powers: "x^{2} - 2x", "x - \\frac{1}{2}", "0"."""
-    if p.is_zero:
-        return "0"
-    parts = []
-    for d in range(len(p) - 1, -1, -1):
-        c = p.coeff(d)
-        if c == 0:
-            continue
-        magnitude = abs(c)
-        if d == 0:
-            body = _latex_rational(magnitude)
-        else:
-            var = "x" if d == 1 else f"x^{{{d}}}"
-            body = var if magnitude == 1 else _latex_rational(magnitude) + var
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return p.render(_latex_rational, lambda d: "x" if d == 1 else f"x^{{{d}}}", "")
 
 
 def _latex_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
-    sign = "-" if value < 0 else ""
-    return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+    return f"\\frac{{{value.numerator}}}{{{value.denominator}}}"
+
+
+def _ascii_int(text: str) -> int:
+    """An ``--n`` value: ASCII ``-?[0-9]+`` only (no ``+2``, ``1_0``, spaces)."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _parse_params(raw: list[str] | None, parser: argparse.ArgumentParser) -> dict:
@@ -109,38 +95,48 @@ def _build_parser() -> argparse.ArgumentParser:
         "recurrences, and Pascal/Wronskian matrix identities.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    pair = argparse.ArgumentParser(add_help=False)  # the options naming a pair
+    pair.add_argument("--family", required=True)
+    pair.add_argument("--param", action="append", metavar="NAME=VALUE")
 
     fam = sub.add_parser("families", help="list the family catalog")
     fam.add_argument("--format", choices=("json", "table"), default="table")
+    fam.set_defaults(run=_cmd_families)
 
-    gen = sub.add_parser("gen", help="generate a polynomial sequence")
-    gen.add_argument("--family", required=True)
-    gen.add_argument("--param", action="append", metavar="NAME=VALUE")
-    gen.add_argument("--n", type=int, required=True)
+    gen = sub.add_parser("gen", parents=[pair], help="generate a polynomial sequence")
+    gen.add_argument("--n", type=_ascii_int, required=True)
     gen.add_argument("--kind", choices=KIND_CHOICES, default="sheffer-appell")
     gen.add_argument("--format", choices=("json", "csv", "latex"), default="json")
+    gen.set_defaults(run=_cmd_gen)
 
-    coeffs = sub.add_parser("coeffs", help="emit derived (a, b, c) vectors")
-    coeffs.add_argument("--family", required=True)
-    coeffs.add_argument("--param", action="append", metavar="NAME=VALUE")
+    coeffs = sub.add_parser(
+        "coeffs", parents=[pair], help="emit derived (a, b, c) vectors"
+    )
     coeffs.add_argument("--theorem", choices=LABELS, required=True)
-    coeffs.add_argument("--n", type=int, required=True)
+    coeffs.add_argument("--n", type=_ascii_int, required=True)
+    coeffs.set_defaults(run=_cmd_coeffs)
 
-    verify = sub.add_parser("verify", help="run identity checks")
-    verify.add_argument("--family", required=True)
-    verify.add_argument("--param", action="append", metavar="NAME=VALUE")
-    verify.add_argument("--n", type=int, default=8)
+    verify = sub.add_parser("verify", parents=[pair], help="run identity checks")
+    verify.add_argument("--n", type=_ascii_int, default=8)
     group = verify.add_mutually_exclusive_group()
     group.add_argument("--theorem", choices=LABELS)
     group.add_argument("--all", action="store_true")
     verify.add_argument("--properties", action="store_true")
     verify.add_argument("--lemma", action="store_true")
+    verify.set_defaults(run=_cmd_verify)
 
     audit = sub.add_parser("audit", help="evaluate the printed worked examples")
-    audit.add_argument("--n", type=int, required=True)
+    audit.add_argument("--n", type=_ascii_int, required=True)
     audit.add_argument("--format", choices=("json", "table"), default="json")
+    audit.set_defaults(run=_cmd_audit)
 
     return parser
+
+
+def _request(args) -> dict:
+    """The family, parameters and n that ``gen`` and ``coeffs`` echo."""
+    parameters = {k: format_rational(v) for k, v in args.params.items()}
+    return {"family": args.family, "parameters": parameters, "n": args.n}
 
 
 def _cmd_families(args) -> int:
@@ -155,12 +151,8 @@ def _cmd_families(args) -> int:
     return 0
 
 
-def _cmd_gen(args, parser) -> int:
-    params = _parse_params(args.param, parser)
-    if args.n < 0:
-        parser.error("--n must be >= 0")
-    order = max(args.n, 1)
-    pair = make_pair(args.family, order, params)
+def _cmd_gen(args) -> int:
+    pair = make_pair(args.family, max(args.n, 1), args.params)
     if args.kind == "sheffer":
         seq = sheffer_sequence(pair, args.n)
     elif args.kind == "appell":
@@ -169,54 +161,30 @@ def _cmd_gen(args, parser) -> int:
         seq = sheffer_appell_sequence(pair, args.n)
 
     if args.format == "json":
-        _emit_json(
-            {
-                "family": args.family,
-                "parameters": {k: format_rational(v) for k, v in params.items()},
-                "kind": args.kind,
-                "n": args.n,
-                "polys": [p.to_strings() for p in seq],
-            }
-        )
+        polys = [p.to_strings() for p in seq]
+        _emit_json({**_request(args), "kind": args.kind, "polys": polys})
     elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["degree", "index", "coefficient"])
+        print("degree,index,coefficient")
         for degree, p in enumerate(seq):
-            for index, value in enumerate(p.coeffs):
-                writer.writerow([degree, index, format_rational(value)])
-        sys.stdout.write(buffer.getvalue())
+            for index, value in enumerate(p.to_strings()):
+                print(f"{degree},{index},{value}")
     else:
         for p in seq:
             print(poly_to_latex(p))
     return 0
 
 
-def _cmd_coeffs(args, parser) -> int:
-    params = _parse_params(args.param, parser)
-    if args.n < 0:
-        parser.error("--n must be >= 0")
-    pair = make_pair(args.family, args.n + 1, params)
+def _cmd_coeffs(args) -> int:
+    pair = make_pair(args.family, args.n + 1, args.params)
     triple = COEFF_EXTRACTORS[args.theorem](pair, args.n)
-    payload = triple.to_json()
-    payload.update(
-        {
-            "family": args.family,
-            "parameters": {k: format_rational(v) for k, v in params.items()},
-            "n": args.n,
-        }
-    )
-    _emit_json(payload)
+    _emit_json({**triple.to_json(), **_request(args)})
     return 0
 
 
-def _cmd_verify(args, parser) -> int:
-    params = _parse_params(args.param, parser)
-    if args.n < 0:
-        parser.error("--n must be >= 0")
+def _cmd_verify(args) -> int:
     labels = (args.theorem,) if args.theorem else LABELS
     results = verify_family(
-        args.family, params, args.n, labels, include_lemma=args.lemma
+        args.family, args.params, args.n, labels, include_lemma=args.lemma
     )
     if args.properties:
         results.extend(property_suite())
@@ -236,10 +204,9 @@ def _cmd_audit(args) -> int:
         _emit_json(report.to_json())
         return 0
     for entry in report:
-        residual = "0" if entry.residual.is_zero else str(entry.residual)
         print(
             f"{_status_word(entry.status == 'PASS')} {entry.identity} "
-            f"n={entry.n} residual={residual}"
+            f"n={entry.n} residual={entry.residual}"
         )
     return 0
 
@@ -247,20 +214,14 @@ def _cmd_audit(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "n", 0) > MAX_N:
+    n = getattr(args, "n", 0)
+    if n > MAX_N:
         parser.error(f"--n must be <= {MAX_N}")
+    args.params = _parse_params(getattr(args, "param", None), parser)
+    if n < 0:
+        parser.error("--n must be >= 0")
     try:
-        if args.verb == "families":
-            return _cmd_families(args)
-        if args.verb == "gen":
-            return _cmd_gen(args, parser)
-        if args.verb == "coeffs":
-            return _cmd_coeffs(args, parser)
-        if args.verb == "verify":
-            return _cmd_verify(args, parser)
-        if args.verb == "audit":
-            return _cmd_audit(args)
-        parser.error(f"unknown verb {args.verb!r}")
+        return args.run(args)
     except (UnknownFamilyError, ParameterError) as exc:
         # KeyError-derived exceptions repr-quote their message via str().
         message = exc.args[0] if exc.args else str(exc)
@@ -275,7 +236,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    return 0
 
 
 if __name__ == "__main__":

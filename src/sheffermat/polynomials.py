@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .rationals import combine, common_denominator, format_rational, rat
 
@@ -180,26 +180,26 @@ class Poly:
         """The coefficients as exact strings, ascending degree (JSON form)."""
         return [format_rational(c) for c in self._coeffs]
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
+    def render(
+        self, scalar: Callable[[Fraction], str], power: Callable[[int], str], times: str
+    ) -> str:
+        """The nonzero terms by descending power ("0" if none): ``scalar``
+        writes |c|, ``power`` writes x^k (k >= 1), ``times`` joins the two on an
+        x-term, where |c| = 1 is dropped.  ``str`` gives "-x^2 + 3*x - 1/2"."""
         parts: list[str] = []
         for k in range(len(self._coeffs) - 1, -1, -1):
             c = self._coeffs[k]
             if c == 0:
                 continue
+            body = scalar(abs(c)) if k == 0 else power(k)
+            if k and abs(c) != 1:
+                body = f"{scalar(abs(c))}{times}{body}"
             sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if k == 0:
-                body = format_rational(mag)
-            else:
-                xpow = "x" if k == 1 else f"x^{k}"
-                body = xpow if mag == 1 else f"{format_rational(mag)}*{xpow}"
-            if not parts:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f"{sign} {body}")
-        return " ".join(parts)
+            parts.append(f"{sign} {body}" if parts else body if c > 0 else f"-{body}")
+        return " ".join(parts) or "0"
+
+    def __str__(self) -> str:
+        return self.render(format_rational, lambda k: "x" if k == 1 else f"x^{k}", "*")
 
     def __repr__(self) -> str:
         return f"Poly({[format_rational(c) for c in self._coeffs]})"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -314,6 +315,15 @@ def test_audit_table(capsys):
     assert all(line.startswith(("PASS", "FAIL")) for line in lines)
 
 
+def test_audit_table_bytes_are_frozen(capsys):
+    code, out, _ = run_cli(capsys, "audit", "--n", "12", "--format", "table")
+    assert code == 0
+    assert sum(line.startswith("FAIL") for line in out.splitlines()) == 63
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "bfddb9b6b02f767226e7503e96ae223fbc075bf8fa6cc6722e93f8a12e6dfcb7"
+    )
+
+
 def test_audit_rejects_small_n(capsys):
     code, _, err = run_cli(capsys, "audit", "--n", "2")
     assert code == 2
@@ -362,10 +372,33 @@ def test_repeated_param_is_usage_error(capsys):
     assert "--param lambda given more than once" in capsys.readouterr().err
 
 
-def test_negative_n_is_usage_error():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "monomial"],
+        ["coeffs", "--family", "monomial", "--theorem", "3.1"],
+        ["verify", "--family", "monomial"],
+        ["audit"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_n_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as info:
-        main(["gen", "--family", "monomial", "--n", "-1"])
+        main([*argv, "--n", "-1"])
     assert info.value.code == 2
+    assert "--n must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "n",
+    ["\u0663", "1_0", " 4 ", "+2"],
+    ids=["arabic-indic", "underscore", "spaces", "plus"],
+)
+def test_n_outside_ascii_digits_is_usage_error(n, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "--family", "monomial", "--n", n])
+    assert info.value.code == 2
+    assert "argument --n: invalid int value" in capsys.readouterr().err
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

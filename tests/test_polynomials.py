@@ -2,11 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sheffermat import Poly, polynomials
+from sheffermat.cli import poly_to_latex
 from sheffermat.polynomials import derivative_combination
+from sheffermat.rationals import format_rational
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 polys = st.lists(rationals, max_size=6).map(Poly)
@@ -87,6 +89,81 @@ def test_str_prints_descending_degree():
     assert str(Poly((Fraction(-1, 2), 1))) == "x - 1/2"
     assert str(Poly.zero()) == "0"
     assert str(Poly((0, 0, 1))) == "x^2"
+
+
+# The two renderers as they were written before they shared Poly.render; the
+# shared term walk must reproduce both exactly.
+
+
+def reference_str(p: Poly) -> str:
+    if p.is_zero:
+        return "0"
+    parts: list[str] = []
+    for k in range(len(p.coeffs) - 1, -1, -1):
+        c = p.coeffs[k]
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        if k == 0:
+            body = format_rational(mag)
+        else:
+            xpow = "x" if k == 1 else f"x^{k}"
+            body = xpow if mag == 1 else f"{format_rational(mag)}*{xpow}"
+        if not parts:
+            parts.append(body if sign == "+" else f"-{body}")
+        else:
+            parts.append(f"{sign} {body}")
+    return " ".join(parts)
+
+
+def reference_latex(p: Poly) -> str:
+    if p.is_zero:
+        return "0"
+    parts = []
+    for d in range(len(p) - 1, -1, -1):
+        c = p.coeff(d)
+        if c == 0:
+            continue
+        magnitude = abs(c)
+        if d == 0:
+            body = reference_latex_rational(magnitude)
+        else:
+            var = "x" if d == 1 else f"x^{{{d}}}"
+            body = var if magnitude == 1 else reference_latex_rational(magnitude) + var
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def reference_latex_rational(value: Fraction) -> str:
+    if value.denominator == 1:
+        return str(value.numerator)
+    sign = "-" if value < 0 else ""
+    return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+
+
+render_coeffs = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(-1000, 1000),
+    st.fractions(max_denominator=60),
+    st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**9),
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(render_coeffs, max_size=9).map(Poly))
+@example(Poly.zero())
+@example(Poly((1,)))
+@example(Poly((-1,)))
+@example(Poly((Fraction(-7, 3),)))
+@example(Poly((-1, 1, -1, 1)))
+@example(Poly((0, 0, Fraction(1, 2), 0, -1)))
+def test_render_matches_the_reference_renderers(p):
+    assert str(p) == reference_str(p)
+    assert poly_to_latex(p) == reference_latex(p)
 
 
 @given(polys, polys, polys)
