@@ -14,8 +14,9 @@ class NotInvertibleError(ShefferMatError, ValueError):
 
 
 class NotDeltaSeriesError(ShefferMatError, ValueError):
-    """A series that is not a delta series (f(0)=0, f'(0)!=0) was used
-    where composition or compositional inversion requires one."""
+    """A composition or exp met an inner series with nonzero constant term,
+    or compositional inversion (or another operation that needs a delta
+    series, f(0)=0 and f'(0)!=0) met a series that is not one."""
 
 
 class InsufficientOrderError(ShefferMatError, ValueError):

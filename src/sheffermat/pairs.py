@@ -8,12 +8,12 @@ sequence and identity code downstream can then assume it is well formed.
 Series derived from the pair (g = h^{-1}, 1/l, the sequence arrays, ...)
 live in ``pair.derived``: each is computed on first use, once, at the
 pair's order N (the identity vectors at N - 1, the order their extractors
-need), and kept.  Products, reciprocals, composition with a delta series
-and compositional inversion are prefix-stable, so a consumer that wants
-degree n <= N slices a stored value and gets exactly what a computation
-at order n would give.  The identities' (a, b, c) series are kept as
-their derivative vectors, and each sequence array is checked against its
-leading-coefficient contract once, when it is built.
+need), and kept.  Products, reciprocals, composition with a series of
+zero constant term and compositional inversion are prefix-stable, so a
+consumer that wants degree n <= N slices a stored value and gets exactly
+what a computation at order n would give.  The identities' (a, b, c)
+series are kept as their derivative vectors, and each sequence array is
+checked against its leading-coefficient contract once, when it is built.
 """
 
 from __future__ import annotations
@@ -85,7 +85,9 @@ def riordan_polys(d: TruncatedSeries, g: TruncatedSeries) -> tuple[Poly, ...]:
 
 
 class DerivedSeries:
-    """The derived series of one pair, each computed on first use and kept."""
+    """The derived series of one pair, each computed on first use and kept.
+    Every composite is 1/l or L = l'/l composed with g = h^{-1} or with h,
+    and h'(g) = 1/g' by the inverse-function rule."""
 
     def __init__(self, l: TruncatedSeries, h: TruncatedSeries):
         self.l, self.h = l, h
@@ -103,18 +105,11 @@ class DerivedSeries:
 
     @cached_property
     def reciprocal_l_of_g(self) -> TruncatedSeries:
-        return self.l.compose(self.g).reciprocal()
+        return self.reciprocal_l.compose(self.g)
 
     @cached_property
     def reciprocal_l_of_h(self) -> TruncatedSeries:
-        return self.l.compose(self.h).reciprocal()
-
-    @cached_property
-    def _of_g(self) -> tuple[TruncatedSeries, TruncatedSeries]:
-        """h'(g) and l'(g)/l(g), at order N - 1."""
-        g = self._low(self.g)
-        lp_over_l = self.l.derivative().compose(g) * self._low(self.reciprocal_l_of_g)
-        return self.h.derivative().compose(g), lp_over_l
+        return self.reciprocal_l.compose(self.h)
 
     def _checked(
         self, kind: str, polys: tuple[Poly, ...], lead: Fraction
@@ -140,13 +135,18 @@ class DerivedSeries:
 
     @cached_property
     def _lp_over_l(self) -> TruncatedSeries:
+        """L = l'/l."""
         return self.l.derivative() * self._low(self.reciprocal_l)
+
+    @cached_property
+    def _of_g(self) -> TruncatedSeries:
+        """l'(g)/l(g) = L(g)."""
+        return self._lp_over_l.compose(self._low(self.g))
 
     @cached_property
     def _recurrence_series(self) -> tuple[TruncatedSeries, ...]:
         a = self.h.derivative().reciprocal()
-        lp_of_h = self.l.derivative().compose(self._low(self.h))
-        return a, -lp_of_h * self._low(self.reciprocal_l_of_h), -self._lp_over_l * a
+        return a, -self._lp_over_l.compose(self._low(self.h)), -self._lp_over_l * a
 
     @cached_property
     def derivative_recurrence(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -160,16 +160,15 @@ class DerivedSeries:
 
     @cached_property
     def mixed_recurrence(self) -> tuple[tuple[Fraction, ...], ...]:
-        """h'(g), -h'(g) l'/l, -l'(g)/l(g)."""
-        hp, lp_over_l = self._of_g
-        return _vectors((hp, -hp * self._lp_over_l, -lp_over_l))
+        """h'(g) = 1/g', -h'(g) l'/l, -l'(g)/l(g)."""
+        hp = self.g.derivative().reciprocal()
+        return _vectors((hp, -hp * self._lp_over_l, -self._of_g))
 
     @cached_property
     def convolution_recurrence(self) -> tuple[tuple[Fraction, ...], ...]:
-        """1/h'(g), -l'/l, -l'(g)/(h'(g) l(g))."""
-        hp, lp_over_l = self._of_g
-        a = hp.reciprocal()
-        return _vectors((a, -self._lp_over_l, -lp_over_l * a))
+        """1/h'(g) = g', -l'/l, -l'(g)/(h'(g) l(g))."""
+        a = self.g.derivative()
+        return _vectors((a, -self._lp_over_l, -self._of_g * a))
 
 
 def _vectors(series) -> tuple[tuple[Fraction, ...], ...]:

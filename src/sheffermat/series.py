@@ -12,16 +12,18 @@ Binary operations require equal orders; mixing orders is a loud
 
 Beyond the ring operations the module provides the pieces of series
 calculus needed downstream: derivative, reciprocal of an invertible
-series, composition with a delta series (zero constant term, nonzero
-linear term), compositional inverse of a delta series (by Lagrange
-inversion), and the exponential of a series with zero constant term.
+series, composition with a series of zero constant term, compositional
+inverse of a delta series (zero constant term, nonzero linear term; by
+Lagrange inversion), and the exponential of a series with zero constant
+term, which is the series of e^y composed with it.
 
 The product runs on integers: the truncated product of two ``(D, numerators)``
 rows (:func:`~sheffermat.rationals.common_denominator`) is reduced once by
 the gcd of D and the numerators, and a loop of products by one fixed factor
 (:func:`power_rows`) scales that factor once.  The reciprocal is Newton
 iteration on the product; composition is Paterson-Stockmeyer (Brent & Kung,
-"Fast algorithms for manipulating formal power series", J. ACM 25, 1978, §2).
+"Fast algorithms for manipulating formal power series", J. ACM 25, 1978, §2)
+and the only routine that evaluates one series at another.
 """
 
 from __future__ import annotations
@@ -205,16 +207,18 @@ class TruncatedSeries:
     def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
         """self(inner(y)) truncated at the shared order.
 
-        ``inner`` must be a delta series of the same order; the zero
-        constant term is what makes the truncated composition exact.
-        Paterson-Stockmeyer: the m ~ sqrt(n) baby powers inner^0..inner^(m-1)
-        and the giant step inner^m cost about 2 sqrt(n) products, not n.
+        ``inner`` must have the same order and a zero constant term, which
+        is what makes the truncated composition exact; its linear term may
+        be zero too.  Paterson-Stockmeyer: the m ~ sqrt(n) baby powers
+        inner^0..inner^(m-1) and the giant step inner^m cost about
+        2 sqrt(n) products, not n.
         """
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("compose expects a TruncatedSeries")
         self._require_same_order(inner, "compose")
-        if not inner.is_delta:
-            raise NotDeltaSeriesError("composition requires a delta series inner factor")
+        if inner._coeffs[0] != 0:
+            msg = "composition requires an inner series with zero constant term"
+            raise NotDeltaSeriesError(msg)
         m = max(1, math.isqrt(self.order + 1))
         *baby, giant = power_rows(common_denominator(inner._coeffs), m)
         chunks = [self._coeffs[k : k + m] for k in range(0, self.order + 1, m)]
@@ -244,19 +248,10 @@ class TruncatedSeries:
         return inverse
 
     def exp(self) -> TruncatedSeries:
-        """exp(self) = sum self^k / k!, requiring a zero constant term."""
-        if self._coeffs[0] != 0:
-            raise NotDeltaSeriesError(
-                "exp of a truncated series requires a zero constant term"
-            )
-        # Horner on one integer row: 1 + g/1*(1 + g/2*(1 + ... (1 + g/n)))
-        fixed = common_denominator(self._coeffs)
-        den, row = 1, [1] + [0] * self.order
-        for k in range(self.order, 0, -1):
-            den, row = _product(fixed, (den, row))
-            den *= k
-            row[0] += den
-        return TruncatedSeries([Fraction(c, den) for c in row])
+        """exp(self) = sum self^k / k!: the series of e^y composed with
+        self, so the constant term must be zero."""
+        e = [Fraction(1, math.factorial(k)) for k in range(self.order + 1)]
+        return TruncatedSeries(e).compose(self)
 
     def derivatives_at_zero(self) -> tuple[Fraction, ...]:
         """The vector [f(0), f'(0), ..., f^(order)(0)], i.e. k! * coeffs[k]."""

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sheffermat.cli as cli
-from sheffermat import CheckResult, InsufficientOrderError, Poly
+from sheffermat import FAMILIES, LABELS, CheckResult, InsufficientOrderError, Poly
 from sheffermat.cli import main, poly_to_latex
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -179,6 +179,27 @@ def test_coeffs_laguerre(capsys):
     assert payload["family"] == "laguerre"
     assert payload["parameters"] == {"lambda": "0"}
     assert payload["n"] == 4
+
+
+@pytest.mark.parametrize("theorem", LABELS)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_coeffs_n_zero_is_the_k0_prefix(capsys, family, theorem):
+    # n = 0 builds an order-1 pair, whose order-0 h and g are zero series
+    params = [
+        arg
+        for name, value in (("lambda", "5/2"), ("m", "2"))
+        if name in FAMILIES[family].params
+        for arg in ("--param", f"{name}={value}")
+    ]
+    argv = ["coeffs", "--family", family, *params, "--theorem", theorem, "--n"]
+    code, out, err = run_cli(capsys, *argv, "0")
+    assert (code, err) == (0, "")
+    code, one, _ = run_cli(capsys, *argv, "1")
+    assert code == 0
+    zero, one = json.loads(out), json.loads(one)
+    assert zero["n"] == 0
+    for key in "abc":
+        assert zero[key] == one[key][:1]
 
 
 def test_coeffs_requires_known_theorem(capsys):

@@ -38,7 +38,7 @@ from sheffermat import (
     sheffer_sequence,
     wronskian_powers_matrix,
 )
-from sheffermat.pairs import DerivedSeries
+from sheffermat.pairs import DerivedSeries, riordan_polys
 
 # -- sympy oracle on random valid pairs --------------------------------------
 
@@ -416,3 +416,111 @@ def test_leading_coefficient_contract_runs_once_per_array(monkeypatch):
         sheffer_appell_sequence(pair, n)
         sheffer_sequence(pair, n)
     assert sorted(calls) == ["sheffer", "sheffer_appell"]
+
+
+# -- the derived series against the formulas they replaced --------------------
+
+
+def reference_derived(pair: ShefferPair) -> dict:
+    """The derived series by the formulas the engine used before every
+    composite became 1/l or l'/l composed with g or h: l, l' and h' are
+    composed separately and the compositions inverted."""
+    l, h = pair.l, pair.h
+
+    def low(s):
+        return s.truncate(pair.order - 1)
+
+    g = h.compositional_inverse()
+    rl = l.reciprocal()
+    rl_g, rl_h = l.compose(g).reciprocal(), l.compose(h).reciprocal()
+    lp, hp = l.derivative(), h.derivative()
+    lp_over_l = lp * low(rl)
+    lp_over_l_of_g = lp.compose(low(g)) * low(rl_g)
+    hp_of_g = hp.compose(low(g))
+    a = hp.reciprocal()
+    recurrence = (a, -lp.compose(low(h)) * low(rl_h), -lp_over_l * a)
+    series = {
+        "derivative_recurrence": recurrence,
+        "differential_equation": [low(h) * s for s in recurrence],
+        "mixed_recurrence": (hp_of_g, -hp_of_g * lp_over_l, -lp_over_l_of_g),
+        "convolution_recurrence": (
+            hp_of_g.reciprocal(),
+            -lp_over_l,
+            -lp_over_l_of_g * hp_of_g.reciprocal(),
+        ),
+    }
+    return {
+        "reciprocal_l_of_g": rl_g,
+        "reciprocal_l_of_h": rl_h,
+        "sheffer_polys": riordan_polys(rl_g, g),
+        "sheffer_appell_polys": riordan_polys(rl_g * rl, g),
+        **{k: tuple(s.derivatives_at_zero() for s in v) for k, v in series.items()},
+    }
+
+
+def assert_matches_reference(pair: ShefferPair) -> None:
+    want = reference_derived(pair)
+    assert {name: getattr(pair.derived, name) for name in want} == want
+
+
+@st.composite
+def wide_pairs(draw):
+    """Orders 2..12 with h'(0) != 1, so 1/g' differs from g'."""
+    order = draw(st.integers(min_value=2, max_value=12))
+    l = [draw(nonzero)] + [draw(small) for _ in range(order)]
+    h1 = draw(nonzero.filter(lambda q: q != 1))
+    h = [Fraction(0), h1] + [draw(small) for _ in range(order - 1)]
+    return ShefferPair(TruncatedSeries(l), TruncatedSeries(h))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_pairs())
+def test_derived_series_match_reference_on_random_pairs(pair):
+    assert_matches_reference(pair)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_derived_series_match_reference_on_catalog(family):
+    params = {"lambda": Fraction(5, 2), "m": 2}
+    spec_params = {k: v for k, v in params.items() if k in FAMILIES[family].params}
+    assert_matches_reference(make_pair(family, 40, spec_params))
+
+
+def test_extractors_at_n_zero_on_an_order_one_pair():
+    # l = 2 + 3y, h = 5y: the identity vectors live at order 0, where the
+    # truncated h and g are the zero series
+    pair = ShefferPair(TruncatedSeries([2, 3]), TruncatedSeries([0, 5]))
+    f = Fraction
+    want = {
+        "2.1": ((0,), (0,), (0,)),
+        "3.1": ((f(1, 5),), (f(-3, 2),), (f(-3, 10),)),
+        "3.2": ((5,), (f(-15, 2),), (f(-3, 2),)),
+        "3.3": ((f(1, 5),), (f(-3, 2),), (f(-3, 10),)),
+    }
+    for label, extract in COEFF_EXTRACTORS.items():
+        t = extract(pair, 0)
+        assert (t.a, t.b, t.c) == want[label]
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("laguerre", {"lambda": Fraction(5, 2)}), ("log-assoc", {}), ("hermite", {})],
+)
+def test_full_derived_build_cost(monkeypatch, family, params):
+    """Both arrays, 1/l(h) and the four vector sets: five compositions (one
+    checks g = h^-1) and four reciprocals."""
+    pair = make_pair(family, 12, params)
+    calls = []
+    for name in ("compose", "reciprocal"):
+        method = getattr(TruncatedSeries, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(TruncatedSeries, name, counted)
+    d = pair.derived
+    d.sheffer_polys, d.sheffer_appell_polys, d.reciprocal_l_of_h
+    for label in LABELS:
+        COEFF_EXTRACTORS[label](pair, 11)
+    assert (calls.count("compose"), calls.count("reciprocal")) == (5, 4)

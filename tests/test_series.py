@@ -388,13 +388,28 @@ def horner_exp(g):
     return result
 
 
-compose_orders = st.integers(min_value=1, max_value=40)
+compose_orders = st.integers(min_value=0, max_value=40)
 
 
-@settings(max_examples=40, deadline=None)
+def zero_constant_strategy(order):
+    """An inner series: a delta series, or one whose linear term is zero
+    too (y^2, y^3 + y^5, the zero series or random), truncated at order."""
+    special = ([0, 0, 1], [0, 0, 0, 1, 0, 1], [0])
+    fixed = st.sampled_from([TruncatedSeries(cs[: order + 1], order) for cs in special])
+    if order < 2:
+        return st.one_of(fixed, delta_strategy(order)) if order else fixed
+    no_linear = st.tuples(*[rationals] * (order - 1)).map(
+        lambda cs: TruncatedSeries((Fraction(0), Fraction(0)) + cs)
+    )
+    return st.one_of(fixed, no_linear, delta_strategy(order))
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     compose_orders.flatmap(
-        lambda n: st.tuples(kernel_operand(n, constant=rationals), delta_strategy(n))
+        lambda n: st.tuples(
+            kernel_operand(n, constant=rationals), zero_constant_strategy(n)
+        )
     )
 )
 def test_compose_matches_horner(operands):
@@ -429,8 +444,8 @@ def test_compositional_inverse_matches_repeated_products(h):
     assert h.compositional_inverse() == lagrange_inverse(h)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=15).flatmap(delta_strategy))
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=15).flatmap(zero_constant_strategy))
 def test_exp_matches_repeated_products(g):
     assert g.exp() == horner_exp(g)
 
