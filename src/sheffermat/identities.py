@@ -32,8 +32,8 @@ There is also the matrix factorization: the lower triangular matrix of
 scaled x-derivatives sA_i^(j)(x)/j! equals
 W[1, g, ..., g^n] Omega^{-1} P[1/l] P[1/l(h)] P[e^{xy}] with g = h^{-1},
 all evaluated at y = 0.  It is checked over the rationals, without the
-fixed polynomial factor P[e^{xy}], and one size-n product answers it for
-every size 0..n (see :func:`first_factorization_mismatch`).
+fixed polynomial factor P[e^{xy}], and one size-n product, kept with the
+pair, answers it for every size 0..n (see :func:`first_factorization_mismatch`).
 """
 
 from __future__ import annotations
@@ -167,18 +167,22 @@ def first_factorization_mismatch(pair: ShefferPair, n: int) -> int:
     """The first row i <= n where the size-n factorization differs, else n + 1.
 
     By the prefix argument of :func:`factorization_check`, the size-d
-    factorization holds exactly when d is below the returned row.
+    factorization holds exactly when d is below the returned row.  R is kept
+    on ``pair.derived``, rebuilt only for an n above any size built so far
+    and otherwise sliced; the sequence is read and compared on every call.
     """
     s = sheffer_appell_sequence(pair, n)
     d = pair.derived
-    rhs = (
-        wronskian_powers_matrix(d.g, n)
-        @ omega_inverse(n)
-        @ pascal_matrix(d.reciprocal_l, n)
-        @ pascal_matrix(d.reciprocal_l_of_h, n)
-    )
+    rhs = d.factorization_product
+    if rhs is None or rhs.rows <= n:
+        rhs = d.factorization_product = (
+            wronskian_powers_matrix(d.g, n)
+            @ omega_inverse(n)
+            @ pascal_matrix(d.reciprocal_l, n)
+            @ pascal_matrix(d.reciprocal_l_of_h, n)
+        )
     for i, p in enumerate(s):
-        if p.coeffs + (Fraction(0),) * (n - i) != rhs.row(i):
+        if p.coeffs + (Fraction(0),) * (n - i) != rhs.row(i)[: n + 1]:
             return i
     return n + 1
 
@@ -195,7 +199,8 @@ def factorization_check(pair: ShefferPair, n: int) -> bool:
     Prefix argument: the four factors of R are lower triangular with
     entries that do not depend on n, so the leading (d+1) x (d+1) block of
     the size-n R is the size-d R, and row i of the left side depends only
-    on sA_i.  So one size-n comparison decides every size d <= n.
+    on sA_i.  So one size-n comparison decides every size d <= n, and the
+    size-n R is the leading block of any larger R a pair has kept.
     """
     return first_factorization_mismatch(pair, n) > n
 

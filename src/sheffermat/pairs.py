@@ -91,6 +91,7 @@ class DerivedSeries:
 
     def __init__(self, l: TruncatedSeries, h: TruncatedSeries):
         self.l, self.h = l, h
+        self.factorization_product = None  # see first_factorization_mismatch
 
     def _low(self, series: TruncatedSeries) -> TruncatedSeries:
         return series.truncate(self.l.order - 1)

@@ -5,12 +5,13 @@ no trailing zero coefficient, the zero polynomial is the empty tuple.
 The degree of the zero polynomial is ``-inf`` (a sentinel that compares
 correctly against every integer degree) rather than -1.
 
-Polynomials are immutable and hashable; all arithmetic is exact.
+Polynomials are immutable and hashable (by their coefficients alone); all
+arithmetic is exact.  ``Poly.row`` keeps the integer row of the coefficients.
 
 :func:`derivative_combination` forms every sum
 sum_t (beta_t + alpha_t x) q_t^(k_t)(x)/k_t! in the package: the four
 identity residuals and the five printed recurrences of the worked-example
-audit.  It and the product of two polynomials build integer rows and
+audit.  It and the product of two polynomials read integer rows and
 leave the sum to :func:`sheffermat.rationals.combine`.
 """
 
@@ -35,10 +36,11 @@ def _canonical(coeffs: Iterable[Fraction]) -> tuple[Fraction, ...]:
 class Poly:
     """A polynomial in x over the rationals, in canonical dense form."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_row")
 
     def __init__(self, coeffs: Iterable[Fraction | int | str] = ()):
         self._coeffs = _canonical(rat(c) for c in coeffs)
+        self._row: tuple[int, list[int]] | None = None
 
     # -- constructors ------------------------------------------------
 
@@ -69,6 +71,13 @@ class Poly:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return self._coeffs
+
+    @property
+    def row(self) -> tuple[int, list[int]]:
+        """``common_denominator(self.coeffs)``, computed on first use and kept."""
+        if self._row is None:
+            self._row = common_denominator(self._coeffs)
+        return self._row
 
     @property
     def degree(self) -> int | float:
@@ -126,7 +135,7 @@ class Poly:
 
     def __mul__(self, other: Poly | Scalar) -> Poly:
         if isinstance(other, Poly):
-            den, row = common_denominator(other._coeffs)
+            den, row = other.row
             shifted = [(den, [0] * i + row) for i in range(len(self._coeffs))]
             return Poly(combine(self._coeffs, shifted))
         if isinstance(other, (Fraction, int)):
@@ -210,16 +219,13 @@ def derivative_combination(terms: Sequence[tuple[Scalar, Scalar, Poly, int]]) ->
 
     The x^j coefficient of q^(k)/k! is C(j+k, k) q_{j+k}; the alpha x part
     is that row shifted up one place (an empty row when alpha is zero, as
-    combine never reads a zero-weight row).  Each distinct q is scaled to
-    integers once, and the rows are summed by
+    combine never reads a zero-weight row).  Each q is read as its kept
+    ``q.row``, scaled once for every call, and the rows are summed by
     :func:`~sheffermat.rationals.combine`.
     """
-    terms = [term for term in terms if term[0] or term[1]]
-    polys = {id(q): q for _, _, q, _ in terms}
-    scaled = {key: common_denominator(q.coeffs) for key, q in polys.items()}
     weights, rows = [], []
-    for alpha, beta, q, k in terms:
-        den, p = scaled[id(q)]
+    for alpha, beta, q, k in (term for term in terms if term[0] or term[1]):
+        den, p = q.row
         row = [math.comb(m, k) * c for m, c in enumerate(p[k:], k)] if k else p
         weights += [beta, alpha]
         rows += [(den, row), (den, [0, *row] if alpha else [])]

@@ -9,10 +9,9 @@ a bit-exact round trip.
 :func:`combine` is the one exact row-combination routine of the package:
 matrix products, the derivative combinations behind the identity
 residuals and the audit's printed recurrences, polynomial products and the
-binomial convolution of sequences
-all run through it.  A row is scaled to integers once
-(:func:`common_denominator`), the sum runs on integers, and each output
-entry is reduced once.
+binomial convolution of sequences all run through it.  A row is scaled to
+integers once (:func:`common_denominator`; a polynomial keeps its row as
+``Poly.row``), the sum runs on integers, and each output entry is reduced once.
 """
 
 from __future__ import annotations

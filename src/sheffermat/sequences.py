@@ -15,8 +15,8 @@ a lower degree reproduces the same polynomials; their leading-coefficient
 contract is checked there, once per array.  The Appell array needs only
 1/l: its x^k coefficient of degree i is C(i, k) (1/l)^(i-k)(0).
 
-The binomial convolution scales each polynomial of its input to integers
-once and forms every degree with :func:`sheffermat.rationals.combine`.
+The binomial convolution reads each input polynomial's kept ``Poly.row``
+and forms every degree with :func:`sheffermat.rationals.combine`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Sequence
 from .errors import InsufficientOrderError, NotInvertibleError
 from .pairs import ShefferPair
 from .polynomials import Poly
-from .rationals import Rational, combine, common_denominator
+from .rationals import Rational, combine
 from .series import TruncatedSeries
 
 KINDS = ("sheffer", "appell", "sheffer_appell")
@@ -109,7 +109,7 @@ def discrete_convolution(
         raise ValueError(
             f"kernel has {len(kernel)} entries but degree {top} needs {top + 1}"
         )
-    rows = [common_denominator(p.coeffs) for p in s]
+    rows = [p.row for p in s]
     polys = tuple(
         Poly(combine([math.comb(n, k) * kernel[k] for k in range(n + 1)], rows[n::-1]))
         for n in range(top + 1)

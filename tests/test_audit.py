@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from sheffermat import (
     run_worked_example_audit,
     sheffer_appell_sequence,
 )
-from sheffermat import audit
+from sheffermat import audit, polynomials
 from sheffermat.polynomials import derivative_combination
 
 # Status-per-degree vectors for the default parameters (lambda = 0, m = 0),
@@ -200,6 +201,25 @@ def test_kernel_terms_match_reference_loops(lam, m):
             nonzero += not expected.is_zero
     # Most printed identities fail, so the comparison is not between zeros.
     assert nonzero > 3 * (n + 1)
+
+
+def test_audit_scales_each_sequence_polynomial_once(monkeypatch):
+    calls = []
+    honest = polynomials.common_denominator
+
+    def counted(values):
+        calls.append(values)
+        return honest(values)
+
+    monkeypatch.setattr(polynomials, "common_denominator", counted)
+    run_worked_example_audit(12)
+    assert len({id(values) for values in calls}) == len(calls)
+    sequences = (
+        sheffer_appell_sequence(make_pair("laguerre", 14, {"lambda": 0}), 13),
+        sheffer_appell_sequence(make_pair("miller-lee", 14, {"m": 0}), 13),
+    )
+    want = Counter(p.coeffs for s in sequences for p in s)
+    assert Counter(calls) == want
 
 
 def test_report_json_at_nonzero_parameters():

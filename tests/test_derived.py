@@ -33,6 +33,7 @@ from sheffermat import (
     make_pair,
     omega_inverse,
     pascal_matrix,
+    polynomials,
     residual_checks,
     sheffer_appell_sequence,
     sheffer_sequence,
@@ -276,6 +277,72 @@ def test_lemma_sweep_builds_one_product(monkeypatch):
     assert calls == [10]
 
 
+# -- the factorization product kept on the pair ------------------------------
+
+
+def count_products(monkeypatch) -> list[int]:
+    """The sizes of the factorization products built from now on."""
+    calls = []
+    powers = identities.wronskian_powers_matrix
+
+    def counted(h, n):
+        calls.append(n)
+        return powers(h, n)
+
+    monkeypatch.setattr(identities, "wronskian_powers_matrix", counted)
+    return calls
+
+
+def test_factorization_product_is_rebuilt_only_for_a_larger_size(monkeypatch):
+    calls = count_products(monkeypatch)
+    pair = make_pair("laguerre", 12, {"lambda": Fraction(5, 2)})
+    for n in (8, 3, 8, 0, 5, 8):
+        assert factorization_check(pair, n)
+    assert calls == [8]
+    assert factorization_check(pair, 11)
+    assert calls == [8, 11]
+    for n in range(12):
+        assert factorization_check(pair, n)
+    assert calls == [8, 11]
+
+
+@pytest.mark.parametrize("broken_first", [False, True])
+@pytest.mark.parametrize("row", [0, 4, 7])
+def test_kept_product_does_not_hide_a_broken_row(monkeypatch, row, broken_first):
+    calls = count_products(monkeypatch)
+    pair = make_pair("log-assoc", 11)
+
+    def sweep(n, broken):
+        with monkeypatch.context() as patch:
+            if broken:
+                break_row(patch, row)
+            return [c.passed for c in lemma_checks(pair, n)]
+
+    for broken in (broken_first, not broken_first):
+        for n in (9, 7):
+            want = [d < row or not broken for d in range(n + 1)]
+            assert sweep(n, broken) == want
+    assert calls == [9]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(SWEEP_PAIRS),
+    st.lists(st.tuples(st.integers(0, 10), st.integers(0, 11)), min_size=1, max_size=6),
+)
+def test_kept_product_answers_as_a_fresh_pair(family_params, calls):
+    # each call (n, row) breaks sA_row; row 11 lies beyond every n
+    family, params = family_params
+    pair = make_pair(family, 10, params)
+    for n, row in calls:
+        with pytest.MonkeyPatch.context() as patch:
+            break_row(patch, row)
+            fresh = make_pair(family, 10, params)
+            want = identities.first_factorization_mismatch(fresh, n)
+            assert identities.first_factorization_mismatch(pair, n) == want
+            assert want == min(row, n + 1)
+
+
 # -- production-matrix oracle -------------------------------------------------
 
 
@@ -353,6 +420,22 @@ def test_sweep_inverts_h_once_per_pair(monkeypatch):
         assert all(r.passed for r in residual_checks(pair, 6, LABELS))
         assert all(r.passed for r in lemma_checks(pair, 6))
     assert len(calls) == len(pairs_)
+
+
+def test_sweep_scales_each_sequence_polynomial_once(monkeypatch):
+    calls = []
+    honest = polynomials.common_denominator
+
+    def counted(values):
+        calls.append(values)
+        return honest(values)
+
+    monkeypatch.setattr(polynomials, "common_denominator", counted)
+    pair = make_pair("log-assoc", 12)
+    assert all(r.passed for r in residual_checks(pair, 10, LABELS))
+    assert all(r.passed for r in residual_checks(pair, 10, LABELS))
+    scaled = sorted(id(values) for values in calls)
+    assert scaled == sorted(id(p.coeffs) for p in sheffer_appell_sequence(pair, 11))
 
 
 def test_log_derivative_of_l_is_built_once_per_pair(monkeypatch):

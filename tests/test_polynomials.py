@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sheffermat import Poly, polynomials
 from sheffermat.cli import poly_to_latex
 from sheffermat.polynomials import derivative_combination
-from sheffermat.rationals import format_rational
+from sheffermat.rationals import common_denominator, format_rational
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 polys = st.lists(rationals, max_size=6).map(Poly)
@@ -191,6 +191,20 @@ def test_serialization_round_trip(p):
     assert Poly(p.to_strings()) == p
 
 
+@given(polys)
+def test_row_is_the_kept_common_denominator_row(p):
+    assert p.row == common_denominator(p.coeffs)
+    assert p.row is p.row
+
+
+@given(polys)
+def test_equality_and_hash_ignore_the_kept_row(p):
+    fresh = Poly(p.coeffs)
+    assert p.row is not None  # p keeps its row, fresh has none yet
+    assert p == fresh and hash(p) == hash(fresh)
+    assert {p: 1}[fresh] == 1
+
+
 def test_derivative_combination_scales_each_distinct_poly_once(monkeypatch):
     p, q = Poly((Fraction(1, 2), 3, Fraction(-2, 7))), Poly((5, Fraction(1, 3)))
     calls = []
@@ -203,6 +217,8 @@ def test_derivative_combination_scales_each_distinct_poly_once(monkeypatch):
     monkeypatch.setattr(polynomials, "common_denominator", counted)
     terms = [(1, 2, p, 0), (0, 1, p, 1), (Fraction(1, 3), 0, q, 0), (0, 0, q, 1)]
     got = derivative_combination(terms * 3)
+    assert calls == [p.coeffs, q.coeffs]
+    assert derivative_combination(terms) * 3 == got
     assert calls == [p.coeffs, q.coeffs]
     x = Poly.x()
     once = (x + 2) * p + p.derivative() + Fraction(1, 3) * x * q

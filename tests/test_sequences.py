@@ -18,7 +18,7 @@ from sheffermat import (
     sheffer_appell_sequence,
     sheffer_sequence,
 )
-from sheffermat import rationals, sequences
+from sheffermat import polynomials, rationals
 from sheffermat.polynomials import derivative_combination
 
 
@@ -219,7 +219,10 @@ def test_convolution_scales_each_polynomial_once(monkeypatch):
         return honest(values)
 
     monkeypatch.setattr(rationals, "common_denominator", counted)
-    monkeypatch.setattr(sequences, "common_denominator", counted)
+    monkeypatch.setattr(polynomials, "common_denominator", counted)
+    discrete_convolution(appell_kernel(pair.l), seq)
+    assert sorted(scaled) == sorted(coeffs)
+    # a second convolution reads the rows the polynomials kept
     discrete_convolution(appell_kernel(pair.l), seq)
     assert sorted(scaled) == sorted(coeffs)
 
