@@ -18,9 +18,9 @@ printed identity does not hold as displayed, not an engine defect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import Record
 from .families import make_pair
 from .identities import (
     CoeffTriple,
@@ -44,8 +44,7 @@ IDENTITY_IDS = (
 )
 
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(Record):
     identity: str
     parameters: dict
     n: int
@@ -70,8 +69,7 @@ class AuditEntry:
         }
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     entries: tuple[AuditEntry, ...]
 
     def __iter__(self):

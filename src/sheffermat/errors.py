@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the value-record base."""
 
 
 class ShefferMatError(Exception):
@@ -34,3 +34,53 @@ class ParameterError(ShefferMatError, ValueError):
 class ContractError(ShefferMatError):
     """An internal consistency check failed: a computed result broke a
     relation it must satisfy.  Raised explicitly, so it survives python -O."""
+
+
+class Record:
+    """Base of a frozen value record, in place of ``@dataclass(frozen=True)``.
+    Its fields are the subclass's own annotations, in order; a class attribute
+    is a default.  ``__init__`` takes them by position or keyword and calls
+    ``__post_init__``; ``==``, ``hash`` and ``repr`` go by value."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = dict(zip(fields, args))
+        for key in kwargs:
+            if key not in fields or key in values:
+                raise TypeError(f"{type(self).__name__}() got a bad argument {key!r}")
+        values.update(kwargs)
+        if len(values) < len(fields):
+            values = {**self._defaults, **values}
+        if len(values) < len(fields) or len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {fields}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([self.__dict__[f] for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -10,11 +10,10 @@ them as repeatable ``--param name=value`` flags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .errors import ParameterError, UnknownFamilyError
+from .errors import ParameterError, Record, UnknownFamilyError
 from .pairs import ShefferPair
 from .rationals import Rational, rat
 from .series import TruncatedSeries
@@ -85,8 +84,7 @@ def _log_assoc(order: int, params: Params) -> ShefferPair:
     return ShefferPair.associated(h)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     name: str
     description: str
     params: tuple[str, ...]

@@ -39,10 +39,9 @@ pair, answers it for every size 0..n (see :func:`first_factorization_mismatch`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ContractError, InsufficientOrderError
+from .errors import ContractError, InsufficientOrderError, Record
 from .matrices import omega_inverse, pascal_matrix, wronskian_powers_matrix
 from .pairs import ShefferPair
 from .polynomials import Poly, derivative_combination
@@ -53,8 +52,7 @@ from .sequences import sheffer_appell_sequence
 LABELS = ("2.1", "3.1", "3.2", "3.3")
 
 
-@dataclass(frozen=True)
-class CoeffTriple:
+class CoeffTriple(Record):
     """The exact (a, b, c) vectors of one identity, k = 0..n."""
 
     label: str

@@ -18,7 +18,6 @@ checked against its leading-coefficient contract once, when it is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
@@ -28,14 +27,14 @@ from .errors import (
     NotDeltaSeriesError,
     NotInvertibleError,
     OrderMismatchError,
+    Record,
 )
 from .polynomials import Poly
 from .rationals import common_denominator
 from .series import TruncatedSeries, power_rows
 
 
-@dataclass(frozen=True)
-class ShefferPair:
+class ShefferPair(Record):
     l: TruncatedSeries
     h: TruncatedSeries
 

@@ -22,10 +22,9 @@ and forms every degree with :func:`sheffermat.rationals.combine`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InsufficientOrderError, NotInvertibleError
+from .errors import InsufficientOrderError, NotInvertibleError, Record
 from .pairs import ShefferPair
 from .polynomials import Poly
 from .rationals import Rational, combine
@@ -34,8 +33,7 @@ from .series import TruncatedSeries
 KINDS = ("sheffer", "appell", "sheffer_appell")
 
 
-@dataclass(frozen=True)
-class PolySequence:
+class PolySequence(Record):
     """A finite run polys[0..n] of a polynomial sequence, index = degree."""
 
     kind: str

@@ -12,10 +12,10 @@ aggregate pass/fail and print diagnostics uniformly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .errors import Record
 from .families import make_pair
 from .identities import LABELS, RESIDUALS, first_factorization_mismatch
 from .matrices import (
@@ -34,8 +34,7 @@ DEFAULT_SEED = 1729
 DEFAULT_CASES = 200
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     detail: str = ""
