@@ -8,6 +8,8 @@ behind them.  All arithmetic uses fractions.Fraction; nothing is
 floating point.
 """
 
+from types import ModuleType as _ModuleType
+
 from .audit import (
     FAIL,
     IDENTITY_IDS,
@@ -66,9 +68,7 @@ from .rationals import Rational, format_rational, parse_rational, rat
 from .sequences import (
     KINDS,
     PolySequence,
-    appell_kernel,
     appell_sequence,
-    discrete_convolution,
     sheffer_appell_sequence,
     sheffer_sequence,
 )
@@ -83,66 +83,8 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditEntry",
-    "FAIL",
-    "IDENTITY_IDS",
-    "PASS",
-    "AuditReport",
-    "CheckResult",
-    "CoeffTriple",
-    "COEFF_EXTRACTORS",
-    "ContractError",
-    "FAMILIES",
-    "FamilySpec",
-    "InsufficientOrderError",
-    "KINDS",
-    "LABELS",
-    "Matrix",
-    "NotDeltaSeriesError",
-    "NotInvertibleError",
-    "OrderMismatchError",
-    "ParameterError",
-    "Poly",
-    "PolySequence",
-    "Rational",
-    "RESIDUALS",
-    "ShefferMatError",
-    "ShefferPair",
-    "TruncatedSeries",
-    "UnknownFamilyError",
-    "appell_kernel",
-    "appell_sequence",
-    "associated_residual",
-    "binomial_series",
-    "check_property_composition",
-    "check_property_product_pascal",
-    "check_property_product_wronskian",
-    "convolution_recurrence_coeffs",
-    "convolution_recurrence_residual",
-    "derivative_recurrence_coeffs",
-    "derivative_recurrence_residual",
-    "differential_equation_coeffs",
-    "differential_equation_residual",
-    "discrete_convolution",
-    "factorization_check",
-    "format_rational",
-    "lemma_checks",
-    "list_families",
-    "make_pair",
-    "mixed_recurrence_coeffs",
-    "mixed_recurrence_residual",
-    "omega",
-    "omega_inverse",
-    "parse_rational",
-    "pascal_matrix",
-    "property_suite",
-    "rat",
-    "residual_checks",
-    "run_worked_example_audit",
-    "sheffer_appell_sequence",
-    "sheffer_sequence",
-    "verify_family",
-    "wronskian_powers_matrix",
-    "wronskian_vector",
-]
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

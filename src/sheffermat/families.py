@@ -43,6 +43,7 @@ def _laguerre(order: int, params: Params) -> ShefferPair:
     lam = params["lambda"]
     l = binomial_series(-(lam + 1), order)
     # y/(y - 1) = -y - y^2 - y^3 - ...
+    # h is an involution (g = h) and l(g) l = 1: Sheffer-Appell is free of lambda
     h = TruncatedSeries([Fraction(0)] + [Fraction(-1)] * order)
     return ShefferPair(l, h)
 

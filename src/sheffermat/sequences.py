@@ -14,20 +14,15 @@ order (``pair.derived``, see :mod:`sheffermat.pairs`) and sliced here, so
 a lower degree reproduces the same polynomials; their leading-coefficient
 contract is checked there, once per array.  The Appell array needs only
 1/l: its x^k coefficient of degree i is C(i, k) (1/l)^(i-k)(0).
-
-The binomial convolution reads each input polynomial's kept ``Poly.row``
-and forms every degree with :func:`sheffermat.rationals.combine`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from .errors import InsufficientOrderError, NotInvertibleError, Record
 from .pairs import ShefferPair
 from .polynomials import Poly
-from .rationals import Rational, combine
 from .series import TruncatedSeries
 
 KINDS = ("sheffer", "appell", "sheffer_appell")
@@ -45,10 +40,6 @@ class PolySequence(Record):
         for k, p in enumerate(self.polys):
             if p.degree != k:
                 raise ValueError(f"polys[{k}] must have degree {k}, got {p!r}")
-
-    @property
-    def top_degree(self) -> int:
-        return len(self.polys) - 1
 
     def __len__(self) -> int:
         return len(self.polys)
@@ -92,31 +83,3 @@ def appell_sequence(l: TruncatedSeries, n: int) -> PolySequence:
         Poly(math.comb(i, k) * dv[i - k] for k in range(i + 1)) for i in range(n + 1)
     )
     return PolySequence("appell", polys)
-
-
-def discrete_convolution(
-    kernel: Sequence[Rational], s: PolySequence
-) -> PolySequence:
-    """Binomial convolution result_n = sum_k C(n, k) * kernel[k] * s[n-k].
-
-    With kernel = the derivative vector of 1/l and s the Sheffer sequence
-    of (l, h), this reproduces the Sheffer-Appell sequence of the pair.
-    """
-    top = s.top_degree
-    if len(kernel) < top + 1:
-        raise ValueError(
-            f"kernel has {len(kernel)} entries but degree {top} needs {top + 1}"
-        )
-    rows = [p.row for p in s]
-    polys = tuple(
-        Poly(combine([math.comb(n, k) * kernel[k] for k in range(n + 1)], rows[n::-1]))
-        for n in range(top + 1)
-    )
-    return PolySequence(s.kind, polys)
-
-
-def appell_kernel(l: TruncatedSeries) -> tuple[Rational, ...]:
-    """Derivative vector of 1/l at 0, the kernel pairing with sheffer_sequence."""
-    if not l.is_invertible:
-        raise NotInvertibleError("l must have a nonzero constant term")
-    return l.reciprocal().derivatives_at_zero()

@@ -39,10 +39,6 @@ class CheckResult(Record):
     passed: bool
     detail: str = ""
 
-    @property
-    def status(self) -> str:
-        return "PASS" if self.passed else "FAIL"
-
 
 def residual_checks(
     pair: ShefferPair, n: int, labels: Sequence[str] | None = None

@@ -2,8 +2,6 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sheffermat import (
     InsufficientOrderError,
@@ -11,15 +9,11 @@ from sheffermat import (
     Poly,
     PolySequence,
     TruncatedSeries,
-    appell_kernel,
     appell_sequence,
-    discrete_convolution,
     make_pair,
     sheffer_appell_sequence,
     sheffer_sequence,
 )
-from sheffermat import polynomials, rationals
-from sheffermat.polynomials import derivative_combination
 
 
 def test_polysequence_validates_kind_and_degrees():
@@ -32,7 +26,6 @@ def test_polysequence_validates_kind_and_degrees():
 
 def test_polysequence_container_protocol():
     seq = PolySequence("appell", (Poly.one(), Poly.x()))
-    assert seq.top_degree == 1
     assert len(seq) == 2
     assert seq[1] == Poly.x()
     assert list(seq) == [Poly.one(), Poly.x()]
@@ -132,24 +125,34 @@ def test_truncation_stability():
     )
 
 
+def test_laguerre_sheffer_appell_is_free_of_lambda():
+    # g = h = y/(y - 1) and l(g) l = 1, so every lambda gives the l = 1 Sheffer sequence
+    expected = list(sheffer_sequence(make_pair("laguerre", 20, {"lambda": -1}), 20))
+    for lam in (0, Fraction(5, 2), Fraction(-1, 3), 7, -2):
+        pair = make_pair("laguerre", 20, {"lambda": lam})
+        assert list(sheffer_appell_sequence(pair, 20)) == expected
+
+
 # -- binomial convolution ----------------------------------------------------
 
 
-def test_identity_kernel_is_noop():
-    pair = make_pair("laguerre", 5, {"lambda": 0})
-    seq = sheffer_sequence(pair, 5)
-    kernel = (Fraction(1),) + (Fraction(0),) * 5
-    assert list(discrete_convolution(kernel, seq)) == list(seq)
+def fraction_convolution(kernel, s):
+    """result_n = sum_k C(n, k) kernel[k] s[n-k], in plain Fraction arithmetic."""
+    polys = tuple(
+        sum((math.comb(n, k) * kernel[k] * s[n - k] for k in range(n + 1)), Poly.zero())
+        for n in range(len(s))
+    )
+    return PolySequence(s.kind, polys)
 
 
 def test_exp_kernel_shifts_powers():
     l = TruncatedSeries(
         [1, 1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 24)]
     )
-    kernel = appell_kernel(l)
+    kernel = l.reciprocal().derivatives_at_zero()
     assert kernel == (1, -1, 1, -1, 1)
     powers = PolySequence("sheffer", tuple(Poly.monomial(k) for k in range(5)))
-    shifted = discrete_convolution(kernel, powers)
+    shifted = fraction_convolution(kernel, powers)
     assert list(shifted) == [Poly((-1, 1)) ** k for k in range(5)]
 
 
@@ -160,88 +163,10 @@ def test_kernel_times_sheffer_is_sheffer_appell():
         ("hermite", None),
     ):
         pair = make_pair(name, 8, params)
-        convolved = discrete_convolution(
-            appell_kernel(pair.l), sheffer_sequence(pair, 8)
+        convolved = fraction_convolution(
+            pair.l.reciprocal().derivatives_at_zero(), sheffer_sequence(pair, 8)
         )
         assert list(convolved) == list(sheffer_appell_sequence(pair, 8))
-
-
-def per_degree_convolution(kernel, s):
-    """Reference: one derivative_combination per degree over all of
-    s[0..n], so every s[m] is rescaled at every later degree."""
-    polys = tuple(
-        derivative_combination(
-            [(0, math.comb(n, k) * kernel[k], s[n - k], 0) for k in range(n + 1)]
-        )
-        for n in range(s.top_degree + 1)
-    )
-    return PolySequence(s.kind, polys)
-
-
-def fraction_convolution(kernel, s):
-    """Reference in plain Fraction arithmetic, independent of the integer rows."""
-    polys = tuple(
-        sum((math.comb(n, k) * kernel[k] * s[n - k] for k in range(n + 1)), Poly.zero())
-        for n in range(s.top_degree + 1)
-    )
-    return PolySequence(s.kind, polys)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from(
-        [("laguerre", {"lambda": Fraction(5, 2)}), ("log-assoc", None), ("euler", None)]
-    ),
-    st.lists(
-        st.one_of(st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=7)),
-        min_size=9,
-        max_size=9,
-    ).filter(lambda kernel: kernel[0] != 0),
-)
-def test_convolution_matches_the_per_degree_form(family, kernel):
-    name, params = family
-    seq = sheffer_sequence(make_pair(name, 8, params), 8)
-    expected = fraction_convolution(kernel, seq)
-    assert per_degree_convolution(kernel, seq) == expected
-    assert discrete_convolution(kernel, seq) == expected
-
-
-def test_convolution_scales_each_polynomial_once(monkeypatch):
-    pair = make_pair("laguerre", 12, {"lambda": Fraction(5, 2)})
-    seq = sheffer_sequence(pair, 12)
-    coeffs = {id(p.coeffs) for p in seq}
-    scaled = []
-    honest = rationals.common_denominator
-
-    def counted(values):
-        if id(values) in coeffs:
-            scaled.append(id(values))
-        return honest(values)
-
-    monkeypatch.setattr(rationals, "common_denominator", counted)
-    monkeypatch.setattr(polynomials, "common_denominator", counted)
-    discrete_convolution(appell_kernel(pair.l), seq)
-    assert sorted(scaled) == sorted(coeffs)
-    # a second convolution reads the rows the polynomials kept
-    discrete_convolution(appell_kernel(pair.l), seq)
-    assert sorted(scaled) == sorted(coeffs)
-
-
-def test_convolution_preserves_kind():
-    seq = PolySequence("appell", (Poly.one(), Poly((1, 1))))
-    out = discrete_convolution((Fraction(1), Fraction(0)), seq)
-    assert out.kind == "appell"
-
-
-def test_convolution_rejects_short_kernel():
-    seq = PolySequence("sheffer", (Poly.one(), Poly.x(), Poly.monomial(2)))
-    with pytest.raises(ValueError):
-        discrete_convolution((Fraction(1),), seq)
-
-
-def test_appell_kernel_requires_invertible():
-    with pytest.raises(NotInvertibleError):
-        appell_kernel(TruncatedSeries([0, 1]))
 
 
 def test_leading_coefficients():

@@ -1,18 +1,12 @@
 import pytest
 
 from sheffermat import (
-    CheckResult,
     lemma_checks,
     make_pair,
     property_suite,
     residual_checks,
     verify_family,
 )
-
-
-def test_check_result_status():
-    assert CheckResult("x", True).status == "PASS"
-    assert CheckResult("x", False, "boom").status == "FAIL"
 
 
 def test_residual_checks_all_labels():
