@@ -167,7 +167,8 @@ def first_factorization_mismatch(pair: ShefferPair, n: int) -> int:
     By the prefix argument of :func:`factorization_check`, the size-d
     factorization holds exactly when d is below the returned row.  R is kept
     on ``pair.derived``, rebuilt only for an n above any size built so far
-    and otherwise sliced; the sequence is read and compared on every call.
+    and otherwise sliced; the sequence is read on every call, and each
+    ``Poly.row``, zero-padded, is compared with the integer row of R.
     """
     s = sheffer_appell_sequence(pair, n)
     d = pair.derived
@@ -180,7 +181,8 @@ def first_factorization_mismatch(pair: ShefferPair, n: int) -> int:
             @ pascal_matrix(d.reciprocal_l_of_h, n)
         )
     for i, p in enumerate(s):
-        if p.coeffs + (Fraction(0),) * (n - i) != rhs.row(i)[: n + 1]:
+        den, row = rhs.integer_row(i)
+        if (den, row[: n + 1]) != (p.row[0], p.row[1] + [0] * (n + 1 - len(p))):
             return i
     return n + 1
 

@@ -3,13 +3,15 @@
 Everything here is evaluated at y = 0: the Pascal functional matrix of a
 series f is the lower triangular matrix with entry (i, j) equal to
 C(i, j) * f^(i-j)(0), and the Wronskian column of f stacks
-f(0), f'(0), ..., f^(n)(0).  Every entry is coerced by
-:func:`~sheffermat.rationals.rat`, as the series coefficients are, so a
-matrix holds rationals only; a float or a polynomial is a TypeError.
-A product scales each row of the right factor to integers once and forms
-each row of the result with :func:`~sheffermat.rationals.combine`, which
-skips zero weights, so triangular and diagonal factors cost only their
-nonzero entries.
+f(0), f'(0), ..., f^(n)(0).  The public constructor coerces every entry by
+:func:`~sheffermat.rationals.rat`, so a matrix holds rationals only (a
+float or a polynomial is a TypeError), and stores each row as one reduced
+integer row ``(D, numerators)``: gcd(D, *numerators) = 1 and D > 0, a
+canonical form that ``==`` and ``hash`` compare.  Sums, scalar multiples,
+products and the builders work on integers and reduce once per row: row i
+of A @ B is one :func:`~sheffermat.rationals.combine_row` of B's rows,
+which skips the zero weights of A's row i, so triangular and diagonal
+factors cost only their nonzero entries.
 
 The four classical identities relating these matrices are exposed as
 boolean checks:
@@ -30,34 +32,44 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InsufficientOrderError, NotDeltaSeriesError
-from .rationals import combine, common_denominator, rat
+from .rationals import Row, combine_row, common_denominator, rat, reduce_row
 from .series import TruncatedSeries, power_rows
 
 
 class Matrix:
-    """A dense rectangular matrix over the rationals."""
+    """A dense rectangular matrix over the rationals, stored as integer rows."""
 
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int | str]]):
-        packed = tuple(tuple(rat(e) for e in row) for row in rows)
-        if not packed or not packed[0]:
+        # reduced Fractions over the lcm of their denominators: a reduced row
+        packed = tuple(common_denominator([rat(e) for e in row]) for row in rows)
+        if not packed or not packed[0][1]:
             raise ValueError("matrix must have at least one row and one column")
-        width = len(packed[0])
-        if any(len(row) != width for row in packed):
+        if any(len(p) != len(packed[0][1]) for _, p in packed):
             raise ValueError("all rows must have equal length")
         self._rows = packed
+
+    @classmethod
+    def _reduced(cls, rows: Iterable[Row]) -> Matrix:
+        """The matrix of integer rows of one shape, each reduced by one gcd."""
+        m = cls.__new__(cls)
+        m._rows = tuple([reduce_row(den, p) for den, p in rows])
+        return m
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def diagonal(cls, entries: Sequence[Fraction | int]) -> Matrix:
         n = len(entries)
-        return cls([entries[i] if i == j else 0 for j in range(n)] for i in range(n))
+        return cls._reduced(
+            (den, [0] * i + p + [0] * (n - 1 - i))
+            for i, (den, p) in enumerate(cls.column(entries)._rows)
+        )
 
     @classmethod
     def column(cls, entries: Sequence[Fraction | int]) -> Matrix:
-        return cls([[e] for e in entries])
+        return cls([e] for e in entries)
 
     # -- structure ----------------------------------------------------------
 
@@ -67,13 +79,18 @@ class Matrix:
 
     @property
     def cols(self) -> int:
-        return len(self._rows[0])
+        return len(self._rows[0][1])
 
     def row(self, i: int) -> tuple[Fraction, ...]:
+        den, p = self._rows[i]
+        return tuple(Fraction(c, den) for c in p)
+
+    def integer_row(self, i: int) -> Row:
+        """The stored row i, ``(D, numerators)`` with gcd 1; not to be modified."""
         return self._rows[i]
 
     def column_entries(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self._rows)
+        return tuple(Fraction(p[j], den) for den, p in self._rows)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -82,13 +99,17 @@ class Matrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("matrix addition requires equal shapes")
-        return Matrix(
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)
+        return Matrix._reduced(
+            (da * db, [a * db + b * da for a, b in zip(pa, pb)])
+            for (da, pa), (db, pb) in zip(self._rows, other._rows)
         )
 
     def __mul__(self, scalar: Fraction | int) -> Matrix:
         if isinstance(scalar, (Fraction, int)):
-            return Matrix([c * scalar for c in row] for row in self._rows)
+            return Matrix._reduced(
+                (den * scalar.denominator, [c * scalar.numerator for c in p])
+                for den, p in self._rows
+            )
         return NotImplemented
 
     __rmul__ = __mul__
@@ -100,8 +121,8 @@ class Matrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        scaled = [common_denominator(row) for row in other._rows]
-        return Matrix(combine(row, scaled) for row in self._rows)
+        right = other._rows
+        return Matrix._reduced(combine_row(den, p, right) for den, p in self._rows)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Matrix):
@@ -109,13 +130,15 @@ class Matrix:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("Matrix", self._rows))
+        return hash(("Matrix", tuple((den, tuple(p)) for den, p in self._rows)))
 
     def __repr__(self) -> str:
-        return f"Matrix({[list(r) for r in self._rows]!r})"
+        return f"Matrix({[list(self.row(i)) for i in range(self.rows)]!r})"
 
 
 def _require_order(f: TruncatedSeries, n: int, what: str) -> None:
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if f.order < n:
         raise InsufficientOrderError(
             f"{what} of size {n + 1} needs series order >= {n}, got {f.order}"
@@ -125,21 +148,23 @@ def _require_order(f: TruncatedSeries, n: int, what: str) -> None:
 def pascal_matrix(f: TruncatedSeries, n: int) -> Matrix:
     """The (n+1) x (n+1) Pascal functional matrix of f at y = 0.
 
-    The (i, j) entry is C(i, j) * f^(i-j)(0) for i >= j, zero above the
-    diagonal; the Pascal matrix of the constant series 1 is the identity.
+    The (i, j) entry is C(i, j) * f^(i-j)(0) = i!/j! * f_(i-j) for i >= j,
+    zero above the diagonal; the Pascal matrix of the constant series 1 is
+    the identity.
     """
     _require_order(f, n, "Pascal matrix")
-    dv = f.truncate(n).derivatives_at_zero()
-    return Matrix(
-        [math.comb(i, j) * dv[i - j] if i >= j else 0 for j in range(n + 1)]
+    den, p = common_denominator(f.coeffs[: n + 1])
+    return Matrix._reduced(
+        (den, [math.perm(i, i - j) * p[i - j] if i >= j else 0 for j in range(n + 1)])
         for i in range(n + 1)
     )
 
 
 def wronskian_vector(f: TruncatedSeries, n: int) -> Matrix:
-    """The Wronskian column [f(0), f'(0), ..., f^(n)(0)]^T."""
+    """The Wronskian column [f(0), f'(0), ..., f^(n)(0)]^T, f^(k)(0) = k! * f_k."""
     _require_order(f, n, "Wronskian vector")
-    return Matrix.column(f.truncate(n).derivatives_at_zero())
+    den, p = common_denominator(f.coeffs[: n + 1])
+    return Matrix._reduced((den, [math.factorial(k) * c]) for k, c in enumerate(p))
 
 
 def wronskian_powers_matrix(h: TruncatedSeries, n: int) -> Matrix:
@@ -151,10 +176,11 @@ def wronskian_powers_matrix(h: TruncatedSeries, n: int) -> Matrix:
     if not h.is_delta:
         raise NotDeltaSeriesError("powers matrix requires a delta series")
     _require_order(h, n, "powers matrix")
-    columns = power_rows(common_denominator(h.truncate(n).coeffs), n)
-    return Matrix(
-        [Fraction(p[i] * math.factorial(i), den) for den, p in columns]
-        for i in range(n + 1)
+    columns = power_rows(common_denominator(h.coeffs[: n + 1]), n)
+    den = math.lcm(*(d for d, _ in columns))
+    scaled = [(den // d, p) for d, p in columns]
+    return Matrix._reduced(
+        (den, [math.factorial(i) * s * p[i] for s, p in scaled]) for i in range(n + 1)
     )
 
 
@@ -162,7 +188,7 @@ def omega(n: int) -> Matrix:
     """The diagonal matrix diag(0!, 1!, ..., n!)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return Matrix.diagonal([Fraction(math.factorial(k)) for k in range(n + 1)])
+    return Matrix.diagonal([math.factorial(k) for k in range(n + 1)])
 
 
 def omega_inverse(n: int) -> Matrix:
@@ -177,9 +203,8 @@ def check_property_product_pascal(
 ) -> bool:
     """P[f*g] = P[f] P[g] = P[g] P[f], entrywise exact."""
     product = pascal_matrix(f * g, n)
-    fg = pascal_matrix(f, n) @ pascal_matrix(g, n)
-    gf = pascal_matrix(g, n) @ pascal_matrix(f, n)
-    return product == fg and product == gf
+    pf, pg = pascal_matrix(f, n), pascal_matrix(g, n)
+    return product == pf @ pg and product == pg @ pf
 
 
 def check_property_product_wronskian(

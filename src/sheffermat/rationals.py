@@ -6,12 +6,13 @@ reduced, denominator positive, zero is ``0/1``).  This module fixes the
 wire format: ``"p/q"``, or just ``"p"`` when the denominator is 1, with
 a bit-exact round trip.
 
-:func:`combine` is the one exact row-combination routine of the package:
+:func:`combine_row` is the one exact row-combination loop of the package:
 matrix products, the derivative combinations behind the identity
 residuals and the audit's printed recurrences, polynomial products and
-series composition all run through it.  A row is scaled to
-integers once (:func:`common_denominator`; a polynomial keeps its row as
-``Poly.row``), the sum runs on integers, and each output entry is reduced once.
+series composition all run through it.  Each row is scaled to integers
+once (:func:`common_denominator`; ``Poly.row``; a matrix stores only such
+rows), and the sum is an unreduced integer row: a matrix product reduces
+it by one gcd, :func:`combine` each entry once as a Fraction.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 Rational = Fraction
+Row = tuple[int, list[int]]  # (D, numerators): the rationals numerators[k] / D
 
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
@@ -56,31 +58,35 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+def common_denominator(values: Sequence[Fraction]) -> Row:
     """(D, [v * D for v in values]) with D the lcm of the denominators."""
     den = math.lcm(*(v.denominator for v in values))
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-def combine(
-    weights: Sequence[Fraction | int], rows: Sequence[tuple[int, list[int]]]
-) -> list[Fraction]:
-    """sum_t weights[t] * rows[t], each row a ``(D, numerators)`` pair from
-    :func:`common_denominator`; a short row counts as zero-padded, and the
-    result is as long as the longest row.
+def reduce_row(den: int, numerators: list[int]) -> Row:
+    """The row ``(D, numerators)`` divided by gcd(D, *numerators), for D > 0."""
+    g = math.gcd(den, *numerators)
+    return (den, numerators) if g == 1 else (den // g, [c // g for c in numerators])
 
-    Zero weights are skipped before any row is touched, the weights share
-    one common denominator, the sum runs on integers, and each output entry
-    is reduced once.
-    """
+
+def combine_row(dw: int, weights: Sequence[int], rows: Sequence[Row]) -> Row:
+    """sum_t (weights[t] / dw) * rows[t] as one unreduced row; a short row
+    counts as zero-padded, the result is as long as the longest row, and a
+    zero weight's row is never read."""
     live = [(w, row) for w, row in zip(weights, rows, strict=True) if w]
-    lq = math.lcm(*(den for _, (den, _) in live))
-    dw, scaled = common_denominator([w for w, _ in live])
-    out = [0] * max((len(p) for _, p in rows), default=0)
-    for weight, (_, (den, p)) in zip(scaled, live):
+    lq = math.lcm(*[den for _, (den, _) in live])
+    out = [0] * max([len(p) for _, p in rows], default=0)
+    for weight, (den, p) in live:
         weight *= lq // den
         out[: len(p)] = [o + weight * c for o, c in zip(out, p)]
-    den = lq * dw
+    return lq * dw, out
+
+
+def combine(weights: Sequence[Fraction | int], rows: Sequence[Row]) -> list[Fraction]:
+    """:func:`combine_row` with rational weights, which share one common
+    denominator, and each output entry reduced once as a Fraction."""
+    den, out = combine_row(*common_denominator(weights), rows)
     return [Fraction(c, den) for c in out]
 
 

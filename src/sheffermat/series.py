@@ -39,9 +39,7 @@ from .errors import (
     NotInvertibleError,
     OrderMismatchError,
 )
-from .rationals import combine, common_denominator, rat
-
-Row = tuple[int, list[int]]
+from .rationals import Row, combine, common_denominator, rat, reduce_row
 
 
 def _product(a: Row, b: Row) -> Row:
@@ -52,9 +50,7 @@ def _product(a: Row, b: Row) -> Row:
     for i, ai in enumerate(pa):
         if ai:
             out[i:] = [o + ai * bj for o, bj in zip(out[i:], pb)]
-    den = da * db
-    g = math.gcd(den, *out)
-    return den // g, [c // g for c in out]
+    return reduce_row(da * db, out)
 
 
 def power_rows(factor: Row, count: int, start: Row | None = None) -> list[Row]:

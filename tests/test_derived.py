@@ -194,6 +194,31 @@ def test_factorization_checks_agree_on_a_wrong_sequence(monkeypatch):
         assert not poly_matrix_factorization(pair, n)
 
 
+@pytest.mark.parametrize("row", [0, 3, 6])
+@pytest.mark.parametrize("short", ["no-leading-term", "zero"])
+def test_factorization_rejects_a_row_of_lower_degree(monkeypatch, row, short):
+    """sA_row replaced by a polynomial of degree < row: the integer row of
+    the kept product is compared with the zero-padded ``Poly.row``."""
+    pair = make_pair("log-assoc", 7)
+    engine = identities.sheffer_appell_sequence
+
+    def lowered(pair, n):
+        s = list(engine(pair, n))
+        if row <= n:
+            p = s[row]
+            s[row] = Poly.zero() if short == "zero" else Poly(p.coeffs[:-1])
+            assert s[row].degree < row
+        return s
+
+    assert factorization_check(pair, 6)
+    monkeypatch.setattr(identities, "sheffer_appell_sequence", lowered)
+    for n in range(7):
+        assert identities.first_factorization_mismatch(pair, n) == min(row, n + 1)
+        assert [c.passed for c in lemma_checks(pair, n)] == [
+            d < row for d in range(n + 1)
+        ]
+
+
 def test_scaled_derivatives_are_column_zero_derivatives():
     pair = make_pair("log-assoc", 5)
     product = poly_matmul(coefficient_rows(pair, 5), pascal_of_exp_xy(5))

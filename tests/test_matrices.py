@@ -136,6 +136,156 @@ def test_matrix_entries_are_rational():
         Matrix([[1.5]])
 
 
+# -- canonical integer rows ------------------------------------------------------
+
+
+def is_canonical(m):
+    return all(
+        den > 0 and math.gcd(den, *p) == 1
+        for den, p in (m.integer_row(i) for i in range(m.rows))
+    )
+
+
+@st.composite
+def rational_matrices(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    row = st.lists(rationals, min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+def as_int_or_string(q, i):
+    """Alternate the two other accepted encodings of q: an int when q is
+    integral, a "p/q" string otherwise and on every other entry."""
+    if q.denominator == 1 and i % 2:
+        return int(q)
+    return f"{q.numerator}/{q.denominator}"
+
+
+@given(rational_matrices(), rationals.filter(lambda q: q != 0))
+def test_every_route_to_a_matrix_gives_one_canonical_form(entries, s):
+    m = Matrix(entries)
+    rows, cols = m.rows, m.cols
+    routes = [
+        Matrix(
+            [as_int_or_string(q, i + j) for j, q in enumerate(r)]
+            for i, r in enumerate(entries)
+        ),
+        (m * s) * (1 / s),
+        m + Matrix([[0] * cols] * rows),
+        m @ Matrix.diagonal([1] * cols),
+        Matrix.diagonal([1] * rows) @ m,
+    ]
+    for other in routes:
+        assert other == m and hash(other) == hash(m)
+        assert is_canonical(other)
+    assert is_canonical(m)
+    assert m * 0 == Matrix([[0] * cols for _ in range(rows)])
+    for i, r in enumerate(entries):
+        assert m.row(i) == tuple(r)
+        assert all(type(e) is Fraction for e in m.row(i))
+    for j in range(cols):
+        assert m.column_entries(j) == tuple(r[j] for r in entries)
+
+
+@given(st.lists(rationals, min_size=1, max_size=6))
+def test_diagonal_and_column_match_explicit_rows(entries):
+    n = len(entries)
+    diagonal = Matrix(
+        [e if i == j else 0 for j in range(n)] for i, e in enumerate(entries)
+    )
+    column = Matrix([[e] for e in entries])
+    assert Matrix.diagonal(entries) == diagonal
+    assert hash(Matrix.diagonal(entries)) == hash(diagonal)
+    assert Matrix.column(entries) == column
+    assert hash(Matrix.column(entries)) == hash(column)
+    assert is_canonical(Matrix.diagonal(entries))
+    assert is_canonical(Matrix.column(entries))
+
+
+def test_diagonal_and_column_need_an_entry():
+    with pytest.raises(ValueError):
+        Matrix.diagonal([])
+    with pytest.raises(ValueError):
+        Matrix.column([])
+
+
+# -- the builders against plain Fraction definitions ------------------------------
+
+
+def series_up_to_order(max_order, delta=False):
+    """A series of order 0..max_order (1..max_order if delta); the zero
+    series is drawn explicitly as well."""
+    def build(order):
+        tail = st.lists(rationals, min_size=order + 1, max_size=order + 1)
+        if delta:
+            lead = rationals.filter(lambda q: q != 0)
+            tail = st.tuples(lead, tail).map(lambda t: [0, t[0], *t[1][2:]])
+        else:
+            tail = st.one_of(tail, st.just([0] * (order + 1)))
+        return tail.map(TruncatedSeries)
+
+    return st.integers(1 if delta else 0, max_order).flatmap(build)
+
+
+def fraction_product(a, b):
+    """Truncated series product, one Fraction multiply-add at a time."""
+    return [
+        sum((a[k] * b[m - k] for k in range(m + 1)), Fraction(0))
+        for m in range(len(a))
+    ]
+
+
+def assert_rows(m, expected):
+    assert (m.rows, m.cols) == (len(expected), len(expected[0]))
+    for i, row in enumerate(expected):
+        assert m.row(i) == tuple(row)
+    assert is_canonical(m)
+
+
+@given(series_up_to_order(10))
+def test_pascal_matrix_is_its_definition(f):
+    n, c = f.order, f.coeffs
+    expected = [
+        [
+            math.comb(i, j) * math.factorial(i - j) * c[i - j] if i >= j else 0
+            for j in range(n + 1)
+        ]
+        for i in range(n + 1)
+    ]
+    assert_rows(pascal_matrix(f, n), expected)
+
+
+@given(series_up_to_order(10))
+def test_wronskian_vector_is_its_definition(f):
+    assert_rows(
+        wronskian_vector(f, f.order),
+        [[math.factorial(k) * c] for k, c in enumerate(f.coeffs)],
+    )
+
+
+@given(series_up_to_order(10, delta=True))
+def test_powers_matrix_is_repeated_series_products(h):
+    n = h.order
+    columns, power = [], [Fraction(1)] + [Fraction(0)] * n
+    for _ in range(n + 1):
+        columns.append([math.factorial(k) * c for k, c in enumerate(power)])
+        power = fraction_product(power, list(h.coeffs))
+    assert_rows(wronskian_powers_matrix(h, n), [list(r) for r in zip(*columns)])
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_omega_and_its_inverse_are_their_definitions(n):
+    def diag(entries):
+        return [
+            [e if i == j else Fraction(0) for j in range(n + 1)]
+            for i, e in enumerate(entries)
+        ]
+
+    factorials = [Fraction(math.factorial(k)) for k in range(n + 1)]
+    assert_rows(omega(n), diag(factorials))
+    assert_rows(omega_inverse(n), diag([1 / f for f in factorials]))
+
+
 # -- Pascal matrices -----------------------------------------------------------
 
 
@@ -152,6 +302,15 @@ def test_pascal_of_one_is_identity():
 def test_pascal_of_geometric():
     m = pascal_matrix(geometric(2), 2)
     assert m == Matrix([[1, 0, 0], [1, 1, 0], [2, 2, 1]])
+
+
+def test_builders_reject_a_negative_size():
+    with pytest.raises(ValueError):
+        pascal_matrix(geometric(2), -1)
+    with pytest.raises(ValueError):
+        wronskian_vector(geometric(2), -1)
+    with pytest.raises(ValueError):
+        wronskian_powers_matrix(TruncatedSeries([0, 1, 3]), -1)
 
 
 def test_pascal_requires_order():

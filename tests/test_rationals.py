@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sheffermat import Poly, format_rational, parse_rational, rat
-from sheffermat.rationals import combine, common_denominator
+from sheffermat.rationals import combine, combine_row, common_denominator, reduce_row
 
 
 def test_parse_plain_integer():
@@ -90,6 +91,18 @@ def test_combine_is_the_fraction_sum(case):
     got = combine(weights, [common_denominator(r) for r in rows])
     assert got == fraction_sum(weights, rows)
     assert all(type(c) is Fraction for c in got)
+
+
+@given(weighted_rows())
+def test_combine_row_is_the_fraction_sum_and_reduces_to_one_form(case):
+    weights, rows = case
+    dw, numerators = common_denominator(weights)
+    den, out = combine_row(dw, numerators, [common_denominator(r) for r in rows])
+    expected = fraction_sum(weights, rows)
+    assert [Fraction(c, den) for c in out] == expected
+    reduced_den, reduced = reduce_row(den, out)
+    assert math.gcd(reduced_den, *reduced) == 1
+    assert (reduced_den, reduced) == common_denominator(expected)
 
 
 def test_combine_edge_cases():

@@ -1,10 +1,16 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from sheffermat import (
+    Matrix,
     lemma_checks,
+    matrices,
     make_pair,
     property_suite,
     residual_checks,
+    verify,
     verify_family,
 )
 
@@ -62,3 +68,54 @@ def test_property_suite_passes_and_is_seeded():
 def test_property_suite_seed_changes_stream():
     # Different seeds should still pass; determinism is per seed.
     assert all(r.passed for r in property_suite(cases=10, seed=7))
+
+
+# -- the property suite catches a subtly wrong matrix layer -------------------
+
+
+def suite_verdicts(**kwargs) -> dict[str, bool]:
+    return {r.name: r.passed for r in property_suite(cases=25, **kwargs)}
+
+
+def test_property_suite_catches_a_product_that_drops_the_last_term(monkeypatch):
+    def dropping_last_term(self, other):
+        k = self.cols - 1
+        return Matrix(
+            [
+                sum((self.row(i)[t] * other.row(t)[j] for t in range(k)), Fraction(0))
+                for j in range(other.cols)
+            ]
+            for i in range(self.rows)
+        )
+
+    monkeypatch.setattr(Matrix, "__matmul__", dropping_last_term)
+    assert suite_verdicts() == {
+        "property-linearity": True,
+        "property-pascal-product": False,
+        "property-wronskian-product": False,
+        "property-composition": False,
+        "fixed-exponential-wronskian": True,
+    }
+
+
+def test_property_suite_catches_an_off_by_one_binomial(monkeypatch):
+    def off_by_one_pascal(f, n):
+        """C(i, i-1) read as i + 1: still linear in f, wrong in every product."""
+        dv = f.truncate(n).derivatives_at_zero()
+        return Matrix(
+            [
+                (math.comb(i, j) + (j == i - 1)) * dv[i - j] if i >= j else 0
+                for j in range(n + 1)
+            ]
+            for i in range(n + 1)
+        )
+
+    monkeypatch.setattr(matrices, "pascal_matrix", off_by_one_pascal)
+    monkeypatch.setattr(verify, "pascal_matrix", off_by_one_pascal)
+    assert suite_verdicts() == {
+        "property-linearity": True,
+        "property-pascal-product": False,
+        "property-wronskian-product": False,
+        "property-composition": True,
+        "fixed-exponential-wronskian": True,
+    }
