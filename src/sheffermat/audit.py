@@ -9,8 +9,11 @@ each printed identity *literally* — printed numbers, engine-generated
 polynomials — and reports PASS or FAIL per degree, alongside the
 engine-derived coefficient vectors for comparison.
 
-Each printed residual is one sum of terms (alpha, beta, sA_m, 0), formed
-by :func:`sheffermat.polynomials.derivative_combination`.  Ground truth is
+The audit is one table, :data:`PRINTED_IDENTITIES`.  A printed table is
+``table(value, n)`` for the family's parameter value (lambda or m); a
+printed recurrence ``terms(s, d, value, printed)`` lists, on the family's
+sequence s at degree d, the terms (alpha, beta, sA_m, 0) that
+:func:`sheffermat.polynomials.derivative_combination` sums.  Ground truth is
 always the derivative-vector extraction; a FAIL here records that the
 printed identity does not hold as displayed, not an engine defect.
 """
@@ -22,26 +25,13 @@ from fractions import Fraction
 
 from .errors import Record
 from .families import make_pair
-from .identities import (
-    CoeffTriple,
-    derivative_recurrence_coeffs,
-    differential_equation_coeffs,
-    mixed_recurrence_coeffs,
-)
+from .identities import COEFF_EXTRACTORS, CoeffTriple
 from .polynomials import Poly, derivative_combination
 from .rationals import Rational, format_rational, rat
 from .sequences import PolySequence, sheffer_appell_sequence
 
 PASS = "PASS"
 FAIL = "FAIL"
-
-IDENTITY_IDS = (
-    "laguerre-differential-recurrence",
-    "laguerre-derivative-recurrence",
-    "miller-lee-differential-recurrence",
-    "miller-lee-derivative-recurrence",
-    "miller-lee-mixed-recurrence",
-)
 
 
 class AuditEntry(Record):
@@ -142,7 +132,9 @@ def _miller_lee_mixed_printed(m: Fraction, n: int) -> dict:
 # -- the printed recurrences, evaluated literally -------------------------
 
 
-def _laguerre_differential_terms(s: PolySequence, d: int, lam: Fraction) -> list:
+def _laguerre_differential_terms(
+    s: PolySequence, d: int, lam: Fraction, printed: dict
+) -> list:
     # sum_{k=1}^{d} C(d,k) k! (x - k(k-1)(k+4)(lam+1)/6) sA_{d-k} = d sA_d
     terms = [(0, -d, s[d], 0)]
     for k in range(1, d + 1):
@@ -151,7 +143,9 @@ def _laguerre_differential_terms(s: PolySequence, d: int, lam: Fraction) -> list
     return terms
 
 
-def _laguerre_derivative_terms(s: PolySequence, d: int, lam: Fraction) -> list:
+def _laguerre_derivative_terms(
+    s: PolySequence, d: int, lam: Fraction, printed: dict
+) -> list:
     # sA_{d+1} + (x + 2 lam + 2) sA_d = 2 x d sA_{d-1}
     #   - 2 (x + lam + 1) C(d,2) sA_{d-2} + (lam+1) sum_{k=3}^{d} C(d,k) k! sA_{d-k}
     # Below d = 2 the sA_{d-1}, sA_{d-2} terms weigh zero and are dropped unread.
@@ -162,7 +156,9 @@ def _laguerre_derivative_terms(s: PolySequence, d: int, lam: Fraction) -> list:
     return terms
 
 
-def _miller_lee_differential_terms(s: PolySequence, d: int, printed: dict) -> list:
+def _miller_lee_differential_terms(
+    s: PolySequence, d: int, m: Fraction, printed: dict
+) -> list:
     # d sA_d - d x sA_{d-1} = sum_{k=1}^{d} C(d,k) sA_{d-k} (b_k + c_k)
     # At d = 0 the sA_{d-1} weight is zero and the term is dropped unread.
     b, c = printed["b"], printed["c"]
@@ -172,7 +168,9 @@ def _miller_lee_differential_terms(s: PolySequence, d: int, printed: dict) -> li
     return terms
 
 
-def _miller_lee_derivative_terms(s: PolySequence, d: int, printed: dict) -> list:
+def _miller_lee_derivative_terms(
+    s: PolySequence, d: int, m: Fraction, printed: dict
+) -> list:
     # sA_{d+1} - x sA_d = sum_{k=0}^{d} C(d,k) sA_{d-k} (b_k + c_k)
     b, c = printed["b"], printed["c"]
     terms = [(0, 1, s[d + 1], 0), (-1, 0, s[d], 0)]
@@ -181,11 +179,39 @@ def _miller_lee_derivative_terms(s: PolySequence, d: int, printed: dict) -> list
     return terms
 
 
-def _miller_lee_mixed_terms(s: PolySequence, d: int, m: Fraction) -> list:
+def _miller_lee_mixed_terms(
+    s: PolySequence, d: int, m: Fraction, printed: dict
+) -> list:
     # sA_{d+1} = x sA_d - 2 (m+1) sum_{k=0}^{d} C(d,k) sA_{d-k} k!
     terms = [(0, 1, s[d + 1], 0), (-1, 0, s[d], 0)]
     terms += [(0, 2 * (m + 1) * math.perm(d, k), s[d - k], 0) for k in range(d + 1)]
     return terms
+
+
+# Identity id -> (family, label of its extractor in COEFF_EXTRACTORS,
+# printed table, printed recurrence), in report order.
+PRINTED_IDENTITIES = {
+    "laguerre-differential-recurrence": (
+        "laguerre", "2.1",
+        _laguerre_differential_printed, _laguerre_differential_terms,
+    ),
+    "laguerre-derivative-recurrence": (
+        "laguerre", "3.1",
+        _laguerre_derivative_printed, _laguerre_derivative_terms,
+    ),
+    "miller-lee-differential-recurrence": (
+        "miller-lee", "2.1",
+        _miller_lee_differential_printed, _miller_lee_differential_terms,
+    ),
+    "miller-lee-derivative-recurrence": (
+        "miller-lee", "3.1",
+        _miller_lee_derivative_printed, _miller_lee_derivative_terms,
+    ),
+    "miller-lee-mixed-recurrence": (
+        "miller-lee", "3.2", _miller_lee_mixed_printed, _miller_lee_mixed_terms
+    ),
+}
+IDENTITY_IDS = tuple(PRINTED_IDENTITIES)
 
 
 def run_worked_example_audit(
@@ -198,70 +224,21 @@ def run_worked_example_audit(
     """
     if n < 3:
         raise ValueError("the audit needs n >= 3 to exercise every printed term")
-    lam = rat(lam)
-    m = rat(m)
-    laguerre = make_pair("laguerre", n + 2, {"lambda": lam})
-    miller_lee = make_pair("miller-lee", n + 2, {"m": m})
-    la = sheffer_appell_sequence(laguerre, n + 1)
-    ga = sheffer_appell_sequence(miller_lee, n + 1)
-    lag_params = {"lambda": format_rational(lam)}
-    mil_params = {"m": format_rational(m)}
-    ml_differential = _miller_lee_differential_printed(m, n)
-    ml_derivative = _miller_lee_derivative_printed(m, n)
-
-    plans = (
-        (
-            "laguerre-differential-recurrence",
-            lag_params,
-            differential_equation_coeffs(laguerre, n),
-            _laguerre_differential_printed(lam, n),
-            (_laguerre_differential_terms, la, lam),
-        ),
-        (
-            "laguerre-derivative-recurrence",
-            lag_params,
-            derivative_recurrence_coeffs(laguerre, n),
-            _laguerre_derivative_printed(lam, n),
-            (_laguerre_derivative_terms, la, lam),
-        ),
-        (
-            "miller-lee-differential-recurrence",
-            mil_params,
-            differential_equation_coeffs(miller_lee, n),
-            ml_differential,
-            (_miller_lee_differential_terms, ga, ml_differential),
-        ),
-        (
-            "miller-lee-derivative-recurrence",
-            mil_params,
-            derivative_recurrence_coeffs(miller_lee, n),
-            ml_derivative,
-            (_miller_lee_derivative_terms, ga, ml_derivative),
-        ),
-        (
-            "miller-lee-mixed-recurrence",
-            mil_params,
-            mixed_recurrence_coeffs(miller_lee, n),
-            _miller_lee_mixed_printed(m, n),
-            (_miller_lee_mixed_terms, ga, m),
-        ),
-    )
-
+    families = {}
+    for family, name, value in (("laguerre", "lambda", lam), ("miller-lee", "m", m)):
+        value = rat(value)
+        pair = make_pair(family, n + 2, {name: value})
+        s = sheffer_appell_sequence(pair, n + 1)
+        families[family] = (pair, s, value, {name: format_rational(value)})
     entries = []
-    for identity, params, t, printed, (terms, s, reads) in plans:
+    for identity, (family, label, printed_table, terms) in PRINTED_IDENTITIES.items():
+        pair, s, value, params = families[family]
+        printed = printed_table(value, n)
         for d in range(n + 1):
-            residual = derivative_combination(terms(s, d, reads))
-            entries.append(
-                AuditEntry(
-                    identity=identity,
-                    parameters=params,
-                    n=d,
-                    status=PASS if residual.is_zero else FAIL,
-                    residual=residual,
-                    derived=CoeffTriple(
-                        t.label, *(v[: d + 1] for v in (t.a, t.b, t.c))
-                    ),
-                    printed={k: printed[k][: d + 1] for k in ("a", "b", "c")},
-                )
-            )
+            residual = derivative_combination(terms(s, d, value, printed))
+            status = PASS if residual.is_zero else FAIL
+            derived = COEFF_EXTRACTORS[label](pair, d)
+            sliced = {k: v[: d + 1] for k, v in printed.items()}
+            entry = AuditEntry(identity, params, d, status, residual, derived, sliced)
+            entries.append(entry)
     return AuditReport(tuple(entries))

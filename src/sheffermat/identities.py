@@ -76,7 +76,10 @@ class CoeffTriple(Record):
 
 
 def _triple(label: str, pair: ShefferPair, n: int, attr: str) -> CoeffTriple:
-    """Slice the pair's stored (a, b, c) vectors of ``label`` to k = 0..n."""
+    """Slice the pair's stored (a, b, c) vectors of ``label`` to k = 0..n;
+    every extractor, and so every residual, checks its degree here."""
+    if n < 0:
+        raise ValueError("degree must be >= 0")
     if pair.order - 1 < n:
         raise InsufficientOrderError(
             f"coefficients to k = {n} need pair order >= {n + 1}, got {pair.order}"

@@ -5,8 +5,9 @@ no trailing zero coefficient, the zero polynomial is the empty tuple.
 The degree of the zero polynomial is ``-inf`` (a sentinel that compares
 correctly against every integer degree) rather than -1.
 
-Polynomials are immutable and hashable (by their coefficients alone); all
-arithmetic is exact.  ``Poly.row`` keeps the integer row of the coefficients.
+Polynomials are immutable and hashable by their coefficients alone (a
+constant like the scalar it equals); all arithmetic is exact.  ``Poly.row``
+keeps the integer row of the coefficients.
 
 :func:`derivative_combination` forms every sum
 sum_t (beta_t + alpha_t x) q_t^(k_t)(x)/k_t! in the package: the four
@@ -181,6 +182,9 @@ class Poly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # A constant equals its scalar, so it hashes like it too.
+        if len(self._coeffs) <= 1:
+            return hash(self.coeff(0))
         return hash(("Poly", self._coeffs))
 
     # -- text and wire form --------------------------------------------

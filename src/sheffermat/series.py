@@ -39,7 +39,7 @@ from .errors import (
     NotInvertibleError,
     OrderMismatchError,
 )
-from .rationals import Row, combine, common_denominator, rat, reduce_row
+from .rationals import Row, combine_row, common_denominator, rat, reduce_row
 
 
 def _product(a: Row, b: Row) -> Row:
@@ -207,7 +207,8 @@ class TruncatedSeries:
         is what makes the truncated composition exact; its linear term may
         be zero too.  Paterson-Stockmeyer: the m ~ sqrt(n) baby powers
         inner^0..inner^(m-1) and the giant step inner^m cost about
-        2 sqrt(n) products, not n.
+        2 sqrt(n) products, not n.  self is scaled to integers once and the
+        Horner accumulator stays an integer row.
         """
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("compose expects a TruncatedSeries")
@@ -217,12 +218,14 @@ class TruncatedSeries:
             raise NotDeltaSeriesError(msg)
         m = max(1, math.isqrt(self.order + 1))
         *baby, giant = power_rows(common_denominator(inner._coeffs), m)
-        chunks = [self._coeffs[k : k + m] for k in range(0, self.order + 1, m)]
-        coeffs = combine(chunks[-1], baby[: len(chunks[-1])])
+        ds, p = common_denominator(self._coeffs)
+        chunks = [p[k : k + m] for k in range(0, len(p), m)]
+        acc = reduce_row(*combine_row(ds, chunks[-1], baby[: len(chunks[-1])]))
         for chunk in reversed(chunks[:-1]):
-            carried = _product(giant, common_denominator(coeffs))
-            coeffs = combine((*chunk, 1), baby + [carried])
-        return TruncatedSeries(coeffs)
+            carried = _product(giant, acc)
+            acc = reduce_row(*combine_row(ds, (*chunk, ds), baby + [carried]))
+        den, out = acc
+        return TruncatedSeries([Fraction(c, den) for c in out])
 
     def compositional_inverse(self) -> TruncatedSeries:
         """The delta series g with self(g(y)) = y modulo y^(order+1).

@@ -111,12 +111,13 @@ def test_minimum_degree_enforced():
 # -- the kernel terms against the original Poly accumulations -------------
 #
 # The audit first built each printed residual one Poly term at a time.
-# Those five bodies are kept here as references; the kernel-term builders
-# in sheffermat.audit must give the same polynomial at every degree, also
-# at parameters other than the CLI's lambda = m = 0.
+# Those five bodies are kept here as references, read like the builders as
+# (s, d, value, printed); the kernel-term builder of every entry of
+# sheffermat.audit.PRINTED_IDENTITIES must give the same polynomial at
+# every degree, also at parameters other than the CLI's lambda = m = 0.
 
 
-def reference_laguerre_differential(s, d, lam):
+def reference_laguerre_differential(s, d, lam, printed):
     acc = Poly.zero()
     for k in range(1, d + 1):
         shift = -Fraction(k * (k - 1) * (k + 4)) * (lam + 1) / 6
@@ -124,7 +125,7 @@ def reference_laguerre_differential(s, d, lam):
     return acc - s[d] * d
 
 
-def reference_laguerre_derivative(s, d, lam):
+def reference_laguerre_derivative(s, d, lam, printed):
     acc = s[d + 1] + Poly((2 * lam + 2, 1)) * s[d]
     if d >= 1:
         acc = acc - 2 * d * Poly.x() * s[d - 1]
@@ -135,7 +136,7 @@ def reference_laguerre_derivative(s, d, lam):
     return acc
 
 
-def reference_miller_lee_differential(s, d, printed):
+def reference_miller_lee_differential(s, d, m, printed):
     acc = s[d] * d
     if d >= 1:
         acc = acc - d * Poly.x() * s[d - 1]
@@ -144,14 +145,14 @@ def reference_miller_lee_differential(s, d, printed):
     return acc
 
 
-def reference_miller_lee_derivative(s, d, printed):
+def reference_miller_lee_derivative(s, d, m, printed):
     acc = s[d + 1] - Poly.x() * s[d]
     for k in range(d + 1):
         acc = acc - math.comb(d, k) * (printed["b"][k] + printed["c"][k]) * s[d - k]
     return acc
 
 
-def reference_miller_lee_mixed(s, d, m):
+def reference_miller_lee_mixed(s, d, m, printed):
     acc = s[d + 1] - Poly.x() * s[d]
     for k in range(d + 1):
         acc = acc + 2 * (m + 1) * math.comb(d, k) * math.factorial(k) * s[d - k]
@@ -164,6 +165,13 @@ REFERENCE_PARAMS = [
     (Fraction(5, 2), Fraction(-1, 3)),
     (Fraction(-7, 3), Fraction(9, 4)),
 ]
+REFERENCES = {
+    "laguerre-differential-recurrence": reference_laguerre_differential,
+    "laguerre-derivative-recurrence": reference_laguerre_derivative,
+    "miller-lee-differential-recurrence": reference_miller_lee_differential,
+    "miller-lee-derivative-recurrence": reference_miller_lee_derivative,
+    "miller-lee-mixed-recurrence": reference_miller_lee_mixed,
+}
 
 
 @pytest.mark.parametrize("lam, m", REFERENCE_PARAMS, ids=["0,0", "5/2,-1/3", "-7/3,9/4"])
@@ -171,30 +179,16 @@ def test_kernel_terms_match_reference_loops(lam, m):
     n = REFERENCE_N
     la = sheffer_appell_sequence(make_pair("laguerre", n + 2, {"lambda": lam}), n + 1)
     ga = sheffer_appell_sequence(make_pair("miller-lee", n + 2, {"m": m}), n + 1)
-    ml_differential = audit._miller_lee_differential_printed(m, n)
-    ml_derivative = audit._miller_lee_derivative_printed(m, n)
-    cases = [
-        (audit._laguerre_differential_terms, reference_laguerre_differential, la, lam),
-        (audit._laguerre_derivative_terms, reference_laguerre_derivative, la, lam),
-        (
-            audit._miller_lee_differential_terms,
-            reference_miller_lee_differential,
-            ga,
-            ml_differential,
-        ),
-        (
-            audit._miller_lee_derivative_terms,
-            reference_miller_lee_derivative,
-            ga,
-            ml_derivative,
-        ),
-        (audit._miller_lee_mixed_terms, reference_miller_lee_mixed, ga, m),
-    ]
+    runs = {"laguerre": (la, lam), "miller-lee": (ga, m)}
+    assert set(REFERENCES) == set(audit.PRINTED_IDENTITIES)
     nonzero = 0
-    for terms, reference, s, reads in cases:
+    for identity, (family, _, table, terms) in audit.PRINTED_IDENTITIES.items():
+        s, value = runs[family]
+        printed = table(value, n)
+        reference = REFERENCES[identity]
         for d in range(n + 1):
-            expected = reference(s, d, reads)
-            assert derivative_combination(terms(s, d, reads)) == expected, (
+            expected = reference(s, d, value, printed)
+            assert derivative_combination(terms(s, d, value, printed)) == expected, (
                 terms.__name__,
                 d,
             )

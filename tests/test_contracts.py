@@ -1,5 +1,6 @@
 """Contract checks that survive ``python -O``, and the bound on --n."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -37,6 +38,16 @@ def test_contract_check_survives_python_O():
     )
     assert proc.stdout.split("\n")[:2] == ["ContractError 1", "3"], proc.stderr
     assert "internal error: contract violation" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "path", sorted((SRC / "sheffermat").glob("*.py")), ids=lambda p: p.name
+)
+def test_no_assert_statement_in_the_package(path):
+    # python -O strips assert statements, so no check may be one.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name}: assert statement at line(s) {lines}"
 
 
 def test_wrong_leading_coefficient_is_a_contract_error(monkeypatch):

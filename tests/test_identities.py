@@ -212,6 +212,21 @@ def test_associated_rejects_unknown_label():
         associated_residual(pair, 3, "4.1")
 
 
+NEGATIVE_DEGREE_CALLS = [
+    *(pytest.param(fn, (), id=f"extract-{k}") for k, fn in COEFF_EXTRACTORS.items()),
+    *(pytest.param(fn, (), id=f"residual-{k}") for k, fn in RESIDUALS.items()),
+    *(pytest.param(associated_residual, (k,), id=f"associated-{k}") for k in LABELS),
+]
+
+
+@pytest.mark.parametrize("fn, extra", NEGATIVE_DEGREE_CALLS)
+def test_negative_degree_is_rejected(fn, extra):
+    # Below degree 0 a residual would read as a false identity failure.
+    pair = make_pair("monomial", 5)
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        fn(pair, -1, *extra)
+
+
 def repeated_derivative_combination(triple, poly, n):
     """The repeated Poly.derivative form of sum_k (x a_k + b_k + c_k)
     poly^(k)/k!, kept as the reference for the integer kernel."""

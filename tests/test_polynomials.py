@@ -205,6 +205,22 @@ def test_equality_and_hash_ignore_the_kept_row(p):
     assert {p: 1}[fresh] == 1
 
 
+@pytest.mark.parametrize(
+    "scalar", [0, 3, -7, Fraction(0), Fraction(5, 2), Fraction(-1, 3)], ids=str
+)
+def test_constant_hashes_like_the_scalar_it_equals(scalar):
+    p = Poly([scalar])
+    assert p == scalar and hash(p) == hash(scalar)
+    assert len({p, scalar}) == 1
+    assert p in {scalar} and scalar in {p}
+
+
+def test_higher_degree_poly_is_no_scalar_in_a_set():
+    p = Poly((3, 1))
+    assert p != 3 and p not in {3, Fraction(3)}
+    assert len({p, Poly((3, 1)), 3}) == 2
+
+
 def test_derivative_combination_scales_each_distinct_poly_once(monkeypatch):
     p, q = Poly((Fraction(1, 2), 3, Fraction(-2, 7))), Poly((5, Fraction(1, 3)))
     calls = []
