@@ -4,8 +4,8 @@ The package builds polynomial sequences from truncated formal power
 series pairs (l, h), extracts the coefficient vectors of their
 differential and recurrence identities, verifies those identities with
 exact residuals, and checks the Pascal/Wronskian matrix factorization
-behind them.  All arithmetic uses fractions.Fraction; nothing is
-floating point.
+behind them.  All arithmetic is exact over the rationals, on integer
+rows; nothing is floating point.
 """
 
 from types import ModuleType as _ModuleType

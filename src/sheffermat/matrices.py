@@ -153,7 +153,7 @@ def pascal_matrix(f: TruncatedSeries, n: int) -> Matrix:
     the identity.
     """
     _require_order(f, n, "Pascal matrix")
-    den, p = common_denominator(f.coeffs[: n + 1])
+    den, p = f.row
     return Matrix._reduced(
         (den, [math.perm(i, i - j) * p[i - j] if i >= j else 0 for j in range(n + 1)])
         for i in range(n + 1)
@@ -163,8 +163,8 @@ def pascal_matrix(f: TruncatedSeries, n: int) -> Matrix:
 def wronskian_vector(f: TruncatedSeries, n: int) -> Matrix:
     """The Wronskian column [f(0), f'(0), ..., f^(n)(0)]^T, f^(k)(0) = k! * f_k."""
     _require_order(f, n, "Wronskian vector")
-    den, p = common_denominator(f.coeffs[: n + 1])
-    return Matrix._reduced((den, [math.factorial(k) * c]) for k, c in enumerate(p))
+    den, p = f.row
+    return Matrix._reduced((den, [math.factorial(k) * p[k]]) for k in range(n + 1))
 
 
 def wronskian_powers_matrix(h: TruncatedSeries, n: int) -> Matrix:
@@ -176,7 +176,7 @@ def wronskian_powers_matrix(h: TruncatedSeries, n: int) -> Matrix:
     if not h.is_delta:
         raise NotDeltaSeriesError("powers matrix requires a delta series")
     _require_order(h, n, "powers matrix")
-    columns = power_rows(common_denominator(h.coeffs[: n + 1]), n)
+    columns = power_rows((h.row[0], h.row[1][: n + 1]), n)
     den = math.lcm(*(d for d, _ in columns))
     scaled = [(den // d, p) for d, p in columns]
     return Matrix._reduced(

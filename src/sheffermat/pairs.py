@@ -1,9 +1,9 @@
 """The (l, h) pair that indexes a Sheffer sequence.
 
 l must be an invertible series (nonzero constant term) and h a delta
-series (h(0) = 0, h'(0) != 0), both truncated at the same order and with
-rational coefficients.  The pair is validated once at construction; all
-sequence and identity code downstream can then assume it is well formed.
+series (h(0) = 0, h'(0) != 0), both truncated at the same order and each
+stored as one integer row of rationals.  The pair is validated once at
+construction; all code downstream can then assume it is well formed.
 
 Series derived from the pair (g = h^{-1}, 1/l, the sequence arrays, ...)
 live in ``pair.derived``: each is computed on first use, once, at the
@@ -12,15 +12,16 @@ need), and kept.  Products, reciprocals, composition with a series of
 zero constant term and compositional inversion are prefix-stable, so a
 consumer that wants degree n <= N slices a stored value and gets exactly
 what a computation at order n would give.  The identities' (a, b, c)
-series are kept as their derivative vectors, and each sequence array is
-checked against its leading-coefficient contract once, when it is built.
+series are kept as their derivative vectors (Fractions), and each
+sequence array, built from integer rows, is checked against its
+leading-coefficient contract once, when it is built.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
 
 from .errors import (
     ContractError,
@@ -30,7 +31,6 @@ from .errors import (
     Record,
 )
 from .polynomials import Poly
-from .rationals import common_denominator
 from .series import TruncatedSeries, power_rows
 
 
@@ -70,17 +70,17 @@ class ShefferPair(Record):
 
 def riordan_polys(d: TruncatedSeries, g: TruncatedSeries) -> tuple[Poly, ...]:
     """Degrees 0..order of the exponential Riordan array [d, g]: the x^k
-    coefficient of degree i is i!/k! [y^i] d g^k."""
-    columns = power_rows(
-        common_denominator(g.coeffs), d.order, start=common_denominator(d.coeffs)
-    )
-    return tuple(
-        Poly(
-            Fraction(factorial(i) // factorial(k) * p[i], den)
-            for k, (den, p) in enumerate(columns[: i + 1])
-        )
-        for i in range(len(columns))
-    )
+    coefficient of degree i is i!/k! [y^i] d g^k.  Degree i is one integer
+    row over the lcm of the denominators of the columns d g^0 .. d g^i."""
+    columns = power_rows(g.row, d.order, start=d.row)
+    polys, lq = [], 1
+    for i, (den, _) in enumerate(columns):
+        lq = math.lcm(lq, den)
+        polys.append(Poly._reduced(lq, [
+            math.perm(i, i - k) * (lq // dk) * p[i]
+            for k, (dk, p) in enumerate(columns[: i + 1])
+        ]))
+    return tuple(polys)
 
 
 class DerivedSeries:
@@ -115,10 +115,13 @@ class DerivedSeries:
         self, kind: str, polys: tuple[Poly, ...], lead: Fraction
     ) -> tuple[Poly, ...]:
         """Contract: the degree-k leading coefficient is lead / h'(0)^k."""
+        den, h = self.h.row
+        slope = Fraction(h[1], den)
         for k, p in enumerate(polys):
-            if p.leading_coefficient != lead / self.h.coeffs[1] ** k:
+            if p.leading_coefficient != lead:
                 msg = f"{kind} degree {k} has the wrong leading coefficient"
                 raise ContractError(msg)
+            lead /= slope
         return polys
 
     @cached_property

@@ -1,197 +1,126 @@
 """Univariate polynomials in x with exact rational coefficients.
 
-The coefficients are stored densely in ascending degree and kept canonical:
-no trailing zero coefficient, the zero polynomial is the empty tuple.
-The degree of the zero polynomial is ``-inf`` (a sentinel that compares
-correctly against every integer degree) rather than -1.
+A polynomial is stored as one reduced integer row ``Poly.row`` =
+``(D, numerators)`` in ascending degree (see :mod:`sheffermat.rationals`)
+with no trailing zero; the zero polynomial is ``(1, [])``.  The form is
+canonical, so ``==`` compares rows.  The degree of the zero polynomial is
+``-inf`` (a sentinel that compares correctly against every integer degree)
+rather than -1.  ``coeffs`` and ``coeff`` build Fractions on demand.
 
-Polynomials are immutable and hashable by their coefficients alone (a
-constant like the scalar it equals); all arithmetic is exact.  ``Poly.row``
-keeps the integer row of the coefficients.
+Polynomials are immutable and hashable (a constant like the scalar it
+equals); all arithmetic is exact.
 
 :func:`derivative_combination` forms every sum
 sum_t (beta_t + alpha_t x) q_t^(k_t)(x)/k_t! in the package: the four
 identity residuals and the five printed recurrences of the worked-example
-audit.  It and the product of two polynomials read integer rows and
-leave the sum to :func:`sheffermat.rationals.combine`.
+audit.  It and the product of two polynomials sum integer rows with
+:func:`sheffermat.rationals.combine_row`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
-from .rationals import combine, common_denominator, format_rational, rat
+from .rationals import combine_row, common_denominator, format_rational, format_row
+from .rationals import rat, reduce_row
 
 Scalar = Union[Fraction, int]
 
 
-def _canonical(coeffs: Iterable[Fraction]) -> tuple[Fraction, ...]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 class Poly:
-    """A polynomial in x over the rationals, in canonical dense form."""
+    """A polynomial in x over the rationals; ``row`` is not to be modified."""
 
-    __slots__ = ("_coeffs", "_row")
+    __slots__ = ("row",)
 
     def __init__(self, coeffs: Iterable[Fraction | int | str] = ()):
-        self._coeffs = _canonical(rat(c) for c in coeffs)
-        self._row: tuple[int, list[int]] | None = None
-
-    # -- constructors ------------------------------------------------
+        self.row = Poly._reduced(*common_denominator([rat(c) for c in coeffs])).row
 
     @classmethod
-    def zero(cls) -> Poly:
-        return cls(())
-
-    @classmethod
-    def one(cls) -> Poly:
-        return cls((Fraction(1),))
-
-    @classmethod
-    def x(cls) -> Poly:
-        return cls((Fraction(0), Fraction(1)))
-
-    @classmethod
-    def constant(cls, value: Scalar) -> Poly:
-        return cls((rat(value),))
-
-    @classmethod
-    def monomial(cls, degree: int, coefficient: Scalar = 1) -> Poly:
-        if degree < 0:
-            raise ValueError("monomial degree must be >= 0")
-        return cls([Fraction(0)] * degree + [rat(coefficient)])
+    def _reduced(cls, den: int, numerators: list[int]) -> Poly:
+        """The polynomial of the integer row (den > 0), which it takes over:
+        trailing zeros stripped and reduced by one gcd."""
+        while numerators and not numerators[-1]:
+            numerators.pop()
+        p = cls.__new__(cls)
+        p.row = reduce_row(den, numerators)
+        return p
 
     # -- structure ---------------------------------------------------
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
-
-    @property
-    def row(self) -> tuple[int, list[int]]:
-        """``common_denominator(self.coeffs)``, computed on first use and kept."""
-        if self._row is None:
-            self._row = common_denominator(self._coeffs)
-        return self._row
+        den, p = self.row
+        return tuple([Fraction(c, den) for c in p])
 
     @property
     def degree(self) -> int | float:
         """Degree of the polynomial; ``-inf`` for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else -math.inf
+        return len(self.row[1]) - 1 if self.row[1] else -math.inf
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self.row[1]
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self._coeffs:
+        den, p = self.row
+        if not p:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return Fraction(p[-1], den)
 
     def coeff(self, k: int) -> Fraction:
         """The coefficient of x**k (zero beyond the stored length)."""
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
-        return Fraction(0)
+        den, p = self.row
+        return Fraction(p[k], den) if 0 <= k < len(p) else Fraction(0)
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return len(self.row[1])
 
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self._coeffs)
-
-    # -- ring arithmetic ----------------------------------------------
-
-    def __add__(self, other: Poly | Scalar) -> Poly:
-        if isinstance(other, Poly):
-            n = max(len(self._coeffs), len(other._coeffs))
-            return Poly(self.coeff(k) + other.coeff(k) for k in range(n))
-        if isinstance(other, (Fraction, int)):
-            return self + Poly.constant(other)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Poly:
-        return Poly(-c for c in self._coeffs)
-
-    def __sub__(self, other: Poly | Scalar) -> Poly:
-        if isinstance(other, Poly):
-            return self + (-other)
-        if isinstance(other, (Fraction, int)):
-            return self + Poly.constant(-rat(other))
-        return NotImplemented
-
-    def __rsub__(self, other: Scalar) -> Poly:
-        if isinstance(other, (Fraction, int)):
-            return Poly.constant(other) - self
-        return NotImplemented
+    # -- scalar and polynomial products, derivatives -------------------
 
     def __mul__(self, other: Poly | Scalar) -> Poly:
+        den, p = self.row
         if isinstance(other, Poly):
-            den, row = other.row
-            shifted = [(den, [0] * i + row) for i in range(len(self._coeffs))]
-            return Poly(combine(self._coeffs, shifted))
+            dq, q = other.row
+            shifted = [(dq, [0] * i + q) for i in range(len(p))]
+            return Poly._reduced(*combine_row(den, p, shifted))
         if isinstance(other, (Fraction, int)):
-            return Poly(c * other for c in self._coeffs)
+            scaled = [c * other.numerator for c in p]
+            return Poly._reduced(den * other.denominator, scaled)
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> Poly:
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    # -- calculus and evaluation ---------------------------------------
 
     def derivative(self, k: int = 1) -> Poly:
         """k-th derivative with respect to x (k >= 0)."""
         if k < 0:
             raise ValueError("derivative count must be >= 0")
-        coeffs = self._coeffs
-        for _ in range(k):
-            coeffs = tuple(coeffs[i] * i for i in range(1, len(coeffs)))
-        return Poly(coeffs)
-
-    def __call__(self, value: Scalar) -> Fraction:
-        """Evaluate at a rational point by Horner's rule."""
-        v = rat(value)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * v + c
-        return acc
+        den, p = self.row
+        return Poly._reduced(den, [math.perm(i, k) * c for i, c in enumerate(p[k:], k)])
 
     # -- identity ------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
-            return self._coeffs == other._coeffs
+            return self.row == other.row
         if isinstance(other, (Fraction, int)):
-            return self == Poly.constant(other)
+            return self.row == Poly((other,)).row
         return NotImplemented
 
     def __hash__(self) -> int:
         # A constant equals its scalar, so it hashes like it too.
-        if len(self._coeffs) <= 1:
+        den, p = self.row
+        if len(p) <= 1:
             return hash(self.coeff(0))
-        return hash(("Poly", self._coeffs))
+        return hash(("Poly", den, tuple(p)))
 
     # -- text and wire form --------------------------------------------
 
     def to_strings(self) -> list[str]:
         """The coefficients as exact strings, ascending degree (JSON form)."""
-        return [format_rational(c) for c in self._coeffs]
+        return format_row(*self.row)
 
     def render(
         self, scalar: Callable[[Fraction], str], power: Callable[[int], str], times: str
@@ -200,8 +129,9 @@ class Poly:
         writes |c|, ``power`` writes x^k (k >= 1), ``times`` joins the two on an
         x-term, where |c| = 1 is dropped.  ``str`` gives "-x^2 + 3*x - 1/2"."""
         parts: list[str] = []
-        for k in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[k]
+        coeffs = self.coeffs
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if c == 0:
                 continue
             body = scalar(abs(c)) if k == 0 else power(k)
@@ -215,7 +145,7 @@ class Poly:
         return self.render(format_rational, lambda k: "x" if k == 1 else f"x^{k}", "*")
 
     def __repr__(self) -> str:
-        return f"Poly({[format_rational(c) for c in self._coeffs]})"
+        return f"Poly({self.to_strings()})"
 
 
 def derivative_combination(terms: Sequence[tuple[Scalar, Scalar, Poly, int]]) -> Poly:
@@ -223,14 +153,15 @@ def derivative_combination(terms: Sequence[tuple[Scalar, Scalar, Poly, int]]) ->
 
     The x^j coefficient of q^(k)/k! is C(j+k, k) q_{j+k}; the alpha x part
     is that row shifted up one place (an empty row when alpha is zero, as
-    combine never reads a zero-weight row).  Each q is read as its kept
-    ``q.row``, scaled once for every call, and the rows are summed by
-    :func:`~sheffermat.rationals.combine`.
+    combine_row never reads a zero-weight row).  A weight's denominator
+    joins the denominator of its ``q.row``, and the rows are summed by
+    :func:`~sheffermat.rationals.combine_row` and reduced once.
     """
     weights, rows = [], []
     for alpha, beta, q, k in (term for term in terms if term[0] or term[1]):
         den, p = q.row
         row = [math.comb(m, k) * c for m, c in enumerate(p[k:], k)] if k else p
-        weights += [beta, alpha]
-        rows += [(den, row), (den, [0, *row] if alpha else [])]
-    return Poly(combine(weights, rows))
+        weights += [beta.numerator, alpha.numerator]
+        rows += [(den * beta.denominator, row)]
+        rows += [(den * alpha.denominator, [0, *row] if alpha else [])]
+    return Poly._reduced(*combine_row(1, weights, rows))

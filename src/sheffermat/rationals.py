@@ -1,18 +1,19 @@
 """Exact rational scalars, their text form, and exact linear combinations.
 
 The scalar field everywhere in this package is the arbitrary-precision
-rational numbers, represented by :class:`fractions.Fraction` (always
-reduced, denominator positive, zero is ``0/1``).  This module fixes the
-wire format: ``"p/q"``, or just ``"p"`` when the denominator is 1, with
-a bit-exact round trip.
+rational numbers: one scalar is a :class:`fractions.Fraction`, and the
+coefficients of a ``Poly`` or ``TruncatedSeries`` and each row of a
+``Matrix`` are one integer row ``(D, numerators)``, the rationals
+numerators[k] / D, kept reduced (gcd(D, *numerators) = 1, D > 0).  A
+constructor scales its entries once (:func:`common_denominator`); every
+kernel reduces its result by one gcd (:func:`reduce_row`).  The wire
+format is ``"p/q"``, or just ``"p"`` when the denominator is 1, with a
+bit-exact round trip.
 
 :func:`combine_row` is the one exact row-combination loop of the package:
 matrix products, the derivative combinations behind the identity
 residuals and the audit's printed recurrences, polynomial products and
-series composition all run through it.  Each row is scaled to integers
-once (:func:`common_denominator`; ``Poly.row``; a matrix stores only such
-rows), and the sum is an unreduced integer row: a matrix product reduces
-it by one gcd, :func:`combine` each entry once as a Fraction.
+series composition all run through it; its caller reduces the sum once.
 """
 
 from __future__ import annotations
@@ -83,15 +84,17 @@ def combine_row(dw: int, weights: Sequence[int], rows: Sequence[Row]) -> Row:
     return lq * dw, out
 
 
-def combine(weights: Sequence[Fraction | int], rows: Sequence[Row]) -> list[Fraction]:
-    """:func:`combine_row` with rational weights, which share one common
-    denominator, and each output entry reduced once as a Fraction."""
-    den, out = combine_row(*common_denominator(weights), rows)
-    return [Fraction(c, den) for c in out]
-
-
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as ``"p/q"``, or ``"p"`` when the denominator is 1."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def format_row(den: int, numerators: Sequence[int]) -> list[str]:
+    """:func:`format_rational` of each numerators[k] / den, no Fraction built."""
+    out = []
+    for c in numerators:
+        g = math.gcd(c, den)
+        out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+    return out

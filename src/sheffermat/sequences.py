@@ -74,12 +74,13 @@ def sheffer_sequence(pair: ShefferPair, n: int) -> PolySequence:
 
 def appell_sequence(l: TruncatedSeries, n: int) -> PolySequence:
     """Degrees 0..n of the Appell sequence with generating function e^{xy}/l:
-    the x^k coefficient of degree i is C(i, k) (1/l)^(i-k)(0)."""
+    the x^k coefficient of degree i is C(i, k) (1/l)^(i-k)(0) = i!/k! [y^(i-k)] 1/l."""
     if not l.is_invertible:
         raise NotInvertibleError("l must have a nonzero constant term")
     _require_degree(l.order, n)
-    dv = l.truncate(n).reciprocal().derivatives_at_zero()
+    den, r = l.truncate(n).reciprocal().row
     polys = tuple(
-        Poly(math.comb(i, k) * dv[i - k] for k in range(i + 1)) for i in range(n + 1)
+        Poly._reduced(den, [math.perm(i, i - k) * r[i - k] for k in range(i + 1)])
+        for i in range(n + 1)
     )
     return PolySequence("appell", polys)

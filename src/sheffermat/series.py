@@ -1,10 +1,11 @@
 """Truncated formal power series in y with rational coefficients.
 
 A :class:`TruncatedSeries` of order n stores the n+1 coefficients of
-y^0 .. y^n as :class:`fractions.Fraction` values; every operation is
-exact modulo y^(n+1) and makes no claim beyond the truncation order.
-Each coefficient is coerced by :func:`~sheffermat.rationals.rat`, which
-rejects anything that is not a rational, such as a float or a polynomial.
+y^0 .. y^n as one reduced integer row ``row = (D, numerators)`` (see
+:mod:`sheffermat.rationals`); every operation is exact modulo y^(n+1)
+and makes no claim beyond the truncation order.  The constructor coerces
+each coefficient by :func:`~sheffermat.rationals.rat`, which rejects
+anything that is not a rational, such as a float or a polynomial.
 
 Binary operations require equal orders; mixing orders is a loud
 :class:`OrderMismatchError`, never a silent truncation.  Use
@@ -17,10 +18,9 @@ inverse of a delta series (zero constant term, nonzero linear term; by
 Lagrange inversion), and the exponential of a series with zero constant
 term, which is the series of e^y composed with it.
 
-The product runs on integers: the truncated product of two ``(D, numerators)``
-rows (:func:`~sheffermat.rationals.common_denominator`) is reduced once by
-the gcd of D and the numerators, and a loop of products by one fixed factor
-(:func:`power_rows`) scales that factor once.  The reciprocal is Newton
+Every operation runs on rows and reduces its result once by the gcd of D
+and the numerators; ``coeffs`` builds Fractions on demand, for the edges
+only.  The reciprocal is Newton
 iteration on the product; composition is Paterson-Stockmeyer (Brent & Kung,
 "Fast algorithms for manipulating formal power series", J. ACM 25, 1978, §2)
 and the only routine that evaluates one series at another.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     ContractError,
@@ -43,46 +43,52 @@ from .rationals import Row, combine_row, common_denominator, rat, reduce_row
 
 
 def _product(a: Row, b: Row) -> Row:
-    """Truncated product of two equal-length ``(D, numerators)`` rows, reduced
-    once by the gcd of D and the numerators; zeros of ``a`` are skipped."""
+    """Truncated product of two equal-length ``(D, numerators)`` rows, as an
+    unreduced row; zeros of ``a`` are skipped."""
     (da, pa), (db, pb) = a, b
     out = [0] * len(pa)
     for i, ai in enumerate(pa):
         if ai:
             out[i:] = [o + ai * bj for o, bj in zip(out[i:], pb)]
-    return reduce_row(da * db, out)
+    return da * db, out
 
 
 def power_rows(factor: Row, count: int, start: Row | None = None) -> list[Row]:
-    """start * factor^k for k = 0..count as rows (start defaults to 1): the
-    fixed factor is scaled once, by the caller, and never again."""
+    """start * factor^k for k = 0..count as rows (start defaults to 1)."""
     rows = [start or (1, [1] + [0] * (len(factor[1]) - 1))]
     for _ in range(count):
-        rows.append(_product(rows[-1], factor))
+        rows.append(reduce_row(*_product(rows[-1], factor)))
     return rows
 
 
 class TruncatedSeries:
-    """A power series in y truncated at a fixed order, with rational coefficients."""
+    """A truncated power series in y; its ``row`` is not to be modified."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("row",)
 
     def __init__(
         self, coeffs: Iterable[Fraction | int | str], order: int | None = None
     ):
-        items = [rat(c) for c in coeffs]
-        if not items:
+        den, p = common_denominator([rat(c) for c in coeffs])
+        if not p:
             raise ValueError("a truncated series needs at least a constant term")
         if order is not None:
             if order < 0:
                 raise ValueError("order must be >= 0")
-            if len(items) > order + 1:
+            if len(p) > order + 1:
                 raise ValueError(
-                    f"{len(items)} coefficients exceed order {order}; "
+                    f"{len(p)} coefficients exceed order {order}; "
                     "truncate explicitly instead"
                 )
-            items.extend([Fraction(0)] * (order + 1 - len(items)))
-        self._coeffs = tuple(items)
+            p += [0] * (order + 1 - len(p))
+        self.row = den, p
+
+    @classmethod
+    def _reduced(cls, den: int, numerators: list[int]) -> TruncatedSeries:
+        """The series of the integer row (den > 0), reduced by one gcd."""
+        s = cls.__new__(cls)
+        s.row = reduce_row(den, numerators)
+        return s
 
     # -- constructors ---------------------------------------------------
 
@@ -95,34 +101,33 @@ class TruncatedSeries:
         """The series y (the identity delta series) at the given order."""
         if order < 1:
             raise ValueError("the identity series needs order >= 1")
-        return cls([Fraction(0), Fraction(1)], order)
+        return cls([0, 1], order)
 
     # -- structure --------------------------------------------------------
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        den, p = self.row
+        return tuple([Fraction(c, den) for c in p])
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self.row[1]) - 1
 
     @property
     def constant_term(self) -> Fraction:
-        return self._coeffs[0]
+        return Fraction(self.row[1][0], self.row[0])
 
     @property
     def is_delta(self) -> bool:
         """True iff f(0) = 0 and f'(0) != 0."""
-        return self.order >= 1 and self._coeffs[0] == 0 and self._coeffs[1] != 0
+        p = self.row[1]
+        return len(p) > 1 and p[0] == 0 and p[1] != 0
 
     @property
     def is_invertible(self) -> bool:
         """True iff the constant term is nonzero."""
-        return self._coeffs[0] != 0
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self._coeffs)
+        return self.row[1][0] != 0
 
     def truncate(self, order: int) -> TruncatedSeries:
         """Drop coefficients above ``order`` (which must not exceed self.order)."""
@@ -132,7 +137,8 @@ class TruncatedSeries:
             raise InsufficientOrderError(
                 f"cannot extend a series of order {self.order} to order {order}"
             )
-        return TruncatedSeries(self._coeffs[: order + 1])
+        den, p = self.row
+        return TruncatedSeries._reduced(den, p[: order + 1])
 
     def _require_same_order(self, other: TruncatedSeries, op: str) -> None:
         if self.order != other.order:
@@ -146,26 +152,22 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_order(other, "add")
-        return TruncatedSeries([a + b for a, b in zip(self._coeffs, other._coeffs)])
-
-    def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._require_same_order(other, "subtract")
-        return TruncatedSeries([a - b for a, b in zip(self._coeffs, other._coeffs)])
+        (da, pa), (db, pb) = self.row, other.row
+        summed = [a * db + b * da for a, b in zip(pa, pb)]
+        return TruncatedSeries._reduced(da * db, summed)
 
     def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries([-c for c in self._coeffs])
+        den, p = self.row
+        return TruncatedSeries._reduced(den, [-c for c in p])
 
     def __mul__(self, other: TruncatedSeries | Fraction | int) -> TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._require_same_order(other, "multiply")
-            den, out = _product(
-                common_denominator(self._coeffs), common_denominator(other._coeffs)
-            )
-            return TruncatedSeries([Fraction(c, den) for c in out])
+            return TruncatedSeries._reduced(*_product(self.row, other.row))
         if isinstance(other, (Fraction, int)):
-            return TruncatedSeries([c * other for c in self._coeffs])
+            den, p = self.row
+            scaled = [c * other.numerator for c in p]
+            return TruncatedSeries._reduced(den * other.denominator, scaled)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -175,30 +177,28 @@ class TruncatedSeries:
     def derivative(self) -> TruncatedSeries:
         """Term-wise d/dy; the result's order is one lower."""
         if self.order == 0:
-            raise InsufficientOrderError(
-                "cannot differentiate a series of order 0"
-            )
-        return TruncatedSeries(
-            [self._coeffs[k] * k for k in range(1, self.order + 1)]
-        )
+            raise InsufficientOrderError("cannot differentiate a series of order 0")
+        den, p = self.row
+        return TruncatedSeries._reduced(den, [k * c for k, c in enumerate(p[1:], 1)])
 
     def reciprocal(self) -> TruncatedSeries:
         """Multiplicative inverse: self * result = 1 modulo y^(order+1).
 
         The constant term must be nonzero.  Newton step: if b = 1/self
-        mod y^(m+1), then b (2 - self b) = 1/self mod y^(2m+2); self is
-        scaled to integers once and b stays an integer row.
+        mod y^(m+1), then b (2 - self b) = 1/self mod y^(2m+2), on the
+        rows of self and b.
         """
-        c0 = self._coeffs[0]
+        ds, fixed = self.row
+        c0 = fixed[0]
         if c0 == 0:
             raise NotInvertibleError("series with zero constant term has no reciprocal")
-        ds, fixed = common_denominator(self._coeffs)
-        den, b = common_denominator([1 / c0])
-        while len(b) <= self.order:
+        den, b = (c0, [ds]) if c0 > 0 else (-c0, [-ds])
+        while len(b) < len(fixed):
             b += [0] * (min(2 * len(b), len(fixed)) - len(b))
-            de, e = _product((ds, fixed[: len(b)]), (den, b))
-            den, b = _product((den, b), (de, [2 * de - e[0]] + [-c for c in e[1:]]))
-        return TruncatedSeries([Fraction(c, den) for c in b])
+            de, e = reduce_row(*_product((ds, fixed[: len(b)]), (den, b)))
+            e = [2 * de - e[0]] + [-c for c in e[1:]]
+            den, b = reduce_row(*_product((den, b), (de, e)))
+        return TruncatedSeries._reduced(den, b)
 
     def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
         """self(inner(y)) truncated at the shared order.
@@ -207,64 +207,67 @@ class TruncatedSeries:
         is what makes the truncated composition exact; its linear term may
         be zero too.  Paterson-Stockmeyer: the m ~ sqrt(n) baby powers
         inner^0..inner^(m-1) and the giant step inner^m cost about
-        2 sqrt(n) products, not n.  self is scaled to integers once and the
-        Horner accumulator stays an integer row.
+        2 sqrt(n) products, not n.  The Horner accumulator is a row, reduced
+        once per chunk.
         """
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("compose expects a TruncatedSeries")
         self._require_same_order(inner, "compose")
-        if inner._coeffs[0] != 0:
+        if inner.row[1][0] != 0:
             msg = "composition requires an inner series with zero constant term"
             raise NotDeltaSeriesError(msg)
         m = max(1, math.isqrt(self.order + 1))
-        *baby, giant = power_rows(common_denominator(inner._coeffs), m)
-        ds, p = common_denominator(self._coeffs)
+        *baby, giant = power_rows(inner.row, m)
+        ds, p = self.row
         chunks = [p[k : k + m] for k in range(0, len(p), m)]
-        acc = reduce_row(*combine_row(ds, chunks[-1], baby[: len(chunks[-1])]))
+        acc = combine_row(ds, chunks[-1], baby[: len(chunks[-1])])
         for chunk in reversed(chunks[:-1]):
-            carried = _product(giant, acc)
-            acc = reduce_row(*combine_row(ds, (*chunk, ds), baby + [carried]))
-        den, out = acc
-        return TruncatedSeries([Fraction(c, den) for c in out])
+            carried = reduce_row(*_product(giant, reduce_row(*acc)))
+            acc = combine_row(ds, (*chunk, ds), baby + [carried])
+        return TruncatedSeries._reduced(*acc)
 
     def compositional_inverse(self) -> TruncatedSeries:
         """The delta series g with self(g(y)) = y modulo y^(order+1).
 
         Lagrange inversion: g_m = (1/m) [y^(m-1)] (y/h)^m, reading one
-        coefficient off each successive power of y/h.  The defining
-        relation h(g) = y is checked before the result is returned.
+        coefficient off each successive power of y/h, all over one lcm.  The
+        defining relation h(g) = y is checked before the result is returned.
         """
         if not self.is_delta:
             raise NotDeltaSeriesError("only a delta series has a compositional inverse")
-        n = self.order
-        y_over_h = common_denominator(TruncatedSeries(self._coeffs[1:]).reciprocal()._coeffs)
-        powers = power_rows(y_over_h, n - 1, start=y_over_h)
-        inverse = TruncatedSeries(
-            [0] + [Fraction(p[m - 1], den * m) for m, (den, p) in enumerate(powers, 1)]
+        den, p = self.row
+        y_over_h = TruncatedSeries._reduced(den, p[1:]).reciprocal().row
+        powers = power_rows(y_over_h, len(p) - 2, start=y_over_h)
+        lq = math.lcm(*[d * m for m, (d, _) in enumerate(powers, 1)])
+        inverse = TruncatedSeries._reduced(
+            lq, [0] + [q[m - 1] * (lq // (d * m)) for m, (d, q) in enumerate(powers, 1)]
         )
-        if self.compose(inverse) != TruncatedSeries.identity(n):
+        if self.compose(inverse).row != (1, [0, 1] + [0] * (len(p) - 2)):
             raise ContractError("compositional inverse failed its defining relation")
         return inverse
 
     def exp(self) -> TruncatedSeries:
         """exp(self) = sum self^k / k!: the series of e^y composed with
         self, so the constant term must be zero."""
-        e = [Fraction(1, math.factorial(k)) for k in range(self.order + 1)]
-        return TruncatedSeries(e).compose(self)
+        n = self.order
+        e = [math.perm(n, n - k) for k in range(n + 1)]  # n!/k!
+        return TruncatedSeries._reduced(e[0], e).compose(self)
 
     def derivatives_at_zero(self) -> tuple[Fraction, ...]:
         """The vector [f(0), f'(0), ..., f^(order)(0)], i.e. k! * coeffs[k]."""
-        return tuple(c * math.factorial(k) for k, c in enumerate(self._coeffs))
+        den, p = self.row
+        return tuple([Fraction(c * math.factorial(k), den) for k, c in enumerate(p)])
 
     # -- identity -------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TruncatedSeries):
-            return self._coeffs == other._coeffs
+            return self.row == other.row
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("TruncatedSeries", self._coeffs))
+        den, p = self.row
+        return hash(("TruncatedSeries", den, tuple(p)))
 
     def __repr__(self) -> str:
-        return f"TruncatedSeries({list(self._coeffs)!r})"
+        return f"TruncatedSeries({list(self.coeffs)!r})"

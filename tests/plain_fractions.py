@@ -1,0 +1,112 @@
+"""Plain-Fraction polynomial and series arithmetic for the tests.
+
+The package never adds, subtracts, raises to a power or evaluates a
+``Poly``, never subtracts two ``TruncatedSeries`` and never builds a
+monomial; it sums integer rows instead.  The tests state their expected
+values with these functions, which work one ``Fraction`` coefficient at a
+time, so they are also an independent reference for the row kernels
+(``mul`` for the ``Poly`` product; the functions on coefficient lists for
+the truncated series product, reciprocal, composition and exponential).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import zip_longest
+
+from sheffermat import Poly, TruncatedSeries
+
+
+def monomial(degree: int, coefficient: Fraction | int = 1) -> Poly:
+    """coefficient * x**degree."""
+    if degree < 0:
+        raise ValueError("monomial degree must be >= 0")
+    return Poly([0] * degree + [coefficient])
+
+
+def _coeffs(p: Poly | Fraction | int) -> tuple[Fraction, ...]:
+    return p.coeffs if isinstance(p, Poly) else (Fraction(p),)
+
+
+def add(*terms: Poly | Fraction | int) -> Poly:
+    """The sum of polynomials and scalars (the zero polynomial if none)."""
+    out: list[Fraction] = []
+    for term in terms:
+        out = [a + b for a, b in zip_longest(out, _coeffs(term), fillvalue=0)]
+    return Poly(out)
+
+
+def neg(p: Poly) -> Poly:
+    return Poly(-c for c in p.coeffs)
+
+
+def sub(p: Poly | Fraction | int, q: Poly | Fraction | int) -> Poly:
+    return add(p, neg(Poly(_coeffs(q))))
+
+
+def mul(p: Poly | Fraction | int, q: Poly | Fraction | int) -> Poly:
+    a, b = _coeffs(p), _coeffs(q)
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return Poly(out)
+
+
+def power(p: Poly, exponent: int) -> Poly:
+    if exponent < 0:
+        raise ValueError("negative power of a polynomial")
+    result = Poly((1,))
+    for _ in range(exponent):
+        result = mul(result, p)
+    return result
+
+
+def evaluate(p: Poly, value: Fraction | int) -> Fraction:
+    """p(value) by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * value + c
+    return acc
+
+
+def series_sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    if a.order != b.order:
+        raise ValueError("orders differ")
+    return TruncatedSeries([x - y for x, y in zip(a.coeffs, b.coeffs)])
+
+
+# Coefficient lists of truncated series, all of one length.
+
+
+def truncated_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * len(a)
+    for k in range(len(a)):
+        out[k] = sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
+    return out
+
+
+def reciprocal(c: list[Fraction]) -> list[Fraction]:
+    """1/c by the recurrence c_0 b_k = -sum_{i>=1} c_i b_(k-i)."""
+    out = [1 / c[0]]
+    for k in range(1, len(c)):
+        out.append(-sum(c[i] * out[k - i] for i in range(1, k + 1)) / c[0])
+    return out
+
+
+def composition(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
+    """f(g(y)) by Horner's rule, g[0] = 0."""
+    out = [Fraction(0)] * len(f)
+    for c in reversed(f):
+        out = truncated_product(out, g)
+        out[0] += c
+    return out
+
+
+def exponential(g: list[Fraction]) -> list[Fraction]:
+    """sum_k g^k / k!, g[0] = 0."""
+    out, term = [Fraction(0)] * len(g), [Fraction(1)] + [Fraction(0)] * (len(g) - 1)
+    for k in range(1, len(g) + 1):
+        out = [o + t for o, t in zip(out, term)]
+        term = [c / k for c in truncated_product(term, g)]
+    return out

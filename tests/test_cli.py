@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -148,7 +149,7 @@ def test_gen_n_zero(capsys):
 
 
 def test_poly_to_latex_rendering():
-    assert poly_to_latex(Poly.zero()) == "0"
+    assert poly_to_latex(Poly()) == "0"
     assert poly_to_latex(Poly((0, -1))) == "-x"
     assert poly_to_latex(Poly((Fraction(-1, 2),))) == "-\\frac{1}{2}"
     assert poly_to_latex(Poly((0, -2, 0, 1))) == "x^{3} - 2x"
@@ -393,6 +394,43 @@ def test_repeated_param_is_usage_error(capsys):
     assert "--param lambda given more than once" in capsys.readouterr().err
 
 
+HUGE = "9" * 1000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "laguerre", "--param", f"lambda={HUGE}", "--n", "100"],
+        ["gen", "--family", "laguerre", "--param", f"lambda=1/{HUGE}", "--n", "100"],
+        ["coeffs", "--family", "miller-lee", "--param", f"m=-{HUGE}/7",
+         "--theorem", "3.3", "--n", "100"],
+        ["verify", "--family", "miller-lee", "--param", f"m=2/{HUGE}",
+         "--n", "100", "--all", "--lemma"],
+    ],
+    ids=["gen-numerator", "gen-denominator", "coeffs", "verify"],
+)
+def test_huge_param_is_refused_before_any_pair_is_built(argv, capsys, monkeypatch):
+    built = []
+    for module in (cli, sys.modules["sheffermat.verify"]):
+        monkeypatch.setattr(module, "make_pair", lambda *a: built.append(a))
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert time.perf_counter() - start < 1
+    assert info.value.code == 2 and built == []
+    assert f"at most {cli.MAX_PARAM_DIGITS} digits" in capsys.readouterr().err
+
+
+def test_param_at_the_digit_cap_is_accepted(capsys):
+    top = "9" * cli.MAX_PARAM_DIGITS
+    code, out, _ = run_cli(
+        capsys, "gen", "--family", "laguerre", "--param", f"lambda=-{top}/{top[:-1]}8",
+        "--n", "2",
+    )
+    assert code == 0
+    assert json.loads(out)["parameters"] == {"lambda": f"-{top}/{top[:-1]}8"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -454,6 +492,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "laguerre" in proc.stdout
+
+
+def test_closed_stdout_ends_quietly():
+    """``gen ... | head -c 10``: the reader leaves after 10 bytes of about
+    150 kB, and the writer ends with exit 141 (128 + SIGPIPE) and no
+    traceback, not with the verification-failure code 1."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sheffermat", "gen", "--family", "hermite",
+         "--n", "100"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.stdout.read(10) == b'{\n  "famil'
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_console_script_help():

@@ -1,6 +1,7 @@
 """The per-pair derived series: independent oracles and the once-per-pair cost."""
 
 import math
+import sys
 from fractions import Fraction
 from functools import cached_property
 
@@ -33,13 +34,15 @@ from sheffermat import (
     make_pair,
     omega_inverse,
     pascal_matrix,
-    polynomials,
+    rationals,
     residual_checks,
     sheffer_appell_sequence,
     sheffer_sequence,
     wronskian_powers_matrix,
 )
 from sheffermat.pairs import DerivedSeries, riordan_polys
+
+from plain_fractions import add, monomial
 
 # -- sympy oracle on random valid pairs --------------------------------------
 
@@ -63,7 +66,8 @@ def sympy_sequences(pair: ShefferPair) -> dict[str, list[Poly]]:
 
     def poly_in_y(series):
         return sum(
-            (QQ(c.numerator, c.denominator) * y**k for k, c in enumerate(series)),
+            (QQ(c.numerator, c.denominator) * y**k
+             for k, c in enumerate(series.coeffs)),
             R(0),
         )
 
@@ -132,7 +136,7 @@ def pascal_of_exp_xy(n: int) -> list[list[Poly]]:
     """P[e^{xy}] at y = 0: entry (i, j) = C(i, j) x^(i-j), zero above."""
     return [
         [
-            Poly.monomial(i - j, math.comb(i, j)) if i >= j else Poly.zero()
+            monomial(i - j, math.comb(i, j)) if i >= j else Poly()
             for j in range(n + 1)
         ]
         for i in range(n + 1)
@@ -142,7 +146,7 @@ def pascal_of_exp_xy(n: int) -> list[list[Poly]]:
 def poly_matmul(rational_rows, poly_rows) -> list[list[Poly]]:
     """The product of a rational matrix and a Poly matrix, as nested lists."""
     return [
-        [sum((a * p for a, p in zip(row, col)), Poly.zero()) for col in zip(*poly_rows)]
+        [add(*(a * p for a, p in zip(row, col))) for col in zip(*poly_rows)]
         for row in rational_rows
     ]
 
@@ -206,7 +210,7 @@ def test_factorization_rejects_a_row_of_lower_degree(monkeypatch, row, short):
         s = list(engine(pair, n))
         if row <= n:
             p = s[row]
-            s[row] = Poly.zero() if short == "zero" else Poly(p.coeffs[:-1])
+            s[row] = Poly() if short == "zero" else Poly(p.coeffs[:-1])
             assert s[row].degree < row
         return s
 
@@ -230,8 +234,8 @@ def test_scaled_derivative_matrix_monomial():
     assert len(m) == 4 and all(len(row) == 4 for row in m)
     # entry (i, j) = C(i, j) x^{i-j}
     assert m[3][1] == Poly((0, 0, 3))
-    assert m[2][2] == Poly.one()
-    assert m[1][2] == Poly.zero()
+    assert m[2][2] == Poly((1,))
+    assert m[1][2] == Poly()
 
 
 # -- the lemma sweep read off one size-n product ------------------------------
@@ -253,7 +257,7 @@ def break_row(monkeypatch, row: int) -> None:
     def broken(pair, n):
         s = list(engine(pair, n))
         if row <= n:
-            s[row] = s[row] + 1
+            s[row] = add(s[row], 1)
         return s
 
     monkeypatch.setattr(identities, "sheffer_appell_sequence", broken)
@@ -447,20 +451,23 @@ def test_sweep_inverts_h_once_per_pair(monkeypatch):
     assert len(calls) == len(pairs_)
 
 
-def test_sweep_scales_each_sequence_polynomial_once(monkeypatch):
+def test_warm_residual_sweep_calls_no_common_denominator(monkeypatch):
+    """Sequence polynomials and derived series are stored as integer rows, so
+    a residual sweep on a pair whose derived series are built scales none."""
+    pair = make_pair("log-assoc", 12)
+    assert all(r.passed for r in residual_checks(pair, 10, LABELS))
     calls = []
-    honest = polynomials.common_denominator
+    honest = rationals.common_denominator
 
     def counted(values):
         calls.append(values)
         return honest(values)
 
-    monkeypatch.setattr(polynomials, "common_denominator", counted)
-    pair = make_pair("log-assoc", 12)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sheffermat") and vars(module).get("common_denominator"):
+            monkeypatch.setattr(module, "common_denominator", counted)
     assert all(r.passed for r in residual_checks(pair, 10, LABELS))
-    assert all(r.passed for r in residual_checks(pair, 10, LABELS))
-    scaled = sorted(id(values) for values in calls)
-    assert scaled == sorted(id(p.coeffs) for p in sheffer_appell_sequence(pair, 11))
+    assert calls == []
 
 
 def test_log_derivative_of_l_is_built_once_per_pair(monkeypatch):

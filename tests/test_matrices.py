@@ -131,7 +131,7 @@ def test_column_entries():
 def test_matrix_entries_are_rational():
     assert Matrix([["-1/3", 2]]).row(0) == (Fraction(-1, 3), Fraction(2))
     with pytest.raises(TypeError):
-        Matrix([[Poly.x()]])
+        Matrix([[Poly((0, 1))]])
     with pytest.raises(TypeError):
         Matrix([[1.5]])
 

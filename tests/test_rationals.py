@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sheffermat import Poly, format_rational, parse_rational, rat
-from sheffermat.rationals import combine, combine_row, common_denominator, reduce_row
+from sheffermat.rationals import combine_row, common_denominator, format_row, reduce_row
 
 
 def test_parse_plain_integer():
@@ -48,7 +48,7 @@ def test_rat_coerces_int_str_fraction():
 
 
 @pytest.mark.parametrize(
-    "bad", [1.5, None, Poly.x()], ids=["float", "None", "Poly"]
+    "bad", [1.5, None, Poly((0, 1))], ids=["float", "None", "Poly"]
 )
 def test_rat_rejects_non_rationals(bad):
     with pytest.raises(TypeError, match="not a rational"):
@@ -69,6 +69,13 @@ def fraction_sum(weights, rows):
         for j, c in enumerate(r):
             out[j] += w * c
     return out
+
+
+def combine(weights, rows):
+    """combine_row with rational weights over one common denominator, each
+    output entry reduced as a Fraction."""
+    den, out = combine_row(*common_denominator(weights), rows)
+    return [Fraction(c, den) for c in out]
 
 
 small = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -125,6 +132,15 @@ def test_combine_skips_zero_weight_rows():
 def test_combine_needs_one_weight_per_row():
     with pytest.raises(ValueError):
         combine([1], [])
+
+
+@given(
+    st.integers(1, 10**30),
+    st.lists(st.integers(-(10**40), 10**40) | st.sampled_from([0, 1, -1]), max_size=8),
+)
+def test_format_row_writes_each_entry_as_its_fraction(den, numerators):
+    expected = [format_rational(Fraction(c, den)) for c in numerators]
+    assert format_row(den, numerators) == expected
 
 
 @given(st.fractions(max_denominator=1000))

@@ -1,0 +1,163 @@
+"""Every row kernel against the plain-Fraction reference, orders 0..20.
+
+``Poly`` and ``TruncatedSeries`` store one reduced integer row
+``(D, numerators)``.  Each operation that works on rows is compared here
+with its one-Fraction-at-a-time reference from ``plain_fractions`` on
+coefficients with negative numerators, denominators up to 10^12, zero
+series and delta series with h'(0) != 1, and every result is checked to
+be in canonical form: D > 0, gcd(D, *numerators) = 1 and, for a ``Poly``,
+no trailing zero.
+"""
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sheffermat import Poly, TruncatedSeries, appell_sequence
+from sheffermat.pairs import riordan_polys
+from sheffermat.polynomials import derivative_combination
+from sheffermat.rationals import format_rational
+
+import plain_fractions as plain
+
+entries = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(-7, 3)]),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**12),
+)
+nonzero = entries.filter(lambda q: q != 0)
+orders = st.integers(min_value=0, max_value=20)
+
+
+def coefficients(order: int, constant=entries):
+    """order + 1 coefficients, the first drawn from ``constant`` (a strategy
+    or a fixed value); the rest dense, all zero, or one nonzero term."""
+    if not isinstance(constant, st.SearchStrategy):
+        constant = st.just(Fraction(constant))
+    dense = st.lists(entries, min_size=order, max_size=order)
+    zero = st.just([Fraction(0)] * order)
+    single = st.tuples(st.integers(0, max(order - 1, 0)), nonzero).map(
+        lambda t: [t[1] if k == t[0] else Fraction(0) for k in range(order)]
+    )
+    tail = st.one_of(dense, zero, single) if order else st.just([])
+    return st.tuples(constant, tail).map(lambda t: [t[0], *t[1]])
+
+
+def delta(order: int):
+    """A delta series' coefficients: h(0) = 0, h'(0) any nonzero rational."""
+    tail = st.lists(entries, min_size=order - 1, max_size=order - 1)
+    return st.tuples(nonzero, tail).map(lambda t: [Fraction(0), t[0], *t[1]])
+
+
+def canonical(x) -> bool:
+    den, p = x.row
+    if type(den) is not int or den <= 0 or any(type(c) is not int for c in p):
+        return False
+    if isinstance(x, Poly) and p and p[-1] == 0:
+        return False
+    return math.gcd(den, *p) == 1
+
+
+def same(series: TruncatedSeries, coeffs: list[Fraction]) -> bool:
+    return canonical(series) and list(series.coeffs) == coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders.flatmap(lambda n: st.tuples(coefficients(n), coefficients(n))), entries)
+def test_series_ring_operations(operands, scalar):
+    a, b = operands
+    sa, sb = TruncatedSeries(a), TruncatedSeries(b)
+    assert same(sa, a) and same(sb, b)
+    assert same(sa * sb, plain.truncated_product(a, b))
+    assert same(sa + sb, [x + y for x, y in zip(a, b)])
+    assert same(-sa, [-x for x in a])
+    assert same(sa * scalar, [x * scalar for x in a]) and scalar * sa == sa * scalar
+    assert plain.series_sub(sa, sb) == sa + -sb
+    dv = tuple(x * math.factorial(k) for k, x in enumerate(a))
+    assert sa.derivatives_at_zero() == dv
+    for k in range(len(a)):
+        assert same(sa.truncate(k), a[: k + 1])
+    if len(a) > 1:
+        assert same(sa.derivative(), [x * k for k, x in enumerate(a)][1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders.flatmap(lambda n: coefficients(n, constant=nonzero)))
+def test_reciprocal(c):
+    assert same(TruncatedSeries(c).reciprocal(), plain.reciprocal(c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(orders.flatmap(lambda n: st.tuples(coefficients(n), coefficients(n, 0))))
+def test_compose_and_exp(operands):
+    f, g = operands
+    sf, sg = TruncatedSeries(f), TruncatedSeries(g)
+    assert same(sf.compose(sg), plain.composition(f, g))
+    assert same(sg.exp(), plain.exponential(g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=20).flatmap(delta))
+def test_compositional_inverse(h):
+    g = TruncatedSeries(h).compositional_inverse()
+    y = [Fraction(0), Fraction(1)] + [Fraction(0)] * (len(h) - 2)
+    assert canonical(g) and g.is_delta
+    assert plain.composition(h, list(g.coeffs)) == y
+    assert plain.composition(list(g.coeffs), h) == y
+
+
+polys = st.integers(0, 20).flatmap(lambda n: coefficients(n)).map(Poly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys, entries, st.integers(0, 4))
+def test_poly_operations(p, q, scalar, k):
+    assert canonical(p) and p == Poly(p.coeffs) and hash(p) == hash(Poly(p.coeffs))
+    assert p.to_strings() == [format_rational(c) for c in p.coeffs]
+    derivative = [math.perm(i, k) * c for i, c in enumerate(p.coeffs)][k:]
+    for result, want in (
+        (p * q, plain.mul(p, q)),
+        (p * scalar, plain.mul(p, scalar)),
+        (p.derivative(k), Poly(derivative)),
+    ):
+        assert canonical(result) and result.coeffs == want.coeffs
+    if not p.is_zero:
+        assert p.leading_coefficient == p.coeffs[-1] == p.coeff(len(p) - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(entries, entries, polys, st.integers(0, 6)), max_size=6))
+def test_derivative_combination(terms):
+    got = derivative_combination(terms)
+    want = plain.add(*(
+        plain.mul(Poly((beta, alpha)), q.derivative(k)) * Fraction(1, math.factorial(k))
+        for alpha, beta, q, k in terms
+    ))
+    assert canonical(got) and got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    orders.flatmap(lambda n: st.tuples(coefficients(n, nonzero), coefficients(n, 0)))
+)
+def test_riordan_and_appell_arrays(operands):
+    d, g = operands
+    columns, power = [], d
+    for _ in d:
+        columns.append(power)
+        power = plain.truncated_product(power, g)
+    for i, p in enumerate(riordan_polys(TruncatedSeries(d), TruncatedSeries(g))):
+        want = [math.perm(i, i - k) * columns[k][i] for k in range(i + 1)]
+        assert canonical(p) and p == Poly(want)
+    r = plain.reciprocal(d)
+    for i, p in enumerate(appell_sequence(TruncatedSeries(d), len(d) - 1)):
+        want = [math.perm(i, i - k) * r[i - k] for k in range(i + 1)]
+        assert canonical(p) and p == Poly(want)
+
+
+def test_constants_hash_like_their_scalars():
+    assert hash(Poly([3])) == hash(3) and hash(Poly([])) == hash(0)
+    assert hash(Poly([Fraction(-5, 2)])) == hash(Fraction(-5, 2))
+    assert Poly([3]).row == (1, [3]) and Poly([0, 0]).row == (1, [])

@@ -15,32 +15,34 @@ from sheffermat import (
     sheffer_sequence,
 )
 
+from plain_fractions import add, monomial, power
+
 
 def test_polysequence_validates_kind_and_degrees():
-    PolySequence("sheffer", (Poly.one(), Poly.x()))
+    PolySequence("sheffer", (Poly((1,)), Poly((0, 1))))
     with pytest.raises(ValueError):
-        PolySequence("legendre", (Poly.one(),))
+        PolySequence("legendre", (Poly((1,)),))
     with pytest.raises(ValueError):
-        PolySequence("sheffer", (Poly.one(), Poly.one()))
+        PolySequence("sheffer", (Poly((1,)), Poly((1,))))
 
 
 def test_polysequence_container_protocol():
-    seq = PolySequence("appell", (Poly.one(), Poly.x()))
+    seq = PolySequence("appell", (Poly((1,)), Poly((0, 1))))
     assert len(seq) == 2
-    assert seq[1] == Poly.x()
-    assert list(seq) == [Poly.one(), Poly.x()]
+    assert seq[1] == Poly((0, 1))
+    assert list(seq) == [Poly((1,)), Poly((0, 1))]
 
 
 def test_monomial_pair_gives_powers():
     pair = make_pair("monomial", 5)
     for seq in (sheffer_appell_sequence(pair, 5), sheffer_sequence(pair, 5)):
-        assert list(seq) == [Poly.monomial(k) for k in range(6)]
+        assert list(seq) == [monomial(k) for k in range(6)]
 
 
 def test_laguerre_sheffer_appell_start():
     pair = make_pair("laguerre", 4, {"lambda": 0})
     seq = sheffer_appell_sequence(pair, 3)
-    assert seq[0] == Poly.one()
+    assert seq[0] == Poly((1,))
     assert seq[1] == Poly((0, -1))
     assert seq[2] == Poly((0, -2, 1))
     assert seq[3] == Poly((0, -6, 6, -1))
@@ -66,8 +68,8 @@ def test_exp_shift_sequences_are_shifted_powers():
     appellish = sheffer_appell_sequence(pair, 6)
     plain = sheffer_sequence(pair, 6)
     for k in range(7):
-        assert appellish[k] == Poly((-2, 1)) ** k
-        assert plain[k] == Poly((-1, 1)) ** k
+        assert appellish[k] == power(Poly((-2, 1)), k)
+        assert plain[k] == power(Poly((-1, 1)), k)
 
 
 def test_hermite_and_bernoulli_values():
@@ -84,7 +86,7 @@ def test_appell_sequence_function():
     seq = appell_sequence(l, 3)
     assert seq.kind == "appell"
     for k in range(4):
-        assert seq[k] == Poly((-1, 1)) ** k
+        assert seq[k] == power(Poly((-1, 1)), k)
 
 
 def test_appell_sequence_rejects_non_invertible():
@@ -139,7 +141,7 @@ def test_laguerre_sheffer_appell_is_free_of_lambda():
 def fraction_convolution(kernel, s):
     """result_n = sum_k C(n, k) kernel[k] s[n-k], in plain Fraction arithmetic."""
     polys = tuple(
-        sum((math.comb(n, k) * kernel[k] * s[n - k] for k in range(n + 1)), Poly.zero())
+        add(*(math.comb(n, k) * kernel[k] * s[n - k] for k in range(n + 1)))
         for n in range(len(s))
     )
     return PolySequence(s.kind, polys)
@@ -151,9 +153,9 @@ def test_exp_kernel_shifts_powers():
     )
     kernel = l.reciprocal().derivatives_at_zero()
     assert kernel == (1, -1, 1, -1, 1)
-    powers = PolySequence("sheffer", tuple(Poly.monomial(k) for k in range(5)))
+    powers = PolySequence("sheffer", tuple(monomial(k) for k in range(5)))
     shifted = fraction_convolution(kernel, powers)
-    assert list(shifted) == [Poly((-1, 1)) ** k for k in range(5)]
+    assert list(shifted) == [power(Poly((-1, 1)), k) for k in range(5)]
 
 
 def test_kernel_times_sheffer_is_sheffer_appell():
