@@ -73,13 +73,7 @@ from .sequences import (
     sheffer_sequence,
 )
 from .series import TruncatedSeries
-from .verify import (
-    CheckResult,
-    lemma_checks,
-    property_suite,
-    residual_checks,
-    verify_family,
-)
+from .verify import CheckResult, lemma_checks, property_suite, residual_checks
 
 __version__ = "0.1.0"
 

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Verbs, one subparser each whose ``run`` default is its handler (``gen``,
-``coeffs`` and ``verify`` share ``--family`` and ``--param``):
+``coeffs`` and ``verify`` share ``--family`` and ``--param``, and ``main``
+builds their one pair, at order n + 2, before the verb runs):
 
 * ``families``                       list the catalog
 * ``gen``                            generate a polynomial sequence
@@ -9,13 +10,15 @@ Verbs, one subparser each whose ``run`` default is its handler (``gen``,
 * ``verify``                         run residual / lemma / property checks
 * ``audit``                          evaluate the printed worked examples
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (also for an
---n that is not ``-?[0-9]+``, above MAX_N or below 0, or a --param whose
-numerator or denominator has more than MAX_PARAM_DIGITS digits, checked
-before any pair is built), 3 internal error, 141 (128 + SIGPIPE) when the
-reader closes stdout early.  JSON output is byte-deterministic
-(sorted keys, two-space indent); set NO_COLOR (or redirect stdout) to
-suppress the PASS/FAIL coloring in `verify` and `audit --format table`.
+Exit codes: 0 success, 1 a failed check, 2 input refused before any work
+(a parser error, an --n that is not ``-?[0-9]+``, above MAX_N or below 0,
+an audit --n below 3, a --param whose numerator or denominator has more
+than MAX_PARAM_DIGITS digits, an unknown family or a bad parameter), 3 any
+error during the work (a ContractError as "contract violation"), 141
+(128 + SIGPIPE) when the reader closes stdout early.  JSON output is
+byte-deterministic (sorted keys, two-space indent); set NO_COLOR (or
+redirect stdout) to suppress the PASS/FAIL coloring in `verify` and
+`audit --format table`.
 """
 
 from __future__ import annotations
@@ -28,13 +31,13 @@ import sys
 from fractions import Fraction
 
 from .audit import run_worked_example_audit
-from .errors import ContractError, ParameterError, ShefferMatError, UnknownFamilyError
+from .errors import ContractError, ParameterError, UnknownFamilyError
 from .families import list_families, make_pair
 from .identities import COEFF_EXTRACTORS, LABELS
 from .polynomials import Poly
 from .rationals import format_rational, parse_rational
 from .sequences import appell_sequence, sheffer_appell_sequence, sheffer_sequence
-from .verify import property_suite, verify_family
+from .verify import lemma_checks, property_suite, residual_checks
 
 KIND_CHOICES = ("sheffer", "appell", "sheffer-appell")
 
@@ -130,7 +133,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", type=_ascii_int, default=8)
     group = verify.add_mutually_exclusive_group()
     group.add_argument("--theorem", choices=LABELS)
-    group.add_argument("--all", action="store_true")
+    group.add_argument(
+        "--all", action="store_true", help="all four identities (the default)"
+    )
     verify.add_argument("--properties", action="store_true")
     verify.add_argument("--lemma", action="store_true")
     verify.set_defaults(run=_cmd_verify)
@@ -162,13 +167,12 @@ def _cmd_families(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    pair = make_pair(args.family, max(args.n, 1), args.params)
     if args.kind == "sheffer":
-        seq = sheffer_sequence(pair, args.n)
+        seq = sheffer_sequence(args.pair, args.n)
     elif args.kind == "appell":
-        seq = appell_sequence(pair.l, args.n)
+        seq = appell_sequence(args.pair.l, args.n)
     else:
-        seq = sheffer_appell_sequence(pair, args.n)
+        seq = sheffer_appell_sequence(args.pair, args.n)
 
     if args.format == "json":
         polys = [p.to_strings() for p in seq]
@@ -185,17 +189,15 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
-    pair = make_pair(args.family, args.n + 1, args.params)
-    triple = COEFF_EXTRACTORS[args.theorem](pair, args.n)
+    triple = COEFF_EXTRACTORS[args.theorem](args.pair, args.n)
     _emit_json({**triple.to_json(), **_request(args)})
     return 0
 
 
 def _cmd_verify(args) -> int:
-    labels = (args.theorem,) if args.theorem else LABELS
-    results = verify_family(
-        args.family, args.params, args.n, labels, include_lemma=args.lemma
-    )
+    results = residual_checks(args.pair, args.n, args.theorem and (args.theorem,))
+    if args.lemma:
+        results.extend(lemma_checks(args.pair, args.n))
     if args.properties:
         results.extend(property_suite())
     for result in results:
@@ -230,7 +232,11 @@ def main(argv: list[str] | None = None) -> int:
     args.params = _parse_params(getattr(args, "param", None), parser)
     if n < 0:
         parser.error("--n must be >= 0")
+    if args.verb == "audit" and n < 3:
+        parser.error("audit needs --n >= 3 to exercise every printed term")
     try:
+        if hasattr(args, "family"):
+            args.pair = make_pair(args.family, n + 2, args.params)
         code = args.run(args)
         sys.stdout.flush()
         return code
@@ -240,19 +246,17 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return CLOSED_STDOUT
     except (UnknownFamilyError, ParameterError) as exc:
+        # Only make_pair raises these: the request is refused before any work.
         # KeyError-derived exceptions repr-quote their message via str().
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return USAGE_ERROR
-    except (ContractError, AssertionError) as exc:
+    except ContractError as exc:
         print(f"internal error: contract violation: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
-    except ShefferMatError as exc:
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -13,14 +13,14 @@ Sheffer and Sheffer-Appell arrays are built once per pair at its full
 order (``pair.derived``, see :mod:`sheffermat.pairs`) and sliced here, so
 a lower degree reproduces the same polynomials; their leading-coefficient
 contract is checked there, once per array.  The Appell array needs only
-1/l: its x^k coefficient of degree i is C(i, k) (1/l)^(i-k)(0).
+1/l: its x^k coefficient of degree i is C(i, k) (1/l)^(i-k)(0), the
+entry (i, k) of the Pascal matrix of 1/l.
 """
 
 from __future__ import annotations
 
-import math
-
 from .errors import InsufficientOrderError, NotInvertibleError, Record
+from .matrices import pascal_matrix
 from .pairs import ShefferPair
 from .polynomials import Poly
 from .series import TruncatedSeries
@@ -74,13 +74,11 @@ def sheffer_sequence(pair: ShefferPair, n: int) -> PolySequence:
 
 def appell_sequence(l: TruncatedSeries, n: int) -> PolySequence:
     """Degrees 0..n of the Appell sequence with generating function e^{xy}/l:
-    the x^k coefficient of degree i is C(i, k) (1/l)^(i-k)(0) = i!/k! [y^(i-k)] 1/l."""
+    degree i is row i of the Pascal matrix of 1/l, up to its diagonal."""
     if not l.is_invertible:
         raise NotInvertibleError("l must have a nonzero constant term")
     _require_degree(l.order, n)
-    den, r = l.truncate(n).reciprocal().row
-    polys = tuple(
-        Poly._reduced(den, [math.perm(i, i - k) * r[i - k] for k in range(i + 1)])
-        for i in range(n + 1)
-    )
+    rows = map(pascal_matrix(l.truncate(n).reciprocal(), n).integer_row, range(n + 1))
+    # Slicing copies each row, which Poly._reduced takes over.
+    polys = tuple(Poly._reduced(den, p[: i + 1]) for i, (den, p) in enumerate(rows))
     return PolySequence("appell", polys)

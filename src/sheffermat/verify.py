@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import Record
-from .families import make_pair
 from .identities import LABELS, RESIDUALS, first_factorization_mismatch
 from .matrices import (
     Matrix,
@@ -27,7 +26,6 @@ from .matrices import (
     wronskian_vector,
 )
 from .pairs import ShefferPair
-from .rationals import Rational
 from .series import TruncatedSeries
 
 DEFAULT_SEED = 1729
@@ -75,21 +73,6 @@ def lemma_checks(pair: ShefferPair, n: int) -> list[CheckResult]:
         return []
     bad = first_factorization_mismatch(pair, n)
     return [CheckResult(f"factorization n={d}", d < bad) for d in range(n + 1)]
-
-
-def verify_family(
-    family: str,
-    params: Mapping[str, Rational | int | str] | None,
-    n: int,
-    labels: Sequence[str] | None = None,
-    include_lemma: bool = False,
-) -> list[CheckResult]:
-    """Build the pair at order n+2 and run the requested checks."""
-    pair = make_pair(family, n + 2, params)
-    results = residual_checks(pair, n, labels)
-    if include_lemma:
-        results.extend(lemma_checks(pair, n))
-    return results
 
 
 # -- randomized matrix property suite -------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +11,14 @@ from pathlib import Path
 import pytest
 
 import sheffermat.cli as cli
-from sheffermat import FAMILIES, LABELS, CheckResult, InsufficientOrderError, Poly
+from sheffermat import (
+    FAMILIES,
+    LABELS,
+    CheckResult,
+    ContractError,
+    InsufficientOrderError,
+    Poly,
+)
 from sheffermat.cli import main, poly_to_latex
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -285,7 +293,7 @@ def test_verify_properties_flag(capsys, monkeypatch):
 def test_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(
         cli,
-        "verify_family",
+        "residual_checks",
         lambda *a, **k: [CheckResult("stub", False, "boom")],
     )
     code, out, _ = run_cli(capsys, "verify", "--family", "monomial")
@@ -297,7 +305,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 def test_verify_color_gating(capsys, monkeypatch):
     monkeypatch.setattr(
         cli,
-        "verify_family",
+        "residual_checks",
         lambda *a, **k: [CheckResult("stub", True)],
     )
     monkeypatch.setattr(sys.stdout, "isatty", lambda: True, raising=False)
@@ -346,10 +354,14 @@ def test_audit_table_bytes_are_frozen(capsys):
     )
 
 
-def test_audit_rejects_small_n(capsys):
-    code, _, err = run_cli(capsys, "audit", "--n", "2")
-    assert code == 2
-    assert "error:" in err
+def test_audit_rejects_small_n(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "run_worked_example_audit", lambda *a: ran.append(a))
+    with pytest.raises(SystemExit) as info:
+        main(["audit", "--n", "2"])
+    assert info.value.code == 2 and ran == []
+    err = capsys.readouterr().err
+    assert "error:" in err and "audit needs --n >= 3" in err
 
 
 # -- error handling ----------------------------------------------------------
@@ -411,8 +423,7 @@ HUGE = "9" * 1000
 )
 def test_huge_param_is_refused_before_any_pair_is_built(argv, capsys, monkeypatch):
     built = []
-    for module in (cli, sys.modules["sheffermat.verify"]):
-        monkeypatch.setattr(module, "make_pair", lambda *a: built.append(a))
+    monkeypatch.setattr(cli, "make_pair", lambda *a: built.append(a))
     start = time.perf_counter()
     with pytest.raises(SystemExit) as info:
         main(argv)
@@ -472,12 +483,84 @@ def test_internal_error_exit_code(capsys, monkeypatch):
 
 def test_contract_violation_exit_code(capsys, monkeypatch):
     def explode(*a, **k):
-        raise AssertionError("leading coefficient drifted")
+        raise ContractError("leading coefficient drifted")
 
     monkeypatch.setattr(cli, "run_worked_example_audit", explode)
     code, _, err = run_cli(capsys, "audit", "--n", "6")
     assert code == 3
     assert err.startswith("internal error: contract violation")
+
+
+@pytest.mark.parametrize("error", [ValueError, TypeError])
+def test_error_during_work_is_an_internal_error(error, capsys, monkeypatch):
+    """Exit 2 means refused before any work: an exception raised by the
+    work itself, of whatever type, exits 3 and never reads as a usage error."""
+
+    def explode(*a, **k):
+        raise error("broken mid-request")
+
+    monkeypatch.setattr(cli, "sheffer_appell_sequence", explode)
+    code, out, err = run_cli(capsys, "gen", "--family", "hermite", "--n", "3")
+    assert code == 3 and out == ""
+    assert err == "internal error: broken mid-request\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "hermite", "--n", "0"],
+        ["gen", "--family", "laguerre", "--param", "lambda=5/2", "--n", "7",
+         "--kind", "appell"],
+        ["coeffs", "--family", "log-assoc", "--theorem", "3.3", "--n", "5"],
+        ["verify", "--family", "miller-lee", "--param", "m=2", "--n", "4",
+         "--all", "--lemma", "--properties"],
+    ],
+    ids=lambda argv: argv[0] + "-" + argv[argv.index("--n") + 1],
+)
+def test_each_request_builds_one_pair_at_order_n_plus_2(argv, capsys, monkeypatch):
+    calls = []
+    honest = cli.make_pair
+
+    def spy(family, order, params):
+        calls.append((family, order))
+        return honest(family, order, params)
+
+    monkeypatch.setattr(cli, "make_pair", spy)
+    monkeypatch.setattr(cli, "property_suite", lambda: [])
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == [(argv[2], int(argv[argv.index("--n") + 1]) + 2)]
+
+
+# 12-digit numerator and denominator, the most --param accepts.
+WIDEST = "-999999999999/999999999998"
+
+
+def test_largest_outputs_print_below_the_int_digit_limit(capsys, monkeypatch):
+    """At the --param cap and n = MAX_N every integer that gen and coeffs
+    print stays below Python's int-to-str limit, so printing one can never
+    fail: a ValueError during the work is an internal error, not input."""
+    limit = sys.get_int_max_str_digits() or 4300  # 0 means no limit
+    pairs = {}  # one pair per family for all seven requests, to save time
+    honest = cli.make_pair
+
+    def make_pair(family, order, params):
+        if family not in pairs:
+            pairs[family] = honest(family, order, params)
+        return pairs[family]
+
+    monkeypatch.setattr(cli, "make_pair", make_pair)
+    longest = 0
+    for family, name in (("laguerre", "lambda"), ("miller-lee", "m")):
+        request = ["--family", family, "--param", f"{name}={WIDEST}"]
+        request += ["--n", str(cli.MAX_N)]
+        runs = [["gen", *request, "--kind", kind] for kind in cli.KIND_CHOICES]
+        runs += [["coeffs", *request, "--theorem", label] for label in LABELS]
+        for argv in runs:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, argv
+            longest = max(longest, *map(len, re.findall(r"[0-9]+", out)))
+    assert 1000 < longest < limit
 
 
 # -- entry points ------------------------------------------------------------

@@ -11,7 +11,6 @@ from sheffermat import (
     property_suite,
     residual_checks,
     verify,
-    verify_family,
 )
 
 
@@ -44,9 +43,8 @@ def test_lemma_checks():
 
 
 def test_verify_family_end_to_end():
-    results = verify_family(
-        "miller-lee", {"m": 1}, 4, labels=None, include_lemma=True
-    )
+    pair = make_pair("miller-lee", 6, {"m": 1})
+    results = residual_checks(pair, 4) + lemma_checks(pair, 4)
     assert len(results) == 4 * 5 + 5
     assert all(r.passed for r in results)
 
