@@ -227,7 +227,7 @@ def run_worked_example_audit(
     families = {}
     for family, name, value in (("laguerre", "lambda", lam), ("miller-lee", "m", m)):
         value = rat(value)
-        pair = make_pair(family, n + 2, {name: value})
+        pair = make_pair(family, n + 1, {name: value})
         s = sheffer_appell_sequence(pair, n + 1)
         families[family] = (pair, s, value, {name: format_rational(value)})
     entries = []

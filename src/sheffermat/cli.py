@@ -2,7 +2,9 @@
 
 Verbs, one subparser each whose ``run`` default is its handler (``gen``,
 ``coeffs`` and ``verify`` share ``--family`` and ``--param``, and ``main``
-builds their one pair, at order n + 2, before the verb runs):
+builds their one pair before the verb runs, at order n + 1, the most a
+check at degree n reads, since the recurrences give sA_{n+1} from the
+(a, b, c) vectors up to k = n):
 
 * ``families``                       list the catalog
 * ``gen``                            generate a polynomial sequence
@@ -236,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("audit needs --n >= 3 to exercise every printed term")
     try:
         if hasattr(args, "family"):
-            args.pair = make_pair(args.family, n + 2, args.params)
+            args.pair = make_pair(args.family, n + 1, args.params)
         code = args.run(args)
         sys.stdout.flush()
         return code

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the value-record base."""
+"""Shared exception types, the size rule, and the value-record base."""
 
 
 class ShefferMatError(Exception):
@@ -21,6 +21,15 @@ class NotDeltaSeriesError(ShefferMatError, ValueError):
 
 class InsufficientOrderError(ShefferMatError, ValueError):
     """A computation asked for more coefficients than the input carries."""
+
+
+def check_size(n: int, most: int, what: str) -> None:
+    """The one size rule: a degree, matrix size or order n must lie in
+    0..most, where ``most`` is the largest the input's order carries."""
+    if n < 0:
+        raise ValueError(f"{what} must be >= 0")
+    if n > most:
+        raise InsufficientOrderError(f"{what} {n} is above {most}, the most allowed")
 
 
 class UnknownFamilyError(ShefferMatError, KeyError):

@@ -26,7 +26,7 @@ def binomial_series(alpha: Rational, order: int) -> TruncatedSeries:
     coeffs = [Fraction(1)]
     for k in range(order):
         coeffs.append(coeffs[-1] * (k - alpha) / (k + 1))
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries(coeffs, order)  # refuses an order below 0
 
 
 def _exponential_series(order: int) -> TruncatedSeries:
@@ -165,18 +165,21 @@ def make_pair(
     order: int,
     params: Mapping[str, Rational | int | str] | None = None,
 ) -> ShefferPair:
-    """Build a catalog pair at the given truncation order.
+    """Build a catalog pair at the given truncation order, at least 1 (h is a
+    delta series, so it needs the y term).
 
     Parameter values may be ints, Fractions, or strings like "-1/3";
     unknown families or parameter names raise, as do missing parameters.
     """
+    if order < 1:
+        raise ValueError(f"pair order must be >= 1, got {order}")
     try:
         spec = FAMILIES[name]
     except KeyError:
         known = ", ".join(FAMILIES)
         raise UnknownFamilyError(f"unknown family {name!r} (known: {known})") from None
     given = dict(params or {})
-    unexpected = sorted(set(given) - set(spec.params))
+    unexpected = sorted(str(k) for k in given if k not in spec.params)
     if unexpected:
         raise ParameterError(
             f"family {name!r} does not take parameter(s) {', '.join(unexpected)}"

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ContractError, InsufficientOrderError, Record
+from .errors import ContractError, Record, check_size
 from .matrices import omega_inverse, pascal_matrix, wronskian_powers_matrix
 from .pairs import ShefferPair
 from .polynomials import Poly, derivative_combination
@@ -78,12 +78,7 @@ class CoeffTriple(Record):
 def _triple(label: str, pair: ShefferPair, n: int, attr: str) -> CoeffTriple:
     """Slice the pair's stored (a, b, c) vectors of ``label`` to k = 0..n;
     every extractor, and so every residual, checks its degree here."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    if pair.order - 1 < n:
-        raise InsufficientOrderError(
-            f"coefficients to k = {n} need pair order >= {n + 1}, got {pair.order}"
-        )
+    check_size(n, pair.order - 1, "degree")
     return CoeffTriple(label, *(v[: n + 1] for v in getattr(pair.derived, attr)))
 
 

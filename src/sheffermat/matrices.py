@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InsufficientOrderError, NotDeltaSeriesError
+from .errors import NotDeltaSeriesError, check_size
 from .rationals import Row, combine_row, common_denominator, rat, reduce_row
 from .series import TruncatedSeries, power_rows
 
@@ -136,15 +136,6 @@ class Matrix:
         return f"Matrix({[list(self.row(i)) for i in range(self.rows)]!r})"
 
 
-def _require_order(f: TruncatedSeries, n: int, what: str) -> None:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if f.order < n:
-        raise InsufficientOrderError(
-            f"{what} of size {n + 1} needs series order >= {n}, got {f.order}"
-        )
-
-
 def pascal_matrix(f: TruncatedSeries, n: int) -> Matrix:
     """The (n+1) x (n+1) Pascal functional matrix of f at y = 0.
 
@@ -152,7 +143,7 @@ def pascal_matrix(f: TruncatedSeries, n: int) -> Matrix:
     zero above the diagonal; the Pascal matrix of the constant series 1 is
     the identity.
     """
-    _require_order(f, n, "Pascal matrix")
+    check_size(n, f.order, "n")
     den, p = f.row
     return Matrix._reduced(
         (den, [math.perm(i, i - j) * p[i - j] if i >= j else 0 for j in range(n + 1)])
@@ -162,7 +153,7 @@ def pascal_matrix(f: TruncatedSeries, n: int) -> Matrix:
 
 def wronskian_vector(f: TruncatedSeries, n: int) -> Matrix:
     """The Wronskian column [f(0), f'(0), ..., f^(n)(0)]^T, f^(k)(0) = k! * f_k."""
-    _require_order(f, n, "Wronskian vector")
+    check_size(n, f.order, "n")
     den, p = f.row
     return Matrix._reduced((den, [math.factorial(k) * p[k]]) for k in range(n + 1))
 
@@ -175,7 +166,7 @@ def wronskian_powers_matrix(h: TruncatedSeries, n: int) -> Matrix:
     """
     if not h.is_delta:
         raise NotDeltaSeriesError("powers matrix requires a delta series")
-    _require_order(h, n, "powers matrix")
+    check_size(n, h.order, "n")
     columns = power_rows((h.row[0], h.row[1][: n + 1]), n)
     den = math.lcm(*(d for d, _ in columns))
     scaled = [(den // d, p) for d, p in columns]

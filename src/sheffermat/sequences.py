@@ -19,7 +19,7 @@ entry (i, k) of the Pascal matrix of 1/l.
 
 from __future__ import annotations
 
-from .errors import InsufficientOrderError, NotInvertibleError, Record
+from .errors import NotInvertibleError, Record, check_size
 from .matrices import pascal_matrix
 from .pairs import ShefferPair
 from .polynomials import Poly
@@ -51,24 +51,15 @@ class PolySequence(Record):
         return iter(self.polys)
 
 
-def _require_degree(pair_order: int, n: int) -> None:
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    if pair_order < n:
-        raise InsufficientOrderError(
-            f"degree {n} needs truncation order >= {n}, got {pair_order}"
-        )
-
-
 def sheffer_appell_sequence(pair: ShefferPair, n: int) -> PolySequence:
     """Degrees 0..n of the Sheffer-Appell sequence of (l, h)."""
-    _require_degree(pair.order, n)
+    check_size(n, pair.order, "degree")
     return PolySequence("sheffer_appell", pair.derived.sheffer_appell_polys[: n + 1])
 
 
 def sheffer_sequence(pair: ShefferPair, n: int) -> PolySequence:
     """Degrees 0..n of the Sheffer sequence of (l, h)."""
-    _require_degree(pair.order, n)
+    check_size(n, pair.order, "degree")
     return PolySequence("sheffer", pair.derived.sheffer_polys[: n + 1])
 
 
@@ -77,7 +68,7 @@ def appell_sequence(l: TruncatedSeries, n: int) -> PolySequence:
     degree i is row i of the Pascal matrix of 1/l, up to its diagonal."""
     if not l.is_invertible:
         raise NotInvertibleError("l must have a nonzero constant term")
-    _require_degree(l.order, n)
+    check_size(n, l.order, "degree")
     rows = map(pascal_matrix(l.truncate(n).reciprocal(), n).integer_row, range(n + 1))
     # Slicing copies each row, which Poly._reduced takes over.
     polys = tuple(Poly._reduced(den, p[: i + 1]) for i, (den, p) in enumerate(rows))

@@ -38,6 +38,7 @@ from .errors import (
     NotDeltaSeriesError,
     NotInvertibleError,
     OrderMismatchError,
+    check_size,
 )
 from .rationals import Row, combine_row, common_denominator, rat, reduce_row
 
@@ -131,12 +132,7 @@ class TruncatedSeries:
 
     def truncate(self, order: int) -> TruncatedSeries:
         """Drop coefficients above ``order`` (which must not exceed self.order)."""
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        if order > self.order:
-            raise InsufficientOrderError(
-                f"cannot extend a series of order {self.order} to order {order}"
-            )
+        check_size(order, self.order, "order")
         den, p = self.row
         return TruncatedSeries._reduced(den, p[: order + 1])
 

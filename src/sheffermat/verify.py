@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import Record
+from .errors import Record, check_size
 from .identities import LABELS, RESIDUALS, first_factorization_mismatch
 from .matrices import (
     Matrix,
@@ -42,6 +42,7 @@ def residual_checks(
     pair: ShefferPair, n: int, labels: Sequence[str] | None = None
 ) -> list[CheckResult]:
     """Evaluate the selected identity residuals for every degree 0..n."""
+    check_size(n, pair.order - 1, "degree")
     chosen = tuple(labels) if labels else LABELS
     for label in chosen:
         if label not in LABELS:
@@ -69,8 +70,6 @@ def lemma_checks(pair: ShefferPair, n: int) -> list[CheckResult]:
     sA_i.  So the size-d check passes iff d is below the first row where
     the size-n sides differ, and one size-n product decides every size.
     """
-    if n < 0:
-        return []
     bad = first_factorization_mismatch(pair, n)
     return [CheckResult(f"factorization n={d}", d < bad) for d in range(n + 1)]
 
@@ -152,6 +151,8 @@ def property_suite(
     up to 8 and small rational coefficients; the RNG is seeded so runs
     are reproducible.
     """
+    if cases < 1:
+        raise ValueError("cases must be >= 1")
     rng = random.Random(seed)
     suite = (
         ("property-linearity", _linearity_case),

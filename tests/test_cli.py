@@ -517,7 +517,7 @@ def test_error_during_work_is_an_internal_error(error, capsys, monkeypatch):
     ],
     ids=lambda argv: argv[0] + "-" + argv[argv.index("--n") + 1],
 )
-def test_each_request_builds_one_pair_at_order_n_plus_2(argv, capsys, monkeypatch):
+def test_each_request_builds_one_pair_at_order_n_plus_1(argv, capsys, monkeypatch):
     calls = []
     honest = cli.make_pair
 
@@ -529,7 +529,7 @@ def test_each_request_builds_one_pair_at_order_n_plus_2(argv, capsys, monkeypatc
     monkeypatch.setattr(cli, "property_suite", lambda: [])
     assert main(argv) == 0
     capsys.readouterr()
-    assert calls == [(argv[2], int(argv[argv.index("--n") + 1]) + 2)]
+    assert calls == [(argv[2], int(argv[argv.index("--n") + 1]) + 1)]
 
 
 # 12-digit numerator and denominator, the most --param accepts.

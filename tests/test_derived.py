@@ -284,7 +284,8 @@ def test_lemma_sweep_fails_from_the_first_bad_row(monkeypatch, family, params, r
 
 def test_lemma_sweep_edge_sizes(monkeypatch):
     pair = make_pair("hermite", 4)
-    assert lemma_checks(pair, -1) == []
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        lemma_checks(pair, -1)  # not [], which would read as "all passed"
     assert [(c.name, c.passed) for c in lemma_checks(pair, 0)] == [
         ("factorization n=0", True)
     ]

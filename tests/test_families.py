@@ -129,6 +129,12 @@ def test_unexpected_parameter():
         make_pair("laguerre", 4, {"lambda": 1, "m": 2})
 
 
+@pytest.mark.parametrize("params", [{1: 2}, {None: 2}, {1: 2, "lambda": 3}])
+def test_unknown_parameter_name_of_any_type_is_a_parameter_error(params):
+    with pytest.raises(ParameterError, match="does not take parameter"):
+        make_pair("hermite", 5, params)
+
+
 def test_invalid_parameter_value():
     with pytest.raises(ParameterError):
         make_pair("laguerre", 4, {"lambda": "x"})

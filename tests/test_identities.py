@@ -14,15 +14,23 @@ from sheffermat import (
     Poly,
     ShefferPair,
     TruncatedSeries,
+    appell_sequence,
     associated_residual,
+    binomial_series,
     convolution_recurrence_coeffs,
     derivative_recurrence_coeffs,
     differential_equation_coeffs,
     factorization_check,
     identities,
+    lemma_checks,
     make_pair,
     mixed_recurrence_coeffs,
+    pascal_matrix,
+    residual_checks,
     sheffer_appell_sequence,
+    sheffer_sequence,
+    wronskian_powers_matrix,
+    wronskian_vector,
 )
 from sheffermat.polynomials import derivative_combination
 
@@ -214,19 +222,58 @@ def test_associated_rejects_unknown_label():
         associated_residual(pair, 3, "4.1")
 
 
-NEGATIVE_DEGREE_CALLS = [
-    *(pytest.param(fn, (), id=f"extract-{k}") for k, fn in COEFF_EXTRACTORS.items()),
-    *(pytest.param(fn, (), id=f"residual-{k}") for k, fn in RESIDUALS.items()),
-    *(pytest.param(associated_residual, (k,), id=f"associated-{k}") for k in LABELS),
+PAIR = make_pair("monomial", 5)  # order 5: l = 1, h = y
+
+
+def at(fn, *extra):
+    """fn(PAIR, n, *extra) as a call of the size n alone."""
+    return lambda n: fn(PAIR, n, *extra)
+
+
+# (call at size n, least size accepted, most accepted or None for no bound).
+# At pair order N the recurrences read sA_{n+1} and (a, b, c) to k = n, so
+# extractors and residuals stop at N - 1; everything else at N.
+SIZE_CALLS = [
+    *(
+        pytest.param(at(f), 0, 4, id=f"extract-{k}")
+        for k, f in COEFF_EXTRACTORS.items()
+    ),
+    *(pytest.param(at(f), 0, 4, id=f"residual-{k}") for k, f in RESIDUALS.items()),
+    *(
+        pytest.param(at(associated_residual, k), 0, 4, id=f"associated-{k}")
+        for k in LABELS
+    ),
+    pytest.param(at(residual_checks), 0, 4, id="residual_checks"),
+    pytest.param(at(sheffer_sequence), 0, 5, id="sheffer_sequence"),
+    pytest.param(at(sheffer_appell_sequence), 0, 5, id="sheffer_appell_sequence"),
+    pytest.param(lambda n: appell_sequence(PAIR.l, n), 0, 5, id="appell_sequence"),
+    pytest.param(at(factorization_check), 0, 5, id="factorization_check"),
+    pytest.param(at(lemma_checks), 0, 5, id="lemma_checks"),
+    pytest.param(lambda n: pascal_matrix(PAIR.l, n), 0, 5, id="pascal_matrix"),
+    pytest.param(lambda n: wronskian_vector(PAIR.l, n), 0, 5, id="wronskian_vector"),
+    pytest.param(
+        lambda n: wronskian_powers_matrix(PAIR.h, n), 0, 5, id="wronskian_powers_matrix"
+    ),
+    pytest.param(PAIR.l.truncate, 0, 5, id="truncate"),
+    pytest.param(lambda n: make_pair("hermite", n), 1, None, id="make_pair"),
+    pytest.param(lambda n: binomial_series(3, n), 0, None, id="binomial_series"),
 ]
 
 
-@pytest.mark.parametrize("fn, extra", NEGATIVE_DEGREE_CALLS)
-def test_negative_degree_is_rejected(fn, extra):
-    # Below degree 0 a residual would read as a false identity failure.
-    pair = make_pair("monomial", 5)
-    with pytest.raises(ValueError, match="degree must be >= 0"):
-        fn(pair, -1, *extra)
+@pytest.mark.parametrize("fn, least, most", SIZE_CALLS)
+def test_negative_degree_is_rejected(fn, least, most):
+    # Below degree 0 a residual would read as a false identity failure, and
+    # above its bound a call would read coefficients the pair does not carry.
+    for n in range(-1, least):
+        with pytest.raises(ValueError, match="must be >= ") as info:
+            fn(n)
+        assert info.type is ValueError
+    fn(least)
+    if most is not None:
+        fn(most)
+        above = f" {most + 1} is above {most},"
+        with pytest.raises(InsufficientOrderError, match=above):
+            fn(most + 1)
 
 
 def repeated_derivative_combination(triple, poly, n):

@@ -63,6 +63,13 @@ def test_property_suite_passes_and_is_seeded():
     assert all(r.passed for r in first)
 
 
+@pytest.mark.parametrize("cases", [0, -1])
+def test_property_suite_refuses_fewer_than_one_case(cases):
+    # With no case drawn, each property would report a vacuous pass.
+    with pytest.raises(ValueError, match="cases must be >= 1"):
+        property_suite(cases=cases)
+
+
 def test_property_suite_seed_changes_stream():
     # Different seeds should still pass; determinism is per seed.
     assert all(r.passed for r in property_suite(cases=10, seed=7))
