@@ -23,10 +23,10 @@ matching the CLI's --theorem flag:
             sA_{n+1} = sum_k C(n,k) (x a_k + b_k + c_k) sA_{n-k}
 ==========  ==========================================================
 
-The (a, b, c) vectors are computed once per pair (``pair.derived``, see
-:mod:`sheffermat.pairs`); an extractor slices them to k = 0..n.  Every
-residual is one sum of terms (beta + alpha x) q^(k)/k!, each q an sA_m,
-formed on integers by :func:`sheffermat.polynomials.derivative_combination`.
+The (a, b, c) vectors are one integer row (D, a, b, c) per pair (``pair.derived``,
+see :mod:`sheffermat.pairs`); an extractor slices them, as Fractions built once per
+pair, to k = 0..n.  A residual builds no Fraction: it sums (beta + alpha x) q^(k)/k!,
+each q an sA_m and each weight an integer over D, by :func:`derivative_combination`.
 
 There is also the matrix factorization: the lower triangular matrix of
 scaled x-derivatives sA_i^(j)(x)/j! equals
@@ -46,7 +46,6 @@ from .matrices import omega_inverse, pascal_matrix, wronskian_powers_matrix
 from .pairs import ShefferPair
 from .polynomials import Poly, derivative_combination
 from .rationals import Rational, format_rational
-from .series import TruncatedSeries
 from .sequences import sheffer_appell_sequence
 
 LABELS = ("2.1", "3.1", "3.2", "3.3")
@@ -75,11 +74,19 @@ class CoeffTriple(Record):
         }
 
 
-def _triple(label: str, pair: ShefferPair, n: int, attr: str) -> CoeffTriple:
-    """Slice the pair's stored (a, b, c) vectors of ``label`` to k = 0..n;
-    every extractor, and so every residual, checks its degree here."""
+def _vectors(pair: ShefferPair, n: int, attr: str) -> tuple:
+    """The pair's (D, a, b, c) row; every extractor and residual checks n here."""
     check_size(n, pair.order - 1, "degree")
-    return CoeffTriple(label, *(v[: n + 1] for v in getattr(pair.derived, attr)))
+    return getattr(pair.derived, attr)
+
+
+def _triple(label: str, pair: ShefferPair, n: int, attr: str) -> CoeffTriple:
+    """The (a, b, c) of ``label`` to k = 0..n, as Fractions built once per pair."""
+    den, *vectors = _vectors(pair, n, attr)
+    kept = pair.derived.fractions
+    if label not in kept:
+        kept[label] = [tuple([Fraction(c, den) for c in v]) for v in vectors]
+    return CoeffTriple(label, *(v[: n + 1] for v in kept[label]))
 
 
 def differential_equation_coeffs(pair: ShefferPair, n: int) -> CoeffTriple:
@@ -114,41 +121,41 @@ COEFF_EXTRACTORS = {
 
 def differential_equation_residual(pair: ShefferPair, n: int) -> Poly:
     """Residual of identity "2.1" at degree n; zero for every valid pair."""
-    t = differential_equation_coeffs(pair, n)
+    den, a, b, c = _vectors(pair, n, "differential_equation")
     s = sheffer_appell_sequence(pair, n)
-    terms = [(t.a[k], t.b[k] + t.c[k], s[n], k) for k in range(n + 1)]
-    return derivative_combination(terms + [(0, -n, s[n], 0)])
+    terms = [(a[k], b[k] + c[k], s[n], k) for k in range(n + 1)]
+    return derivative_combination(terms + [(0, -n * den, s[n], 0)], den)
 
 
 def derivative_recurrence_residual(pair: ShefferPair, n: int) -> Poly:
     """Residual of identity "3.1" at degree n; zero for every valid pair."""
-    t = derivative_recurrence_coeffs(pair, n)
+    den, a, b, c = _vectors(pair, n, "derivative_recurrence")
     s = sheffer_appell_sequence(pair, n + 1)
-    terms = [(-t.a[k], -t.b[k] - t.c[k], s[n], k) for k in range(n + 1)]
-    return derivative_combination([(0, 1, s[n + 1], 0)] + terms)
+    terms = [(-a[k], -b[k] - c[k], s[n], k) for k in range(n + 1)]
+    return derivative_combination([(0, den, s[n + 1], 0)] + terms, den)
 
 
 def mixed_recurrence_residual(pair: ShefferPair, n: int) -> Poly:
     """Residual of identity "3.2" at degree n; zero for every valid pair."""
-    t = mixed_recurrence_coeffs(pair, n)
+    den, a, b, c = _vectors(pair, n, "mixed_recurrence")
     s = sheffer_appell_sequence(pair, n + 1)
-    terms = [(0, t.a[0], s[n + 1], 0), (-1, 0, s[n], 0)]
+    terms = [(0, a[0], s[n + 1], 0), (-den, 0, s[n], 0)]
     for k in range(n + 1):
-        terms.append((0, -math.comb(n, k) * (t.b[k] + t.c[k]), s[n - k], 0))
+        terms.append((0, -math.comb(n, k) * (b[k] + c[k]), s[n - k], 0))
     for k in range(1, n + 1):
-        terms.append((0, math.comb(n, k) * t.a[k], s[n + 1 - k], 0))
-    return derivative_combination(terms)
+        terms.append((0, math.comb(n, k) * a[k], s[n + 1 - k], 0))
+    return derivative_combination(terms, den)
 
 
 def convolution_recurrence_residual(pair: ShefferPair, n: int) -> Poly:
     """Residual of identity "3.3" at degree n; zero for every valid pair."""
-    t = convolution_recurrence_coeffs(pair, n)
+    den, a, b, c = _vectors(pair, n, "convolution_recurrence")
     s = sheffer_appell_sequence(pair, n + 1)
     terms = [
-        (-math.comb(n, k) * t.a[k], -math.comb(n, k) * (t.b[k] + t.c[k]), s[n - k], 0)
+        (-math.comb(n, k) * a[k], -math.comb(n, k) * (b[k] + c[k]), s[n - k], 0)
         for k in range(n + 1)
     ]
-    return derivative_combination([(0, 1, s[n + 1], 0)] + terms)
+    return derivative_combination([(0, den, s[n + 1], 0)] + terms, den)
 
 
 RESIDUALS = {
@@ -212,8 +219,7 @@ def associated_residual(pair: ShefferPair, n: int, which: str) -> Poly:
     """
     if which not in LABELS:
         raise ValueError(f"which must be one of {LABELS}, got {which!r}")
-    one = TruncatedSeries.constant(Fraction(1), pair.order)
-    if pair.l != one:
+    if pair.l.row != (1, [1] + [0] * pair.order):
         raise ValueError("associated-sequence identities require l = 1")
     effective = "3.1" if which == "3.2" else which
     triple = COEFF_EXTRACTORS[effective](pair, n)

@@ -177,15 +177,13 @@ def wronskian_powers_matrix(h: TruncatedSeries, n: int) -> Matrix:
 
 def omega(n: int) -> Matrix:
     """The diagonal matrix diag(0!, 1!, ..., n!)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_size(n, n, "n")  # any size n >= 0
     return Matrix.diagonal([math.factorial(k) for k in range(n + 1)])
 
 
 def omega_inverse(n: int) -> Matrix:
     """The exact inverse diag(1/0!, 1/1!, ..., 1/n!)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_size(n, n, "n")  # any size n >= 0
     return Matrix.diagonal([Fraction(1, math.factorial(k)) for k in range(n + 1)])
 
 

@@ -11,8 +11,8 @@ pair's order N (the identity vectors at N - 1, the order their extractors
 need), and kept.  Products, reciprocals, composition with a series of
 zero constant term and compositional inversion are prefix-stable, so a
 consumer that wants degree n <= N slices a stored value and gets exactly
-what a computation at order n would give.  The identities' (a, b, c)
-series are kept as their derivative vectors (Fractions), and each
+what a computation at order n would give.  Each identity's (a, b, c)
+derivative vectors are kept as one integer row (D, a, b, c), and each
 sequence array, built from integer rows, is checked against its
 leading-coefficient contract once, when it is built.
 """
@@ -91,6 +91,7 @@ class DerivedSeries:
     def __init__(self, l: TruncatedSeries, h: TruncatedSeries):
         self.l, self.h = l, h
         self.factorization_product = None  # see first_factorization_mismatch
+        self.fractions = {}  # see identities._triple
 
     def _low(self, series: TruncatedSeries) -> TruncatedSeries:
         return series.truncate(self.l.order - 1)
@@ -134,7 +135,7 @@ class DerivedSeries:
         polys = riordan_polys(self.reciprocal_l_of_g * self.reciprocal_l, self.g)
         return self._checked("sheffer_appell", polys, 1 / self.l.constant_term**2)
 
-    # (a, b, c) derivative vectors, k = 0..N-1, of "2.1", "3.1", "3.2", "3.3".
+    # (D, a, b, c) derivative vectors, k = 0..N-1, of "2.1", "3.1", "3.2", "3.3".
 
     @cached_property
     def _lp_over_l(self) -> TruncatedSeries:
@@ -152,27 +153,31 @@ class DerivedSeries:
         return a, -self._lp_over_l.compose(self._low(self.h)), -self._lp_over_l * a
 
     @cached_property
-    def derivative_recurrence(self) -> tuple[tuple[Fraction, ...], ...]:
+    def derivative_recurrence(self) -> tuple:
         """1/h', -l'(h)/l(h), -l'/(h' l)."""
         return _vectors(self._recurrence_series)
 
     @cached_property
-    def differential_equation(self) -> tuple[tuple[Fraction, ...], ...]:
+    def differential_equation(self) -> tuple:
         """h times each series of the derivative recurrence."""
         return _vectors(self._low(self.h) * s for s in self._recurrence_series)
 
     @cached_property
-    def mixed_recurrence(self) -> tuple[tuple[Fraction, ...], ...]:
+    def mixed_recurrence(self) -> tuple:
         """h'(g) = 1/g', -h'(g) l'/l, -l'(g)/l(g)."""
         hp = self.g.derivative().reciprocal()
         return _vectors((hp, -hp * self._lp_over_l, -self._of_g))
 
     @cached_property
-    def convolution_recurrence(self) -> tuple[tuple[Fraction, ...], ...]:
+    def convolution_recurrence(self) -> tuple:
         """1/h'(g) = g', -l'/l, -l'(g)/(h'(g) l(g))."""
         a = self.g.derivative()
         return _vectors((a, -self._lp_over_l, -self._of_g * a))
 
 
-def _vectors(series) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(s.derivatives_at_zero() for s in series)
+def _vectors(series) -> tuple:
+    """(D, a, b, c): k! [y^k] of each series as integers over one denominator D."""
+    rows = [s.row for s in series]
+    den = math.lcm(*[d for d, _ in rows])
+    f = [math.factorial(k) for k in range(len(rows[0][1]))]
+    return den, *[[fk * (den // d) * c for fk, c in zip(f, p)] for d, p in rows]

@@ -27,6 +27,7 @@ from .rationals import combine_row, common_denominator, format_rational, format_
 from .rationals import rat, reduce_row
 
 Scalar = Union[Fraction, int]
+Term = tuple[Scalar, Scalar, "Poly", int]  # (alpha, beta, q, k)
 
 
 class Poly:
@@ -148,14 +149,15 @@ class Poly:
         return f"Poly({self.to_strings()})"
 
 
-def derivative_combination(terms: Sequence[tuple[Scalar, Scalar, Poly, int]]) -> Poly:
-    """sum of (beta + alpha x) q^(k)(x)/k! over the terms (alpha, beta, q, k).
+def derivative_combination(terms: Sequence[Term], dw: int = 1) -> Poly:
+    """sum of (beta + alpha x) q^(k)(x)/(k! dw) over the terms (alpha, beta, q, k).
 
     The x^j coefficient of q^(k)/k! is C(j+k, k) q_{j+k}; the alpha x part
     is that row shifted up one place (an empty row when alpha is zero, as
     combine_row never reads a zero-weight row).  A weight's denominator
     joins the denominator of its ``q.row``, and the rows are summed by
-    :func:`~sheffermat.rationals.combine_row` and reduced once.
+    :func:`~sheffermat.rationals.combine_row` over dw, the weights' common
+    denominator, and reduced once.
     """
     weights, rows = [], []
     for alpha, beta, q, k in (term for term in terms if term[0] or term[1]):
@@ -164,4 +166,4 @@ def derivative_combination(terms: Sequence[tuple[Scalar, Scalar, Poly, int]]) ->
         weights += [beta.numerator, alpha.numerator]
         rows += [(den * beta.denominator, row)]
         rows += [(den * alpha.denominator, [0, *row] if alpha else [])]
-    return Poly._reduced(*combine_row(1, weights, rows))
+    return Poly._reduced(*combine_row(dw, weights, rows))

@@ -45,7 +45,9 @@ from .rationals import Row, combine_row, common_denominator, rat, reduce_row
 
 def _product(a: Row, b: Row) -> Row:
     """Truncated product of two equal-length ``(D, numerators)`` rows, as an
-    unreduced row; zeros of ``a`` are skipped."""
+    unreduced row; the sparser factor's zeros are skipped (O(n) for y, 1 - y)."""
+    if a[1].count(0) < b[1].count(0):
+        a, b = b, a
     (da, pa), (db, pb) = a, b
     out = [0] * len(pa)
     for i, ai in enumerate(pa):

@@ -43,6 +43,8 @@ def residual_checks(
 ) -> list[CheckResult]:
     """Evaluate the selected identity residuals for every degree 0..n."""
     check_size(n, pair.order - 1, "degree")
+    if isinstance(labels, str):
+        raise TypeError(f"labels must be a tuple of labels such as ({labels!r},)")
     chosen = tuple(labels) if labels else LABELS
     for label in chosen:
         if label not in LABELS:

@@ -499,23 +499,45 @@ def test_derived_series_are_built_lazily():
     assert "mixed_recurrence" not in built
 
 
+def count_fractions(monkeypatch) -> list:
+    """From now on, record the arguments of every Fraction built."""
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return built
+
+
 def test_coefficient_vectors_are_built_once_per_pair(monkeypatch):
+    """The extractors' Fractions are built from the integer rows once per
+    pair; every later extraction only slices them."""
     pair = make_pair("log-assoc", 12)
     top = {label: COEFF_EXTRACTORS[label](pair, 10) for label in LABELS}
-    calls = []
-    vector = TruncatedSeries.derivatives_at_zero
-
-    def counted(self):
-        calls.append(self)
-        return vector(self)
-
-    monkeypatch.setattr(TruncatedSeries, "derivatives_at_zero", counted)
+    built = count_fractions(monkeypatch)
     for label in LABELS:
         for n in range(11):
             t, full = COEFF_EXTRACTORS[label](pair, n), top[label]
             for got, want in zip((t.a, t.b, t.c), (full.a, full.b, full.c)):
                 assert got == want[: n + 1]
-    assert calls == []
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("laguerre", {"lambda": Fraction(5, 2)}), ("log-assoc", {}), ("miller-lee", {"m": 1})],
+)
+def test_warm_residual_sweep_builds_no_fraction(monkeypatch, family, params):
+    """The residuals read the integer (D, a, b, c) rows: no Fraction is built
+    in a sweep on a pair whose derived series are built."""
+    pair = make_pair(family, 13, params)
+    assert all(r.passed for r in residual_checks(pair, 12))
+    built = count_fractions(monkeypatch)
+    assert all(r.passed for r in residual_checks(pair, 12))
+    assert built == []
 
 
 def test_leading_coefficient_contract_runs_once_per_array(monkeypatch):
@@ -555,11 +577,11 @@ def reference_derived(pair: ShefferPair) -> dict:
     hp_of_g = hp.compose(low(g))
     a = hp.reciprocal()
     recurrence = (a, -lp.compose(low(h)) * low(rl_h), -lp_over_l * a)
-    series = {
-        "derivative_recurrence": recurrence,
-        "differential_equation": [low(h) * s for s in recurrence],
-        "mixed_recurrence": (hp_of_g, -hp_of_g * lp_over_l, -lp_over_l_of_g),
-        "convolution_recurrence": (
+    series = {  # the (a, b, c) series of each identity label
+        "3.1": recurrence,
+        "2.1": [low(h) * s for s in recurrence],
+        "3.2": (hp_of_g, -hp_of_g * lp_over_l, -lp_over_l_of_g),
+        "3.3": (
             hp_of_g.reciprocal(),
             -lp_over_l,
             -lp_over_l_of_g * hp_of_g.reciprocal(),
@@ -575,8 +597,14 @@ def reference_derived(pair: ShefferPair) -> dict:
 
 
 def assert_matches_reference(pair: ShefferPair) -> None:
+    """The derived series, and the (a, b, c) vectors read through the
+    extractors at the largest degree they serve."""
     want = reference_derived(pair)
-    assert {name: getattr(pair.derived, name) for name in want} == want
+    got = {name: getattr(pair.derived, name) for name in want if name not in LABELS}
+    for label in LABELS:
+        t = COEFF_EXTRACTORS[label](pair, pair.order - 1)
+        got[label] = (t.a, t.b, t.c)
+    assert got == want
 
 
 @st.composite

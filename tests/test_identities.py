@@ -21,10 +21,11 @@ from sheffermat import (
     derivative_recurrence_coeffs,
     differential_equation_coeffs,
     factorization_check,
-    identities,
     lemma_checks,
     make_pair,
     mixed_recurrence_coeffs,
+    omega,
+    omega_inverse,
     pascal_matrix,
     residual_checks,
     sheffer_appell_sequence,
@@ -255,6 +256,8 @@ SIZE_CALLS = [
         lambda n: wronskian_powers_matrix(PAIR.h, n), 0, 5, id="wronskian_powers_matrix"
     ),
     pytest.param(PAIR.l.truncate, 0, 5, id="truncate"),
+    pytest.param(omega, 0, None, id="omega"),
+    pytest.param(omega_inverse, 0, None, id="omega_inverse"),
     pytest.param(lambda n: make_pair("hermite", n), 1, None, id="make_pair"),
     pytest.param(lambda n: binomial_series(3, n), 0, None, id="binomial_series"),
 ]
@@ -412,11 +415,12 @@ def convolution_reference(t, s, n):
     return acc
 
 
+# label -> (the pair.derived row of its (D, a, b, c) vectors, reference)
 REFERENCES = {
-    "2.1": ("differential_equation_coeffs", differential_reference),
-    "3.1": ("derivative_recurrence_coeffs", derivative_reference),
-    "3.2": ("mixed_recurrence_coeffs", mixed_reference),
-    "3.3": ("convolution_recurrence_coeffs", convolution_reference),
+    "2.1": ("differential_equation", differential_reference),
+    "3.1": ("derivative_recurrence", derivative_reference),
+    "3.2": ("mixed_recurrence", mixed_reference),
+    "3.3": ("convolution_recurrence", convolution_reference),
 }
 
 tiny = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -436,25 +440,26 @@ def random_pairs(draw):
 @given(pair=random_pairs(), other=random_pairs())
 def test_residuals_match_references(label, pair, other):
     """Equal to the references on valid pairs (both zero), and on the
-    sequence of one pair with the coefficients of another (in general a
-    nonzero residual)."""
-    extractor, reference = REFERENCES[label]
+    sequence of one pair with the integer (a, b, c) vectors of another
+    injected (in general a nonzero residual)."""
+    vectors, reference = REFERENCES[label]
     for n in range(min(pair.order, other.order)):
         s = sheffer_appell_sequence(pair, n + 1)
-        own = getattr(identities, extractor)(pair, n)
+        own = COEFF_EXTRACTORS[label](pair, n)
         assert RESIDUALS[label](pair, n) == reference(own, s, n) == Poly()
-        foreign = getattr(identities, extractor)(other, n)
+        foreign = COEFF_EXTRACTORS[label](other, n)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(identities, extractor, lambda _pair, _n: foreign)
+            mp.setattr(pair.derived, vectors, getattr(other.derived, vectors))
             assert RESIDUALS[label](pair, n) == reference(foreign, s, n)
 
 
 @pytest.mark.parametrize("label", sorted(REFERENCES))
 def test_residuals_on_foreign_coefficients(monkeypatch, label):
-    extractor, reference = REFERENCES[label]
+    vectors, reference = REFERENCES[label]
     pair = make_pair("laguerre", 8, {"lambda": Fraction(5, 2)})
-    foreign = getattr(identities, extractor)(make_pair("log-assoc", 8), 6)
-    monkeypatch.setattr(identities, extractor, lambda _pair, _n: foreign)
+    other = make_pair("log-assoc", 8)
+    foreign = COEFF_EXTRACTORS[label](other, 6)
+    monkeypatch.setattr(pair.derived, vectors, getattr(other.derived, vectors))
     residual = RESIDUALS[label](pair, 6)
     assert not residual.is_zero
     assert residual == reference(foreign, sheffer_appell_sequence(pair, 7), 6)

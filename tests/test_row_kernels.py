@@ -127,12 +127,21 @@ def test_poly_operations(p, q, scalar, k):
         assert p.leading_coefficient == p.coeffs[-1] == p.coeff(len(p) - 1)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(entries, entries, polys, st.integers(0, 6)), max_size=6))
-def test_derivative_combination(terms):
-    got = derivative_combination(terms)
+weights = st.one_of(st.integers(-(10**12), 10**12), entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(weights, weights, polys, st.integers(0, 6)), max_size=6),
+    st.one_of(st.just(1), st.integers(2, 10**12)),
+)
+def test_derivative_combination(terms, dw):
+    """Integer and Fraction weights over a common denominator dw: 1 as the
+    audit passes them, or D > 1 as the identity residuals do."""
+    got = derivative_combination(terms, dw)
     want = plain.add(*(
-        plain.mul(Poly((beta, alpha)), q.derivative(k)) * Fraction(1, math.factorial(k))
+        plain.mul(Poly((Fraction(beta) / dw, Fraction(alpha) / dw)), q.derivative(k))
+        * Fraction(1, math.factorial(k))
         for alpha, beta, q, k in terms
     ))
     assert canonical(got) and got == want

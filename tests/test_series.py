@@ -314,11 +314,28 @@ def kernel_operand(order, constant=wide):
     return st.tuples(constant, tail).map(lambda t: TruncatedSeries([t[0], *t[1]]))
 
 
-@settings(max_examples=60, deadline=None)
-@given(kernel_orders.flatmap(lambda n: st.tuples(kernel_operand(n), kernel_operand(n))))
+def sparse_operand(order):
+    """y^k, 1 - y or c y^k (k = 0..order): factors whose zeros the product
+    skips when they outnumber the other factor's."""
+    def at(k, c):
+        return TruncatedSeries([0] * k + [c] + [0] * (order - k))
+
+    power = st.integers(0, order).map(lambda k: at(k, 1))
+    single = st.tuples(st.integers(0, order), wide_nonzero).map(lambda t: at(*t))
+    one_minus_y = TruncatedSeries([1, -1][: order + 1], order)
+    return st.one_of(power, single, st.just(one_minus_y))
+
+
+def any_operand(order):
+    return st.one_of(kernel_operand(order), sparse_operand(order))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_orders.flatmap(lambda n: st.tuples(any_operand(n), any_operand(n))))
 def test_product_matches_schoolbook(operands):
-    a, b = operands
-    assert list((a * b).coeffs) == plain.truncated_product(a.coeffs, b.coeffs)
+    """Dense, zero-heavy and sparse factors, in both argument orders."""
+    for a, b in (operands, operands[::-1]):
+        assert list((a * b).coeffs) == plain.truncated_product(a.coeffs, b.coeffs)
 
 
 @settings(max_examples=60, deadline=None)

@@ -34,6 +34,14 @@ def test_residual_checks_rejects_unknown_label():
         residual_checks(pair, 3, labels=("5.0",))
 
 
+def test_residual_checks_refuses_a_bare_label_string():
+    # A str would otherwise be split into the labels "3", ".", "1".
+    pair = make_pair("hermite", 5)
+    with pytest.raises(TypeError, match=r"tuple of labels such as \('3.1',\)"):
+        residual_checks(pair, 3, "3.1")
+    assert len(residual_checks(pair, 3, ("3.1",))) == 4
+
+
 def test_lemma_checks():
     pair = make_pair("exp-shift", 4)
     results = lemma_checks(pair, 4)
