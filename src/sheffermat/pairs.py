@@ -65,7 +65,7 @@ class ShefferPair(Record):
     @classmethod
     def associated(cls, h: TruncatedSeries) -> ShefferPair:
         """The associated pair (1, h)."""
-        return cls(TruncatedSeries.constant(Fraction(1), h.order), h)
+        return cls(TruncatedSeries([1], h.order), h)
 
 
 def riordan_polys(d: TruncatedSeries, g: TruncatedSeries) -> tuple[Poly, ...]:

@@ -8,13 +8,12 @@ canonical, so ``==`` compares rows.  The degree of the zero polynomial is
 rather than -1.  ``coeffs`` and ``coeff`` build Fractions on demand.
 
 Polynomials are immutable and hashable (a constant like the scalar it
-equals); all arithmetic is exact.
+equals); their arithmetic is an exact scalar product and ``derivative``.
 
 :func:`derivative_combination` forms every sum
 sum_t (beta_t + alpha_t x) q_t^(k_t)(x)/k_t! in the package: the four
 identity residuals and the five printed recurrences of the worked-example
-audit.  It and the product of two polynomials sum integer rows with
-:func:`sheffermat.rationals.combine_row`.
+audit.  It sums integer rows with :func:`sheffermat.rationals.combine_row`.
 """
 
 from __future__ import annotations
@@ -79,18 +78,13 @@ class Poly:
     def __len__(self) -> int:
         return len(self.row[1])
 
-    # -- scalar and polynomial products, derivatives -------------------
+    # -- scalar product, derivatives -----------------------------------
 
-    def __mul__(self, other: Poly | Scalar) -> Poly:
+    def __mul__(self, other: Scalar) -> Poly:
+        if not isinstance(other, (Fraction, int)):
+            return NotImplemented
         den, p = self.row
-        if isinstance(other, Poly):
-            dq, q = other.row
-            shifted = [(dq, [0] * i + q) for i in range(len(p))]
-            return Poly._reduced(*combine_row(den, p, shifted))
-        if isinstance(other, (Fraction, int)):
-            scaled = [c * other.numerator for c in p]
-            return Poly._reduced(den * other.denominator, scaled)
-        return NotImplemented
+        return Poly._reduced(den * other.denominator, [c * other.numerator for c in p])
 
     __rmul__ = __mul__
 

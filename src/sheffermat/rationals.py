@@ -12,8 +12,8 @@ bit-exact round trip.
 
 :func:`combine_row` is the one exact row-combination loop of the package:
 matrix products, the derivative combinations behind the identity
-residuals and the audit's printed recurrences, polynomial products and
-series composition all run through it; its caller reduces the sum once.
+residuals and the audit's printed recurrences, and series composition all
+run through it; its caller reduces the sum once.
 """
 
 from __future__ import annotations

@@ -96,10 +96,6 @@ class TruncatedSeries:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def constant(cls, value: Fraction | int, order: int) -> TruncatedSeries:
-        return cls([value], order)
-
-    @classmethod
     def identity(cls, order: int) -> TruncatedSeries:
         """The series y (the identity delta series) at the given order."""
         if order < 1:
@@ -250,11 +246,6 @@ class TruncatedSeries:
         n = self.order
         e = [math.perm(n, n - k) for k in range(n + 1)]  # n!/k!
         return TruncatedSeries._reduced(e[0], e).compose(self)
-
-    def derivatives_at_zero(self) -> tuple[Fraction, ...]:
-        """The vector [f(0), f'(0), ..., f^(order)(0)], i.e. k! * coeffs[k]."""
-        den, p = self.row
-        return tuple([Fraction(c * math.factorial(k), den) for k, c in enumerate(p)])
 
     # -- identity -------------------------------------------------------------
 

@@ -41,11 +41,13 @@ class CheckResult(Record):
 def residual_checks(
     pair: ShefferPair, n: int, labels: Sequence[str] | None = None
 ) -> list[CheckResult]:
-    """Evaluate the selected identity residuals for every degree 0..n."""
+    """The selected identity residuals (None: all four) at each degree 0..n."""
     check_size(n, pair.order - 1, "degree")
     if isinstance(labels, str):
         raise TypeError(f"labels must be a tuple of labels such as ({labels!r},)")
-    chosen = tuple(labels) if labels else LABELS
+    chosen = LABELS if labels is None else tuple(labels)
+    if not chosen or len(set(chosen)) < len(chosen):
+        raise ValueError(f"labels must name distinct identities, not {chosen!r}")
     for label in chosen:
         if label not in LABELS:
             raise ValueError(f"unknown identity label {label!r}")

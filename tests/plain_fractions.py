@@ -1,12 +1,14 @@
 """Plain-Fraction polynomial and series arithmetic for the tests.
 
-The package never adds, subtracts, raises to a power or evaluates a
-``Poly``, never subtracts two ``TruncatedSeries`` and never builds a
-monomial; it sums integer rows instead.  The tests state their expected
+The package never adds, subtracts or multiplies two ``Poly``s, never
+raises one to a power or evaluates it, never subtracts two
+``TruncatedSeries`` and never builds a monomial; it sums integer rows
+instead.  The tests state their expected
 values with these functions, which work one ``Fraction`` coefficient at a
 time, so they are also an independent reference for the row kernels
-(``mul`` for the ``Poly`` product; the functions on coefficient lists for
-the truncated series product, reciprocal, composition and exponential).
+(``mul`` and ``add`` for ``derivative_combination``; the functions on
+coefficient lists for the truncated series product, reciprocal,
+composition and exponential).
 """
 
 from __future__ import annotations

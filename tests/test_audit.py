@@ -17,7 +17,7 @@ from sheffermat import (
 from sheffermat import audit
 from sheffermat.polynomials import derivative_combination
 
-from plain_fractions import add, sub
+from plain_fractions import add, mul, sub
 
 # Status-per-degree vectors for the default parameters (lambda = 0, m = 0),
 # confirmed against an independent symbolic expansion before being frozen
@@ -122,16 +122,16 @@ def reference_laguerre_differential(s, d, lam, printed):
     acc = Poly()
     for k in range(1, d + 1):
         shift = -Fraction(k * (k - 1) * (k + 4)) * (lam + 1) / 6
-        acc = add(acc, math.perm(d, k) * Poly((shift, 1)) * s[d - k])
+        acc = add(acc, math.perm(d, k) * mul(Poly((shift, 1)), s[d - k]))
     return sub(acc, s[d] * d)
 
 
 def reference_laguerre_derivative(s, d, lam, printed):
-    acc = add(s[d + 1], Poly((2 * lam + 2, 1)) * s[d])
+    acc = add(s[d + 1], mul(Poly((2 * lam + 2, 1)), s[d]))
     if d >= 1:
-        acc = sub(acc, 2 * d * Poly((0, 1)) * s[d - 1])
+        acc = sub(acc, 2 * d * mul(Poly((0, 1)), s[d - 1]))
     if d >= 2:
-        acc = add(acc, 2 * math.comb(d, 2) * Poly((lam + 1, 1)) * s[d - 2])
+        acc = add(acc, 2 * math.comb(d, 2) * mul(Poly((lam + 1, 1)), s[d - 2]))
     for k in range(3, d + 1):
         acc = sub(acc, (lam + 1) * math.comb(d, k) * math.factorial(k) * s[d - k])
     return acc
@@ -140,21 +140,21 @@ def reference_laguerre_derivative(s, d, lam, printed):
 def reference_miller_lee_differential(s, d, m, printed):
     acc = s[d] * d
     if d >= 1:
-        acc = sub(acc, d * Poly((0, 1)) * s[d - 1])
+        acc = sub(acc, d * mul(Poly((0, 1)), s[d - 1]))
     for k in range(1, d + 1):
         acc = sub(acc, math.comb(d, k) * (printed["b"][k] + printed["c"][k]) * s[d - k])
     return acc
 
 
 def reference_miller_lee_derivative(s, d, m, printed):
-    acc = sub(s[d + 1], Poly((0, 1)) * s[d])
+    acc = sub(s[d + 1], mul(Poly((0, 1)), s[d]))
     for k in range(d + 1):
         acc = sub(acc, math.comb(d, k) * (printed["b"][k] + printed["c"][k]) * s[d - k])
     return acc
 
 
 def reference_miller_lee_mixed(s, d, m, printed):
-    acc = sub(s[d + 1], Poly((0, 1)) * s[d])
+    acc = sub(s[d + 1], mul(Poly((0, 1)), s[d]))
     for k in range(d + 1):
         acc = add(acc, 2 * (m + 1) * math.comb(d, k) * math.factorial(k) * s[d - k])
     return acc

@@ -39,6 +39,7 @@ from sheffermat import (
     sheffer_appell_sequence,
     sheffer_sequence,
     wronskian_powers_matrix,
+    wronskian_vector,
 )
 from sheffermat.pairs import DerivedSeries, riordan_polys
 
@@ -592,7 +593,10 @@ def reference_derived(pair: ShefferPair) -> dict:
         "reciprocal_l_of_h": rl_h,
         "sheffer_polys": riordan_polys(rl_g, g),
         "sheffer_appell_polys": riordan_polys(rl_g * rl, g),
-        **{k: tuple(s.derivatives_at_zero() for s in v) for k, v in series.items()},
+        **{
+            k: tuple(wronskian_vector(s, s.order).column_entries(0) for s in v)
+            for k, v in series.items()
+        },
     }
 
 

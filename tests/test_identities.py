@@ -35,7 +35,7 @@ from sheffermat import (
 )
 from sheffermat.polynomials import derivative_combination
 
-from plain_fractions import add, sub
+from plain_fractions import add, mul, sub
 
 
 def zeros(n):
@@ -285,7 +285,7 @@ def repeated_derivative_combination(triple, poly, n):
     acc = Poly()
     for k in range(n + 1):
         factor = Poly((triple.b[k] + triple.c[k], triple.a[k]))
-        acc = add(acc, factor * poly.derivative(k) * Fraction(1, math.factorial(k)))
+        acc = add(acc, mul(factor, poly.derivative(k)) * Fraction(1, math.factorial(k)))
     return acc
 
 
@@ -315,7 +315,7 @@ def test_derivative_combination_edge_cases():
     triple = CoeffTriple("3.1", (1, 2, 3), (4, 5, 6), (7, 8, 9))
     assert triple_combination(triple, Poly(), 2) == Poly()
     # degree 1 < n = 2: only k = 0, 1 contribute; (x + 11)(3 + 2x) + (2x + 13) 2
-    expected = add(Poly((11, 1)) * Poly((3, 2)), Poly((13, 2)) * 2)
+    expected = add(mul(Poly((11, 1)), Poly((3, 2))), Poly((13, 2)) * 2)
     assert triple_combination(triple, Poly((3, 2)), 2) == expected
     # every k up to the degree contributes
     dense = Poly(Fraction(j + 1, 7 - j % 5) for j in range(13))
@@ -330,7 +330,7 @@ def plain_combination(terms):
     acc = Poly()
     for alpha, beta, q, k in terms:
         factor = Poly((beta, alpha)) * Fraction(1, math.factorial(k))
-        acc = add(acc, factor * q.derivative(k))
+        acc = add(acc, mul(factor, q.derivative(k)))
     return acc
 
 
@@ -361,7 +361,7 @@ def test_kernel_nonzero_example():
     terms = [(Fraction(1, 2), 3, q, 0), (0, Fraction(-2, 5), q, 2), (7, 0, Poly((1, 1)), 1)]
     # (3 + x/2) q  -  (2/5) q''/2  +  7x,  q''/2 = -5/7 + 3x
     expected = add(
-        Poly((3, Fraction(1, 2))) * q,
+        mul(Poly((3, Fraction(1, 2))), q),
         Poly((Fraction(-5, 7), 3)) * Fraction(-2, 5),
         Poly((0, 7)),
     )
@@ -398,7 +398,7 @@ def derivative_reference(t, s, n):
 
 def mixed_reference(t, s, n):
     """Residual "3.2" built one Poly per term, as before the integer kernel."""
-    acc = sub(s[n + 1] * t.a[0], Poly((0, 1)) * s[n])
+    acc = sub(s[n + 1] * t.a[0], mul(Poly((0, 1)), s[n]))
     for k in range(n + 1):
         acc = sub(acc, math.comb(n, k) * (t.b[k] + t.c[k]) * s[n - k])
     for k in range(1, n + 1):
@@ -411,7 +411,7 @@ def convolution_reference(t, s, n):
     acc = s[n + 1]
     for k in range(n + 1):
         factor = Poly((t.b[k] + t.c[k], t.a[k]))
-        acc = sub(acc, math.comb(n, k) * factor * s[n - k])
+        acc = sub(acc, math.comb(n, k) * mul(factor, s[n - k]))
     return acc
 
 

@@ -2,16 +2,20 @@
 (tracers read them from ``sys.modules``), and ``__all__`` lists exactly the
 public names the package imports."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
 
-import sheffermat
-from sheffermat import sequences
+import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import sheffermat
+from sheffermat import Poly, TruncatedSeries, sequences
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 MODULES = (
     "audit",
@@ -52,6 +56,25 @@ def test_all_is_every_public_name():
 
 
 def test_dead_convolution_is_gone():
+    # series._product is the one convolution and wronskian_vector the one
+    # k! * f_k; the tests keep their plain-Fraction references
     for name in ("discrete_convolution", "appell_kernel"):
         assert not hasattr(sheffermat, name)
         assert not hasattr(sequences, name)
+    with pytest.raises(TypeError):
+        Poly((1, 1)) * Poly((1, -1))
+    for name in ("constant", "derivatives_at_zero"):
+        assert not hasattr(TruncatedSeries, name)
+
+
+def test_every_traced_name_resolves():
+    # A deleted traced name would break every traced benchmark request.
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, names in tracing.FUNCTIONS.values():
+        for name in names:
+            assert callable(getattr(getattr(sheffermat, module), name)), name
+    for module, cls, method in tracing.METHODS.values():
+        assert callable(getattr(getattr(getattr(sheffermat, module), cls), method))

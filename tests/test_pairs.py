@@ -60,7 +60,7 @@ def test_appell_constructor():
 def test_associated_constructor():
     h = TruncatedSeries([0, 2, 1])
     pair = ShefferPair.associated(h)
-    assert pair.l == TruncatedSeries.constant(Fraction(1), 2)
+    assert pair.l == TruncatedSeries([1], 2)
 
 
 def test_pairs_hash_and_compare():

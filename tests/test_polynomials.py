@@ -10,7 +10,7 @@ from sheffermat.cli import poly_to_latex
 from sheffermat.polynomials import derivative_combination
 from sheffermat.rationals import common_denominator, format_rational
 
-from plain_fractions import add, evaluate, monomial, power, sub
+from plain_fractions import add, evaluate, monomial, mul, power, sub
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 polys = st.lists(rationals, max_size=6).map(Poly)
@@ -51,9 +51,9 @@ def test_scalar_arithmetic():
 
 
 def test_multiplication():
-    assert Poly((1, 1)) * Poly((1, -1)) == Poly((1, 0, -1))
-    assert Poly((0, 1)) * Poly((0, 1)) == monomial(2)
-    assert Poly((1, 2)) * Poly() == Poly()
+    assert mul(Poly((1, 1)), Poly((1, -1))) == Poly((1, 0, -1))
+    assert mul(Poly((0, 1)), Poly((0, 1))) == monomial(2)
+    assert mul(Poly((1, 2)), Poly()) == Poly()
 
 
 def test_power():
@@ -172,19 +172,19 @@ def test_render_matches_the_reference_renderers(p):
 def test_ring_axioms(p, q, r):
     assert add(add(p, q), r) == add(p, add(q, r))
     assert add(p, q) == add(q, p)
-    assert (p * q) * r == p * (q * r)
-    assert p * q == q * p
-    assert p * add(q, r) == add(p * q, p * r)
+    assert mul(mul(p, q), r) == mul(p, mul(q, r))
+    assert mul(p, q) == mul(q, p)
+    assert mul(p, add(q, r)) == add(mul(p, q), mul(p, r))
 
 
 @given(polys, polys)
 def test_product_rule(p, q):
-    assert (p * q).derivative() == add(p.derivative() * q, p * q.derivative())
+    assert mul(p, q).derivative() == add(mul(p.derivative(), q), mul(p, q.derivative()))
 
 
 @given(polys, polys)
 def test_results_stay_canonical(p, q):
-    for result in (add(p, q), sub(p, q), p * q):
+    for result in (add(p, q), sub(p, q), mul(p, q)):
         assert not result.coeffs or result.coeffs[-1] != 0
 
 
@@ -230,5 +230,5 @@ def test_derivative_combination_of_repeated_terms():
     got = derivative_combination(terms * 3)
     assert derivative_combination(terms) * 3 == got
     x = Poly((0, 1))
-    once = add(add(x, 2) * p, p.derivative(), Fraction(1, 3) * x * q)
+    once = add(mul(add(x, 2), p), p.derivative(), Fraction(1, 3) * mul(x, q))
     assert got == once * 3

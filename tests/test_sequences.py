@@ -13,6 +13,7 @@ from sheffermat import (
     make_pair,
     sheffer_appell_sequence,
     sheffer_sequence,
+    wronskian_vector,
 )
 
 from plain_fractions import add, monomial, power
@@ -151,7 +152,7 @@ def test_exp_kernel_shifts_powers():
     l = TruncatedSeries(
         [1, 1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 24)]
     )
-    kernel = l.reciprocal().derivatives_at_zero()
+    kernel = wronskian_vector(l.reciprocal(), 4).column_entries(0)
     assert kernel == (1, -1, 1, -1, 1)
     powers = PolySequence("sheffer", tuple(monomial(k) for k in range(5)))
     shifted = fraction_convolution(kernel, powers)
@@ -165,9 +166,8 @@ def test_kernel_times_sheffer_is_sheffer_appell():
         ("hermite", None),
     ):
         pair = make_pair(name, 8, params)
-        convolved = fraction_convolution(
-            pair.l.reciprocal().derivatives_at_zero(), sheffer_sequence(pair, 8)
-        )
+        kernel = wronskian_vector(pair.l.reciprocal(), 8).column_entries(0)
+        convolved = fraction_convolution(kernel, sheffer_sequence(pair, 8))
         assert list(convolved) == list(sheffer_appell_sequence(pair, 8))
 
 

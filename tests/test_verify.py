@@ -11,6 +11,7 @@ from sheffermat import (
     property_suite,
     residual_checks,
     verify,
+    wronskian_vector,
 )
 
 
@@ -40,6 +41,16 @@ def test_residual_checks_refuses_a_bare_label_string():
     with pytest.raises(TypeError, match=r"tuple of labels such as \('3.1',\)"):
         residual_checks(pair, 3, "3.1")
     assert len(residual_checks(pair, 3, ("3.1",))) == 4
+
+
+@pytest.mark.parametrize("labels", [(), [], ("3.1", "3.1"), ("2.1", "3.2", "2.1")])
+def test_residual_checks_refuses_an_empty_or_repeated_selection(labels, monkeypatch):
+    # Only None selects all four.  With RESIDUALS emptied, any residual
+    # computed before the refusal would raise KeyError instead.
+    pair = make_pair("hermite", 5)
+    monkeypatch.setattr(verify, "RESIDUALS", {})
+    with pytest.raises(ValueError, match="distinct identities"):
+        residual_checks(pair, 3, labels)
 
 
 def test_lemma_checks():
@@ -114,7 +125,7 @@ def test_property_suite_catches_a_product_that_drops_the_last_term(monkeypatch):
 def test_property_suite_catches_an_off_by_one_binomial(monkeypatch):
     def off_by_one_pascal(f, n):
         """C(i, i-1) read as i + 1: still linear in f, wrong in every product."""
-        dv = f.truncate(n).derivatives_at_zero()
+        dv = wronskian_vector(f, n).column_entries(0)
         return Matrix(
             [
                 (math.comb(i, j) + (j == i - 1)) * dv[i - j] if i >= j else 0
