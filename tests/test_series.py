@@ -285,6 +285,14 @@ def test_compose_distributes_over_mul(f, g, h):
     assert (f * g).compose(h) == f.compose(h) * g.compose(h)
 
 
+@given(series_strategy(5))
+def test_derivative_vector_matches_coeffs(s):
+    dv = derivative_vector(s)
+    assert all(
+        dv[k] / math.factorial(k) == s.coeffs[k] for k in range(s.order + 1)
+    )
+
+
 @given(delta_strategy(4), delta_strategy(4))
 def test_exp_is_additive(f, g):
     assert (f + g).exp() == f.exp() * g.exp()
