@@ -62,10 +62,7 @@ class Matrix:
     @classmethod
     def diagonal(cls, entries: Sequence[Fraction | int]) -> Matrix:
         n = len(entries)
-        return cls._reduced(
-            (den, [0] * i + p + [0] * (n - 1 - i))
-            for i, (den, p) in enumerate(cls.column(entries)._rows)
-        )
+        return cls([0] * i + [e] + [0] * (n - 1 - i) for i, e in enumerate(entries))
 
     @classmethod
     def column(cls, entries: Sequence[Fraction | int]) -> Matrix:

@@ -12,9 +12,9 @@ need), and kept.  Products, reciprocals, composition with a series of
 zero constant term and compositional inversion are prefix-stable, so a
 consumer that wants degree n <= N slices a stored value and gets exactly
 what a computation at order n would give.  Each identity's (a, b, c)
-derivative vectors are kept as one integer row (D, a, b, c), and each
-sequence array, built from integer rows, is checked against its
-leading-coefficient contract once, when it is built.
+derivative vectors are kept as one integer row (D, a, b, c), reduced by one
+gcd, and each sequence array, built from integer rows, is checked against
+its leading-coefficient contract once, when it is built.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .errors import (
     Record,
 )
 from .polynomials import Poly
+from .rationals import reduce_row
 from .series import TruncatedSeries, power_rows
 
 
@@ -176,8 +177,10 @@ class DerivedSeries:
 
 
 def _vectors(series) -> tuple:
-    """(D, a, b, c): k! [y^k] of each series as integers over one denominator D."""
+    """(D, a, b, c): k! [y^k] of each series over one D, reduced as one row."""
     rows = [s.row for s in series]
     den = math.lcm(*[d for d, _ in rows])
     f = [math.factorial(k) for k in range(len(rows[0][1]))]
-    return den, *[[fk * (den // d) * c for fk, c in zip(f, p)] for d, p in rows]
+    flat = [fk * (den // d) * c for d, p in rows for fk, c in zip(f, p)]
+    den, flat = reduce_row(den, flat)
+    return den, *[flat[t : t + len(f)] for t in range(0, len(flat), len(f))]

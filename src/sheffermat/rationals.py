@@ -6,9 +6,9 @@ coefficients of a ``Poly`` or ``TruncatedSeries`` and each row of a
 ``Matrix`` are one integer row ``(D, numerators)``, the rationals
 numerators[k] / D, kept reduced (gcd(D, *numerators) = 1, D > 0).  A
 constructor scales its entries once (:func:`common_denominator`); every
-kernel reduces its result by one gcd (:func:`reduce_row`).  The wire
-format is ``"p/q"``, or just ``"p"`` when the denominator is 1, with a
-bit-exact round trip.
+kernel, with no exception, builds each stored row once and reduces it by
+one gcd (:func:`reduce_row`).  The wire format is ``"p/q"``, or ``"p"``
+when the denominator is 1, with a bit-exact round trip.
 
 :func:`combine_row` is the one exact row-combination loop of the package:
 matrix products, the derivative combinations behind the identity

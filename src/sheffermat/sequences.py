@@ -12,15 +12,16 @@ whose degree-i polynomial has x^k coefficient i!/k! [y^i] d g^k.  The
 Sheffer and Sheffer-Appell arrays are built once per pair at its full
 order (``pair.derived``, see :mod:`sheffermat.pairs`) and sliced here, so
 a lower degree reproduces the same polynomials; their leading-coefficient
-contract is checked there, once per array.  The Appell array needs only
-1/l: its x^k coefficient of degree i is C(i, k) (1/l)^(i-k)(0), the
-entry (i, k) of the Pascal matrix of 1/l.
+contract is checked there, once per array.  The Appell array is the rows
+of the Pascal matrix P[1/l]: degree i has x^k coefficient i!/k! f_{i-k},
+read straight off the row f of 1/l with no ``Matrix``, one gcd per row.
 """
 
 from __future__ import annotations
 
+import math
+
 from .errors import NotInvertibleError, Record, check_size
-from .matrices import pascal_matrix
 from .pairs import ShefferPair
 from .polynomials import Poly
 from .series import TruncatedSeries
@@ -64,12 +65,11 @@ def sheffer_sequence(pair: ShefferPair, n: int) -> PolySequence:
 
 
 def appell_sequence(l: TruncatedSeries, n: int) -> PolySequence:
-    """Degrees 0..n of the Appell sequence with generating function e^{xy}/l:
-    degree i is row i of the Pascal matrix of 1/l, up to its diagonal."""
+    """Degrees 0..n of the Appell sequence e^{xy}/l: degree i is row i of P[1/l]
+    to its diagonal, x^(i-k) with coefficient i!/(i-k)! f_k, f = 1/l to order n."""
     if not l.is_invertible:
         raise NotInvertibleError("l must have a nonzero constant term")
     check_size(n, l.order, "degree")
-    rows = map(pascal_matrix(l.truncate(n).reciprocal(), n).integer_row, range(n + 1))
-    # Slicing copies each row, which Poly._reduced takes over.
-    polys = tuple(Poly._reduced(den, p[: i + 1]) for i, (den, p) in enumerate(rows))
-    return PolySequence("appell", polys)
+    den, f = l.truncate(n).reciprocal().row
+    rows = ([math.perm(i, k) * f[k] for k in range(i, -1, -1)] for i in range(n + 1))
+    return PolySequence("appell", tuple(Poly._reduced(den, p) for p in rows))

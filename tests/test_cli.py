@@ -580,7 +580,8 @@ def test_module_entry_point():
 def test_closed_stdout_ends_quietly():
     """``gen ... | head -c 10``: the reader leaves after 10 bytes of about
     150 kB, and the writer ends with exit 141 (128 + SIGPIPE) and no
-    traceback, not with the verification-failure code 1."""
+    traceback, not with the verification-failure code 1.  A failed assertion
+    still kills and reaps the child and closes both pipes."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "sheffermat", "gen", "--family", "hermite",
          "--n", "100"],
@@ -588,11 +589,17 @@ def test_closed_stdout_ends_quietly():
         stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
-    assert proc.stdout.read(10) == b'{\n  "famil'
-    proc.stdout.close()
-    assert proc.wait(timeout=60) == 141
-    assert proc.stderr.read() == b""
-    proc.stderr.close()
+    try:
+        assert proc.stdout.read(10) == b'{\n  "famil'
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.stdout.close()
+        proc.stderr.close()
+        proc.wait()
 
 
 def test_console_script_help():

@@ -672,3 +672,39 @@ def test_full_derived_build_cost(monkeypatch, family, params):
     for label in LABELS:
         COEFF_EXTRACTORS[label](pair, 11)
     assert (calls.count("compose"), calls.count("reciprocal")) == (5, 4)
+
+
+ROW_ATTRS = {
+    "2.1": "differential_equation",
+    "3.1": "derivative_recurrence",
+    "3.2": "mixed_recurrence",
+    "3.3": "convolution_recurrence",
+}
+CATALOG_CELLS = [
+    ("laguerre", {"lambda": 0}),
+    ("laguerre", {"lambda": Fraction(5, 2)}),
+    ("miller-lee", {"m": 0}),
+    ("miller-lee", {"m": 1}),
+] + [(family, {}) for family in sorted(FAMILIES) if not FAMILIES[family].params]
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    CATALOG_CELLS,
+    ids=["-".join([f, *(f"{k}={v}" for k, v in p.items())]) for f, p in CATALOG_CELLS],
+)
+def test_identity_rows_are_reduced(family, params):
+    """Every stored (D, a, b, c) row is reduced as one row: gcd(D, *a, *b, *c) = 1."""
+    derived = make_pair(family, 41, params).derived
+    for label, attr in ROW_ATTRS.items():
+        den, a, b, c = getattr(derived, attr)
+        assert len(a) == len(b) == len(c) == 41, label
+        assert den > 0 and math.gcd(den, *a, *b, *c) == 1, label
+
+
+def test_log_assoc_derivative_recurrence_row_is_integral():
+    """For (1, e^y - 1), a = dv(e^{-y}) = ((-1)^k) and b = c = 0 over D = 1."""
+    den, a, b, c = make_pair("log-assoc", 41).derived.derivative_recurrence
+    assert den == 1
+    assert a == [(-1) ** k for k in range(41)]
+    assert b == c == [0] * 41

@@ -2,17 +2,19 @@
 (tracers read them from ``sys.modules``), and ``__all__`` lists exactly the
 public names the package imports."""
 
+import ast
 import importlib.util
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
 
 import pytest
 
 import sheffermat
-from sheffermat import Poly, TruncatedSeries, sequences
+from sheffermat import Matrix, Poly, TruncatedSeries, appell_sequence, sequences
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -65,6 +67,24 @@ def test_dead_convolution_is_gone():
         Poly((1, 1)) * Poly((1, -1))
     for name in ("constant", "derivatives_at_zero"):
         assert not hasattr(TruncatedSeries, name)
+
+
+def test_rows_are_built_with_no_matrix_detour(monkeypatch):
+    # The Appell array is read off the row of 1/l with no Matrix, and
+    # Matrix.diagonal builds its rows with the constructor alone.
+    tree = ast.parse((SRC / "sheffermat" / "sequences.py").read_text())
+    imported = [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert "matrices" not in imported
+
+    def refuse(*args):
+        raise AssertionError("built through a detour")
+
+    monkeypatch.setattr(Matrix, "column", classmethod(refuse))
+    monkeypatch.setattr(Matrix, "_reduced", classmethod(refuse))
+    assert Matrix.diagonal([2, Fraction(1, 3)]).row(1) == (0, Fraction(1, 3))
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    seq = appell_sequence(TruncatedSeries([1, -1, 0]), 2)  # 1/l = 1 + y + y^2
+    assert [p.coeffs for p in seq] == [(1,), (1, 1), (2, 2, 1)]
 
 
 def test_every_traced_name_resolves():
