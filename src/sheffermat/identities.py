@@ -23,8 +23,8 @@ matching the CLI's --theorem flag:
             sA_{n+1} = sum_k C(n,k) (x a_k + b_k + c_k) sA_{n-k}
 ==========  ==========================================================
 
-The (a, b, c) vectors are one integer row (D, a, b, c) per pair (``pair.derived``,
-see :mod:`sheffermat.pairs`); an extractor slices them, as Fractions built once per
+The (a, b, c) vectors are one integer row (D, a, b, c) of the pair (see
+:mod:`sheffermat.pairs`); an extractor slices them, as Fractions kept with the
 pair, to k = 0..n.  A residual builds no Fraction: it sums (beta + alpha x) q^(k)/k!,
 each q an sA_m and each weight an integer over D, by :func:`derivative_combination`.
 
@@ -49,6 +49,9 @@ from .rationals import Rational, format_rational
 from .sequences import sheffer_appell_sequence
 
 LABELS = ("2.1", "3.1", "3.2", "3.3")
+# label -> the name of the pair's cached (D, a, b, c) row of that identity
+_ROWS = dict(zip(LABELS, ("differential_equation", "derivative_recurrence",
+                          "mixed_recurrence", "convolution_recurrence")))
 
 
 class CoeffTriple(Record):
@@ -74,16 +77,16 @@ class CoeffTriple(Record):
         }
 
 
-def _vectors(pair: ShefferPair, n: int, attr: str) -> tuple:
+def _vectors(pair: ShefferPair, n: int, label: str) -> tuple:
     """The pair's (D, a, b, c) row; every extractor and residual checks n here."""
     check_size(n, pair.order - 1, "degree")
-    return getattr(pair.derived, attr)
+    return getattr(pair, _ROWS[label])
 
 
-def _triple(label: str, pair: ShefferPair, n: int, attr: str) -> CoeffTriple:
+def _triple(label: str, pair: ShefferPair, n: int) -> CoeffTriple:
     """The (a, b, c) of ``label`` to k = 0..n, as Fractions built once per pair."""
-    den, *vectors = _vectors(pair, n, attr)
-    kept = pair.derived.fractions
+    den, *vectors = _vectors(pair, n, label)
+    kept = pair.kept
     if label not in kept:
         kept[label] = [tuple([Fraction(c, den) for c in v]) for v in vectors]
     return CoeffTriple(label, *(v[: n + 1] for v in kept[label]))
@@ -91,24 +94,24 @@ def _triple(label: str, pair: ShefferPair, n: int, attr: str) -> CoeffTriple:
 
 def differential_equation_coeffs(pair: ShefferPair, n: int) -> CoeffTriple:
     """Label "2.1": a = dv(h/h'), b = dv(-h l'(h)/l(h)), c = dv(-h l'/(h' l))."""
-    return _triple("2.1", pair, n, "differential_equation")
+    return _triple("2.1", pair, n)
 
 
 def derivative_recurrence_coeffs(pair: ShefferPair, n: int) -> CoeffTriple:
     """Label "3.1": a = dv(1/h'), b = dv(-l'(h)/l(h)), c = dv(-l'/(h' l))."""
-    return _triple("3.1", pair, n, "derivative_recurrence")
+    return _triple("3.1", pair, n)
 
 
 def mixed_recurrence_coeffs(pair: ShefferPair, n: int) -> CoeffTriple:
     """Label "3.2": a = dv(h'(g)), b = dv(-h'(g) l'/l), c = dv(-l'(g)/l(g))
     with g = h^{-1}."""
-    return _triple("3.2", pair, n, "mixed_recurrence")
+    return _triple("3.2", pair, n)
 
 
 def convolution_recurrence_coeffs(pair: ShefferPair, n: int) -> CoeffTriple:
     """Label "3.3": a = dv(1/h'(g)), b = dv(-l'/l),
     c = dv(-l'(g)/(h'(g) l(g))) with g = h^{-1}."""
-    return _triple("3.3", pair, n, "convolution_recurrence")
+    return _triple("3.3", pair, n)
 
 
 COEFF_EXTRACTORS = {
@@ -121,7 +124,7 @@ COEFF_EXTRACTORS = {
 
 def differential_equation_residual(pair: ShefferPair, n: int) -> Poly:
     """Residual of identity "2.1" at degree n; zero for every valid pair."""
-    den, a, b, c = _vectors(pair, n, "differential_equation")
+    den, a, b, c = _vectors(pair, n, "2.1")
     s = sheffer_appell_sequence(pair, n)
     terms = [(a[k], b[k] + c[k], s[n], k) for k in range(n + 1)]
     return derivative_combination(terms + [(0, -n * den, s[n], 0)], den)
@@ -129,7 +132,7 @@ def differential_equation_residual(pair: ShefferPair, n: int) -> Poly:
 
 def derivative_recurrence_residual(pair: ShefferPair, n: int) -> Poly:
     """Residual of identity "3.1" at degree n; zero for every valid pair."""
-    den, a, b, c = _vectors(pair, n, "derivative_recurrence")
+    den, a, b, c = _vectors(pair, n, "3.1")
     s = sheffer_appell_sequence(pair, n + 1)
     terms = [(-a[k], -b[k] - c[k], s[n], k) for k in range(n + 1)]
     return derivative_combination([(0, den, s[n + 1], 0)] + terms, den)
@@ -137,7 +140,7 @@ def derivative_recurrence_residual(pair: ShefferPair, n: int) -> Poly:
 
 def mixed_recurrence_residual(pair: ShefferPair, n: int) -> Poly:
     """Residual of identity "3.2" at degree n; zero for every valid pair."""
-    den, a, b, c = _vectors(pair, n, "mixed_recurrence")
+    den, a, b, c = _vectors(pair, n, "3.2")
     s = sheffer_appell_sequence(pair, n + 1)
     terms = [(0, a[0], s[n + 1], 0), (-den, 0, s[n], 0)]
     for k in range(n + 1):
@@ -149,7 +152,7 @@ def mixed_recurrence_residual(pair: ShefferPair, n: int) -> Poly:
 
 def convolution_recurrence_residual(pair: ShefferPair, n: int) -> Poly:
     """Residual of identity "3.3" at degree n; zero for every valid pair."""
-    den, a, b, c = _vectors(pair, n, "convolution_recurrence")
+    den, a, b, c = _vectors(pair, n, "3.3")
     s = sheffer_appell_sequence(pair, n + 1)
     terms = [
         (-math.comb(n, k) * a[k], -math.comb(n, k) * (b[k] + c[k]), s[n - k], 0)
@@ -171,19 +174,18 @@ def first_factorization_mismatch(pair: ShefferPair, n: int) -> int:
 
     By the prefix argument of :func:`factorization_check`, the size-d
     factorization holds exactly when d is below the returned row.  R is kept
-    on ``pair.derived``, rebuilt only for an n above any size built so far
-    and otherwise sliced; the sequence is read on every call, and each
+    in ``pair.kept``, rebuilt only for an n above any size built so far and
+    otherwise sliced; the sequence is read on every call, and each
     ``Poly.row``, zero-padded, is compared with the integer row of R.
     """
     s = sheffer_appell_sequence(pair, n)
-    d = pair.derived
-    rhs = d.factorization_product
+    rhs = pair.kept.get("factorization")
     if rhs is None or rhs.rows <= n:
-        rhs = d.factorization_product = (
-            wronskian_powers_matrix(d.g, n)
+        rhs = pair.kept["factorization"] = (
+            wronskian_powers_matrix(pair.g, n)
             @ omega_inverse(n)
-            @ pascal_matrix(d.reciprocal_l, n)
-            @ pascal_matrix(d.reciprocal_l_of_h, n)
+            @ pascal_matrix(pair.reciprocal_l, n)
+            @ pascal_matrix(pair.reciprocal_l_of_h, n)
         )
     for i, p in enumerate(s):
         den, row = rhs.integer_row(i)

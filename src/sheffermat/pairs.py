@@ -1,20 +1,24 @@
-"""The (l, h) pair that indexes a Sheffer sequence.
+"""The (l, h) pair that indexes a Sheffer sequence, and what is read off it.
 
 l must be an invertible series (nonzero constant term) and h a delta
 series (h(0) = 0, h'(0) != 0), both truncated at the same order and each
 stored as one integer row of rationals.  The pair is validated once at
 construction; all code downstream can then assume it is well formed.
 
-Series derived from the pair (g = h^{-1}, 1/l, the sequence arrays, ...)
-live in ``pair.derived``: each is computed on first use, once, at the
-pair's order N (the identity vectors at N - 1, the order their extractors
-need), and kept.  Products, reciprocals, composition with a series of
-zero constant term and compositional inversion are prefix-stable, so a
-consumer that wants degree n <= N slices a stored value and gets exactly
-what a computation at order n would give.  Each identity's (a, b, c)
-derivative vectors are kept as one integer row (D, a, b, c), reduced by one
-gcd, and each sequence array, built from integer rows, is checked against
-its leading-coefficient contract once, when it is built.
+The once-per-pair rule: each series derived from the pair (g = h^{-1},
+1/l, the sequence arrays, the identities' (a, b, c) rows, ...) is a cached
+property of the pair, computed on first use, once, at the pair's order N
+(the identity rows at N - 1, the order their extractors need), and kept.
+What callers build from these is kept in the pair's one ``kept`` dict; no
+module assigns an attribute on a pair.  Products, reciprocals, composition
+with a series of zero constant term and compositional inversion are
+prefix-stable, so a consumer that wants degree n <= N slices a stored
+value and gets exactly what a computation at order n would give.  Every
+composite is 1/l or L = l'/l composed with g or with h, and
+h'(g) = 1/g' by the inverse-function rule.  Each identity's (a, b, c)
+derivative vectors are kept as one integer row (D, a, b, c), reduced by
+one gcd, and each sequence array is checked against its
+leading-coefficient contract once, when it is built.
 """
 
 from __future__ import annotations
@@ -53,11 +57,6 @@ class ShefferPair(Record):
     def order(self) -> int:
         return self.l.order
 
-    @cached_property
-    def derived(self) -> DerivedSeries:
-        """The pair's derived series, built on first use and kept."""
-        return DerivedSeries(self.l, self.h)
-
     @classmethod
     def appell(cls, l: TruncatedSeries) -> ShefferPair:
         """The Appell pair (l, y)."""
@@ -68,34 +67,15 @@ class ShefferPair(Record):
         """The associated pair (1, h)."""
         return cls(TruncatedSeries([1], h.order), h)
 
-
-def riordan_polys(d: TruncatedSeries, g: TruncatedSeries) -> tuple[Poly, ...]:
-    """Degrees 0..order of the exponential Riordan array [d, g]: the x^k
-    coefficient of degree i is i!/k! [y^i] d g^k.  Degree i is one integer
-    row over the lcm of the denominators of the columns d g^0 .. d g^i."""
-    columns = power_rows(g.row, d.order, start=d.row)
-    polys, lq = [], 1
-    for i, (den, _) in enumerate(columns):
-        lq = math.lcm(lq, den)
-        polys.append(Poly._reduced(lq, [
-            math.perm(i, i - k) * (lq // dk) * p[i]
-            for k, (dk, p) in enumerate(columns[: i + 1])
-        ]))
-    return tuple(polys)
-
-
-class DerivedSeries:
-    """The derived series of one pair, each computed on first use and kept.
-    Every composite is 1/l or L = l'/l composed with g = h^{-1} or with h,
-    and h'(g) = 1/g' by the inverse-function rule."""
-
-    def __init__(self, l: TruncatedSeries, h: TruncatedSeries):
-        self.l, self.h = l, h
-        self.factorization_product = None  # see first_factorization_mismatch
-        self.fractions = {}  # see identities._triple
+    @cached_property
+    def kept(self) -> dict:
+        """What callers build from the pair and keep with it: each identity
+        label's Fraction (a, b, c) vectors and, under "factorization", the
+        largest factorization product built so far (see identities)."""
+        return {}
 
     def _low(self, series: TruncatedSeries) -> TruncatedSeries:
-        return series.truncate(self.l.order - 1)
+        return series.truncate(self.order - 1)
 
     @cached_property
     def g(self) -> TruncatedSeries:
@@ -174,6 +154,21 @@ class DerivedSeries:
         """1/h'(g) = g', -l'/l, -l'(g)/(h'(g) l(g))."""
         a = self.g.derivative()
         return _vectors((a, -self._lp_over_l, -self._of_g * a))
+
+
+def riordan_polys(d: TruncatedSeries, g: TruncatedSeries) -> tuple[Poly, ...]:
+    """Degrees 0..order of the exponential Riordan array [d, g]: the x^k
+    coefficient of degree i is i!/k! [y^i] d g^k.  Degree i is one integer
+    row over the lcm of the denominators of the columns d g^0 .. d g^i."""
+    columns = power_rows(g.row, d.order, start=d.row)
+    polys, lq = [], 1
+    for i, (den, _) in enumerate(columns):
+        lq = math.lcm(lq, den)
+        polys.append(Poly._reduced(lq, [
+            math.perm(i, i - k) * (lq // dk) * p[i]
+            for k, (dk, p) in enumerate(columns[: i + 1])
+        ]))
+    return tuple(polys)
 
 
 def _vectors(series) -> tuple:

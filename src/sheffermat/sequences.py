@@ -9,19 +9,17 @@ kinds have exponential generating functions
 
 each of the form d(y) e^{x g(y)}: the exponential Riordan array [d, g],
 whose degree-i polynomial has x^k coefficient i!/k! [y^i] d g^k.  The
-Sheffer and Sheffer-Appell arrays are built once per pair at its full
-order (``pair.derived``, see :mod:`sheffermat.pairs`) and sliced here, so
-a lower degree reproduces the same polynomials; their leading-coefficient
-contract is checked there, once per array.  The Appell array is the rows
-of the Pascal matrix P[1/l]: degree i has x^k coefficient i!/k! f_{i-k},
-read straight off the row f of 1/l with no ``Matrix``, one gcd per row.
+Sheffer and Sheffer-Appell arrays are cached properties of the pair (see
+:mod:`sheffermat.pairs`), sliced here.  The Appell array is the rows of
+the Pascal matrix P[1/l]: degree i has x^k coefficient i!/k! f_{i-k},
+read straight off the row f of 1/l, one gcd per row.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import NotInvertibleError, Record, check_size
+from .errors import Record, check_size
 from .pairs import ShefferPair
 from .polynomials import Poly
 from .series import TruncatedSeries
@@ -55,20 +53,18 @@ class PolySequence(Record):
 def sheffer_appell_sequence(pair: ShefferPair, n: int) -> PolySequence:
     """Degrees 0..n of the Sheffer-Appell sequence of (l, h)."""
     check_size(n, pair.order, "degree")
-    return PolySequence("sheffer_appell", pair.derived.sheffer_appell_polys[: n + 1])
+    return PolySequence("sheffer_appell", pair.sheffer_appell_polys[: n + 1])
 
 
 def sheffer_sequence(pair: ShefferPair, n: int) -> PolySequence:
     """Degrees 0..n of the Sheffer sequence of (l, h)."""
     check_size(n, pair.order, "degree")
-    return PolySequence("sheffer", pair.derived.sheffer_polys[: n + 1])
+    return PolySequence("sheffer", pair.sheffer_polys[: n + 1])
 
 
 def appell_sequence(l: TruncatedSeries, n: int) -> PolySequence:
     """Degrees 0..n of the Appell sequence e^{xy}/l: degree i is row i of P[1/l]
     to its diagonal, x^(i-k) with coefficient i!/(i-k)! f_k, f = 1/l to order n."""
-    if not l.is_invertible:
-        raise NotInvertibleError("l must have a nonzero constant term")
     check_size(n, l.order, "degree")
     den, f = l.truncate(n).reciprocal().row
     rows = ([math.perm(i, k) * f[k] for k in range(i, -1, -1)] for i in range(n + 1))

@@ -41,7 +41,7 @@ from sheffermat import (
     wronskian_powers_matrix,
     wronskian_vector,
 )
-from sheffermat.pairs import DerivedSeries, riordan_polys
+from sheffermat.pairs import riordan_polys
 
 from plain_fractions import add, monomial
 
@@ -474,27 +474,27 @@ def test_warm_residual_sweep_calls_no_common_denominator(monkeypatch):
 
 def test_log_derivative_of_l_is_built_once_per_pair(monkeypatch):
     calls = []
-    lp_over_l = DerivedSeries._lp_over_l.func
+    lp_over_l = ShefferPair._lp_over_l.func
 
     def counted(self):
         calls.append(self)
         return lp_over_l(self)
 
     counted_property = cached_property(counted)
-    counted_property.__set_name__(DerivedSeries, "_lp_over_l")
-    monkeypatch.setattr(DerivedSeries, "_lp_over_l", counted_property)
+    counted_property.__set_name__(ShefferPair, "_lp_over_l")
+    monkeypatch.setattr(ShefferPair, "_lp_over_l", counted_property)
     pair = make_pair("laguerre", 8, {"lambda": Fraction(5, 2)})
     for n in range(8):
         for label in LABELS:
             COEFF_EXTRACTORS[label](pair, n)
-    assert calls == [pair.derived]
+    assert len(calls) == 1 and calls[0] is pair
 
 
 def test_derived_series_are_built_lazily():
     pair = make_pair("laguerre", 6, {"lambda": 0})
-    assert "derived" not in vars(pair)
+    assert set(vars(pair)) == {"l", "h"}
     sheffer_sequence(pair, 3)
-    built = vars(pair.derived)
+    built = vars(pair)
     assert "g" in built and "sheffer_polys" in built
     assert "sheffer_appell_polys" not in built
     assert "mixed_recurrence" not in built
@@ -543,13 +543,13 @@ def test_warm_residual_sweep_builds_no_fraction(monkeypatch, family, params):
 
 def test_leading_coefficient_contract_runs_once_per_array(monkeypatch):
     calls = []
-    check = DerivedSeries._checked
+    check = ShefferPair._checked
 
     def counted(self, kind, polys, lead):
         calls.append(kind)
         return check(self, kind, polys, lead)
 
-    monkeypatch.setattr(DerivedSeries, "_checked", counted)
+    monkeypatch.setattr(ShefferPair, "_checked", counted)
     pair = make_pair("laguerre", 10, {"lambda": Fraction(5, 2)})
     for n in range(11):
         sheffer_appell_sequence(pair, n)
@@ -604,7 +604,7 @@ def assert_matches_reference(pair: ShefferPair) -> None:
     """The derived series, and the (a, b, c) vectors read through the
     extractors at the largest degree they serve."""
     want = reference_derived(pair)
-    got = {name: getattr(pair.derived, name) for name in want if name not in LABELS}
+    got = {name: getattr(pair, name) for name in want if name not in LABELS}
     for label in LABELS:
         t = COEFF_EXTRACTORS[label](pair, pair.order - 1)
         got[label] = (t.a, t.b, t.c)
@@ -667,8 +667,7 @@ def test_full_derived_build_cost(monkeypatch, family, params):
             return _method(self, *args)
 
         monkeypatch.setattr(TruncatedSeries, name, counted)
-    d = pair.derived
-    d.sheffer_polys, d.sheffer_appell_polys, d.reciprocal_l_of_h
+    pair.sheffer_polys, pair.sheffer_appell_polys, pair.reciprocal_l_of_h
     for label in LABELS:
         COEFF_EXTRACTORS[label](pair, 11)
     assert (calls.count("compose"), calls.count("reciprocal")) == (5, 4)
@@ -695,16 +694,16 @@ CATALOG_CELLS = [
 )
 def test_identity_rows_are_reduced(family, params):
     """Every stored (D, a, b, c) row is reduced as one row: gcd(D, *a, *b, *c) = 1."""
-    derived = make_pair(family, 41, params).derived
+    pair = make_pair(family, 41, params)
     for label, attr in ROW_ATTRS.items():
-        den, a, b, c = getattr(derived, attr)
+        den, a, b, c = getattr(pair, attr)
         assert len(a) == len(b) == len(c) == 41, label
         assert den > 0 and math.gcd(den, *a, *b, *c) == 1, label
 
 
 def test_log_assoc_derivative_recurrence_row_is_integral():
     """For (1, e^y - 1), a = dv(e^{-y}) = ((-1)^k) and b = c = 0 over D = 1."""
-    den, a, b, c = make_pair("log-assoc", 41).derived.derivative_recurrence
+    den, a, b, c = make_pair("log-assoc", 41).derivative_recurrence
     assert den == 1
     assert a == [(-1) ** k for k in range(41)]
     assert b == c == [0] * 41

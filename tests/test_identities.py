@@ -415,7 +415,7 @@ def convolution_reference(t, s, n):
     return acc
 
 
-# label -> (the pair.derived row of its (D, a, b, c) vectors, reference)
+# label -> (the pair's cached row of its (D, a, b, c) vectors, reference)
 REFERENCES = {
     "2.1": ("differential_equation", differential_reference),
     "3.1": ("derivative_recurrence", derivative_reference),
@@ -449,7 +449,7 @@ def test_residuals_match_references(label, pair, other):
         assert RESIDUALS[label](pair, n) == reference(own, s, n) == Poly()
         foreign = COEFF_EXTRACTORS[label](other, n)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pair.derived, vectors, getattr(other.derived, vectors))
+            mp.setitem(vars(pair), vectors, getattr(other, vectors))
             assert RESIDUALS[label](pair, n) == reference(foreign, s, n)
 
 
@@ -459,7 +459,7 @@ def test_residuals_on_foreign_coefficients(monkeypatch, label):
     pair = make_pair("laguerre", 8, {"lambda": Fraction(5, 2)})
     other = make_pair("log-assoc", 8)
     foreign = COEFF_EXTRACTORS[label](other, 6)
-    monkeypatch.setattr(pair.derived, vectors, getattr(other.derived, vectors))
+    monkeypatch.setitem(vars(pair), vectors, getattr(other, vectors))
     residual = RESIDUALS[label](pair, 6)
     assert not residual.is_zero
     assert residual == reference(foreign, sheffer_appell_sequence(pair, 7), 6)

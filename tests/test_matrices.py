@@ -424,6 +424,9 @@ def test_composition_property_identity_delta():
 def test_composition_requires_delta():
     with pytest.raises(NotDeltaSeriesError):
         check_property_composition(geometric(3), geometric(3), 3)
+    # h(0) = 0 and h'(0) = 0: the composition is defined, the powers matrix is not
+    with pytest.raises(NotDeltaSeriesError):
+        check_property_composition(geometric(3), TruncatedSeries([0, 0, 1, 1]), 3)
 
 
 @given(rational_series(4), rational_series(4), rationals, rationals)

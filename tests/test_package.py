@@ -8,13 +8,27 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from types import ModuleType
 
 import pytest
 
 import sheffermat
-from sheffermat import Matrix, Poly, TruncatedSeries, appell_sequence, sequences
+from sheffermat import (
+    COEFF_EXTRACTORS,
+    LABELS,
+    Matrix,
+    Poly,
+    ShefferPair,
+    TruncatedSeries,
+    appell_sequence,
+    lemma_checks,
+    make_pair,
+    pairs,
+    residual_checks,
+    sequences,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -98,3 +112,48 @@ def test_every_traced_name_resolves():
             assert callable(getattr(getattr(sheffermat, module), name)), name
     for module, cls, method in tracing.METHODS.values():
         assert callable(getattr(getattr(getattr(sheffermat, module), cls), method))
+
+
+def test_one_object_per_pair():
+    # The pair's derived series are its own cached properties.
+    assert not hasattr(pairs, "DerivedSeries")
+    assert not hasattr(ShefferPair, "derived")
+
+
+def assigned(target: ast.expr) -> list[ast.expr]:
+    """The names, attributes and subscripts one assignment target binds."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [t for element in target.elts for t in assigned(element)]
+    if isinstance(target, ast.Starred):
+        return assigned(target.value)
+    return [target]
+
+
+@pytest.mark.parametrize("module", ["identities", "sequences"])
+def test_no_module_assigns_an_attribute(module):
+    # Results kept with a pair go in its one ``kept`` dict.
+    tree = ast.parse((SRC / "sheffermat" / f"{module}.py").read_text())
+    targets = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets += [t for target in node.targets for t in assigned(target)]
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets.append(node.target)
+    assert not [ast.unparse(t) for t in targets if isinstance(t, ast.Attribute)]
+
+
+def test_every_kept_result_is_declared_on_the_pair():
+    pair = make_pair("laguerre", 9, {"lambda": Fraction(5, 2)})
+    for label in LABELS:
+        COEFF_EXTRACTORS[label](pair, 8)
+    assert all(r.passed for r in residual_checks(pair, 8))
+    assert all(r.passed for r in lemma_checks(pair, 8))
+    cached = {
+        name
+        for name, value in vars(ShefferPair).items()
+        if isinstance(value, cached_property)
+    }
+    assert set(vars(pair)) <= set(ShefferPair._fields) | cached
+    read = {"g", "sheffer_appell_polys", "kept", "derivative_recurrence"}
+    assert read <= set(vars(pair))
+    assert set(pair.kept) == {*LABELS, "factorization"}

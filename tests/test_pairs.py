@@ -47,7 +47,7 @@ def test_polynomial_coefficients_rejected():
 def test_h_inverse_round_trip():
     h = TruncatedSeries([0, 1, 1, 1, 1])
     pair = ShefferPair.associated(h)
-    g = pair.derived.g
+    g = pair.g
     assert h.compose(g) == TruncatedSeries.identity(4)
 
 
