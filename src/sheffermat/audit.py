@@ -16,6 +16,11 @@ sequence s at degree d, the terms (alpha, beta, sA_m, 0) that
 :func:`sheffermat.polynomials.derivative_combination` sums.  Ground truth is
 always the derivative-vector extraction; a FAIL here records that the
 printed identity does not hold as displayed, not an engine defect.
+Miller-Lee is an Appell pair: its printed recurrences are the convolution
+form of "3.3" over their tables (:func:`~sheffermat.identities.convolution_terms`).
+The Laguerre ones stay as displayed: over its table the differential one is
+that form with its sides swapped and no k = 0 term x sA_d, and the
+derivative one flips the sign of its sum over k >= 3.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from fractions import Fraction
 
 from .errors import Record
 from .families import make_pair
-from .identities import COEFF_EXTRACTORS, CoeffTriple
+from .identities import COEFF_EXTRACTORS, CoeffTriple, convolution_terms
 from .polynomials import Poly, derivative_combination
 from .rationals import Rational, format_rational, rat
 from .sequences import PolySequence, sheffer_appell_sequence
@@ -159,33 +164,16 @@ def _laguerre_derivative_terms(
 def _miller_lee_differential_terms(
     s: PolySequence, d: int, m: Fraction, printed: dict
 ) -> list:
-    # d sA_d - d x sA_{d-1} = sum_{k=1}^{d} C(d,k) sA_{d-k} (b_k + c_k)
-    # At d = 0 the sA_{d-1} weight is zero and the term is dropped unread.
-    b, c = printed["b"], printed["c"]
-    terms = [(0, d, s[d], 0), (-d, 0, s[d - 1], 0)]
-    for k in range(1, d + 1):
-        terms.append((0, -math.comb(d, k) * (b[k] + c[k]), s[d - k], 0))
-    return terms
+    # d sA_d - d x sA_{d-1} = sum_{k=1}^{d} C(d,k) sA_{d-k} (b_k + c_k), a = e_1
+    return [(0, d, s[d], 0)] + convolution_terms(s, d, *map(printed.get, "abc"))
 
 
-def _miller_lee_derivative_terms(
+def _miller_lee_recurrence_terms(
     s: PolySequence, d: int, m: Fraction, printed: dict
 ) -> list:
-    # sA_{d+1} - x sA_d = sum_{k=0}^{d} C(d,k) sA_{d-k} (b_k + c_k)
-    b, c = printed["b"], printed["c"]
-    terms = [(0, 1, s[d + 1], 0), (-1, 0, s[d], 0)]
-    for k in range(d + 1):
-        terms.append((0, -math.comb(d, k) * (b[k] + c[k]), s[d - k], 0))
-    return terms
-
-
-def _miller_lee_mixed_terms(
-    s: PolySequence, d: int, m: Fraction, printed: dict
-) -> list:
-    # sA_{d+1} = x sA_d - 2 (m+1) sum_{k=0}^{d} C(d,k) sA_{d-k} k!
-    terms = [(0, 1, s[d + 1], 0), (-1, 0, s[d], 0)]
-    terms += [(0, 2 * (m + 1) * math.perm(d, k), s[d - k], 0) for k in range(d + 1)]
-    return terms
+    # sA_{d+1} = sum_k C(d,k) (x a_k + b_k + c_k) sA_{d-k}: the derivative and mixed
+    # recurrences over their tables, a = e_0 and, for the mixed one, b = c.
+    return [(0, 1, s[d + 1], 0)] + convolution_terms(s, d, *map(printed.get, "abc"))
 
 
 # Identity id -> (family, label of its extractor in COEFF_EXTRACTORS,
@@ -205,10 +193,10 @@ PRINTED_IDENTITIES = {
     ),
     "miller-lee-derivative-recurrence": (
         "miller-lee", "3.1",
-        _miller_lee_derivative_printed, _miller_lee_derivative_terms,
+        _miller_lee_derivative_printed, _miller_lee_recurrence_terms,
     ),
     "miller-lee-mixed-recurrence": (
-        "miller-lee", "3.2", _miller_lee_mixed_printed, _miller_lee_mixed_terms
+        "miller-lee", "3.2", _miller_lee_mixed_printed, _miller_lee_recurrence_terms
     ),
 }
 IDENTITY_IDS = tuple(PRINTED_IDENTITIES)

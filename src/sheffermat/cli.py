@@ -38,10 +38,8 @@ from .families import list_families, make_pair
 from .identities import COEFF_EXTRACTORS, LABELS
 from .polynomials import Poly
 from .rationals import format_rational, parse_rational
-from .sequences import appell_sequence, sheffer_appell_sequence, sheffer_sequence
+from .sequences import KINDS, appell_sequence, sheffer_appell_sequence, sheffer_sequence
 from .verify import lemma_checks, property_suite, residual_checks
-
-KIND_CHOICES = ("sheffer", "appell", "sheffer-appell")
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
@@ -120,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", parents=[pair], help="generate a polynomial sequence")
     gen.add_argument("--n", type=_ascii_int, required=True)
-    gen.add_argument("--kind", choices=KIND_CHOICES, default="sheffer-appell")
+    gen.add_argument("--kind", choices=KINDS, default="sheffer-appell")
     gen.add_argument("--format", choices=("json", "csv", "latex"), default="json")
     gen.set_defaults(run=_cmd_gen)
 

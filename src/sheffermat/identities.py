@@ -27,6 +27,7 @@ The (a, b, c) vectors are one integer row (D, a, b, c) of the pair (see
 :mod:`sheffermat.pairs`); an extractor slices them, as Fractions kept with the
 pair, to k = 0..n.  A residual builds no Fraction: it sums (beta + alpha x) q^(k)/k!,
 each q an sA_m and each weight an integer over D, by :func:`derivative_combination`.
+"3.3" and "3.2" (at a = e_0) share one convolution form, :func:`convolution_terms`.
 
 There is also the matrix factorization: the lower triangular matrix of
 scaled x-derivatives sA_i^(j)(x)/j! equals
@@ -44,9 +45,9 @@ from fractions import Fraction
 from .errors import ContractError, Record, check_size
 from .matrices import omega_inverse, pascal_matrix, wronskian_powers_matrix
 from .pairs import ShefferPair
-from .polynomials import Poly, derivative_combination
+from .polynomials import Poly, Term, derivative_combination
 from .rationals import Rational, format_rational
-from .sequences import sheffer_appell_sequence
+from .sequences import PolySequence, sheffer_appell_sequence
 
 LABELS = ("2.1", "3.1", "3.2", "3.3")
 # label -> the name of the pair's cached (D, a, b, c) row of that identity
@@ -122,6 +123,13 @@ COEFF_EXTRACTORS = {
 }
 
 
+def convolution_terms(s: PolySequence, n: int, a, b, c) -> list[Term]:
+    """The terms of -sum_{k=0..n} C(n,k) (x a_k + b_k + c_k) s_{n-k}: the convolution
+    form of "3.3", of "3.2" at a = e_0, and of every identity of an Appell pair."""
+    weights = [-math.comb(n, k) for k in range(n + 1)]
+    return [(w * a[k], w * (b[k] + c[k]), s[n - k], 0) for k, w in enumerate(weights)]
+
+
 def differential_equation_residual(pair: ShefferPair, n: int) -> Poly:
     """Residual of identity "2.1" at degree n; zero for every valid pair."""
     den, a, b, c = _vectors(pair, n, "2.1")
@@ -142,23 +150,17 @@ def mixed_recurrence_residual(pair: ShefferPair, n: int) -> Poly:
     """Residual of identity "3.2" at degree n; zero for every valid pair."""
     den, a, b, c = _vectors(pair, n, "3.2")
     s = sheffer_appell_sequence(pair, n + 1)
-    terms = [(0, a[0], s[n + 1], 0), (-den, 0, s[n], 0)]
-    for k in range(n + 1):
-        terms.append((0, -math.comb(n, k) * (b[k] + c[k]), s[n - k], 0))
-    for k in range(1, n + 1):
-        terms.append((0, math.comb(n, k) * a[k], s[n + 1 - k], 0))
-    return derivative_combination(terms, den)
+    terms = [(0, math.comb(n, k) * a[k], s[n + 1 - k], 0) for k in range(n + 1)]
+    e0 = [den] + [0] * n  # x sA_n is the convolution form at a = e_0, over D
+    return derivative_combination(terms + convolution_terms(s, n, e0, b, c), den)
 
 
 def convolution_recurrence_residual(pair: ShefferPair, n: int) -> Poly:
     """Residual of identity "3.3" at degree n; zero for every valid pair."""
     den, a, b, c = _vectors(pair, n, "3.3")
     s = sheffer_appell_sequence(pair, n + 1)
-    terms = [
-        (-math.comb(n, k) * a[k], -math.comb(n, k) * (b[k] + c[k]), s[n - k], 0)
-        for k in range(n + 1)
-    ]
-    return derivative_combination([(0, den, s[n + 1], 0)] + terms, den)
+    terms = [(0, den, s[n + 1], 0)] + convolution_terms(s, n, a, b, c)
+    return derivative_combination(terms, den)
 
 
 RESIDUALS = {

@@ -114,7 +114,7 @@ class ShefferPair(Record):
     @cached_property
     def sheffer_appell_polys(self) -> tuple[Poly, ...]:
         polys = riordan_polys(self.reciprocal_l_of_g * self.reciprocal_l, self.g)
-        return self._checked("sheffer_appell", polys, 1 / self.l.constant_term**2)
+        return self._checked("sheffer-appell", polys, 1 / self.l.constant_term**2)
 
     # (D, a, b, c) derivative vectors, k = 0..N-1, of "2.1", "3.1", "3.2", "3.3".
 

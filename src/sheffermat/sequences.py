@@ -24,7 +24,7 @@ from .pairs import ShefferPair
 from .polynomials import Poly
 from .series import TruncatedSeries
 
-KINDS = ("sheffer", "appell", "sheffer_appell")
+KINDS = ("sheffer", "appell", "sheffer-appell")
 
 
 class PolySequence(Record):
@@ -53,7 +53,7 @@ class PolySequence(Record):
 def sheffer_appell_sequence(pair: ShefferPair, n: int) -> PolySequence:
     """Degrees 0..n of the Sheffer-Appell sequence of (l, h)."""
     check_size(n, pair.order, "degree")
-    return PolySequence("sheffer_appell", pair.sheffer_appell_polys[: n + 1])
+    return PolySequence("sheffer-appell", pair.sheffer_appell_polys[: n + 1])
 
 
 def sheffer_sequence(pair: ShefferPair, n: int) -> PolySequence:

@@ -14,7 +14,7 @@ from sheffermat import (
     run_worked_example_audit,
     sheffer_appell_sequence,
 )
-from sheffermat import audit
+from sheffermat import audit, identities
 from sheffermat.polynomials import derivative_combination
 
 from plain_fractions import add, mul, sub
@@ -205,3 +205,79 @@ def test_report_json_at_nonzero_parameters():
     assert hashlib.sha256(payload).hexdigest() == (
         "44bb059a53e687eedade4561953b27d2212cd4ae02d71e8f703679128ef57f74"
     )
+
+
+# -- the convolution form -------------------------------------------------
+
+
+def test_convolution_form_is_one_function(monkeypatch):
+    """The "3.2" and "3.3" residuals and the three Miller-Lee recurrences
+    build their sum_k C(n,k) (x a_k + b_k + c_k) s_{n-k} terms by
+    identities.convolution_terms; "2.1", "3.1" and the Laguerre ones do not."""
+    calls = []
+    honest = identities.convolution_terms
+
+    def counted(s, n, a, b, c):
+        calls.append(n)
+        return honest(s, n, a, b, c)
+
+    for module in (identities, audit):
+        monkeypatch.setattr(module, "convolution_terms", counted)
+    pair = make_pair("laguerre", 8, {"lambda": Fraction(5, 2)})
+    used = set()
+    for label, residual in identities.RESIDUALS.items():
+        calls.clear()
+        assert residual(pair, 6).is_zero
+        if calls:
+            assert calls == [6], label
+            used.add(label)
+    assert used == {"3.2", "3.3"}
+    s = sheffer_appell_sequence(make_pair("miller-lee", 8, {"m": 1}), 7)
+    used = set()
+    for identity, (_, _, table, terms) in audit.PRINTED_IDENTITIES.items():
+        calls.clear()
+        terms(s, 6, Fraction(1), table(Fraction(1), 6))
+        if calls:
+            assert calls == [6], identity
+            used.add(identity)
+    assert used == {i for i in IDENTITY_IDS if i.startswith("miller-lee")}
+
+
+def combined(*term_lists):
+    return derivative_combination([t for terms in term_lists for t in terms])
+
+
+def laguerre_identity(kind, lam, n):
+    """The displayed terms at degree d, and the printed (a, b, c), of one
+    Laguerre identity of the audit."""
+    _, _, table, terms = audit.PRINTED_IDENTITIES[f"laguerre-{kind}-recurrence"]
+    printed = table(lam, n)
+    return lambda s, d: terms(s, d, lam, printed), [printed[k] for k in "abc"]
+
+
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(5, 2), Fraction(-7, 3)])
+def test_laguerre_recurrences_are_not_the_convolution_form(lam):
+    """Why the two Laguerre builders stay transcribed as displayed.
+
+    Over its printed table (a_0 = 1, b_0 + c_0 = 0), the displayed
+    differential recurrence is d sA_d = sum_{k>=1} C(d,k) (x a_k + b_k + c_k)
+    sA_{d-k}: the convolution form d sA_d - sum_{k>=0} with its sides swapped
+    and without the k = 0 term x sA_d.  The displayed derivative recurrence
+    is sA_{d+1} minus the form for d <= 2; from d = 3 on its sum over k >= 3
+    has the opposite sign, so the two differ by 2 (lam+1) sum_{k>=3}
+    C(d,k) k! sA_{d-k}.
+    """
+    n = 12
+    s = sheffer_appell_sequence(make_pair("laguerre", n + 2, {"lambda": lam}), n + 1)
+    displayed, abc = laguerre_identity("differential", lam, n)
+    for d in range(n + 1):
+        form = [(0, d, s[d], 0)] + identities.convolution_terms(s, d, *abc)
+        assert combined(displayed(s, d), form, [(1, 0, s[d], 0)]).is_zero, d
+        assert not combined(displayed(s, d), form).is_zero, d
+    displayed, abc = laguerre_identity("derivative", lam, n)
+    weight = 2 * (lam + 1)
+    for d in range(n + 1):
+        form = combined([(0, 1, s[d + 1], 0)], identities.convolution_terms(s, d, *abc))
+        assert (combined(displayed(s, d)) == form) == (d <= 2), d
+        flipped = [(0, weight * math.perm(d, k), s[d - k], 0) for k in range(3, d + 1)]
+        assert combined(displayed(s, d), flipped) == form, d

@@ -13,6 +13,7 @@ import pytest
 import sheffermat.cli as cli
 from sheffermat import (
     FAMILIES,
+    KINDS,
     LABELS,
     CheckResult,
     ContractError,
@@ -354,6 +355,15 @@ def test_audit_table_bytes_are_frozen(capsys):
     )
 
 
+def test_audit_json_bytes_are_frozen(capsys):
+    # Every degree of the five printed identities up to 40, in one digest.
+    code, out, _ = run_cli(capsys, "audit", "--n", "40")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cd6a289bbb75eed2e9557d9b0ec3ce3ef3171806187f2ec71d62e7851ed41589"
+    )
+
+
 def test_audit_rejects_small_n(capsys, monkeypatch):
     ran = []
     monkeypatch.setattr(cli, "run_worked_example_audit", lambda *a: ran.append(a))
@@ -554,7 +564,7 @@ def test_largest_outputs_print_below_the_int_digit_limit(capsys, monkeypatch):
     for family, name in (("laguerre", "lambda"), ("miller-lee", "m")):
         request = ["--family", family, "--param", f"{name}={WIDEST}"]
         request += ["--n", str(cli.MAX_N)]
-        runs = [["gen", *request, "--kind", kind] for kind in cli.KIND_CHOICES]
+        runs = [["gen", *request, "--kind", kind] for kind in KINDS]
         runs += [["coeffs", *request, "--theorem", label] for label in LABELS]
         for argv in runs:
             code, out, _ = run_cli(capsys, *argv)

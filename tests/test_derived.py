@@ -554,7 +554,7 @@ def test_leading_coefficient_contract_runs_once_per_array(monkeypatch):
     for n in range(11):
         sheffer_appell_sequence(pair, n)
         sheffer_sequence(pair, n)
-    assert sorted(calls) == ["sheffer", "sheffer_appell"]
+    assert sorted(calls) == ["sheffer", "sheffer-appell"]
 
 
 # -- the derived series against the formulas they replaced --------------------

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,35 @@ def test_scalar_and_addition():
         [[Fraction(1, 2), 1], [Fraction(3, 2), 2]]
     )
     assert a + a == a * 2
+    with pytest.raises(ValueError, match="equal shapes"):
+        a + Matrix([[1, 2]])
+
+
+@pytest.mark.parametrize(
+    "method, operation",
+    [
+        ("__add__", operator.add),
+        ("__mul__", operator.mul),
+        ("__matmul__", operator.matmul),
+        ("__eq__", operator.eq),
+    ],
+)
+def test_foreign_operand_is_not_implemented(method, operation):
+    a = Matrix([[1, 2], [3, 4]])
+    assert getattr(a, method)("x") is NotImplemented
+    if operation is operator.eq:
+        assert operation(a, "x") is False
+    else:
+        with pytest.raises(TypeError):
+            operation(a, "x")
+
+
+def test_repr_round_trips():
+    a = Matrix([[Fraction(1, 2), 0], [-3, Fraction(5, 7)]])
+    assert repr(a) == (
+        "Matrix([[Fraction(1, 2), Fraction(0, 1)], [Fraction(-3, 1), Fraction(5, 7)]])"
+    )
+    assert eval(repr(a), {"Matrix": Matrix, "Fraction": Fraction}) == a
 
 
 def test_column_entries():

@@ -31,6 +31,14 @@ def test_degree_of_zero_is_sentinel():
 
 def test_leading_coefficient():
     assert Poly((1, 0, Fraction(2, 3))).leading_coefficient == Fraction(2, 3)
+    with pytest.raises(ValueError, match="no leading coefficient"):
+        Poly().leading_coefficient
+
+
+@pytest.mark.parametrize("other", ["1", 1.0, None], ids=repr)
+def test_equality_with_a_non_number_is_not_implemented(other):
+    assert Poly((1,)).__eq__(other) is NotImplemented
+    assert Poly((1,)) != other
 
 
 def test_addition_and_subtraction():

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,24 @@ def test_order_and_padding():
     s = TruncatedSeries([1, 2], order=4)
     assert s.order == 4
     assert s.coeffs == (Fraction(1), Fraction(2), 0, 0, 0)
+    with pytest.raises(ValueError, match="at least a constant term"):
+        TruncatedSeries([])
+    with pytest.raises(ValueError, match="3 coefficients exceed order 1"):
+        TruncatedSeries([1, 2, 3], order=1)
+
+
+@pytest.mark.parametrize(
+    "method, operation",
+    [("__add__", operator.add), ("__mul__", operator.mul), ("__eq__", operator.eq)],
+)
+def test_foreign_operand_is_not_implemented(method, operation):
+    s = TruncatedSeries([1, 2])
+    assert getattr(s, method)("x") is NotImplemented
+    if operation is operator.eq:
+        assert operation(s, "x") is False
+    else:
+        with pytest.raises(TypeError):
+            operation(s, "x")
 
 
 def test_constant_and_identity():
@@ -176,6 +195,8 @@ def test_compose_exp_with_log():
 def test_compose_requires_delta_inner():
     with pytest.raises(NotDeltaSeriesError):
         geometric(3).compose(TruncatedSeries([1, 1, 0, 0]))
+    with pytest.raises(TypeError, match="compose expects a TruncatedSeries"):
+        geometric(3).compose(Poly((0, 1)))
 
 
 # -- compositional inverse ----------------------------------------------------
