@@ -175,13 +175,15 @@ def wronskian_powers_matrix(h: TruncatedSeries, n: int) -> Matrix:
 def omega(n: int) -> Matrix:
     """The diagonal matrix diag(0!, 1!, ..., n!)."""
     check_size(n, n, "n")  # any size n >= 0
-    return Matrix.diagonal([math.factorial(k) for k in range(n + 1)])
+    rows = ((1, [0] * k + [math.factorial(k)] + [0] * (n - k)) for k in range(n + 1))
+    return Matrix._reduced(rows)
 
 
 def omega_inverse(n: int) -> Matrix:
-    """The exact inverse diag(1/0!, 1/1!, ..., 1/n!)."""
+    """The exact inverse diag(1/0!, 1/1!, ..., 1/n!): row k is (k!, e_k)."""
     check_size(n, n, "n")  # any size n >= 0
-    return Matrix.diagonal([Fraction(1, math.factorial(k)) for k in range(n + 1)])
+    rows = ((math.factorial(k), [0] * k + [1] + [0] * (n - k)) for k in range(n + 1))
+    return Matrix._reduced(rows)
 
 
 def check_property_product_pascal(

@@ -15,10 +15,12 @@ with a series of zero constant term and compositional inversion are
 prefix-stable, so a consumer that wants degree n <= N slices a stored
 value and gets exactly what a computation at order n would give.  Every
 composite is 1/l or L = l'/l composed with g or with h, and
-h'(g) = 1/g' by the inverse-function rule.  Each identity's (a, b, c)
-derivative vectors are kept as one integer row (D, a, b, c), reduced by
-one gcd, and each sequence array is checked against its
-leading-coefficient contract once, when it is built.
+h'(g) = 1/g' by the inverse-function rule.  The kernel inverts y and
+composes with y at no cost, so an Appell pair (h = g = y) gets g, 1/l(g),
+1/l(h), L(g) and L(h) without a product, and without a branch here.  Each
+identity's (a, b, c) derivative vectors are kept as one integer row
+(D, a, b, c), reduced by one gcd, and each sequence array is checked
+against its leading-coefficient contract once, when it is built.
 """
 
 from __future__ import annotations

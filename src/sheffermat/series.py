@@ -202,11 +202,13 @@ class TruncatedSeries:
         be zero too.  Paterson-Stockmeyer: the m ~ sqrt(n) baby powers
         inner^0..inner^(m-1) and the giant step inner^m cost about
         2 sqrt(n) products, not n.  The Horner accumulator is a row, reduced
-        once per chunk.
+        once per chunk.  Composing with y returns self before any product.
         """
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("compose expects a TruncatedSeries")
         self._require_same_order(inner, "compose")
+        if inner.row == (1, [0, 1] + [0] * (self.order - 1)):  # y: rows are reduced
+            return self
         if inner.row[1][0] != 0:
             msg = "composition requires an inner series with zero constant term"
             raise NotDeltaSeriesError(msg)
@@ -226,9 +228,13 @@ class TruncatedSeries:
         Lagrange inversion: g_m = (1/m) [y^(m-1)] (y/h)^m, reading one
         coefficient off each successive power of y/h, all over one lcm.  The
         defining relation h(g) = y is checked before the result is returned.
+        The series y is its own inverse and is returned before any product.
         """
         if not self.is_delta:
             raise NotDeltaSeriesError("only a delta series has a compositional inverse")
+        y = (1, [0, 1] + [0] * (self.order - 1))
+        if self.row == y:
+            return self
         den, p = self.row
         y_over_h = TruncatedSeries._reduced(den, p[1:]).reciprocal().row
         powers = power_rows(y_over_h, len(p) - 2, start=y_over_h)
@@ -236,7 +242,7 @@ class TruncatedSeries:
         inverse = TruncatedSeries._reduced(
             lq, [0] + [q[m - 1] * (lq // (d * m)) for m, (d, q) in enumerate(powers, 1)]
         )
-        if self.compose(inverse).row != (1, [0, 1] + [0] * (len(p) - 2)):
+        if self.compose(inverse).row != y:
             raise ContractError("compositional inverse failed its defining relation")
         return inverse
 

@@ -8,11 +8,13 @@ values with these functions, which work one ``Fraction`` coefficient at a
 time, so they are also an independent reference for the row kernels
 (``mul`` and ``add`` for ``derivative_combination``; the functions on
 coefficient lists for the truncated series product, reciprocal,
-composition and exponential).
+composition and exponential, and the Pascal rows and derivative vectors
+that fix an Appell pair's arrays and identity rows).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -112,3 +114,21 @@ def exponential(g: list[Fraction]) -> list[Fraction]:
         out = [o + t for o, t in zip(out, term)]
         term = [c / k for c in truncated_product(term, g)]
     return out
+
+
+def derivative(c: list[Fraction]) -> list[Fraction]:
+    """Term-wise d/dy, one coefficient shorter."""
+    return [k * c[k] for k in range(1, len(c))]
+
+
+def derivative_vector(c: list[Fraction]) -> list[Fraction]:
+    """k! c_k: the derivatives at 0."""
+    return [math.factorial(k) * c[k] for k in range(len(c))]
+
+
+def pascal_rows(f: list[Fraction]) -> list[list[Fraction]]:
+    """Row i of the Pascal matrix P[f] to its diagonal: C(i, j) (i-j)! f_(i-j)."""
+    return [
+        [math.comb(i, j) * math.factorial(i - j) * f[i - j] for j in range(i + 1)]
+        for i in range(len(f))
+    ]

@@ -650,27 +650,56 @@ def test_extractors_at_n_zero_on_an_order_one_pair():
         assert (t.a, t.b, t.c) == want[label]
 
 
+# (compositions, reciprocals, compositions with y and inversions of y)
+BUILD_COST = {"laguerre": (5, 4, 0), "log-assoc": (5, 4, 0), "hermite": (4, 3, 5)}
+
+
 @pytest.mark.parametrize(
     "family, params",
     [("laguerre", {"lambda": Fraction(5, 2)}), ("log-assoc", {}), ("hermite", {})],
 )
 def test_full_derived_build_cost(monkeypatch, family, params):
     """Both arrays, 1/l(h) and the four vector sets: five compositions (one
-    checks g = h^-1) and four reciprocals."""
+    checks g = h^-1) and four reciprocals (one is y/h in the inverse).  An
+    Appell pair inverts y, which needs neither the check nor y/h, and
+    composes with y four times; none of these five calls runs a product."""
+    from sheffermat import series
+
     pair = make_pair(family, 12, params)
-    calls = []
-    for name in ("compose", "reciprocal"):
+    calls, on_y, products_on_y = [], [], []
+    for name in ("compose", "reciprocal", "compositional_inverse"):
         method = getattr(TruncatedSeries, name)
 
         def counted(self, *args, _name=name, _method=method):
-            calls.append(_name)
-            return _method(self, *args)
+            operand = args[0] if args else self
+            is_y = _name != "reciprocal" and operand.coeffs == (0, 1) + (0,) * (
+                operand.order - 1
+            )
+            calls.append((_name, is_y))
+            on_y.append(is_y)
+            try:
+                return _method(self, *args)
+            finally:
+                on_y.pop()
 
         monkeypatch.setattr(TruncatedSeries, name, counted)
+    honest = series._product
+
+    def product(a, b):
+        products_on_y.append(any(on_y))
+        return honest(a, b)
+
+    monkeypatch.setattr(series, "_product", product)
     pair.sheffer_polys, pair.sheffer_appell_polys, pair.reciprocal_l_of_h
     for label in LABELS:
         COEFF_EXTRACTORS[label](pair, 11)
-    assert (calls.count("compose"), calls.count("reciprocal")) == (5, 4)
+    names = [name for name, _ in calls]
+    assert (
+        names.count("compose"),
+        names.count("reciprocal"),
+        sum(is_y for _, is_y in calls),
+    ) == BUILD_COST[family]
+    assert products_on_y and not any(products_on_y)
 
 
 ROW_ATTRS = {

@@ -303,8 +303,10 @@ def test_powers_matrix_is_repeated_series_products(h):
     assert_rows(wronskian_powers_matrix(h, n), [list(r) for r in zip(*columns)])
 
 
-@pytest.mark.parametrize("n", range(11))
+@pytest.mark.parametrize("n", range(31))
 def test_omega_and_its_inverse_are_their_definitions(n):
+    """Entry by entry, and the same reduced rows (and hash) as the
+    Matrix.diagonal matrices, though built straight from integer rows."""
     def diag(entries):
         return [
             [e if i == j else Fraction(0) for j in range(n + 1)]
@@ -312,8 +314,12 @@ def test_omega_and_its_inverse_are_their_definitions(n):
         ]
 
     factorials = [Fraction(math.factorial(k)) for k in range(n + 1)]
+    inverses = [1 / f for f in factorials]
     assert_rows(omega(n), diag(factorials))
-    assert_rows(omega_inverse(n), diag([1 / f for f in factorials]))
+    assert_rows(omega_inverse(n), diag(inverses))
+    for got, want in ((omega(n), factorials), (omega_inverse(n), inverses)):
+        assert got == Matrix.diagonal(want)
+        assert hash(got) == hash(Matrix.diagonal(want))
 
 
 # -- Pascal matrices -----------------------------------------------------------

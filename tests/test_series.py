@@ -1,6 +1,7 @@
 import math
 import operator
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from sheffermat import (
     OrderMismatchError,
     Poly,
     TruncatedSeries,
+    series,
     wronskian_vector,
 )
 
@@ -463,6 +465,77 @@ def test_compose_with_all_zero_chunks():
     assert middle.compose(g) == horner_compose(middle, g)
     zero = TruncatedSeries([0], 8)
     assert zero.compose(g) == zero
+
+
+# -- y: composing with it and inverting it return at once ---------------------
+
+
+def _no_product(a, b):
+    raise AssertionError("a product ran")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40).flatmap(
+        lambda n: kernel_operand(n, constant=rationals)
+    )
+)
+def test_compose_with_y_and_inverse_of_y_run_no_product(f):
+    """f(y) = f against the Horner reference, and y^-1 = y, with every
+    product of the kernel patched to raise."""
+    y = TruncatedSeries.identity(f.order)
+    want = plain.composition(list(f.coeffs), list(y.coeffs))
+    with mock.patch.object(series, "_product", _no_product):
+        composed, inverse = f.compose(y), y.compositional_inverse()
+    assert list(composed.coeffs) == want
+    assert inverse == y
+
+
+def test_y_at_order_one_runs_no_product():
+    """The shortest row of y, (1, [0, 1]): no zero padding to compare."""
+    y, f = TruncatedSeries([0, 1]), TruncatedSeries([Fraction(-7, 3), 5])
+    with mock.patch.object(series, "_product", _no_product):
+        assert f.compose(y) == f
+        assert y.compositional_inverse() == y
+        assert TruncatedSeries([0, 1]).exp() == TruncatedSeries([1, 1])
+
+
+def near_misses_of_y(order):
+    """Series one detail away from y: 2y, y/2 (row (2, [0, 1, 0, ...])),
+    -y, and y + y^k for k = 2 and k = order."""
+    def linear(c, k=None):
+        coeffs = [0, c] + [0] * (order - 1)
+        if k is not None:
+            coeffs[k] += 1
+        return TruncatedSeries(coeffs)
+
+    misses = [linear(2), linear(Fraction(1, 2)), linear(-1)]
+    return misses + [linear(1, k) for k in {2, order} if 2 <= k <= order]
+
+
+@pytest.mark.parametrize("order", [1, 2, 9, 40])
+def test_near_misses_of_y_take_the_general_path(monkeypatch, order):
+    f = TruncatedSeries([Fraction(k + 1, 3 - k % 3) for k in range(order + 1)])
+    y = [Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1)
+    products = []
+    honest = series._product
+
+    def counted(a, b):
+        products.append(1)
+        return honest(a, b)
+
+    monkeypatch.setattr(series, "_product", counted)
+    for inner in near_misses_of_y(order):
+        del products[:]
+        composed = f.compose(inner)
+        assert products, inner
+        assert list(composed.coeffs) == plain.composition(
+            list(f.coeffs), list(inner.coeffs)
+        )
+        del products[:]
+        inverse = inner.compositional_inverse()
+        assert products, inner
+        assert plain.composition(list(inner.coeffs), list(inverse.coeffs)) == y
 
 
 @settings(max_examples=40, deadline=None)
