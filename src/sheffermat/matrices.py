@@ -60,11 +60,6 @@ class Matrix:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def diagonal(cls, entries: Sequence[Fraction | int]) -> Matrix:
-        n = len(entries)
-        return cls([0] * i + [e] + [0] * (n - 1 - i) for i, e in enumerate(entries))
-
-    @classmethod
     def column(cls, entries: Sequence[Fraction | int]) -> Matrix:
         return cls([e] for e in entries)
 

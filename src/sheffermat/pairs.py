@@ -16,11 +16,12 @@ prefix-stable, so a consumer that wants degree n <= N slices a stored
 value and gets exactly what a computation at order n would give.  Every
 composite is 1/l or L = l'/l composed with g or with h, and
 h'(g) = 1/g' by the inverse-function rule.  The kernel inverts y and
-composes with y at no cost, so an Appell pair (h = g = y) gets g, 1/l(g),
-1/l(h), L(g) and L(h) without a product, and without a branch here.  Each
-identity's (a, b, c) derivative vectors are kept as one integer row
-(D, a, b, c), reduced by one gcd, and each sequence array is checked
-against its leading-coefficient contract once, when it is built.
+composes with y at no cost, and riordan_polys reads [d, y] off d's row, so
+for an Appell pair (h = g = y) every composite is free and both arrays
+cost the one product 1/l(g) 1/l, without a branch here.  Each identity's
+(a, b, c) derivative vectors are kept as one integer row (D, a, b, c),
+reduced by one gcd, and each sequence array is checked against its
+leading-coefficient contract once, when it is built.
 """
 
 from __future__ import annotations
@@ -159,9 +160,15 @@ class ShefferPair(Record):
 
 
 def riordan_polys(d: TruncatedSeries, g: TruncatedSeries) -> tuple[Poly, ...]:
-    """Degrees 0..order of the exponential Riordan array [d, g]: the x^k
-    coefficient of degree i is i!/k! [y^i] d g^k.  Degree i is one integer
-    row over the lcm of the denominators of the columns d g^0 .. d g^i."""
+    """Degrees 0..order of the exponential Riordan array [d, g]: degree i has
+    x^k coefficient i!/k! [y^i] d g^k, over the lcm of the denominators of
+    d g^0 .. d g^i; [d, y] is P[d], read off d's row f as i!/k! f_{i-k}."""
+    if g.is_identity:
+        den, f = d.row
+        return tuple(
+            Poly._reduced(den, [math.perm(i, i - k) * f[i - k] for k in range(i + 1)])
+            for i in range(len(f))
+        )
     columns = power_rows(g.row, d.order, start=d.row)
     polys, lq = [], 1
     for i, (den, _) in enumerate(columns):

@@ -8,19 +8,15 @@ kinds have exponential generating functions
 * Sheffer-Appell: e^{x g(y)} / (l(g(y)) l(y))
 
 each of the form d(y) e^{x g(y)}: the exponential Riordan array [d, g],
-whose degree-i polynomial has x^k coefficient i!/k! [y^i] d g^k.  The
-Sheffer and Sheffer-Appell arrays are cached properties of the pair (see
-:mod:`sheffermat.pairs`), sliced here.  The Appell array is the rows of
-the Pascal matrix P[1/l]: degree i has x^k coefficient i!/k! f_{i-k},
-read straight off the row f of 1/l, one gcd per row.
+built by :func:`sheffermat.pairs.riordan_polys`.  The Sheffer and
+Sheffer-Appell arrays are cached properties of the pair, sliced here; the
+Appell array is [1/l, y], the Pascal matrix P[1/l].
 """
 
 from __future__ import annotations
 
-import math
-
 from .errors import Record, check_size
-from .pairs import ShefferPair
+from .pairs import ShefferPair, riordan_polys
 from .polynomials import Poly
 from .series import TruncatedSeries
 
@@ -63,9 +59,7 @@ def sheffer_sequence(pair: ShefferPair, n: int) -> PolySequence:
 
 
 def appell_sequence(l: TruncatedSeries, n: int) -> PolySequence:
-    """Degrees 0..n of the Appell sequence e^{xy}/l: degree i is row i of P[1/l]
-    to its diagonal, x^(i-k) with coefficient i!/(i-k)! f_k, f = 1/l to order n."""
+    """Degrees 0..n of the Appell sequence e^{xy}/l: the array [1/l, y] at order n."""
     check_size(n, l.order, "degree")
-    den, f = l.truncate(n).reciprocal().row
-    rows = ([math.perm(i, k) * f[k] for k in range(i, -1, -1)] for i in range(n + 1))
-    return PolySequence("appell", tuple(Poly._reduced(den, p) for p in rows))
+    y = TruncatedSeries([0, 1][: n + 1], n)
+    return PolySequence("appell", riordan_polys(l.truncate(n).reciprocal(), y))

@@ -124,6 +124,10 @@ class TruncatedSeries:
         return len(p) > 1 and p[0] == 0 and p[1] != 0
 
     @property
+    def is_identity(self) -> bool:  # the series y; rows are reduced
+        return self.row == (1, [0, 1] + [0] * (self.order - 1))
+
+    @property
     def is_invertible(self) -> bool:
         """True iff the constant term is nonzero."""
         return self.row[1][0] != 0
@@ -207,7 +211,7 @@ class TruncatedSeries:
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("compose expects a TruncatedSeries")
         self._require_same_order(inner, "compose")
-        if inner.row == (1, [0, 1] + [0] * (self.order - 1)):  # y: rows are reduced
+        if inner.is_identity:
             return self
         if inner.row[1][0] != 0:
             msg = "composition requires an inner series with zero constant term"
@@ -232,8 +236,7 @@ class TruncatedSeries:
         """
         if not self.is_delta:
             raise NotDeltaSeriesError("only a delta series has a compositional inverse")
-        y = (1, [0, 1] + [0] * (self.order - 1))
-        if self.row == y:
+        if self.is_identity:
             return self
         den, p = self.row
         y_over_h = TruncatedSeries._reduced(den, p[1:]).reciprocal().row
@@ -242,7 +245,7 @@ class TruncatedSeries:
         inverse = TruncatedSeries._reduced(
             lq, [0] + [q[m - 1] * (lq // (d * m)) for m, (d, q) in enumerate(powers, 1)]
         )
-        if self.compose(inverse).row != y:
+        if not self.compose(inverse).is_identity:
             raise ContractError("compositional inverse failed its defining relation")
         return inverse
 

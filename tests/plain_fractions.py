@@ -8,8 +8,10 @@ values with these functions, which work one ``Fraction`` coefficient at a
 time, so they are also an independent reference for the row kernels
 (``mul`` and ``add`` for ``derivative_combination``; the functions on
 coefficient lists for the truncated series product, reciprocal,
-composition and exponential, and the Pascal rows and derivative vectors
-that fix an Appell pair's arrays and identity rows).
+composition and exponential, the Riordan array [d, g] built one column
+d g^k at a time, and the Pascal rows and derivative vectors that fix an
+Appell pair's arrays and identity rows).  ``near_misses_of_y`` gives the
+series one detail away from y, for the kernel's fast paths on y.
 """
 
 from __future__ import annotations
@@ -132,3 +134,29 @@ def pascal_rows(f: list[Fraction]) -> list[list[Fraction]]:
         [math.comb(i, j) * math.factorial(i - j) * f[i - j] for j in range(i + 1)]
         for i in range(len(f))
     ]
+
+
+def riordan_rows(d: list[Fraction], g: list[Fraction]) -> list[Poly]:
+    """Degree i of [d, g]: x^k coefficient i!/k! [y^i] d g^k, one product
+    per column d g^k."""
+    columns, power = [], d
+    for _ in d:
+        columns.append(power)
+        power = truncated_product(power, g)
+    return [
+        Poly([math.perm(i, i - k) * columns[k][i] for k in range(i + 1)])
+        for i in range(len(d))
+    ]
+
+
+def near_misses_of_y(order: int) -> list[TruncatedSeries]:
+    """Series one detail away from y: 2y, y/2 (row (2, [0, 1, 0, ...])),
+    -y, and y + y^k for k = 2 and k = order."""
+    def linear(c, k=None):
+        coeffs = [0, c] + [0] * (order - 1)
+        if k is not None:
+            coeffs[k] += 1
+        return TruncatedSeries(coeffs)
+
+    misses = [linear(2), linear(Fraction(1, 2)), linear(-1)]
+    return misses + [linear(1, k) for k in {2, order} if 2 <= k <= order]

@@ -50,6 +50,26 @@ def test_no_assert_statement_in_the_package(path):
     assert lines == [], f"{path.name}: assert statement at line(s) {lines}"
 
 
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in (SRC / "sheffermat").glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_no_unused_module_level_import(path):
+    # Every CLI process compiles what it imports (no bytecode is written in
+    # the benchmark), so a module imports only what it uses.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == [], f"{path.name}: unused import(s)"
+
+
 def test_wrong_leading_coefficient_is_a_contract_error(monkeypatch):
     honest = pairs.riordan_polys
     monkeypatch.setattr(

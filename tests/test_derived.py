@@ -714,13 +714,12 @@ CATALOG_CELLS = [
     ("miller-lee", {"m": 0}),
     ("miller-lee", {"m": 1}),
 ] + [(family, {}) for family in sorted(FAMILIES) if not FAMILIES[family].params]
+CATALOG_IDS = [
+    "-".join([f, *(f"{k}={v}" for k, v in p.items())]) for f, p in CATALOG_CELLS
+]
 
 
-@pytest.mark.parametrize(
-    "family, params",
-    CATALOG_CELLS,
-    ids=["-".join([f, *(f"{k}={v}" for k, v in p.items())]) for f, p in CATALOG_CELLS],
-)
+@pytest.mark.parametrize("family, params", CATALOG_CELLS, ids=CATALOG_IDS)
 def test_identity_rows_are_reduced(family, params):
     """Every stored (D, a, b, c) row is reduced as one row: gcd(D, *a, *b, *c) = 1."""
     pair = make_pair(family, 41, params)
@@ -728,6 +727,26 @@ def test_identity_rows_are_reduced(family, params):
         den, a, b, c = getattr(pair, attr)
         assert len(a) == len(b) == len(c) == 41, label
         assert den > 0 and math.gcd(den, *a, *b, *c) == 1, label
+
+
+@pytest.mark.parametrize("family, params", CATALOG_CELLS, ids=CATALOG_IDS)
+def test_arrays_of_an_appell_pair_cost_one_product(monkeypatch, family, params):
+    """With its derived series built, an Appell pair (g = y) reads both
+    arrays off P[d]: the one product is d = 1/l(g) 1/l.  Any other g builds
+    its 32 columns d g^k per array, plus that product."""
+    from sheffermat import series
+
+    pair = make_pair(family, 32, params)
+    pair.g, pair.reciprocal_l, pair.reciprocal_l_of_g
+    calls, honest = [], series._product
+
+    def counted(a, b):
+        calls.append(1)
+        return honest(a, b)
+
+    monkeypatch.setattr(series, "_product", counted)
+    pair.sheffer_polys, pair.sheffer_appell_polys
+    assert len(calls) == (65 if family in ("laguerre", "log-assoc") else 1)
 
 
 def test_log_assoc_derivative_recurrence_row_is_integral():

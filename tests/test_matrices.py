@@ -45,15 +45,13 @@ def above_diagonal(m):
     return [m.row(i)[j] for i in range(m.rows) for j in range(i + 1, m.cols)]
 
 
+def diag(entries):
+    """The explicit rows of the diagonal matrix of ``entries``."""
+    n = len(entries)
+    return [[e if i == j else 0 for j in range(n)] for i, e in enumerate(entries)]
+
+
 # -- Matrix basics -----------------------------------------------------------
-
-
-def test_identity_and_diagonal():
-    i2 = Matrix.diagonal([1, 1])
-    assert i2.row(0) == (1, 0)
-    assert i2.row(1) == (0, 1)
-    d = Matrix.diagonal([Fraction(2), Fraction(3)])
-    assert d.row(0) == (2, 0) and d.row(1) == (0, 3)
 
 
 def test_rectangularity_enforced():
@@ -202,8 +200,8 @@ def test_every_route_to_a_matrix_gives_one_canonical_form(entries, s):
         ),
         (m * s) * (1 / s),
         m + Matrix([[0] * cols] * rows),
-        m @ Matrix.diagonal([1] * cols),
-        Matrix.diagonal([1] * rows) @ m,
+        m @ Matrix(diag([1] * cols)),
+        Matrix(diag([1] * rows)) @ m,
     ]
     for other in routes:
         assert other == m and hash(other) == hash(m)
@@ -218,23 +216,14 @@ def test_every_route_to_a_matrix_gives_one_canonical_form(entries, s):
 
 
 @given(st.lists(rationals, min_size=1, max_size=6))
-def test_diagonal_and_column_match_explicit_rows(entries):
-    n = len(entries)
-    diagonal = Matrix(
-        [e if i == j else 0 for j in range(n)] for i, e in enumerate(entries)
-    )
+def test_column_matches_explicit_rows(entries):
     column = Matrix([[e] for e in entries])
-    assert Matrix.diagonal(entries) == diagonal
-    assert hash(Matrix.diagonal(entries)) == hash(diagonal)
     assert Matrix.column(entries) == column
     assert hash(Matrix.column(entries)) == hash(column)
-    assert is_canonical(Matrix.diagonal(entries))
     assert is_canonical(Matrix.column(entries))
 
 
-def test_diagonal_and_column_need_an_entry():
-    with pytest.raises(ValueError):
-        Matrix.diagonal([])
+def test_column_needs_an_entry():
     with pytest.raises(ValueError):
         Matrix.column([])
 
@@ -305,21 +294,16 @@ def test_powers_matrix_is_repeated_series_products(h):
 
 @pytest.mark.parametrize("n", range(31))
 def test_omega_and_its_inverse_are_their_definitions(n):
-    """Entry by entry, and the same reduced rows (and hash) as the
-    Matrix.diagonal matrices, though built straight from integer rows."""
-    def diag(entries):
-        return [
-            [e if i == j else Fraction(0) for j in range(n + 1)]
-            for i, e in enumerate(entries)
-        ]
-
+    """Entry by entry, and the same reduced rows (and hash) as the matrices
+    the constructor builds from the explicit rows, though built straight
+    from integer rows."""
     factorials = [Fraction(math.factorial(k)) for k in range(n + 1)]
     inverses = [1 / f for f in factorials]
     assert_rows(omega(n), diag(factorials))
     assert_rows(omega_inverse(n), diag(inverses))
     for got, want in ((omega(n), factorials), (omega_inverse(n), inverses)):
-        assert got == Matrix.diagonal(want)
-        assert hash(got) == hash(Matrix.diagonal(want))
+        assert got == Matrix(diag(want))
+        assert hash(got) == hash(Matrix(diag(want)))
 
 
 # -- Pascal matrices -----------------------------------------------------------
@@ -332,7 +316,7 @@ def test_pascal_of_exponential():
 
 def test_pascal_of_one_is_identity():
     one = TruncatedSeries([1], 2)
-    assert pascal_matrix(one, 2) == Matrix.diagonal([1] * 3)
+    assert pascal_matrix(one, 2) == Matrix(diag([1] * 3))
 
 
 def test_pascal_of_geometric():
@@ -420,11 +404,9 @@ def test_powers_matrix_requires_delta():
 
 
 def test_omega_and_inverse():
-    assert omega(2) == Matrix.diagonal([1, 1, 2])
-    assert omega_inverse(3) == Matrix.diagonal(
-        [1, 1, Fraction(1, 2), Fraction(1, 6)]
-    )
-    assert omega(4) @ omega_inverse(4) == Matrix.diagonal([1] * 5)
+    assert omega(2) == Matrix(diag([1, 1, 2]))
+    assert omega_inverse(3) == Matrix(diag([1, 1, Fraction(1, 2), Fraction(1, 6)]))
+    assert omega(4) @ omega_inverse(4) == Matrix(diag([1] * 5))
 
 
 # -- the four properties ---------------------------------------------------

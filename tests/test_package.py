@@ -84,18 +84,17 @@ def test_dead_convolution_is_gone():
 
 
 def test_rows_are_built_with_no_matrix_detour(monkeypatch):
-    # The Appell array is read off the row of 1/l with no Matrix, and
-    # Matrix.diagonal builds its rows with the constructor alone.
-    tree = ast.parse((SRC / "sheffermat" / "sequences.py").read_text())
-    imported = [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
-    assert "matrices" not in imported
+    # The Appell array is read off the row of 1/l with no Matrix.
+    for module in ("sequences.py", "pairs.py"):
+        tree = ast.parse((SRC / "sheffermat" / module).read_text())
+        imported = [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+        assert "matrices" not in imported, module
 
     def refuse(*args):
         raise AssertionError("built through a detour")
 
     monkeypatch.setattr(Matrix, "column", classmethod(refuse))
     monkeypatch.setattr(Matrix, "_reduced", classmethod(refuse))
-    assert Matrix.diagonal([2, Fraction(1, 3)]).row(1) == (0, Fraction(1, 3))
     monkeypatch.setattr(Matrix, "__init__", refuse)
     seq = appell_sequence(TruncatedSeries([1, -1, 0]), 2)  # 1/l = 1 + y + y^2
     assert [p.coeffs for p in seq] == [(1,), (1, 1), (2, 2, 1)]

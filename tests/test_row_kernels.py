@@ -6,16 +6,20 @@ with its one-Fraction-at-a-time reference from ``plain_fractions`` on
 coefficients with negative numerators, denominators up to 10^12, zero
 series and delta series with h'(0) != 1, and every result is checked to
 be in canonical form: D > 0, gcd(D, *numerators) = 1 and, for a ``Poly``,
-no trailing zero.
+no trailing zero.  The Riordan array's choice between reading P[d] (g = y)
+and building the columns d g^k is also checked on fixed inputs: g = y at
+orders 0..40, and the near misses of y (``plain.near_misses_of_y``).
 """
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheffermat import Poly, TruncatedSeries, appell_sequence, wronskian_vector
+from sheffermat import pairs
 from sheffermat.pairs import riordan_polys
 from sheffermat.polynomials import derivative_combination
 from sheffermat.rationals import format_rational
@@ -146,23 +150,61 @@ def test_derivative_combination(terms, dw):
     assert canonical(got) and got == want
 
 
+def same_array(d: list[Fraction], g: list[Fraction]) -> bool:
+    got = riordan_polys(TruncatedSeries(d), TruncatedSeries(g))
+    return all(map(canonical, got)) and list(got) == plain.riordan_rows(d, g)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     orders.flatmap(lambda n: st.tuples(coefficients(n, nonzero), coefficients(n, 0)))
 )
 def test_riordan_and_appell_arrays(operands):
     d, g = operands
-    columns, power = [], d
-    for _ in d:
-        columns.append(power)
-        power = plain.truncated_product(power, g)
-    for i, p in enumerate(riordan_polys(TruncatedSeries(d), TruncatedSeries(g))):
-        want = [math.perm(i, i - k) * columns[k][i] for k in range(i + 1)]
-        assert canonical(p) and p == Poly(want)
+    assert same_array(d, g)
     r = plain.reciprocal(d)
     for i, p in enumerate(appell_sequence(TruncatedSeries(d), len(d) - 1)):
         want = [math.perm(i, i - k) * r[i - k] for k in range(i + 1)]
         assert canonical(p) and p == Poly(want)
+
+
+def spread(order: int) -> list[Fraction]:
+    """order + 1 coefficients with signs, zeros and unequal denominators, so
+    that each truncation of the row has its own denominator."""
+    return [Fraction((-1) ** k * ((k + 1) % 7), k % 5 + 1) for k in range(order + 1)]
+
+
+def counted_power_rows(monkeypatch) -> list:
+    calls, honest = [], pairs.power_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(pairs, "power_rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("order", range(41))
+def test_riordan_array_with_g_y_is_read_off_d(monkeypatch, order):
+    """[d, y] is P[d]; from order 1 on it is built with no power of y."""
+    calls = counted_power_rows(monkeypatch)
+    assert same_array(spread(order), [Fraction(k == 1) for k in range(order + 1)])
+    assert len(calls) == (order == 0)  # y at order 0 is the zero series
+
+
+@pytest.mark.parametrize("order", [1, 2, 9, 40])
+def test_riordan_array_near_y_takes_the_general_path(monkeypatch, order):
+    calls = counted_power_rows(monkeypatch)
+    for g in plain.near_misses_of_y(order):
+        del calls[:]
+        assert same_array(spread(order), list(g.coeffs)), g
+        assert calls, g
+
+
+def test_appell_sequence_of_an_order_zero_l():
+    seq = appell_sequence(TruncatedSeries([Fraction(-3, 4)]), 0)
+    assert list(seq) == [Poly([Fraction(-4, 3)])] and canonical(seq[0])
 
 
 def test_constants_hash_like_their_scalars():

@@ -500,19 +500,6 @@ def test_y_at_order_one_runs_no_product():
         assert TruncatedSeries([0, 1]).exp() == TruncatedSeries([1, 1])
 
 
-def near_misses_of_y(order):
-    """Series one detail away from y: 2y, y/2 (row (2, [0, 1, 0, ...])),
-    -y, and y + y^k for k = 2 and k = order."""
-    def linear(c, k=None):
-        coeffs = [0, c] + [0] * (order - 1)
-        if k is not None:
-            coeffs[k] += 1
-        return TruncatedSeries(coeffs)
-
-    misses = [linear(2), linear(Fraction(1, 2)), linear(-1)]
-    return misses + [linear(1, k) for k in {2, order} if 2 <= k <= order]
-
-
 @pytest.mark.parametrize("order", [1, 2, 9, 40])
 def test_near_misses_of_y_take_the_general_path(monkeypatch, order):
     f = TruncatedSeries([Fraction(k + 1, 3 - k % 3) for k in range(order + 1)])
@@ -525,7 +512,7 @@ def test_near_misses_of_y_take_the_general_path(monkeypatch, order):
         return honest(a, b)
 
     monkeypatch.setattr(series, "_product", counted)
-    for inner in near_misses_of_y(order):
+    for inner in plain.near_misses_of_y(order):
         del products[:]
         composed = f.compose(inner)
         assert products, inner
