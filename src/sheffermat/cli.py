@@ -213,7 +213,13 @@ def _cmd_verify(args) -> int:
 def _cmd_audit(args) -> int:
     report = run_worked_example_audit(args.n)
     if args.format == "json":
-        _emit_json(report.to_json())
+        # _emit_json(report.to_json()) written one entry at a time, to save memory
+        sep = "["
+        for entry in report:
+            text = json.dumps(entry.to_json(), indent=2, sort_keys=True)
+            sys.stdout.write(f"{sep}\n  " + text.replace("\n", "\n  "))
+            sep = ","
+        print("\n]")
         return 0
     for entry in report:
         print(

@@ -24,8 +24,8 @@ matching the CLI's --theorem flag:
 ==========  ==========================================================
 
 The (a, b, c) vectors are one integer row (D, a, b, c) of the pair (see
-:mod:`sheffermat.pairs`); an extractor slices them, as Fractions kept with the
-pair, to k = 0..n.  A residual builds no Fraction: it sums (beta + alpha x) q^(k)/k!,
+:mod:`sheffermat.pairs`); an extractor slices it into a row-backed CoeffTriple
+and a residual sums (beta + alpha x) q^(k)/k!, neither building a Fraction:
 each q an sA_m and each weight an integer over D, by :func:`derivative_combination`.
 "3.3" and "3.2" (at a = e_0) share one convolution form, :func:`convolution_terms`.
 
@@ -46,7 +46,7 @@ from .errors import ContractError, Record, check_size
 from .matrices import omega_inverse, pascal_matrix, wronskian_powers_matrix
 from .pairs import ShefferPair
 from .polynomials import Poly, Term, derivative_combination
-from .rationals import Rational, format_rational
+from .rationals import Rational, common_denominator, format_row, rat
 from .sequences import PolySequence, sheffer_appell_sequence
 
 LABELS = ("2.1", "3.1", "3.2", "3.3")
@@ -56,26 +56,41 @@ _ROWS = dict(zip(LABELS, ("differential_equation", "derivative_recurrence",
 
 
 class CoeffTriple(Record):
-    """The exact (a, b, c) vectors of one identity, k = 0..n."""
+    """The exact (a, b, c) vectors of one identity, k = 0..n, as one integer row
+    (D, a, b, c) of three equal-length tuples, kept reduced (see :mod:`.rationals`)
+    so that == and hash go by value; ``a``, ``b``, ``c`` build Fractions when read."""
 
     label: str
-    a: tuple[Rational, ...]
-    b: tuple[Rational, ...]
-    c: tuple[Rational, ...]
+    row: tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
     def __post_init__(self) -> None:
         if self.label not in LABELS:
             raise ValueError(f"label must be one of {LABELS}, got {self.label!r}")
-        if not (len(self.a) == len(self.b) == len(self.c)):
-            raise ValueError("a, b, c must have equal length")
+        den, a, b, c = self.row
+        if not len(a) == len(b) == len(c) or den < 1:
+            raise ValueError("a, b, c must have equal length over one D > 0")
+        g = math.gcd(den, *a, *b, *c)  # the field is set once, here, to its reduced row
+        vectors = [tuple([v // g for v in x]) if g > 1 else tuple(x) for x in (a, b, c)]
+        self.__dict__["row"] = (den // g, *vectors)
+
+    @classmethod
+    def from_rationals(cls, label: str, a, b, c) -> CoeffTriple:
+        """The triple of three vectors of ints, Fractions or "p/q" strings."""
+        den, p = common_denominator([rat(v) for v in (*a, *b, *c)])
+        i, j = len(a), len(a) + len(b)
+        return cls(label, (den, p[:i], p[i:j], p[j:]))
+
+    def _fractions(self, i: int) -> tuple[Rational, ...]:
+        return tuple([Fraction(v, self.row[0]) for v in self.row[i]])
+
+    a = property(lambda self: self._fractions(1))
+    b = property(lambda self: self._fractions(2))
+    c = property(lambda self: self._fractions(3))
 
     def to_json(self) -> dict:
-        return {
-            "theorem": self.label,
-            "a": [format_rational(v) for v in self.a],
-            "b": [format_rational(v) for v in self.b],
-            "c": [format_rational(v) for v in self.c],
-        }
+        den, *vectors = self.row
+        strings = [format_row(den, v) for v in vectors]
+        return {"theorem": self.label, **dict(zip("abc", strings))}
 
 
 def _vectors(pair: ShefferPair, n: int, label: str) -> tuple:
@@ -85,12 +100,9 @@ def _vectors(pair: ShefferPair, n: int, label: str) -> tuple:
 
 
 def _triple(label: str, pair: ShefferPair, n: int) -> CoeffTriple:
-    """The (a, b, c) of ``label`` to k = 0..n, as Fractions built once per pair."""
+    """The (a, b, c) of ``label`` to k = 0..n: the pair's row, sliced."""
     den, *vectors = _vectors(pair, n, label)
-    kept = pair.kept
-    if label not in kept:
-        kept[label] = [tuple([Fraction(c, den) for c in v]) for v in vectors]
-    return CoeffTriple(label, *(v[: n + 1] for v in kept[label]))
+    return CoeffTriple(label, (den, *[v[: n + 1] for v in vectors]))
 
 
 def differential_equation_coeffs(pair: ShefferPair, n: int) -> CoeffTriple:
@@ -226,7 +238,7 @@ def associated_residual(pair: ShefferPair, n: int, which: str) -> Poly:
     if pair.l.row != (1, [1] + [0] * pair.order):
         raise ValueError("associated-sequence identities require l = 1")
     effective = "3.1" if which == "3.2" else which
-    triple = COEFF_EXTRACTORS[effective](pair, n)
-    if any(v != 0 for v in triple.b + triple.c):
+    _, _, b, c = COEFF_EXTRACTORS[effective](pair, n).row
+    if any(b) or any(c):
         raise ContractError(f"identity {effective} has nonzero b or c with l = 1")
     return RESIDUALS[effective](pair, n)

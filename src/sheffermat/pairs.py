@@ -19,15 +19,14 @@ h'(g) = 1/g' by the inverse-function rule.  The kernel inverts y and
 composes with y at no cost, and riordan_polys reads [d, y] off d's row, so
 for an Appell pair (h = g = y) every composite is free and both arrays
 cost the one product 1/l(g) 1/l, without a branch here.  Each identity's
-(a, b, c) derivative vectors are kept as one integer row (D, a, b, c),
-reduced by one gcd, and each sequence array is checked against its
-leading-coefficient contract once, when it is built.
+(a, b, c) derivative vectors are kept as one integer row (D, a, b, c), reduced
+by one gcd, that the extractors slice, and each sequence array is checked on
+its integer rows against its leading-coefficient contract once, when built.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
@@ -72,9 +71,8 @@ class ShefferPair(Record):
 
     @cached_property
     def kept(self) -> dict:
-        """What callers build from the pair and keep with it: each identity
-        label's Fraction (a, b, c) vectors and, under "factorization", the
-        largest factorization product built so far (see identities)."""
+        """What callers build from the pair and keep with it: under "factorization",
+        the largest factorization product built so far (see identities)."""
         return {}
 
     def _low(self, series: TruncatedSeries) -> TruncatedSeries:
@@ -96,28 +94,27 @@ class ShefferPair(Record):
     def reciprocal_l_of_h(self) -> TruncatedSeries:
         return self.reciprocal_l.compose(self.h)
 
-    def _checked(
-        self, kind: str, polys: tuple[Poly, ...], lead: Fraction
-    ) -> tuple[Poly, ...]:
-        """Contract: the degree-k leading coefficient is lead / h'(0)^k."""
-        den, h = self.h.row
-        slope = Fraction(h[1], den)
-        for k, p in enumerate(polys):
-            if p.leading_coefficient != lead:
+    def _checked(self, kind: str, polys: tuple[Poly, ...], power: int) -> tuple:
+        """Contract: the degree-k leading coefficient is 1 / (l(0)^power h'(0)^k),
+        checked on the integer rows by cross-multiplication; a zero polynomial fails."""
+        (dl, l), (dh, h) = self.l.row, self.h.row
+        left, right = l[0] ** power, dl**power  # the lead is right / left
+        for k, (den, p) in enumerate(poly.row for poly in polys):
+            if not p or p[-1] * left != den * right:
                 msg = f"{kind} degree {k} has the wrong leading coefficient"
                 raise ContractError(msg)
-            lead /= slope
+            left, right = left * h[1], right * dh
         return polys
 
     @cached_property
     def sheffer_polys(self) -> tuple[Poly, ...]:
         polys = riordan_polys(self.reciprocal_l_of_g, self.g)
-        return self._checked("sheffer", polys, 1 / self.l.constant_term)
+        return self._checked("sheffer", polys, 1)
 
     @cached_property
     def sheffer_appell_polys(self) -> tuple[Poly, ...]:
         polys = riordan_polys(self.reciprocal_l_of_g * self.reciprocal_l, self.g)
-        return self._checked("sheffer-appell", polys, 1 / self.l.constant_term**2)
+        return self._checked("sheffer-appell", polys, 2)
 
     # (D, a, b, c) derivative vectors, k = 0..N-1, of "2.1", "3.1", "3.2", "3.3".
 

@@ -7,8 +7,10 @@ coefficients of a ``Poly`` or ``TruncatedSeries`` and each row of a
 numerators[k] / D, kept reduced (gcd(D, *numerators) = 1, D > 0).  A
 constructor scales its entries once (:func:`common_denominator`); every
 kernel, with no exception, builds each stored row once and reduces it by
-one gcd (:func:`reduce_row`).  The wire format is ``"p/q"``, or ``"p"``
-when the denominator is 1, with a bit-exact round trip.
+one gcd (:func:`reduce_row`); so is an identity's ``CoeffTriple``, whose
+row (D, a, b, c) holds three vectors.  Fractions are built only at the edges.
+The wire format, written from a row by :func:`format_row`, is ``"p/q"``, or
+``"p"`` when the denominator is 1, with a bit-exact round trip.
 
 :func:`combine_row` is the one exact row-combination loop of the package:
 matrix products, the derivative combinations behind the identity
@@ -93,6 +95,8 @@ def format_rational(value: Fraction) -> str:
 
 def format_row(den: int, numerators: Sequence[int]) -> list[str]:
     """:func:`format_rational` of each numerators[k] / den, no Fraction built."""
+    if den == 1:
+        return [str(c) for c in numerators]
     out = []
     for c in numerators:
         g = math.gcd(c, den)

@@ -61,5 +61,5 @@ def sheffer_sequence(pair: ShefferPair, n: int) -> PolySequence:
 def appell_sequence(l: TruncatedSeries, n: int) -> PolySequence:
     """Degrees 0..n of the Appell sequence e^{xy}/l: the array [1/l, y] at order n."""
     check_size(n, l.order, "degree")
-    y = TruncatedSeries([0, 1][: n + 1], n)
+    y = TruncatedSeries._reduced(1, [0, 1][: n + 1] + [0] * (n - 1))
     return PolySequence("appell", riordan_polys(l.truncate(n).reciprocal(), y))

@@ -114,10 +114,6 @@ class TruncatedSeries:
         return len(self.row[1]) - 1
 
     @property
-    def constant_term(self) -> Fraction:
-        return Fraction(self.row[1][0], self.row[0])
-
-    @property
     def is_delta(self) -> bool:
         """True iff f(0) = 0 and f'(0) != 0."""
         p = self.row[1]

@@ -19,6 +19,7 @@ from sheffermat import (
     ContractError,
     InsufficientOrderError,
     Poly,
+    run_worked_example_audit,
 )
 from sheffermat.cli import main, poly_to_latex
 
@@ -362,6 +363,15 @@ def test_audit_json_bytes_are_frozen(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "cd6a289bbb75eed2e9557d9b0ec3ce3ef3171806187f2ec71d62e7851ed41589"
     )
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_audit_json_is_streamed_as_the_bytes_of_one_dump(capsys, n):
+    # The verb writes one entry at a time; the stdout is still one json.dumps.
+    code, out, _ = run_cli(capsys, "audit", "--n", str(n))
+    report = run_worked_example_audit(n).to_json()
+    assert code == 0
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def test_audit_rejects_small_n(capsys, monkeypatch):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from sheffermat import ContractError, Poly, associated_residual, make_pair
-from sheffermat import cli, identities, pairs, sheffer_appell_sequence
+from sheffermat import cli, identities, pairs, sheffer_appell_sequence, sheffer_sequence
 from sheffermat.cli import MAX_N, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -79,13 +79,28 @@ def test_wrong_leading_coefficient_is_a_contract_error(monkeypatch):
         sheffer_appell_sequence(make_pair("laguerre", 4, {"lambda": 0}), 4)
 
 
+@pytest.mark.parametrize("kind", ["sheffer", "sheffer-appell"])
+def test_zero_polynomial_in_an_array_is_a_contract_violation(capsys, monkeypatch, kind):
+    honest = pairs.riordan_polys
+    monkeypatch.setattr(
+        pairs, "riordan_polys", lambda d, g: honest(d, g)[:-1] + (Poly(),)
+    )
+    sequence = sheffer_sequence if kind == "sheffer" else sheffer_appell_sequence
+    with pytest.raises(ContractError, match="degree 4"):
+        sequence(make_pair("laguerre", 4, {"lambda": 0}), 4)
+    assert main(["gen", "--family", "hermite", "--kind", kind, "--n", "3"]) == 3
+    message = f"{kind} degree 4 has the wrong leading coefficient"
+    assert capsys.readouterr().err == f"internal error: contract violation: {message}\n"
+
+
 def test_nonzero_associated_vectors_are_a_contract_error(monkeypatch):
     pair = make_pair("log-assoc", 6)
     honest = identities.COEFF_EXTRACTORS["3.1"]
 
     def drifted(pair, n):
         t = honest(pair, n)
-        return identities.CoeffTriple(t.label, t.a, (1,) + t.b[1:], t.c)
+        b = (1,) + t.b[1:]
+        return identities.CoeffTriple.from_rationals(t.label, t.a, b, t.c)
 
     monkeypatch.setitem(identities.COEFF_EXTRACTORS, "3.1", drifted)
     with pytest.raises(ContractError):

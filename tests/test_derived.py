@@ -21,9 +21,11 @@ from sympy.polys.rings import ring
 from sheffermat import (
     COEFF_EXTRACTORS,
     FAMILIES,
+    KINDS,
     LABELS,
     Matrix,
     Poly,
+    RESIDUALS,
     ShefferPair,
     TruncatedSeries,
     appell_sequence,
@@ -514,17 +516,49 @@ def count_fractions(monkeypatch) -> list:
 
 
 def test_coefficient_vectors_are_built_once_per_pair(monkeypatch):
-    """The extractors' Fractions are built from the integer rows once per
-    pair; every later extraction only slices them."""
+    """The extractors read the integer rows built once per pair and build no
+    Fraction; every extraction slices the rows to the prefix of the top one."""
     pair = make_pair("log-assoc", 12)
     top = {label: COEFF_EXTRACTORS[label](pair, 10) for label in LABELS}
     built = count_fractions(monkeypatch)
-    for label in LABELS:
-        for n in range(11):
-            t, full = COEFF_EXTRACTORS[label](pair, n), top[label]
-            for got, want in zip((t.a, t.b, t.c), (full.a, full.b, full.c)):
-                assert got == want[: n + 1]
+    triples = {(label, n): COEFF_EXTRACTORS[label](pair, n)
+               for label in LABELS for n in range(11)}
     assert built == []
+    monkeypatch.undo()
+    for (label, n), t in triples.items():
+        full = top[label]
+        for got, want in zip((t.a, t.b, t.c), (full.a, full.b, full.c)):
+            assert got == want[: n + 1]
+
+
+def session_task(pair: ShefferPair, kind: str, n: int) -> list:
+    """One task of a long-lived session on a pair, as served: the sequence of
+    one kind, the four (a, b, c) triples, the four residuals, the factorization
+    at min(n, 12), and the JSON text of each."""
+    if kind == "appell":
+        sequence = appell_sequence(pair.l, n)
+    elif kind == "sheffer":
+        sequence = sheffer_sequence(pair, n)
+    else:
+        sequence = sheffer_appell_sequence(pair, n)
+    triples = [COEFF_EXTRACTORS[label](pair, n).to_json() for label in LABELS]
+    residuals = [RESIDUALS[label](pair, n).to_strings() for label in LABELS]
+    return [[p.to_strings() for p in sequence], triples, residuals,
+            factorization_check(pair, min(n, 12))]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_first_visit_session_task_builds_no_fraction(monkeypatch, family, kind):
+    """A pair's first task builds every derived series, array and (a, b, c) row
+    it reads, and serves all of it from integer rows: no Fraction is built."""
+    params = {"lambda": Fraction(5, 2), "m": 1}
+    spec_params = {k: v for k, v in params.items() if k in FAMILIES[family].params}
+    pair = make_pair(family, 32, spec_params)
+    built = count_fractions(monkeypatch)
+    result = session_task(pair, kind, 30)
+    assert built == []
+    assert result[-1] is True
 
 
 @pytest.mark.parametrize(

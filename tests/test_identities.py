@@ -50,13 +50,13 @@ def test_labels_and_tables_agree():
 
 def test_coeff_triple_validation():
     with pytest.raises(ValueError):
-        CoeffTriple("9.9", (Fraction(1),), (Fraction(0),), (Fraction(0),))
+        CoeffTriple.from_rationals("9.9", (Fraction(1),), (Fraction(0),), zeros(1))
     with pytest.raises(ValueError):
-        CoeffTriple("2.1", (Fraction(1),), (Fraction(0),), ())
+        CoeffTriple.from_rationals("2.1", (Fraction(1),), (Fraction(0),), ())
 
 
 def test_coeff_triple_json():
-    triple = CoeffTriple(
+    triple = CoeffTriple.from_rationals(
         "3.1",
         (Fraction(-1), Fraction(2)),
         (Fraction(1, 2), Fraction(0)),
@@ -68,6 +68,41 @@ def test_coeff_triple_json():
         "b": ["1/2", "0"],
         "c": ["0", "0"],
     }
+
+
+def test_coeff_triple_is_one_canonical_integer_row():
+    half = Fraction(1, 2)
+    triple = CoeffTriple.from_rationals("3.1", (half, 1), (0, "2"), ("6/2", -1))
+    assert triple.row == (2, (1, 2), (0, 4), (6, -2))
+    assert (triple.a, triple.b, triple.c) == ((half, 1), (0, 2), (3, -1))
+    assert {type(v) for v in triple.a + triple.b + triple.c} == {Fraction}
+    same = CoeffTriple("3.1", (2, (1, 2), (0, 4), (6, -2)))
+    assert triple == same and hash(triple) == hash(same)
+    assert triple != CoeffTriple("2.1", triple.row)
+    unreduced = CoeffTriple("3.1", (4, [2, 4], [0, 8], [12, -4]))
+    assert unreduced == triple and hash(unreduced) == hash(triple)
+    assert unreduced.row == triple.row and type(unreduced.row[1]) is tuple
+    bad = [(-2, (-1,), (0,), (-6,)), (0, (0,), (0,), (0,)), (1, (1,), (1, 2), (3,))]
+    for row in bad:
+        with pytest.raises(ValueError):
+            CoeffTriple("3.1", row)
+    with pytest.raises(AttributeError):
+        triple.a = (1, 1)
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("bernoulli", {}), ("laguerre", {"lambda": Fraction(5, 2)}), ("log-assoc", {})],
+)
+def test_extracted_triples_equal_their_rational_twins(family, params):
+    # A prefix of a pair's reduced row can share a factor with D (27 of
+    # bernoulli's 32 prefixes at order 8 do), so each slice is reduced again.
+    pair = make_pair(family, 8, params)
+    for label in LABELS:
+        for n in range(8):
+            t = COEFF_EXTRACTORS[label](pair, n)
+            twin = CoeffTriple.from_rationals(label, t.a, t.b, t.c)
+            assert t == twin and hash(t) == hash(twin) and len(t.a) == n + 1
 
 
 # -- coefficient vectors on simple pairs ----------------------------------
@@ -305,14 +340,15 @@ def test_derivative_combination_matches_repeated_derivatives(data):
     n = data.draw(st.integers(0, 15), label="n")
     coeffs = data.draw(st.lists(small_rationals, min_size=degree + 1, max_size=degree + 1))
     vector = st.lists(small_rationals, min_size=n + 1, max_size=n + 1).map(tuple)
-    triple = CoeffTriple("2.1", data.draw(vector), data.draw(vector), data.draw(vector))
+    a, b, c = (data.draw(vector) for _ in range(3))
+    triple = CoeffTriple.from_rationals("2.1", a, b, c)
     poly = Poly(coeffs)
     expected = repeated_derivative_combination(triple, poly, n)
     assert triple_combination(triple, poly, n) == expected
 
 
 def test_derivative_combination_edge_cases():
-    triple = CoeffTriple("3.1", (1, 2, 3), (4, 5, 6), (7, 8, 9))
+    triple = CoeffTriple.from_rationals("3.1", (1, 2, 3), (4, 5, 6), (7, 8, 9))
     assert triple_combination(triple, Poly(), 2) == Poly()
     # degree 1 < n = 2: only k = 0, 1 contribute; (x + 11)(3 + 2x) + (2x + 13) 2
     expected = add(mul(Poly((11, 1)), Poly((3, 2))), Poly((13, 2)) * 2)
@@ -320,7 +356,8 @@ def test_derivative_combination_edge_cases():
     # every k up to the degree contributes
     dense = Poly(Fraction(j + 1, 7 - j % 5) for j in range(13))
     vector = tuple(Fraction(k - 4, k + 1) for k in range(16))
-    triple = CoeffTriple("2.1", vector, vector[::-1], vector[3:] + vector[:3])
+    rotated = vector[3:] + vector[:3]
+    triple = CoeffTriple.from_rationals("2.1", vector, vector[::-1], rotated)
     expected = repeated_derivative_combination(triple, dense, 15)
     assert triple_combination(triple, dense, 15) == expected
 

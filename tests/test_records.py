@@ -43,7 +43,8 @@ _HALF = Fraction(1, 2)
 # (record class, its fields as written in the source, one valid value per field)
 CASES = [
     (ShefferPair, ("l", "h"), (_PAIR.l, _PAIR.h)),
-    (CoeffTriple, ("label", "a", "b", "c"), ("3.1", (_HALF, 1), (0, 2), (3, -1))),
+    # (1/2, 1), (0, 2), (3, -1) as one reduced integer row over D = 2
+    (CoeffTriple, ("label", "row"), ("3.1", (2, (1, 2), (0, 4), (6, -2)))),
     (PolySequence, ("kind", "polys"), ("appell", (Poly((1,)), Poly((_HALF, 1))))),
     (CheckResult, ("name", "passed", "detail"), ("lemma 2.5", False, "n = 3")),
     (FamilySpec, ("name", "description", "params", "build"),
@@ -129,9 +130,9 @@ def test_frozen_errors_are_attribute_errors():
 
 def test_post_init_still_validates():
     with pytest.raises(ValueError, match="label"):
-        CoeffTriple("9.9", (), (), ())
+        CoeffTriple.from_rationals("9.9", (), (), ())
     with pytest.raises(ValueError, match="equal length"):
-        CoeffTriple("2.1", (1,), (), ())
+        CoeffTriple.from_rationals("2.1", (1,), (), ())
     with pytest.raises(OrderMismatchError):
         ShefferPair(TruncatedSeries([1, 0, 0]), TruncatedSeries([0, 1, 0, 0]))
     with pytest.raises(ValueError, match="degree"):
