@@ -63,13 +63,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.row[1]
 
-    @property
-    def leading_coefficient(self) -> Fraction:
-        den, p = self.row
-        if not p:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return Fraction(p[-1], den)
-
     def coeff(self, k: int) -> Fraction:
         """The coefficient of x**k (zero beyond the stored length)."""
         den, p = self.row

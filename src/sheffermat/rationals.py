@@ -88,9 +88,7 @@ def combine_row(dw: int, weights: Sequence[int], rows: Sequence[Row]) -> Row:
 
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as ``"p/q"``, or ``"p"`` when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return format_row(value.denominator, [value.numerator])[0]
 
 
 def format_row(den: int, numerators: Sequence[int]) -> list[str]:

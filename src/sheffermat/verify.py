@@ -4,6 +4,10 @@ seeded randomized property suite for the Pascal/Wronskian matrix identities.
 A sweep over degrees 0..n reuses one pair, whose derived series every
 degree slices (see :mod:`sheffermat.pairs`).
 
+The four matrix properties are one table, ``_PROPERTIES``: each names its
+check, its smallest degree and the draws of its arguments, and one seeded
+driver in :func:`property_suite` draws and checks every instance.
+
 Everything returns lists of CheckResult so callers (the CLI, tests) can
 aggregate pass/fail and print diagnostics uniformly.
 """
@@ -80,55 +84,40 @@ def lemma_checks(pair: ShefferPair, n: int) -> list[CheckResult]:
 # -- randomized matrix property suite -------------------------------------
 
 
-def _scalar(rng: random.Random) -> Fraction:
+def _scalar(rng: random.Random, _order: int = 0) -> Fraction:
     return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
 
 
-def _random_series(rng: random.Random, order: int) -> TruncatedSeries:
+def _series(rng: random.Random, order: int) -> TruncatedSeries:
     return TruncatedSeries([_scalar(rng) for _ in range(order + 1)])
 
 
-def _random_delta_series(rng: random.Random, order: int) -> TruncatedSeries:
+def _delta_series(rng: random.Random, order: int) -> TruncatedSeries:
     slope = Fraction(rng.choice([v for v in range(-5, 6) if v != 0]), rng.randint(1, 4))
     return TruncatedSeries([0, slope] + [_scalar(rng) for _ in range(order - 1)])
 
 
-def _linearity_case(rng: random.Random) -> bool:
-    n = rng.randint(0, 8)
-    f = _random_series(rng, n)
-    g = _random_series(rng, n)
-    alpha, beta = _scalar(rng), _scalar(rng)
+def _linearity(
+    f: TruncatedSeries, g: TruncatedSeries, alpha: Fraction, beta: Fraction, n: int
+) -> bool:
+    """P[alpha*f + beta*g] = alpha*P[f] + beta*P[g], and the same for W."""
     combined = f * alpha + g * beta
-    pascal_ok = (
-        pascal_matrix(combined, n)
-        == pascal_matrix(f, n) * alpha + pascal_matrix(g, n) * beta
-    )
-    wronskian_ok = (
-        wronskian_vector(combined, n)
-        == wronskian_vector(f, n) * alpha + wronskian_vector(g, n) * beta
-    )
-    return pascal_ok and wronskian_ok
-
-
-def _pascal_product_case(rng: random.Random) -> bool:
-    n = rng.randint(0, 8)
-    return check_property_product_pascal(
-        _random_series(rng, n), _random_series(rng, n), n
+    return all(
+        op(combined, n) == op(f, n) * alpha + op(g, n) * beta
+        for op in (pascal_matrix, wronskian_vector)
     )
 
 
-def _wronskian_product_case(rng: random.Random) -> bool:
-    n = rng.randint(0, 8)
-    return check_property_product_wronskian(
-        _random_series(rng, n), _random_series(rng, n), n
-    )
-
-
-def _composition_case(rng: random.Random) -> bool:
-    n = rng.randint(1, 8)
-    return check_property_composition(
-        _random_series(rng, n), _random_delta_series(rng, n), n
-    )
+# name -> (check, smallest degree, draws).  A case draws n from that degree
+# to 8, then each argument of check(*args, n) in order as draw(rng, n).
+_PROPERTIES = {
+    "property-linearity": (_linearity, 0, (_series, _series, _scalar, _scalar)),
+    "property-pascal-product": (check_property_product_pascal, 0, (_series, _series)),
+    "property-wronskian-product": (
+        check_property_product_wronskian, 0, (_series, _series)
+    ),
+    "property-composition": (check_property_composition, 1, (_series, _delta_series)),
+}
 
 
 def _fixed_exponential_case() -> bool:
@@ -157,22 +146,15 @@ def property_suite(
     if cases < 1:
         raise ValueError("cases must be >= 1")
     rng = random.Random(seed)
-    suite = (
-        ("property-linearity", _linearity_case),
-        ("property-pascal-product", _pascal_product_case),
-        ("property-wronskian-product", _wronskian_product_case),
-        ("property-composition", _composition_case),
-    )
     results = []
-    for name, case in suite:
-        failed_at = next((i for i in range(cases) if not case(rng)), None)
-        results.append(
-            CheckResult(
-                name,
-                failed_at is None,
-                "" if failed_at is None else f"case {failed_at} of {cases} failed",
-            )
-        )
+    for name, (check, low, draws) in _PROPERTIES.items():
+        for i in range(cases):
+            n = rng.randint(low, 8)
+            if not check(*[draw(rng, n) for draw in draws], n):
+                results.append(CheckResult(name, False, f"case {i} of {cases} failed"))
+                break
+        else:
+            results.append(CheckResult(name, True))
     results.append(
         CheckResult("fixed-exponential-wronskian", _fixed_exponential_case())
     )

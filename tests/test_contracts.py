@@ -70,6 +70,31 @@ def test_no_unused_module_level_import(path):
     assert sorted(imported - used) == [], f"{path.name}: unused import(s)"
 
 
+def test_no_unused_private_definition():
+    # A private function or class, at module or class level, that nothing in
+    # src/ names is dead code, and every CLI process would still compile it.
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted((SRC / "sheffermat").glob("*.py"))
+    }
+    named = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    defined = [
+        (module, node.name)
+        for module, tree in trees.items()
+        for scope in [tree, *(n for n in tree.body if isinstance(n, ast.ClassDef))]
+        for node in scope.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    ]
+    assert [d for d in defined if d[1] not in named] == []
+
+
 def test_wrong_leading_coefficient_is_a_contract_error(monkeypatch):
     honest = pairs.riordan_polys
     monkeypatch.setattr(

@@ -29,12 +29,6 @@ def test_degree_of_zero_is_sentinel():
     assert Poly((0, 1)).degree == 1
 
 
-def test_leading_coefficient():
-    assert Poly((1, 0, Fraction(2, 3))).leading_coefficient == Fraction(2, 3)
-    with pytest.raises(ValueError, match="no leading coefficient"):
-        Poly().leading_coefficient
-
-
 @pytest.mark.parametrize("other", ["1", 1.0, None], ids=repr)
 def test_equality_with_a_non_number_is_not_implemented(other):
     assert Poly((1,)).__eq__(other) is NotImplemented

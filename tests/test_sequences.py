@@ -177,8 +177,8 @@ def test_leading_coefficients():
     plain = sheffer_sequence(pair, 6)
     for k in range(7):
         assert appellish[k].degree == k
-        assert appellish[k].leading_coefficient == Fraction(-1) ** k
-        assert plain[k].leading_coefficient == Fraction(-1) ** k
+        assert appellish[k].coeffs[-1] == Fraction(-1) ** k
+        assert plain[k].coeffs[-1] == Fraction(-1) ** k
 
 
 def test_shared_pair_object_reuses_expansion():

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -92,6 +94,29 @@ def test_property_suite_refuses_fewer_than_one_case(cases):
 def test_property_suite_seed_changes_stream():
     # Different seeds should still pass; determinism is per seed.
     assert all(r.passed for r in property_suite(cases=10, seed=7))
+
+
+def test_property_suite_draws_a_fixed_stream(monkeypatch):
+    # The seed fixes the instances checked only while every case draws n and
+    # then its arguments in the same order, so the suite's draws are pinned.
+    drawn = []
+
+    def recording(method):
+        def draw(self, *args):
+            value = method(self, *args)
+            drawn.append(value)
+            return value
+
+        return draw
+
+    for name in ("randint", "choice"):
+        monkeypatch.setattr(random.Random, name, recording(getattr(random.Random, name)))
+    assert all(r.passed for r in property_suite(cases=30, seed=5))
+    digest = hashlib.sha256(",".join(map(str, drawn)).encode()).hexdigest()
+    assert (len(drawn), digest) == (
+        2628,
+        "b36f4f68e66cc561425e54689d361f43c5c25b971f6641dc475255f3709d75c1",
+    )
 
 
 # -- the property suite catches a subtly wrong matrix layer -------------------
