@@ -12,7 +12,6 @@ from types import ModuleType as _ModuleType
 
 from .audit import (
     FAIL,
-    IDENTITY_IDS,
     PASS,
     AuditEntry,
     AuditReport,

@@ -199,7 +199,6 @@ PRINTED_IDENTITIES = {
         "miller-lee", "3.2", _miller_lee_mixed_printed, _miller_lee_recurrence_terms
     ),
 }
-IDENTITY_IDS = tuple(PRINTED_IDENTITIES)
 
 
 def run_worked_example_audit(

@@ -195,7 +195,7 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = residual_checks(args.pair, args.n, args.theorem and (args.theorem,))
+    results = residual_checks(args.pair, args.n, args.theorem)
     if args.lemma:
         results.extend(lemma_checks(args.pair, args.n))
     if args.properties:

@@ -1,8 +1,8 @@
 """Verification drivers: residual sweeps, the factorization sweep, and a
 seeded randomized property suite for the Pascal/Wronskian matrix identities.
 
-A sweep over degrees 0..n reuses one pair, whose derived series every
-degree slices (see :mod:`sheffermat.pairs`).
+A residual sweep checks one identity label, or all four in ``LABELS`` order,
+at degrees 0..n of one pair, whose derived series every degree slices.
 
 The four matrix properties are one table, ``_PROPERTIES``: each names its
 check, its smallest degree and the draws of its arguments, and one seeded
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import Record, check_size
 from .identities import LABELS, RESIDUALS, first_factorization_mismatch
@@ -42,20 +41,14 @@ class CheckResult(Record):
 
 
 def residual_checks(
-    pair: ShefferPair, n: int, labels: Sequence[str] | None = None
+    pair: ShefferPair, n: int, label: str | None = None
 ) -> list[CheckResult]:
-    """The selected identity residuals (None: all four) at each degree 0..n."""
+    """One identity's residuals (None: all four) at each degree 0..n."""
     check_size(n, pair.order - 1, "degree")
-    if isinstance(labels, str):
-        raise TypeError(f"labels must be a tuple of labels such as ({labels!r},)")
-    chosen = LABELS if labels is None else tuple(labels)
-    if not chosen or len(set(chosen)) < len(chosen):
-        raise ValueError(f"labels must name distinct identities, not {chosen!r}")
-    for label in chosen:
-        if label not in LABELS:
-            raise ValueError(f"unknown identity label {label!r}")
+    if label is not None and label not in LABELS:
+        raise ValueError(f"unknown identity label {label!r}")
     results = []
-    for label in chosen:
+    for label in LABELS if label is None else (label,):
         residual_fn = RESIDUALS[label]
         for d in range(n + 1):
             r = residual_fn(pair, d)

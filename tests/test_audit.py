@@ -7,7 +7,6 @@ import pytest
 
 from sheffermat import (
     FAIL,
-    IDENTITY_IDS,
     PASS,
     Poly,
     make_pair,
@@ -37,7 +36,7 @@ def report():
 
 
 def test_report_shape(report):
-    assert report.identities == IDENTITY_IDS
+    assert report.identities == tuple(audit.PRINTED_IDENTITIES)
     assert len(report) == 5 * 7
 
 
@@ -240,7 +239,7 @@ def test_convolution_form_is_one_function(monkeypatch):
         if calls:
             assert calls == [6], identity
             used.add(identity)
-    assert used == {i for i in IDENTITY_IDS if i.startswith("miller-lee")}
+    assert used == {i for i in audit.PRINTED_IDENTITIES if i.startswith("miller-lee")}
 
 
 def combined(*term_lists):

@@ -283,6 +283,19 @@ def test_verify_single_theorem(capsys):
     assert out.splitlines()[-1] == "4/4 checks passed"
 
 
+def test_verify_passes_one_label_or_none(capsys, monkeypatch):
+    calls = []
+
+    def recorder(pair, n, label):
+        calls.append(label)
+        return [CheckResult("stub", True)]
+
+    monkeypatch.setattr(cli, "residual_checks", recorder)
+    run_cli(capsys, "verify", "--family", "monomial", "--theorem", "3.3")
+    run_cli(capsys, "verify", "--family", "monomial")
+    assert calls == ["3.3", None]
+
+
 def test_verify_properties_flag(capsys, monkeypatch):
     monkeypatch.setattr(cli, "property_suite", lambda: [CheckResult("stub-prop", True)])
     code, out, _ = run_cli(

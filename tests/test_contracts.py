@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -93,6 +94,45 @@ def test_no_unused_private_definition():
         and not node.name.endswith("__")
     ]
     assert [d for d in defined if d[1] not in named] == []
+
+
+def test_no_public_name_without_a_caller():
+    # A public module-level name or public method that nothing outside the
+    # tests reads is surface kept for no one.  Reads count in src/ (bar the
+    # package's re-exports), demos/ and perfbench/ as a loaded name, an
+    # attribute or a string constant (getattr rows, tracer lists), and
+    # in README.md as a word.
+    root = SRC.parent
+    defining = [
+        path for path in sorted((SRC / "sheffermat").glob("*.py"))
+        if path.name not in ("__init__.py", "__main__.py")
+    ]
+    readers = defining + sorted((root / "demos").glob("*.py"))
+    readers += [p for p in sorted((root / "perfbench").glob("*.py")) if "test" not in p.name]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in readers}
+    read = set(re.findall(r"\w+", (root / "README.md").read_text(encoding="utf-8")))
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    public = []
+    for path in defining:
+        tree = trees[path]
+        for scope in [tree, *(n for n in tree.body if isinstance(n, ast.ClassDef))]:
+            for node in scope.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif scope is tree and isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    names = []
+                public += [(path.name, name) for name in names if not name.startswith("_")]
+    assert [d for d in public if d[1] not in read] == []
 
 
 def test_wrong_leading_coefficient_is_a_contract_error(monkeypatch):

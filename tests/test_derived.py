@@ -450,7 +450,7 @@ def test_sweep_inverts_h_once_per_pair(monkeypatch):
         make_pair("hermite", 8),
     ]
     for pair in pairs_:
-        assert all(r.passed for r in residual_checks(pair, 6, LABELS))
+        assert all(r.passed for r in residual_checks(pair, 6))
         assert all(r.passed for r in lemma_checks(pair, 6))
     assert len(calls) == len(pairs_)
 
@@ -459,7 +459,7 @@ def test_warm_residual_sweep_calls_no_common_denominator(monkeypatch):
     """Sequence polynomials and derived series are stored as integer rows, so
     a residual sweep on a pair whose derived series are built scales none."""
     pair = make_pair("log-assoc", 12)
-    assert all(r.passed for r in residual_checks(pair, 10, LABELS))
+    assert all(r.passed for r in residual_checks(pair, 10))
     calls = []
     honest = rationals.common_denominator
 
@@ -470,7 +470,7 @@ def test_warm_residual_sweep_calls_no_common_denominator(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("sheffermat") and vars(module).get("common_denominator"):
             monkeypatch.setattr(module, "common_denominator", counted)
-    assert all(r.passed for r in residual_checks(pair, 10, LABELS))
+    assert all(r.passed for r in residual_checks(pair, 10))
     assert calls == []
 
 

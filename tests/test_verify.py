@@ -27,31 +27,27 @@ def test_residual_checks_all_labels():
 
 def test_residual_checks_label_subset():
     pair = make_pair("monomial", 5)
-    results = residual_checks(pair, 3, labels=("3.1",))
+    results = residual_checks(pair, 3, "3.1")
     assert [r.name for r in results] == [f"residual[3.1] n={d}" for d in range(4)]
 
 
-def test_residual_checks_rejects_unknown_label():
+def test_residual_checks_rejects_unknown_label(monkeypatch):
+    # With RESIDUALS emptied, any residual computed before the refusal
+    # would raise KeyError instead.
     pair = make_pair("monomial", 5)
-    with pytest.raises(ValueError):
-        residual_checks(pair, 3, labels=("5.0",))
-
-
-def test_residual_checks_refuses_a_bare_label_string():
-    # A str would otherwise be split into the labels "3", ".", "1".
-    pair = make_pair("hermite", 5)
-    with pytest.raises(TypeError, match=r"tuple of labels such as \('3.1',\)"):
-        residual_checks(pair, 3, "3.1")
-    assert len(residual_checks(pair, 3, ("3.1",))) == 4
+    monkeypatch.setattr(verify, "RESIDUALS", {})
+    for label in ("5.0", ("3.1",), ""):
+        with pytest.raises(ValueError, match="unknown identity label"):
+            residual_checks(pair, 3, label)
 
 
 @pytest.mark.parametrize("labels", [(), [], ("3.1", "3.1"), ("2.1", "3.2", "2.1")])
 def test_residual_checks_refuses_an_empty_or_repeated_selection(labels, monkeypatch):
-    # Only None selects all four.  With RESIDUALS emptied, any residual
-    # computed before the refusal would raise KeyError instead.
+    # A selection is one label or None: a sequence of labels, empty or
+    # repeated, is refused like any unknown label, before any residual.
     pair = make_pair("hermite", 5)
     monkeypatch.setattr(verify, "RESIDUALS", {})
-    with pytest.raises(ValueError, match="distinct identities"):
+    with pytest.raises(ValueError, match="unknown identity label"):
         residual_checks(pair, 3, labels)
 
 
