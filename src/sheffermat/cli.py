@@ -26,7 +26,6 @@ redirect stdout) to suppress the PASS/FAIL coloring in `verify` and
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -61,8 +60,9 @@ def _status_word(passed: bool) -> str:
     return f"\x1b[{color}m{word}\x1b[0m"
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _json_text(payload) -> str:
+    import json  # here, not at the top: most requests print no JSON
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def poly_to_latex(p: Poly) -> str:
@@ -157,7 +157,7 @@ def _request(args) -> dict:
 def _cmd_families(args) -> int:
     specs = list_families()
     if args.format == "json":
-        _emit_json([spec.to_json() for spec in specs])
+        print(_json_text([spec.to_json() for spec in specs]))
         return 0
     width = max(len(spec.name) for spec in specs)
     for spec in specs:
@@ -176,7 +176,7 @@ def _cmd_gen(args) -> int:
 
     if args.format == "json":
         polys = [p.to_strings() for p in seq]
-        _emit_json({**_request(args), "kind": args.kind, "polys": polys})
+        print(_json_text({**_request(args), "kind": args.kind, "polys": polys}))
     elif args.format == "csv":
         print("degree,index,coefficient")
         for degree, p in enumerate(seq):
@@ -190,7 +190,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     triple = COEFF_EXTRACTORS[args.theorem](args.pair, args.n)
-    _emit_json({**triple.to_json(), **_request(args)})
+    print(_json_text({**triple.to_json(), **_request(args)}))
     return 0
 
 
@@ -213,10 +213,10 @@ def _cmd_verify(args) -> int:
 def _cmd_audit(args) -> int:
     report = run_worked_example_audit(args.n)
     if args.format == "json":
-        # _emit_json(report.to_json()) written one entry at a time, to save memory
+        # print(_json_text(report.to_json())) one entry at a time, to save memory
         sep = "["
         for entry in report:
-            text = json.dumps(entry.to_json(), indent=2, sort_keys=True)
+            text = _json_text(entry.to_json())
             sys.stdout.write(f"{sep}\n  " + text.replace("\n", "\n  "))
             sep = ","
         print("\n]")

@@ -142,37 +142,44 @@ def convolution_terms(s: PolySequence, n: int, a, b, c) -> list[Term]:
     return [(w * a[k], w * (b[k] + c[k]), s[n - k], 0) for k, w in enumerate(weights)]
 
 
+def _residual(pair: ShefferPair, n: int, label: str) -> Poly:
+    """The residual of ``label`` at degree n, kept in ``pair.kept`` under (label, n)."""
+    if (label, n) not in pair.kept:
+        den, a, b, c = _vectors(pair, n, label)
+        s = sheffer_appell_sequence(pair, n + 1)
+        if label == "2.1":
+            terms = [(a[k], b[k] + c[k], s[n], k) for k in range(n + 1)]
+            terms.append((0, -n * den, s[n], 0))
+        elif label == "3.1":
+            terms = [(-a[k], -b[k] - c[k], s[n], k) for k in range(n + 1)]
+            terms.append((0, den, s[n + 1], 0))
+        elif label == "3.2":  # x sA_n is the convolution form at a = e_0, over D
+            terms = [(0, math.comb(n, k) * a[k], s[n + 1 - k], 0) for k in range(n + 1)]
+            terms += convolution_terms(s, n, [den] + [0] * n, b, c)
+        else:
+            terms = [(0, den, s[n + 1], 0)] + convolution_terms(s, n, a, b, c)
+        pair.kept[label, n] = derivative_combination(terms, den)
+    return pair.kept[label, n]
+
+
 def differential_equation_residual(pair: ShefferPair, n: int) -> Poly:
     """Residual of identity "2.1" at degree n; zero for every valid pair."""
-    den, a, b, c = _vectors(pair, n, "2.1")
-    s = sheffer_appell_sequence(pair, n)
-    terms = [(a[k], b[k] + c[k], s[n], k) for k in range(n + 1)]
-    return derivative_combination(terms + [(0, -n * den, s[n], 0)], den)
+    return _residual(pair, n, "2.1")
 
 
 def derivative_recurrence_residual(pair: ShefferPair, n: int) -> Poly:
     """Residual of identity "3.1" at degree n; zero for every valid pair."""
-    den, a, b, c = _vectors(pair, n, "3.1")
-    s = sheffer_appell_sequence(pair, n + 1)
-    terms = [(-a[k], -b[k] - c[k], s[n], k) for k in range(n + 1)]
-    return derivative_combination([(0, den, s[n + 1], 0)] + terms, den)
+    return _residual(pair, n, "3.1")
 
 
 def mixed_recurrence_residual(pair: ShefferPair, n: int) -> Poly:
     """Residual of identity "3.2" at degree n; zero for every valid pair."""
-    den, a, b, c = _vectors(pair, n, "3.2")
-    s = sheffer_appell_sequence(pair, n + 1)
-    terms = [(0, math.comb(n, k) * a[k], s[n + 1 - k], 0) for k in range(n + 1)]
-    e0 = [den] + [0] * n  # x sA_n is the convolution form at a = e_0, over D
-    return derivative_combination(terms + convolution_terms(s, n, e0, b, c), den)
+    return _residual(pair, n, "3.2")
 
 
 def convolution_recurrence_residual(pair: ShefferPair, n: int) -> Poly:
     """Residual of identity "3.3" at degree n; zero for every valid pair."""
-    den, a, b, c = _vectors(pair, n, "3.3")
-    s = sheffer_appell_sequence(pair, n + 1)
-    terms = [(0, den, s[n + 1], 0)] + convolution_terms(s, n, a, b, c)
-    return derivative_combination(terms, den)
+    return _residual(pair, n, "3.3")
 
 
 RESIDUALS = {

@@ -5,23 +5,18 @@ series (h(0) = 0, h'(0) != 0), both truncated at the same order and each
 stored as one integer row of rationals.  The pair is validated once at
 construction; all code downstream can then assume it is well formed.
 
-The once-per-pair rule: each series derived from the pair (g = h^{-1},
-1/l, the sequence arrays, the identities' (a, b, c) rows, ...) is a cached
-property of the pair, computed on first use, once, at the pair's order N
-(the identity rows at N - 1, the order their extractors need), and kept.
-What callers build from these is kept in the pair's one ``kept`` dict; no
-module assigns an attribute on a pair.  Products, reciprocals, composition
-with a series of zero constant term and compositional inversion are
-prefix-stable, so a consumer that wants degree n <= N slices a stored
-value and gets exactly what a computation at order n would give.  Every
-composite is 1/l or L = l'/l composed with g or with h, and
-h'(g) = 1/g' by the inverse-function rule.  The kernel inverts y and
-composes with y at no cost, and riordan_polys reads [d, y] off d's row, so
-for an Appell pair (h = g = y) every composite is free and both arrays
-cost the one product 1/l(g) 1/l, without a branch here.  Each identity's
-(a, b, c) derivative vectors are kept as one integer row (D, a, b, c), reduced
-by one gcd, that the extractors slice, and each sequence array is checked on
-its integer rows against its leading-coefficient contract once, when built.
+The once-per-pair rule: each series derived from the pair (1/l, the arrays,
+g = h^{-1}, the identities' (a, b, c) rows, ...) is a cached property, computed
+on first use, once, at the pair's order N (the identity rows at N - 1), and
+kept; what callers build from them is kept in the pair's one ``kept`` dict, and
+no module assigns an attribute on a pair.  All of it is prefix-stable, so a
+consumer that wants degree n <= N slices a stored value.  No array needs g:
+[d, y] is P[d], read off d's row, and for any other h identity "3.1" is the
+array's production-matrix recurrence (Deutsch, Ferrari & Rinaldi, Ann. Comb. 13,
+2009); g is read off the Sheffer-Appell array, certified by h(g) = y.  Every
+composite is 1/l or L = l'/l composed with g or h, h'(g) = 1/g', each identity's
+(a, b, c) vectors are one reduced integer row (D, a, b, c), and each array is
+checked against its leading-coefficient contract once, when built.
 """
 
 from __future__ import annotations
@@ -36,9 +31,9 @@ from .errors import (
     OrderMismatchError,
     Record,
 )
-from .polynomials import Poly
+from .polynomials import Poly, derivative_combination
 from .rationals import reduce_row
-from .series import TruncatedSeries, power_rows
+from .series import TruncatedSeries
 
 
 class ShefferPair(Record):
@@ -71,8 +66,7 @@ class ShefferPair(Record):
 
     @cached_property
     def kept(self) -> dict:
-        """What callers build from the pair and keep with it: under "factorization",
-        the largest factorization product built so far (see identities)."""
+        """Kept by identities: R under "factorization", a residual under (label, n)."""
         return {}
 
     def _low(self, series: TruncatedSeries) -> TruncatedSeries:
@@ -80,19 +74,41 @@ class ShefferPair(Record):
 
     @cached_property
     def g(self) -> TruncatedSeries:
-        return self.h.compositional_inverse()
+        """y if h is y, else column 1 over column 0 of the Sheffer-Appell array."""
+        if self.h.is_identity:
+            return self.h
+        rows = [(den * math.factorial(i), p) for i, (den, p) in enumerate(
+            q.row for q in self.sheffer_appell_polys)]  # [y^i] is [x^k] sA_i / i!
+        lq = math.lcm(*[den for den, _ in rows])
+        d, dg = [TruncatedSeries._reduced(lq, [0] * k + [
+            lq // den * p[k] for den, p in rows[k:]]) for k in (0, 1)]
+        g = dg * d.reciprocal()
+        if not self.h.compose(g).is_identity:
+            raise ContractError("g read off the Sheffer-Appell array fails h(g) = y")
+        return g
 
     @cached_property
     def reciprocal_l(self) -> TruncatedSeries:
         return self.l.reciprocal()
 
     @cached_property
-    def reciprocal_l_of_g(self) -> TruncatedSeries:
-        return self.reciprocal_l.compose(self.g)
-
-    @cached_property
     def reciprocal_l_of_h(self) -> TruncatedSeries:
         return self.reciprocal_l.compose(self.h)
+
+    def _array(self, power: int) -> tuple[Poly, ...]:
+        """The Sheffer (power 1) or Sheffer-Appell (2) array: P[1/l^power] if h is y,
+        else degree i + 1 is sum_k (x a_k + z_k) p_i^(k)/k! over D on the "3.1" row
+        (D, a, b, c) from 1/l(0)^power, with z = c (power 1) or b + c (power 2)."""
+        if self.h.is_identity:
+            return pascal_polys(math.prod([self.reciprocal_l] * power))
+        den, a, b, c = self.derivative_recurrence
+        z = c if power == 1 else [u + v for u, v in zip(b, c)]
+        rd, r = self.reciprocal_l.row  # D > 0, so the sign of 1/l(0) is r[0]'s
+        polys = [Poly._reduced(rd**power, [r[0] ** power])]
+        for i in range(self.order):
+            terms = [(a[k], z[k], polys[i], k) for k in range(i + 1)]
+            polys.append(derivative_combination(terms, den))
+        return tuple(polys)
 
     def _checked(self, kind: str, polys: tuple[Poly, ...], power: int) -> tuple:
         """Contract: the degree-k leading coefficient is 1 / (l(0)^power h'(0)^k),
@@ -108,13 +124,11 @@ class ShefferPair(Record):
 
     @cached_property
     def sheffer_polys(self) -> tuple[Poly, ...]:
-        polys = riordan_polys(self.reciprocal_l_of_g, self.g)
-        return self._checked("sheffer", polys, 1)
+        return self._checked("sheffer", self._array(1), 1)
 
     @cached_property
     def sheffer_appell_polys(self) -> tuple[Poly, ...]:
-        polys = riordan_polys(self.reciprocal_l_of_g * self.reciprocal_l, self.g)
-        return self._checked("sheffer-appell", polys, 2)
+        return self._checked("sheffer-appell", self._array(2), 2)
 
     # (D, a, b, c) derivative vectors, k = 0..N-1, of "2.1", "3.1", "3.2", "3.3".
 
@@ -156,25 +170,13 @@ class ShefferPair(Record):
         return _vectors((a, -self._lp_over_l, -self._of_g * a))
 
 
-def riordan_polys(d: TruncatedSeries, g: TruncatedSeries) -> tuple[Poly, ...]:
-    """Degrees 0..order of the exponential Riordan array [d, g]: degree i has
-    x^k coefficient i!/k! [y^i] d g^k, over the lcm of the denominators of
-    d g^0 .. d g^i; [d, y] is P[d], read off d's row f as i!/k! f_{i-k}."""
-    if g.is_identity:
-        den, f = d.row
-        return tuple(
-            Poly._reduced(den, [math.perm(i, i - k) * f[i - k] for k in range(i + 1)])
-            for i in range(len(f))
-        )
-    columns = power_rows(g.row, d.order, start=d.row)
-    polys, lq = [], 1
-    for i, (den, _) in enumerate(columns):
-        lq = math.lcm(lq, den)
-        polys.append(Poly._reduced(lq, [
-            math.perm(i, i - k) * (lq // dk) * p[i]
-            for k, (dk, p) in enumerate(columns[: i + 1])
-        ]))
-    return tuple(polys)
+def pascal_polys(d: TruncatedSeries) -> tuple[Poly, ...]:
+    """Degrees 0..order of [d, y], the rows of P[d]: x^k coefficient i!/k! d_{i-k}."""
+    den, f = d.row
+    return tuple(
+        Poly._reduced(den, [math.perm(i, i - k) * f[i - k] for k in range(i + 1)])
+        for i in range(len(f))
+    )
 
 
 def _vectors(series) -> tuple:

@@ -7,16 +7,16 @@ kinds have exponential generating functions
 * Appell:         e^{x y} / l(y)
 * Sheffer-Appell: e^{x g(y)} / (l(g(y)) l(y))
 
-each of the form d(y) e^{x g(y)}: the exponential Riordan array [d, g],
-built by :func:`sheffermat.pairs.riordan_polys`.  The Sheffer and
-Sheffer-Appell arrays are cached properties of the pair, sliced here; the
-Appell array is [1/l, y], the Pascal matrix P[1/l].
+each of the form d(y) e^{x g(y)}: the exponential Riordan array [d, g].
+The Sheffer and Sheffer-Appell arrays are cached properties of the pair,
+built with no inverse of h (see :mod:`sheffermat.pairs`) and sliced here; the
+Appell array [1/l, y] is P[1/l], read off 1/l by :func:`~.pairs.pascal_polys`.
 """
 
 from __future__ import annotations
 
 from .errors import Record, check_size
-from .pairs import ShefferPair, riordan_polys
+from .pairs import ShefferPair, pascal_polys
 from .polynomials import Poly
 from .series import TruncatedSeries
 
@@ -61,5 +61,4 @@ def sheffer_sequence(pair: ShefferPair, n: int) -> PolySequence:
 def appell_sequence(l: TruncatedSeries, n: int) -> PolySequence:
     """Degrees 0..n of the Appell sequence e^{xy}/l: the array [1/l, y] at order n."""
     check_size(n, l.order, "degree")
-    y = TruncatedSeries._reduced(1, [0, 1][: n + 1] + [0] * (n - 1))
-    return PolySequence("appell", riordan_polys(l.truncate(n).reciprocal(), y))
+    return PolySequence("appell", pascal_polys(l.truncate(n).reciprocal()))

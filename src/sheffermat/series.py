@@ -13,15 +13,15 @@ Binary operations require equal orders; mixing orders is a loud
 
 Beyond the ring operations the module provides the pieces of series
 calculus needed downstream: derivative, reciprocal of an invertible
-series, composition with a series of zero constant term, compositional
-inverse of a delta series (zero constant term, nonzero linear term; by
-Lagrange inversion), and the exponential of a series with zero constant
-term, which is the series of e^y composed with it.
+series, composition with a series of zero constant term, and the
+exponential of a series with zero constant term, which is the series of
+e^y composed with it.  Compositional inversion of a delta series, by
+Lagrange, is on no sequence path: a pair reads g = h^{-1} off its array.
 
 Every operation runs on rows and reduces its result once by the gcd of D
 and the numerators; ``coeffs`` builds Fractions on demand, for the edges
-only.  The reciprocal is Newton
-iteration on the product; composition is Paterson-Stockmeyer (Brent & Kung,
+only.  The reciprocal is Newton iteration on the product; composition is
+Paterson-Stockmeyer (Brent & Kung,
 "Fast algorithms for manipulating formal power series", J. ACM 25, 1978, §2)
 and the only routine that evaluates one series at another.
 """
@@ -56,9 +56,9 @@ def _product(a: Row, b: Row) -> Row:
     return da * db, out
 
 
-def power_rows(factor: Row, count: int, start: Row | None = None) -> list[Row]:
-    """start * factor^k for k = 0..count as rows (start defaults to 1)."""
-    rows = [start or (1, [1] + [0] * (len(factor[1]) - 1))]
+def power_rows(factor: Row, count: int) -> list[Row]:
+    """factor^k for k = 0..count as rows."""
+    rows = [(1, [1] + [0] * (len(factor[1]) - 1))]
     for _ in range(count):
         rows.append(reduce_row(*_product(rows[-1], factor)))
     return rows
@@ -236,7 +236,7 @@ class TruncatedSeries:
             return self
         den, p = self.row
         y_over_h = TruncatedSeries._reduced(den, p[1:]).reciprocal().row
-        powers = power_rows(y_over_h, len(p) - 2, start=y_over_h)
+        powers = power_rows(y_over_h, len(p) - 1)[1:]
         lq = math.lcm(*[d * m for m, (d, _) in enumerate(powers, 1)])
         inverse = TruncatedSeries._reduced(
             lq, [0] + [q[m - 1] * (lq // (d * m)) for m, (d, q) in enumerate(powers, 1)]

@@ -14,6 +14,7 @@ aggregate pass/fail and print diagnostics uniformly.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -82,12 +83,15 @@ def _scalar(rng: random.Random, _order: int = 0) -> Fraction:
 
 
 def _series(rng: random.Random, order: int) -> TruncatedSeries:
-    return TruncatedSeries([_scalar(rng) for _ in range(order + 1)])
+    pq = [(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(order + 1)]
+    den = math.lcm(*[q for _, q in pq])
+    return TruncatedSeries._reduced(den, [p * (den // q) for p, q in pq])
 
 
 def _delta_series(rng: random.Random, order: int) -> TruncatedSeries:
-    slope = Fraction(rng.choice([v for v in range(-5, 6) if v != 0]), rng.randint(1, 4))
-    return TruncatedSeries([0, slope] + [_scalar(rng) for _ in range(order - 1)])
+    p, q = rng.choice([v for v in range(-5, 6) if v != 0]), rng.randint(1, 4)
+    den, rest = _series(rng, order - 2).row  # 0 and the slope p/q come first
+    return TruncatedSeries._reduced(den * q, [0, p * den] + [c * q for c in rest])
 
 
 def _linearity(

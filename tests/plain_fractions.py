@@ -8,9 +8,10 @@ values with these functions, which work one ``Fraction`` coefficient at a
 time, so they are also an independent reference for the row kernels
 (``mul`` and ``add`` for ``derivative_combination``; the functions on
 coefficient lists for the truncated series product, reciprocal,
-composition and exponential, the Riordan array [d, g] built one column
-d g^k at a time, and the Pascal rows and derivative vectors that fix an
-Appell pair's arrays and identity rows).  ``near_misses_of_y`` gives the
+composition, exponential and Lagrange reversion, the Riordan array [d, g]
+built one column d g^k at a time, the product of two such matrices, and
+the Pascal rows and derivative vectors that fix an Appell pair's arrays and
+identity rows).  ``near_misses_of_y`` gives the
 series one detail away from y, for the kernel's fast paths on y.
 """
 
@@ -86,9 +87,10 @@ def series_sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 def truncated_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """The schoolbook product, skipping the zero coefficients of a."""
     out = [Fraction(0)] * len(a)
     for k in range(len(a)):
-        out[k] = sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
+        out[k] = sum((a[i] * b[k - i] for i in range(k + 1) if a[i]), Fraction(0))
     return out
 
 
@@ -101,11 +103,12 @@ def reciprocal(c: list[Fraction]) -> list[Fraction]:
 
 
 def composition(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    """f(g(y)) by Horner's rule, g[0] = 0."""
-    out = [Fraction(0)] * len(f)
-    for c in reversed(f):
-        out = truncated_product(out, g)
-        out[0] += c
+    """f(g(y)) = sum f_k g^k, g[0] = 0, one power of g at a time: g^k starts
+    at y^k, so each product skips its k leading zeros."""
+    out, power = [Fraction(0)] * len(f), [Fraction(1)] + [Fraction(0)] * (len(f) - 1)
+    for c in f:
+        out = [o + c * p for o, p in zip(out, power)]
+        power = truncated_product(power, g)
     return out
 
 
@@ -136,17 +139,44 @@ def pascal_rows(f: list[Fraction]) -> list[list[Fraction]]:
     ]
 
 
-def riordan_rows(d: list[Fraction], g: list[Fraction]) -> list[Poly]:
-    """Degree i of [d, g]: x^k coefficient i!/k! [y^i] d g^k, one product
-    per column d g^k."""
+def riordan_matrix(d: list[Fraction], g: list[Fraction]) -> list[list[Fraction]]:
+    """The square matrix of [d, g]: entry (i, k) is i!/k! [y^i] d g^k (zero for
+    k > i), one product per column d g^k."""
     columns, power = [], d
     for _ in d:
         columns.append(power)
         power = truncated_product(power, g)
     return [
-        Poly([math.perm(i, i - k) * columns[k][i] for k in range(i + 1)])
+        [math.perm(i, i - k) * columns[k][i] if k <= i else Fraction(0)
+         for k in range(len(d))]
         for i in range(len(d))
     ]
+
+
+def riordan_rows(d: list[Fraction], g: list[Fraction]) -> list[Poly]:
+    """Degree i of [d, g]: row i of :func:`riordan_matrix` as a polynomial."""
+    return [Poly(row[: i + 1]) for i, row in enumerate(riordan_matrix(d, g))]
+
+
+def reversion(h: list[Fraction]) -> list[Fraction]:
+    """g with h(g) = y, h[0] = 0 != h[1], by Lagrange inversion:
+    g_m = [y^(m-1)] (y/h)^m / m, one more power of y/h per coefficient."""
+    y_over_h = reciprocal(h[1:] + [Fraction(0)])  # the padding never reaches g
+    out, power = [Fraction(0)], [Fraction(1)] + [Fraction(0)] * (len(h) - 1)
+    for m in range(1, len(h)):
+        power = truncated_product(power, y_over_h)
+        out.append(power[m - 1] / m)
+    return out
+
+
+def matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    """The product of two matrices, one Fraction at a time, skipping zero terms
+    (so a product of lower triangular matrices costs its nonzero terms only)."""
+    def dot(row, col):
+        return sum((x * y for x, y in zip(row, col) if x and y), Fraction(0))
+
+    columns = list(zip(*b))
+    return [[dot(row, col) for col in columns] for row in a]
 
 
 def near_misses_of_y(order: int) -> list[TruncatedSeries]:

@@ -30,7 +30,9 @@ def test_contract_check_survives_python_O():
             TruncatedSeries([0, 1, 1, 1]).compositional_inverse()
         except ContractError:
             print("ContractError", sys.flags.optimize)
-        print(main(["gen", "--family", "laguerre", "--param", "lambda=0", "--n", "4"]))
+        # "3.3" reads g, which is certified by h(g) = y when read off the array
+        laguerre = ["--family", "laguerre", "--param", "lambda=0", "--n", "4"]
+        print(main(["coeffs", *laguerre, "--theorem", "3.3"]))
         """
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -136,20 +138,24 @@ def test_no_public_name_without_a_caller():
 
 
 def test_wrong_leading_coefficient_is_a_contract_error(monkeypatch):
-    honest = pairs.riordan_polys
-    monkeypatch.setattr(
-        pairs, "riordan_polys", lambda d, g: tuple(p * 2 for p in honest(d, g))
-    )
+    honest = pairs.ShefferPair._array
+
+    def doubled(pair, power):
+        return tuple(p * 2 for p in honest(pair, power))
+
+    monkeypatch.setattr(pairs.ShefferPair, "_array", doubled)
     with pytest.raises(ContractError):
         sheffer_appell_sequence(make_pair("laguerre", 4, {"lambda": 0}), 4)
 
 
 @pytest.mark.parametrize("kind", ["sheffer", "sheffer-appell"])
 def test_zero_polynomial_in_an_array_is_a_contract_violation(capsys, monkeypatch, kind):
-    honest = pairs.riordan_polys
-    monkeypatch.setattr(
-        pairs, "riordan_polys", lambda d, g: honest(d, g)[:-1] + (Poly(),)
-    )
+    honest = pairs.ShefferPair._array
+
+    def zero_on_top(pair, power):
+        return honest(pair, power)[:-1] + (Poly(),)
+
+    monkeypatch.setattr(pairs.ShefferPair, "_array", zero_on_top)
     sequence = sheffer_sequence if kind == "sheffer" else sheffer_appell_sequence
     with pytest.raises(ContractError, match="degree 4"):
         sequence(make_pair("laguerre", 4, {"lambda": 0}), 4)

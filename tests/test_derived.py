@@ -43,9 +43,7 @@ from sheffermat import (
     wronskian_powers_matrix,
     wronskian_vector,
 )
-from sheffermat.pairs import riordan_polys
-
-from plain_fractions import add, monomial
+from plain_fractions import add, monomial, riordan_rows
 
 # -- sympy oracle on random valid pairs --------------------------------------
 
@@ -432,10 +430,12 @@ def test_production_matrix_of_random_pairs(pair):
     assert production_matrix(pair, n) == production_closed_form(pair, n)
 
 
-# -- one compositional inverse per pair --------------------------------------
+# -- no compositional inverse on any path --------------------------------------
 
 
-def test_sweep_inverts_h_once_per_pair(monkeypatch):
+def test_sweep_runs_no_compositional_inverse(monkeypatch):
+    """g is read off the Sheffer-Appell array, so a full sweep of residuals and
+    the factorization, on Sheffer and Appell pairs, inverts no series."""
     calls = []
     inverse = TruncatedSeries.compositional_inverse
 
@@ -450,9 +450,10 @@ def test_sweep_inverts_h_once_per_pair(monkeypatch):
         make_pair("hermite", 8),
     ]
     for pair in pairs_:
+        sheffer_sequence(pair, 7)
         assert all(r.passed for r in residual_checks(pair, 6))
         assert all(r.passed for r in lemma_checks(pair, 6))
-    assert len(calls) == len(pairs_)
+    assert len(calls) == 0
 
 
 def test_warm_residual_sweep_calls_no_common_denominator(monkeypatch):
@@ -497,9 +498,9 @@ def test_derived_series_are_built_lazily():
     assert set(vars(pair)) == {"l", "h"}
     sheffer_sequence(pair, 3)
     built = vars(pair)
-    assert "g" in built and "sheffer_polys" in built
+    assert "derivative_recurrence" in built and "sheffer_polys" in built
     assert "sheffer_appell_polys" not in built
-    assert "mixed_recurrence" not in built
+    assert "mixed_recurrence" not in built and "g" not in built
 
 
 def count_fractions(monkeypatch) -> list:
@@ -622,11 +623,12 @@ def reference_derived(pair: ShefferPair) -> dict:
             -lp_over_l_of_g * hp_of_g.reciprocal(),
         ),
     }
+    rows = [list(s.coeffs) for s in (rl_g, rl_g * rl, g)]
     return {
-        "reciprocal_l_of_g": rl_g,
+        "g": g,
         "reciprocal_l_of_h": rl_h,
-        "sheffer_polys": riordan_polys(rl_g, g),
-        "sheffer_appell_polys": riordan_polys(rl_g * rl, g),
+        "sheffer_polys": tuple(riordan_rows(rows[0], rows[2])),
+        "sheffer_appell_polys": tuple(riordan_rows(rows[1], rows[2])),
         **{
             k: tuple(wronskian_vector(s, s.order).column_entries(0) for s in v)
             for k, v in series.items()
@@ -685,7 +687,7 @@ def test_extractors_at_n_zero_on_an_order_one_pair():
 
 
 # (compositions, reciprocals, compositions with y and inversions of y)
-BUILD_COST = {"laguerre": (5, 4, 0), "log-assoc": (5, 4, 0), "hermite": (4, 3, 5)}
+BUILD_COST = {"laguerre": (4, 4, 0), "log-assoc": (4, 4, 0), "hermite": (3, 3, 3)}
 
 
 @pytest.mark.parametrize(
@@ -693,10 +695,11 @@ BUILD_COST = {"laguerre": (5, 4, 0), "log-assoc": (5, 4, 0), "hermite": (4, 3, 5
     [("laguerre", {"lambda": Fraction(5, 2)}), ("log-assoc", {}), ("hermite", {})],
 )
 def test_full_derived_build_cost(monkeypatch, family, params):
-    """Both arrays, 1/l(h) and the four vector sets: five compositions (one
-    checks g = h^-1) and four reciprocals (one is y/h in the inverse).  An
-    Appell pair inverts y, which needs neither the check nor y/h, and
-    composes with y four times; none of these five calls runs a product."""
+    """Both arrays, 1/l(h) and the four vector sets: four compositions (one
+    checks h(g) = y) and four reciprocals (one is 1/d, for d column 0 of the
+    Sheffer-Appell array, as g is read off it).  An Appell pair takes g = y,
+    with neither the read-off nor the check, and composes with y three times;
+    none of these three calls runs a product."""
     from sheffermat import series
 
     pair = make_pair(family, 12, params)
@@ -766,12 +769,12 @@ def test_identity_rows_are_reduced(family, params):
 @pytest.mark.parametrize("family, params", CATALOG_CELLS, ids=CATALOG_IDS)
 def test_arrays_of_an_appell_pair_cost_one_product(monkeypatch, family, params):
     """With its derived series built, an Appell pair (g = y) reads both
-    arrays off P[d]: the one product is d = 1/l(g) 1/l.  Any other g builds
-    its 32 columns d g^k per array, plus that product."""
+    arrays off P[d]: the one product is d = 1/l 1/l.  Any other h builds both
+    arrays by the "3.1" recurrence on its integer row, with no series product."""
     from sheffermat import series
 
     pair = make_pair(family, 32, params)
-    pair.g, pair.reciprocal_l, pair.reciprocal_l_of_g
+    pair.reciprocal_l, pair.derivative_recurrence
     calls, honest = [], series._product
 
     def counted(a, b):
@@ -780,7 +783,7 @@ def test_arrays_of_an_appell_pair_cost_one_product(monkeypatch, family, params):
 
     monkeypatch.setattr(series, "_product", counted)
     pair.sheffer_polys, pair.sheffer_appell_polys
-    assert len(calls) == (65 if family in ("laguerre", "log-assoc") else 1)
+    assert len(calls) == (0 if family in ("laguerre", "log-assoc") else 1)
 
 
 def test_log_assoc_derivative_recurrence_row_is_integral():

@@ -21,6 +21,7 @@ from sheffermat import (
     derivative_recurrence_coeffs,
     differential_equation_coeffs,
     factorization_check,
+    identities,
     lemma_checks,
     make_pair,
     mixed_recurrence_coeffs,
@@ -478,16 +479,19 @@ def random_pairs(draw):
 def test_residuals_match_references(label, pair, other):
     """Equal to the references on valid pairs (both zero), and on the
     sequence of one pair with the integer (a, b, c) vectors of another
-    injected (in general a nonzero residual)."""
+    injected (in general a nonzero residual).  The pair keeps its residuals,
+    so the vectors go into a fresh pair, after its array is built."""
     vectors, reference = REFERENCES[label]
+    fresh = ShefferPair(pair.l, pair.h)
+    fresh.sheffer_appell_polys
     for n in range(min(pair.order, other.order)):
         s = sheffer_appell_sequence(pair, n + 1)
         own = COEFF_EXTRACTORS[label](pair, n)
         assert RESIDUALS[label](pair, n) == reference(own, s, n) == Poly()
         foreign = COEFF_EXTRACTORS[label](other, n)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setitem(vars(pair), vectors, getattr(other, vectors))
-            assert RESIDUALS[label](pair, n) == reference(foreign, s, n)
+            mp.setitem(vars(fresh), vectors, getattr(other, vectors))
+            assert RESIDUALS[label](fresh, n) == reference(foreign, s, n)
 
 
 @pytest.mark.parametrize("label", sorted(REFERENCES))
@@ -496,7 +500,39 @@ def test_residuals_on_foreign_coefficients(monkeypatch, label):
     pair = make_pair("laguerre", 8, {"lambda": Fraction(5, 2)})
     other = make_pair("log-assoc", 8)
     foreign = COEFF_EXTRACTORS[label](other, 6)
+    pair.sheffer_appell_polys  # the array is built from the pair's own "3.1" row
     monkeypatch.setitem(vars(pair), vectors, getattr(other, vectors))
     residual = RESIDUALS[label](pair, 6)
     assert not residual.is_zero
     assert residual == reference(foreign, sheffer_appell_sequence(pair, 7), 6)
+
+
+@pytest.mark.parametrize("label", sorted(REFERENCES))
+def test_residuals_are_kept_per_pair_label_and_degree(monkeypatch, label):
+    """A repeat of (pair, label, n) returns the kept residual and combines
+    nothing; a fresh pair with a foreign row gives that row's residual at
+    every degree, each kept under its own n."""
+    vectors, reference = REFERENCES[label]
+    pair = make_pair("log-assoc", 9)
+    first = [RESIDUALS[label](pair, n) for n in range(8)]
+    calls = []
+    honest = identities.derivative_combination
+
+    def counted(terms, dw=1):
+        calls.append(dw)
+        return honest(terms, dw)
+
+    monkeypatch.setattr(identities, "derivative_combination", counted)
+    again = [RESIDUALS[label](pair, n) for n in range(8)]
+    assert again == first and all(a is b for a, b in zip(again, first))
+    assert calls == []
+    other = make_pair("laguerre", 9, {"lambda": Fraction(5, 2)})
+    fresh = make_pair("log-assoc", 9)
+    fresh.sheffer_appell_polys
+    monkeypatch.setitem(vars(fresh), vectors, getattr(other, vectors))
+    for n in range(8):
+        s = sheffer_appell_sequence(fresh, n + 1)
+        foreign = COEFF_EXTRACTORS[label](other, n)
+        assert RESIDUALS[label](fresh, n) == reference(foreign, s, n)
+    assert len(calls) == 8
+    assert set(fresh.kept) == {(label, n) for n in range(8)}

@@ -155,4 +155,5 @@ def test_every_kept_result_is_declared_on_the_pair():
     assert set(vars(pair)) <= set(ShefferPair._fields) | cached
     read = {"g", "sheffer_appell_polys", "kept", "derivative_recurrence"}
     assert read <= set(vars(pair))
-    assert set(pair.kept) == {"factorization"}
+    residuals = {(label, n) for label in LABELS for n in range(9)}
+    assert set(pair.kept) == {"factorization"} | residuals

@@ -1,5 +1,6 @@
-"""The frozen value records behave as ``@dataclass(frozen=True)`` did, and
-importing the CLI loads neither ``dataclasses`` nor ``inspect``."""
+"""The frozen value records behave as ``@dataclass(frozen=True)`` did,
+importing the CLI loads neither ``dataclasses`` nor ``inspect``, and a
+request that prints no JSON loads no ``json``."""
 
 import ast
 import copy
@@ -187,6 +188,30 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "laguerre", "--param", "lambda=5/2", "--n", "4",
+         "--format", "csv"],
+        ["gen", "--family", "hermite", "--n", "4", "--format", "latex"],
+        ["verify", "--family", "log-assoc", "--n", "4", "--all", "--lemma"],
+    ],
+    ids=["gen-csv", "gen-latex", "verify"],
+)
+def test_requests_without_json_output_load_no_json(argv):
+    # json is imported where JSON is written, so these requests never load it
+    script = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+        "from sheffermat.cli import main; "
+        f"code = main({argv!r}); print(code, 'json' in sys.modules, file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True
+    )
+    assert proc.stderr.strip() == "0 False"
+    assert proc.stdout
 
 
 def test_no_package_module_imports_dataclasses():

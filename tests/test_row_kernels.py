@@ -6,9 +6,11 @@ with its one-Fraction-at-a-time reference from ``plain_fractions`` on
 coefficients with negative numerators, denominators up to 10^12, zero
 series and delta series with h'(0) != 1, and every result is checked to
 be in canonical form: D > 0, gcd(D, *numerators) = 1 and, for a ``Poly``,
-no trailing zero.  The Riordan array's choice between reading P[d] (g = y)
-and building the columns d g^k is also checked on fixed inputs: g = y at
-orders 0..40, and the near misses of y (``plain.near_misses_of_y``).
+no trailing zero.  A pair's arrays are compared with [d, g] built one column
+d g^k at a time, with g = h^-1 by plain reversion; the pair's choice between
+reading P[d] (h = y) and the production recurrence is also checked on fixed
+inputs: h = y at orders 1..40 (P[d] alone from order 0), and the near misses
+of y (``plain.near_misses_of_y``).
 """
 
 import math
@@ -18,9 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheffermat import Poly, TruncatedSeries, appell_sequence, wronskian_vector
-from sheffermat import pairs
-from sheffermat.pairs import riordan_polys
+from sheffermat import (
+    Poly,
+    ShefferPair,
+    TruncatedSeries,
+    appell_sequence,
+    wronskian_vector,
+)
+from sheffermat import pairs, series
+from sheffermat.pairs import pascal_polys
 from sheffermat.polynomials import derivative_combination
 from sheffermat.rationals import format_rational
 
@@ -53,6 +61,10 @@ def delta(order: int):
     """A delta series' coefficients: h(0) = 0, h'(0) any nonzero rational."""
     tail = st.lists(entries, min_size=order - 1, max_size=order - 1)
     return st.tuples(nonzero, tail).map(lambda t: [Fraction(0), t[0], *t[1]])
+
+
+def refuse_product(a, b):
+    raise AssertionError("a series product ran")
 
 
 def canonical(x) -> bool:
@@ -150,20 +162,28 @@ def test_derivative_combination(terms, dw):
     assert canonical(got) and got == want
 
 
-def same_array(d: list[Fraction], g: list[Fraction]) -> bool:
-    got = riordan_polys(TruncatedSeries(d), TruncatedSeries(g))
-    return all(map(canonical, got)) and list(got) == plain.riordan_rows(d, g)
+def same_arrays(l: list[Fraction], h: list[Fraction]) -> bool:
+    """The pair's two arrays are canonical and equal [1/l(g), g] and
+    [1/(l(g) l), g] built one column d g^k at a time, g = h^-1 by reversion."""
+    pair = ShefferPair(TruncatedSeries(l), TruncatedSeries(h))
+    g = plain.reversion(h)
+    d = plain.reciprocal(plain.composition(l, g))
+    want = [d, plain.truncated_product(d, plain.reciprocal(l))]
+    got = [pair.sheffer_polys, pair.sheffer_appell_polys]
+    return all(canonical(p) for polys in got for p in polys) and [
+        list(polys) for polys in got
+    ] == [plain.riordan_rows(d, g) for d in want]
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    orders.flatmap(lambda n: st.tuples(coefficients(n, nonzero), coefficients(n, 0)))
+    orders.filter(bool).flatmap(lambda n: st.tuples(coefficients(n, nonzero), delta(n)))
 )
 def test_riordan_and_appell_arrays(operands):
-    d, g = operands
-    assert same_array(d, g)
-    r = plain.reciprocal(d)
-    for i, p in enumerate(appell_sequence(TruncatedSeries(d), len(d) - 1)):
+    l, h = operands
+    assert same_arrays(l, h)
+    r = plain.reciprocal(l)
+    for i, p in enumerate(appell_sequence(TruncatedSeries(l), len(l) - 1)):
         want = [math.perm(i, i - k) * r[i - k] for k in range(i + 1)]
         assert canonical(p) and p == Poly(want)
 
@@ -174,32 +194,40 @@ def spread(order: int) -> list[Fraction]:
     return [Fraction((-1) ** k * ((k + 1) % 7), k % 5 + 1) for k in range(order + 1)]
 
 
-def counted_power_rows(monkeypatch) -> list:
-    calls, honest = [], pairs.power_rows
+def counted_recurrence_steps(monkeypatch) -> list:
+    """The production-recurrence steps that build a pair's arrays, from now on."""
+    calls, honest = [], pairs.derivative_combination
 
     def counted(*args, **kwargs):
         calls.append(args)
         return honest(*args, **kwargs)
 
-    monkeypatch.setattr(pairs, "power_rows", counted)
+    monkeypatch.setattr(pairs, "derivative_combination", counted)
     return calls
 
 
 @pytest.mark.parametrize("order", range(41))
 def test_riordan_array_with_g_y_is_read_off_d(monkeypatch, order):
-    """[d, y] is P[d]; from order 1 on it is built with no power of y."""
-    calls = counted_power_rows(monkeypatch)
-    assert same_array(spread(order), [Fraction(k == 1) for k in range(order + 1)])
-    assert len(calls) == (order == 0)  # y at order 0 is the zero series
+    """[d, y] is P[d], read off d's row with no series product, at every order;
+    an Appell pair (h = y) reads both arrays so, with no recurrence step."""
+    calls = counted_recurrence_steps(monkeypatch)
+    d, y = spread(order), [Fraction(k == 1) for k in range(order + 1)]
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "_product", refuse_product)
+        got = pascal_polys(TruncatedSeries(d))
+    assert all(map(canonical, got)) and list(got) == plain.riordan_rows(d, y)
+    if order:
+        assert same_arrays(d, y)
+    assert calls == []
 
 
 @pytest.mark.parametrize("order", [1, 2, 9, 40])
 def test_riordan_array_near_y_takes_the_general_path(monkeypatch, order):
-    calls = counted_power_rows(monkeypatch)
-    for g in plain.near_misses_of_y(order):
+    calls = counted_recurrence_steps(monkeypatch)
+    for h in plain.near_misses_of_y(order):
         del calls[:]
-        assert same_array(spread(order), list(g.coeffs)), g
-        assert calls, g
+        assert same_arrays(spread(order), list(h.coeffs)), h
+        assert calls, h
 
 
 def test_appell_sequence_of_an_order_zero_l():

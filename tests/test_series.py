@@ -13,6 +13,7 @@ from sheffermat import (
     NotInvertibleError,
     OrderMismatchError,
     Poly,
+    ShefferPair,
     TruncatedSeries,
     series,
     wronskian_vector,
@@ -538,10 +539,12 @@ def test_exp_matches_repeated_products(g):
 
 
 def test_riordan_polys_match_repeated_products():
-    from sheffermat.pairs import riordan_polys
-
-    d = TruncatedSeries([Fraction(3, 2), -1, Fraction(1, 7), 0, 2, Fraction(-5, 3)])
-    g = TruncatedSeries([0, Fraction(2, 3), 0, 1, Fraction(1, 4), -3])
+    """The Sheffer array [1/l(g), g] of a pair, built with no g, against its
+    columns d g^k by repeated ``*``, with g = h^-1 by Lagrange inversion."""
+    l = TruncatedSeries([Fraction(3, 2), -1, Fraction(1, 7), 0, 2, Fraction(-5, 3)])
+    h = TruncatedSeries([0, Fraction(2, 3), 0, 1, Fraction(1, 4), -3])
+    g = lagrange_inverse(h)
+    d = l.compose(g).reciprocal()
     columns, power = [], d
     for _ in range(d.order + 1):
         columns.append(power.coeffs)
@@ -553,7 +556,7 @@ def test_riordan_polys_match_repeated_products():
         )
         for i in range(d.order + 1)
     )
-    assert riordan_polys(d, g) == want
+    assert ShefferPair(l, h).sheffer_polys == want
 
 
 def test_compose_and_inverse_call_no_common_denominator(monkeypatch):
