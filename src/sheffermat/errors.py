@@ -15,8 +15,8 @@ class NotInvertibleError(ShefferMatError, ValueError):
 
 class NotDeltaSeriesError(ShefferMatError, ValueError):
     """A composition or exp met an inner series with nonzero constant term,
-    or compositional inversion (or another operation that needs a delta
-    series, f(0)=0 and f'(0)!=0) met a series that is not one."""
+    or a pair or the one compositional inversion (the g of the pair (1, h))
+    met an h that is not a delta series, h(0)=0 and h'(0)!=0."""
 
 
 class InsufficientOrderError(ShefferMatError, ValueError):

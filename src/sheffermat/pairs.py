@@ -61,8 +61,8 @@ class ShefferPair(Record):
 
     @classmethod
     def associated(cls, h: TruncatedSeries) -> ShefferPair:
-        """The associated pair (1, h)."""
-        return cls(TruncatedSeries([1], h.order), h)
+        """The associated pair (1, h); 1 is built as an integer row."""
+        return cls(TruncatedSeries._reduced(1, [1] + [0] * h.order), h)
 
     @cached_property
     def kept(self) -> dict:

@@ -15,8 +15,8 @@ Beyond the ring operations the module provides the pieces of series
 calculus needed downstream: derivative, reciprocal of an invertible
 series, composition with a series of zero constant term, and the
 exponential of a series with zero constant term, which is the series of
-e^y composed with it.  Compositional inversion of a delta series, by
-Lagrange, is on no sequence path: a pair reads g = h^{-1} off its array.
+e^y composed with it.  The package has one compositional inversion: h^{-1}
+is the g of the associated pair (1, h), read off its array by ``pairs``.
 
 Every operation runs on rows and reduces its result once by the gcd of D
 and the numerators; ``coeffs`` builds Fractions on demand, for the edges
@@ -33,7 +33,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import (
-    ContractError,
     InsufficientOrderError,
     NotDeltaSeriesError,
     NotInvertibleError,
@@ -223,27 +222,15 @@ class TruncatedSeries:
         return TruncatedSeries._reduced(*acc)
 
     def compositional_inverse(self) -> TruncatedSeries:
-        """The delta series g with self(g(y)) = y modulo y^(order+1).
-
-        Lagrange inversion: g_m = (1/m) [y^(m-1)] (y/h)^m, reading one
-        coefficient off each successive power of y/h, all over one lcm.  The
-        defining relation h(g) = y is checked before the result is returned.
-        The series y is its own inverse and is returned before any product.
-        """
+        """g with self(g) = y: the g of the pair (1, self), read off its array and
+        a ContractError unless self(g) = y; y is its own inverse, returned at once."""
         if not self.is_delta:
             raise NotDeltaSeriesError("only a delta series has a compositional inverse")
         if self.is_identity:
             return self
-        den, p = self.row
-        y_over_h = TruncatedSeries._reduced(den, p[1:]).reciprocal().row
-        powers = power_rows(y_over_h, len(p) - 1)[1:]
-        lq = math.lcm(*[d * m for m, (d, _) in enumerate(powers, 1)])
-        inverse = TruncatedSeries._reduced(
-            lq, [0] + [q[m - 1] * (lq // (d * m)) for m, (d, q) in enumerate(powers, 1)]
-        )
-        if not self.compose(inverse).is_identity:
-            raise ContractError("compositional inverse failed its defining relation")
-        return inverse
+        from .pairs import ShefferPair  # pairs imports this module
+
+        return ShefferPair.associated(self).g
 
     def exp(self) -> TruncatedSeries:
         """exp(self) = sum self^k / k!: the series of e^y composed with

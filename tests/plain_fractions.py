@@ -161,7 +161,7 @@ def riordan_rows(d: list[Fraction], g: list[Fraction]) -> list[Poly]:
 def reversion(h: list[Fraction]) -> list[Fraction]:
     """g with h(g) = y, h[0] = 0 != h[1], by Lagrange inversion:
     g_m = [y^(m-1)] (y/h)^m / m, one more power of y/h per coefficient."""
-    y_over_h = reciprocal(h[1:] + [Fraction(0)])  # the padding never reaches g
+    y_over_h = reciprocal([*h[1:], Fraction(0)])  # the padding never reaches g
     out, power = [Fraction(0)], [Fraction(1)] + [Fraction(0)] * (len(h) - 1)
     for m in range(1, len(h)):
         power = truncated_product(power, y_over_h)

@@ -43,7 +43,7 @@ from sheffermat import (
     wronskian_powers_matrix,
     wronskian_vector,
 )
-from plain_fractions import add, monomial, riordan_rows
+from plain_fractions import add, monomial, reversion, riordan_rows
 
 # -- sympy oracle on random valid pairs --------------------------------------
 
@@ -159,9 +159,10 @@ def coefficient_rows(pair: ShefferPair, n: int) -> list[tuple[Fraction, ...]]:
 
 def rational_factor(pair: ShefferPair, n: int) -> Matrix:
     """W[1, g, ..., g^n] Omega^-1 P[1/l] P[1/l(h)], built from the pair's
-    own series rather than its stored derived ones."""
+    own series rather than its stored derived ones, with g by the
+    plain-Fraction Lagrange reversion of h."""
     return (
-        wronskian_powers_matrix(pair.h.compositional_inverse(), n)
+        wronskian_powers_matrix(TruncatedSeries(reversion(pair.h.coeffs)), n)
         @ omega_inverse(n)
         @ pascal_matrix(pair.l.reciprocal(), n)
         @ pascal_matrix(pair.l.compose(pair.h).reciprocal(), n)
@@ -598,13 +599,14 @@ def test_leading_coefficient_contract_runs_once_per_array(monkeypatch):
 def reference_derived(pair: ShefferPair) -> dict:
     """The derived series by the formulas the engine used before every
     composite became 1/l or l'/l composed with g or h: l, l' and h' are
-    composed separately and the compositions inverted."""
+    composed separately and the compositions inverted, with g by the
+    plain-Fraction Lagrange reversion of h."""
     l, h = pair.l, pair.h
 
     def low(s):
         return s.truncate(pair.order - 1)
 
-    g = h.compositional_inverse()
+    g = TruncatedSeries(reversion(h.coeffs))
     rl = l.reciprocal()
     rl_g, rl_h = l.compose(g).reciprocal(), l.compose(h).reciprocal()
     lp, hp = l.derivative(), h.derivative()

@@ -1,4 +1,4 @@
-"""Random non-Appell pairs (l, h) at served sizes against the Riordan-group inverse.
+"""Random non-Appell pairs (l, h) at served sizes against plain-Fraction references.
 
 With g = h^{-1}, the exponential Riordan array [d, g] has the inverse
 [1/d(h), h] (Shapiro, Getu, Woan & Woodson, "The Riordan group", Discrete
@@ -8,8 +8,9 @@ Appl. Math. 34 (1991) 229-239).  So the Sheffer-Appell array
 Fractions from the powers of h and a schoolbook l(h): no g, no production
 matrix and no Lagrange inversion, so the check does not share the engine's
 way of building its arrays.  The engine's g, read off its Sheffer-Appell
-array, is compared with the engine's Lagrange inversion, which no sequence
-path runs.
+array, and the (a, b, c) rows of the four identities are compared with
+references built one Fraction at a time: g by Lagrange reversion, and every
+composite by schoolbook composition, with no kernel of the engine.
 """
 
 import random
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheffermat import (
+    COEFF_EXTRACTORS,
     ShefferPair,
     TruncatedSeries,
     sheffer_appell_sequence,
@@ -41,6 +43,28 @@ def dense_pairs(draw):
     return l, h
 
 
+def reference_rows(l: list[Fraction], h: list[Fraction], g: list[Fraction]) -> dict:
+    """The (a, b, c) derivative vectors, k = 0..n-1, of "2.1", "3.1", "3.2" and
+    "3.3", with L = l'/l, g = h^{-1} and h'(g) = 1/g' (see ``pairs``)."""
+    n, mul = len(l) - 1, plain.truncated_product
+    low_h = h[:n]
+    lp_over_l = mul(plain.derivative(l), plain.reciprocal(l)[:n])
+    a, gp = plain.reciprocal(plain.derivative(h)), plain.derivative(g)
+    hp_of_g, lp_over_l_of_g = plain.reciprocal(gp), plain.composition(lp_over_l, g[:n])
+
+    def neg(c):
+        return [-x for x in c]
+
+    recurrence = (a, neg(plain.composition(lp_over_l, low_h)), neg(mul(lp_over_l, a)))
+    series = {
+        "2.1": [mul(low_h, c) for c in recurrence],
+        "3.1": recurrence,
+        "3.2": (hp_of_g, neg(mul(hp_of_g, lp_over_l)), neg(lp_over_l_of_g)),
+        "3.3": (gp, neg(lp_over_l), neg(mul(lp_over_l_of_g, gp))),
+    }
+    return {k: [plain.derivative_vector(c) for c in v] for k, v in series.items()}
+
+
 def check_pair(l: list[Fraction], h: list[Fraction]) -> None:
     n = len(l) - 1
     pair = ShefferPair(TruncatedSeries(l), TruncatedSeries(h))
@@ -51,7 +75,11 @@ def check_pair(l: list[Fraction], h: list[Fraction]) -> None:
         array = [[*p.coeffs] + [Fraction(0)] * (n - i) for i, p in enumerate(sequence)]
         inverse = plain.riordan_matrix(d, h)
         assert plain.matmul(array, inverse) == identity, sequence.kind
-    assert pair.g == pair.h.compositional_inverse()
+    g = plain.reversion(h)
+    assert list(pair.g.coeffs) == g
+    for label, want in reference_rows(l, h, g).items():
+        t = COEFF_EXTRACTORS[label](pair, n - 1)
+        assert [list(t.a), list(t.b), list(t.c)] == want, label
 
 
 @settings(max_examples=10, deadline=None)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheffermat import (
+    ContractError,
     InsufficientOrderError,
     NotDeltaSeriesError,
     NotInvertibleError,
@@ -15,6 +16,7 @@ from sheffermat import (
     Poly,
     ShefferPair,
     TruncatedSeries,
+    make_pair,
     series,
     wronskian_vector,
 )
@@ -227,6 +229,52 @@ def test_inverse_requires_delta():
         TruncatedSeries([1, 1]).compositional_inverse()
 
 
+def test_inverse_is_the_g_of_the_associated_pair(monkeypatch):
+    """One inversion in the package: h^-1 is the g of the pair (1, h), read
+    off one Sheffer-Appell array, equal to the plain-Fraction Lagrange
+    reversion; y and the series that are not delta series build no array."""
+    builds = []
+    honest = ShefferPair._array
+
+    def counted(self, power):
+        builds.append(power)
+        return honest(self, power)
+
+    monkeypatch.setattr(ShefferPair, "_array", counted)
+    dense = TruncatedSeries(
+        [0, Fraction(-3, 2)] + [Fraction((-1) ** k * k, k + 3) for k in range(2, 16)]
+    )
+    hs = (make_pair("laguerre", 15, {"lambda": Fraction(5, 2)}).h,
+          make_pair("log-assoc", 15).h, dense)
+    for h in hs:
+        del builds[:]
+        assert list(h.compositional_inverse().coeffs) == plain.reversion(h.coeffs)
+        assert builds == [2], h
+    del builds[:]
+    y = TruncatedSeries.identity(15)
+    assert y.compositional_inverse() == y
+    for coeffs in ([1, 1], [0], [0, 0, 1]):
+        with pytest.raises(NotDeltaSeriesError):
+            TruncatedSeries(coeffs).compositional_inverse()
+    assert builds == []
+
+
+def test_inverse_off_a_broken_array_is_a_contract_error(monkeypatch):
+    """x added to degree 2 of the array moves g_2 and keeps every leading
+    coefficient, so only the check h(g) = y can refuse it."""
+    honest = ShefferPair._array
+
+    def broken(self, power):
+        polys = list(honest(self, power))
+        polys[2] = plain.add(polys[2], plain.monomial(1))
+        return tuple(polys)
+
+    monkeypatch.setattr(ShefferPair, "_array", broken)
+    h = TruncatedSeries([0, Fraction(-3, 2), 1, Fraction(2, 5), -4])
+    with pytest.raises(ContractError, match="h\\(g\\) = y"):
+        h.compositional_inverse()
+
+
 # -- exponential ---------------------------------------------------------------
 
 
@@ -398,17 +446,6 @@ def horner_compose(f, g):
     return TruncatedSeries(result)
 
 
-def lagrange_inverse(h):
-    """Lagrange inversion by repeated ``*`` of y/h, kept as the reference."""
-    n = h.order
-    y_over_h = TruncatedSeries(h.coeffs[1:]).reciprocal()
-    power, g = y_over_h, [Fraction(0)]
-    for m in range(1, n + 1):
-        g.append(power.coeffs[m - 1] / m)
-        power = power * y_over_h
-    return TruncatedSeries(g)
-
-
 def horner_exp(g):
     """exp by Horner on ``*`` and scalar multiples, kept as the reference."""
     one = TruncatedSeries([1], g.order)
@@ -528,8 +565,8 @@ def test_near_misses_of_y_take_the_general_path(monkeypatch, order):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=20).flatmap(delta_strategy))
-def test_compositional_inverse_matches_repeated_products(h):
-    assert h.compositional_inverse() == lagrange_inverse(h)
+def test_compositional_inverse_matches_plain_reversion(h):
+    assert list(h.compositional_inverse().coeffs) == plain.reversion(h.coeffs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -540,10 +577,11 @@ def test_exp_matches_repeated_products(g):
 
 def test_riordan_polys_match_repeated_products():
     """The Sheffer array [1/l(g), g] of a pair, built with no g, against its
-    columns d g^k by repeated ``*``, with g = h^-1 by Lagrange inversion."""
+    columns d g^k by repeated ``*``, with g = h^-1 by the plain-Fraction
+    Lagrange reversion."""
     l = TruncatedSeries([Fraction(3, 2), -1, Fraction(1, 7), 0, 2, Fraction(-5, 3)])
     h = TruncatedSeries([0, Fraction(2, 3), 0, 1, Fraction(1, 4), -3])
-    g = lagrange_inverse(h)
+    g = TruncatedSeries(plain.reversion(h.coeffs))
     d = l.compose(g).reciprocal()
     columns, power = [], d
     for _ in range(d.order + 1):
@@ -565,7 +603,8 @@ def test_compose_and_inverse_call_no_common_denominator(monkeypatch):
     f = TruncatedSeries([Fraction(k + 2, k + 1) for k in range(31)])
     g = TruncatedSeries([0, Fraction(2, 3)] + [Fraction(1, k * k) for k in range(2, 31)])
     h = TruncatedSeries([0, 1] + [Fraction(1, math.factorial(k)) for k in range(2, 31)])
-    want = horner_compose(f, g), lagrange_inverse(h), horner_exp(h)
+    inverse = TruncatedSeries(plain.reversion(h.coeffs))
+    want = horner_compose(f, g), inverse, horner_exp(h)
     scaled = []
     honest = series.common_denominator
 
