@@ -25,7 +25,8 @@ print()
 # --- drilling into one disagreement --------------------------------------------
 # The Laguerre derivative recurrence fails at every degree.  Compare the
 # printed c vector with the derived one: the printed column keeps a fixed
-# sign pattern where the derived expansion alternates and terminates.
+# sign pattern where the derived expansion alternates and terminates.  Both
+# tables are CoeffTriples, so `entry.printed == entry.derived` compares them.
 entry = next(
     e
     for e in report
@@ -33,7 +34,7 @@ entry = next(
 )
 print("laguerre-derivative-recurrence at n = 3:")
 for name, derived in (("a", entry.derived.a), ("b", entry.derived.b), ("c", entry.derived.c)):
-    printed = [str(v) for v in entry.printed[name]]
+    printed = [str(v) for v in getattr(entry.printed, name)]
     print(f"  printed {name}: {printed}   derived {name}: {[str(v) for v in derived]}")
 print("  residual:", entry.residual)
 print()

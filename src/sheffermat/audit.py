@@ -10,12 +10,15 @@ polynomials — and reports PASS or FAIL per degree, alongside the
 engine-derived coefficient vectors for comparison.
 
 The audit is one table, :data:`PRINTED_IDENTITIES`.  A printed table is
-``table(value, n)`` for the family's parameter value (lambda or m); a
-printed recurrence ``terms(s, d, value, printed)`` lists, on the family's
-sequence s at degree d, the terms (alpha, beta, sA_m, 0) that
-:func:`sheffermat.polynomials.derivative_combination` sums.  Ground truth is
-always the derivative-vector extraction; a FAIL here records that the
-printed identity does not hold as displayed, not an engine defect.
+``table(value, n)``, the lists (a, b, c) for the family's parameter value
+(lambda or m); a printed recurrence ``terms(s, d, value, printed)`` lists,
+on the family's sequence s at degree d, the terms (alpha, beta, sA_m, 0)
+that :func:`sheffermat.polynomials.derivative_combination` sums.  Each entry
+holds both tables as a :class:`~sheffermat.identities.CoeffTriple` of the
+same label, the printed one sliced to k = 0..d like the derived one, so the
+two compare with ==; its status is PASS iff its residual is zero.  Ground
+truth is always the derivative-vector extraction; a FAIL here records that
+the printed identity does not hold as displayed, not an engine defect.
 Miller-Lee is an Appell pair: its printed recurrences are the convolution
 form of "3.3" over their tables (:func:`~sheffermat.identities.convolution_terms`).
 The Laguerre ones stay as displayed: over its table the differential one is
@@ -43,24 +46,24 @@ class AuditEntry(Record):
     identity: str
     parameters: dict
     n: int
-    status: str
     residual: Poly
     derived: CoeffTriple
-    printed: dict
+    printed: CoeffTriple
+
+    @property
+    def status(self) -> str:
+        return PASS if self.residual.is_zero else FAIL
 
     def to_json(self) -> dict:
-        derived = self.derived.to_json()
+        derived, printed = self.derived.to_json(), self.printed.to_json()
         return {
             "identity-id": self.identity,
             "parameters": self.parameters,
             "n": self.n,
             "status": self.status,
             "residual": self.residual.to_strings(),
-            "derived-coeffs": {k: derived[k] for k in ("a", "b", "c")},
-            "printed-coeffs": {
-                k: [format_rational(v) for v in self.printed[k]]
-                for k in ("a", "b", "c")
-            },
+            "derived-coeffs": {k: derived[k] for k in "abc"},
+            "printed-coeffs": {k: printed[k] for k in "abc"},
         }
 
 
@@ -85,60 +88,52 @@ class AuditReport(Record):
         return [e.to_json() for e in self.entries]
 
 
-# -- printed coefficient tables, transcribed verbatim --------------------
+# -- printed coefficient tables, transcribed verbatim, as lists (a, b, c) ----
 
 
-def _laguerre_differential_printed(lam: Fraction, n: int) -> dict:
+def _laguerre_differential_printed(lam: Fraction, n: int) -> tuple:
     # a_k = (1)_k, b_k = (lam+1)((2)_k - (1)_k), c_k = (lam+1)((3)_k - (4)_k)
-    # with (j)_k = (j + k - 1)!/(j - 1)!.
-    a = [Fraction(math.factorial(k)) for k in range(n + 1)]
-    b = [
-        (lam + 1) * (math.factorial(k + 1) - math.factorial(k))
-        for k in range(n + 1)
-    ]
-    c = [
-        (lam + 1)
-        * (Fraction(math.factorial(k + 2), 2) - Fraction(math.factorial(k + 3), 6))
-        for k in range(n + 1)
-    ]
-    return {"a": tuple(a), "b": tuple(b), "c": tuple(c)}
+    # with (j)_k = (j + k - 1)!/(j - 1)! = perm(j + k - 1, k).
+    a = [math.factorial(k) for k in range(n + 1)]
+    b = [(lam + 1) * (math.factorial(k + 1) - a[k]) for k in range(n + 1)]
+    c = [(lam + 1) * (math.perm(k + 2, k) - math.perm(k + 3, k)) for k in range(n + 1)]
+    return a, b, c
 
 
-def _laguerre_derivative_printed(lam: Fraction, n: int) -> dict:
-    a = [Fraction(v) for v in (-1, 2, -2)] + [Fraction(0)] * max(0, n - 2)
+def _laguerre_derivative_printed(lam: Fraction, n: int) -> tuple:
+    a = [-1, 2, -2] + [0] * (n - 2)
     b = [-(lam + 1) * math.factorial(k) for k in range(n + 1)]
-    c = [-(lam + 1), lam + 1] + [Fraction(0)] * max(0, n - 1)
-    return {"a": tuple(a[: n + 1]), "b": tuple(b), "c": tuple(c[: n + 1])}
+    c = [-(lam + 1), lam + 1] + [0] * (n - 1)
+    return a[: n + 1], b, c[: n + 1]
 
 
-def _miller_lee_differential_printed(m: Fraction, n: int) -> dict:
+def _miller_lee_differential_printed(m: Fraction, n: int) -> tuple:
     # The table gives a_k only for k >= 1 (1 at k = 1, else 0); a_0 is
     # recorded as 0, the only value consistent with the displayed identity.
-    a = [Fraction(0), Fraction(1)] + [Fraction(0)] * max(0, n - 1)
-    b = [Fraction(0)] + [(m + 1) * math.factorial(k) for k in range(1, n + 1)]
-    c = [Fraction(0)] + [-(m + 1) * math.factorial(k) for k in range(1, n + 1)]
-    return {"a": tuple(a[: n + 1]), "b": tuple(b), "c": tuple(c)}
+    a = [0, 1] + [0] * (n - 1)
+    b = [0] + [(m + 1) * math.factorial(k) for k in range(1, n + 1)]
+    c = [0] + [-(m + 1) * math.factorial(k) for k in range(1, n + 1)]
+    return a[: n + 1], b, c
 
 
-def _miller_lee_derivative_printed(m: Fraction, n: int) -> dict:
-    a = [Fraction(1)] + [Fraction(0)] * n
+def _miller_lee_derivative_printed(m: Fraction, n: int) -> tuple:
+    a = [1] + [0] * n
     b = [(m + 1) * math.factorial(k) for k in range(n + 1)]
     c = [-(m + 1) * math.factorial(k) for k in range(n + 1)]
-    return {"a": tuple(a), "b": tuple(b), "c": tuple(c)}
+    return a, b, c
 
 
-def _miller_lee_mixed_printed(m: Fraction, n: int) -> dict:
+def _miller_lee_mixed_printed(m: Fraction, n: int) -> tuple:
     # The source writes lambda for this family's parameter; it is read as m.
-    a = [Fraction(1)] + [Fraction(0)] * n
     bc = [-(m + 1) * math.factorial(k) for k in range(n + 1)]
-    return {"a": tuple(a), "b": tuple(bc), "c": tuple(bc)}
+    return [1] + [0] * n, bc, bc
 
 
 # -- the printed recurrences, evaluated literally -------------------------
 
 
 def _laguerre_differential_terms(
-    s: PolySequence, d: int, lam: Fraction, printed: dict
+    s: PolySequence, d: int, lam: Fraction, printed: tuple
 ) -> list:
     # sum_{k=1}^{d} C(d,k) k! (x - k(k-1)(k+4)(lam+1)/6) sA_{d-k} = d sA_d
     terms = [(0, -d, s[d], 0)]
@@ -149,7 +144,7 @@ def _laguerre_differential_terms(
 
 
 def _laguerre_derivative_terms(
-    s: PolySequence, d: int, lam: Fraction, printed: dict
+    s: PolySequence, d: int, lam: Fraction, printed: tuple
 ) -> list:
     # sA_{d+1} + (x + 2 lam + 2) sA_d = 2 x d sA_{d-1}
     #   - 2 (x + lam + 1) C(d,2) sA_{d-2} + (lam+1) sum_{k=3}^{d} C(d,k) k! sA_{d-k}
@@ -162,18 +157,18 @@ def _laguerre_derivative_terms(
 
 
 def _miller_lee_differential_terms(
-    s: PolySequence, d: int, m: Fraction, printed: dict
+    s: PolySequence, d: int, m: Fraction, printed: tuple
 ) -> list:
     # d sA_d - d x sA_{d-1} = sum_{k=1}^{d} C(d,k) sA_{d-k} (b_k + c_k), a = e_1
-    return [(0, d, s[d], 0)] + convolution_terms(s, d, *map(printed.get, "abc"))
+    return [(0, d, s[d], 0)] + convolution_terms(s, d, *printed)
 
 
 def _miller_lee_recurrence_terms(
-    s: PolySequence, d: int, m: Fraction, printed: dict
+    s: PolySequence, d: int, m: Fraction, printed: tuple
 ) -> list:
     # sA_{d+1} = sum_k C(d,k) (x a_k + b_k + c_k) sA_{d-k}: the derivative and mixed
     # recurrences over their tables, a = e_0 and, for the mixed one, b = c.
-    return [(0, 1, s[d + 1], 0)] + convolution_terms(s, d, *map(printed.get, "abc"))
+    return [(0, 1, s[d + 1], 0)] + convolution_terms(s, d, *printed)
 
 
 # Identity id -> (family, label of its extractor in COEFF_EXTRACTORS,
@@ -208,6 +203,7 @@ def run_worked_example_audit(
 
     One entry per identity per degree; status PASS means the printed
     identity holds exactly at that degree with the engine's polynomials.
+    Each printed table is one CoeffTriple, sliced per degree.
     """
     if n < 3:
         raise ValueError("the audit needs n >= 3 to exercise every printed term")
@@ -220,12 +216,11 @@ def run_worked_example_audit(
     entries = []
     for identity, (family, label, printed_table, terms) in PRINTED_IDENTITIES.items():
         pair, s, value, params = families[family]
-        printed = printed_table(value, n)
+        table = printed_table(value, n)
+        den, *vectors = CoeffTriple.from_rationals(label, *table).row
         for d in range(n + 1):
-            residual = derivative_combination(terms(s, d, value, printed))
-            status = PASS if residual.is_zero else FAIL
+            residual = derivative_combination(terms(s, d, value, table))
             derived = COEFF_EXTRACTORS[label](pair, d)
-            sliced = {k: v[: d + 1] for k, v in printed.items()}
-            entry = AuditEntry(identity, params, d, status, residual, derived, sliced)
-            entries.append(entry)
+            printed = CoeffTriple(label, (den, *[v[: d + 1] for v in vectors]))
+            entries.append(AuditEntry(identity, params, d, residual, derived, printed))
     return AuditReport(tuple(entries))

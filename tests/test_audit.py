@@ -8,6 +8,8 @@ import pytest
 from sheffermat import (
     FAIL,
     PASS,
+    AuditEntry,
+    CoeffTriple,
     Poly,
     make_pair,
     run_worked_example_audit,
@@ -82,7 +84,7 @@ def test_entry_json_shape(report):
 def test_vectors_are_sliced_per_degree(report):
     for entry in report:
         assert len(entry.derived.a) == entry.n + 1
-        assert len(entry.printed["a"]) == entry.n + 1
+        assert len(entry.printed.a) == entry.n + 1
 
 
 def test_derived_beats_printed_on_laguerre_derivative(report):
@@ -94,7 +96,28 @@ def test_derived_beats_printed_on_laguerre_derivative(report):
         if e.identity == "laguerre-derivative-recurrence" and e.n == 1
     )
     assert entry.derived.c == (Fraction(1), Fraction(-1))
-    assert entry.printed["c"] == (Fraction(-1), Fraction(1))
+    assert entry.printed.c == (Fraction(-1), Fraction(1))
+
+
+def test_printed_and_derived_tables_compare_with_eq():
+    """Both tables of an entry are CoeffTriples of one label, so a printed
+    table that is right is == the derived one, and its status, read off the
+    residual, is PASS.  At m = -1 the Miller-Lee pair is (1, y), whose printed
+    tables are all right; at other m only the degree-0 differential one is."""
+    assert "status" not in AuditEntry._fields
+    report = run_worked_example_audit(10, m=-1)
+    miller_lee = [e for e in report if e.identity.startswith("miller-lee")]
+    assert len(miller_lee) == 3 * 11
+    assert all(e.printed == e.derived and e.status == PASS for e in miller_lee)
+    for m in (0, 1, Fraction(5, 2), Fraction(-3, 2)):
+        equal = []
+        for entry in run_worked_example_audit(10, m=m):
+            assert type(entry.printed) is CoeffTriple
+            assert entry.status == (PASS if entry.residual.is_zero else FAIL)
+            if entry.printed == entry.derived:  # so every FAIL has printed != derived
+                assert entry.status == PASS, (m, entry.identity, entry.n)
+                equal.append((entry.identity, entry.n))
+        assert equal == [("miller-lee-differential-recurrence", 0)], m
 
 
 def test_statuses_stable_under_parameters():
@@ -141,14 +164,14 @@ def reference_miller_lee_differential(s, d, m, printed):
     if d >= 1:
         acc = sub(acc, d * mul(Poly((0, 1)), s[d - 1]))
     for k in range(1, d + 1):
-        acc = sub(acc, math.comb(d, k) * (printed["b"][k] + printed["c"][k]) * s[d - k])
+        acc = sub(acc, math.comb(d, k) * (printed[1][k] + printed[2][k]) * s[d - k])
     return acc
 
 
 def reference_miller_lee_derivative(s, d, m, printed):
     acc = sub(s[d + 1], mul(Poly((0, 1)), s[d]))
     for k in range(d + 1):
-        acc = sub(acc, math.comb(d, k) * (printed["b"][k] + printed["c"][k]) * s[d - k])
+        acc = sub(acc, math.comb(d, k) * (printed[1][k] + printed[2][k]) * s[d - k])
     return acc
 
 
@@ -251,7 +274,7 @@ def laguerre_identity(kind, lam, n):
     Laguerre identity of the audit."""
     _, _, table, terms = audit.PRINTED_IDENTITIES[f"laguerre-{kind}-recurrence"]
     printed = table(lam, n)
-    return lambda s, d: terms(s, d, lam, printed), [printed[k] for k in "abc"]
+    return lambda s, d: terms(s, d, lam, printed), printed
 
 
 @pytest.mark.parametrize("lam", [Fraction(0), Fraction(5, 2), Fraction(-7, 3)])

@@ -35,9 +35,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 _PAIR = make_pair("hermite", 5, {})
 _AUDIT = run_worked_example_audit(3)
 _ENTRY = _AUDIT.entries[0]
-_ENTRY_FIELDS = (
-    "identity", "parameters", "n", "status", "residual", "derived", "printed"
-)
+_ENTRY_FIELDS = ("identity", "parameters", "n", "residual", "derived", "printed")
 _SPEC = FAMILIES["laguerre"]
 _HALF = Fraction(1, 2)
 
