@@ -44,7 +44,7 @@ FAIL = "FAIL"
 
 class AuditEntry(Record):
     identity: str
-    parameters: dict
+    parameters: tuple[tuple[str, str], ...]
     n: int
     residual: Poly
     derived: CoeffTriple
@@ -58,7 +58,7 @@ class AuditEntry(Record):
         derived, printed = self.derived.to_json(), self.printed.to_json()
         return {
             "identity-id": self.identity,
-            "parameters": self.parameters,
+            "parameters": dict(self.parameters),
             "n": self.n,
             "status": self.status,
             "residual": self.residual.to_strings(),
@@ -212,7 +212,7 @@ def run_worked_example_audit(
         value = rat(value)
         pair = make_pair(family, n + 1, {name: value})
         s = sheffer_appell_sequence(pair, n + 1)
-        families[family] = (pair, s, value, {name: format_rational(value)})
+        families[family] = (pair, s, value, ((name, format_rational(value)),))
     entries = []
     for identity, (family, label, printed_table, terms) in PRINTED_IDENTITIES.items():
         pair, s, value, params = families[family]

@@ -197,17 +197,16 @@ def first_factorization_mismatch(pair: ShefferPair, n: int) -> int:
     factorization holds exactly when d is below the returned row.  R is kept
     in ``pair.kept``, rebuilt only for an n above any size built so far and
     otherwise sliced; the sequence is read on every call, and each
-    ``Poly.row``, zero-padded, is compared with the integer row of R.
+    ``Poly.row``, zero-padded, is compared with the integer row of R.  R is
+    (W Omega^{-1}) (P[1/l] P[1/l(h)]) with 1/l(h) composed at order n (h(0) = 0).
     """
     s = sheffer_appell_sequence(pair, n)
     rhs = pair.kept.get("factorization")
     if rhs is None or rhs.rows <= n:
+        rl = pair.reciprocal_l.truncate(n)
         rhs = pair.kept["factorization"] = (
-            wronskian_powers_matrix(pair.g, n)
-            @ omega_inverse(n)
-            @ pascal_matrix(pair.reciprocal_l, n)
-            @ pascal_matrix(pair.reciprocal_l_of_h, n)
-        )
+            wronskian_powers_matrix(pair.g, n) @ omega_inverse(n)
+        ) @ (pascal_matrix(rl, n) @ pascal_matrix(rl.compose(pair.h.truncate(n)), n))
     for i, p in enumerate(s):
         den, row = rhs.integer_row(i)
         if (den, row[: n + 1]) != (p.row[0], p.row[1] + [0] * (n + 1 - len(p))):

@@ -205,5 +205,5 @@ def check_property_composition(
 ) -> bool:
     """W[l(h(y))] = W[1, h, ..., h^n] * Omega^-1 * W[l] for delta h."""
     lhs = wronskian_vector(l.compose(h), n)
-    rhs = wronskian_powers_matrix(h, n) @ omega_inverse(n) @ wronskian_vector(l, n)
+    rhs = wronskian_powers_matrix(h, n) @ (omega_inverse(n) @ wronskian_vector(l, n))
     return lhs == rhs

@@ -14,7 +14,7 @@ consumer that wants degree n <= N slices a stored value.  No array needs g:
 [d, y] is P[d], read off d's row, and for any other h identity "3.1" is the
 array's production-matrix recurrence (Deutsch, Ferrari & Rinaldi, Ann. Comb. 13,
 2009); g is read off the Sheffer-Appell array, certified by h(g) = y.  Every
-composite is 1/l or L = l'/l composed with g or h, h'(g) = 1/g', each identity's
+composite is L = l'/l composed with g or h, h'(g) = 1/g', each identity's
 (a, b, c) vectors are one reduced integer row (D, a, b, c), and each array is
 checked against its leading-coefficient contract once, when built.
 """
@@ -90,10 +90,6 @@ class ShefferPair(Record):
     @cached_property
     def reciprocal_l(self) -> TruncatedSeries:
         return self.l.reciprocal()
-
-    @cached_property
-    def reciprocal_l_of_h(self) -> TruncatedSeries:
-        return self.reciprocal_l.compose(self.h)
 
     def _array(self, power: int) -> tuple[Poly, ...]:
         """The Sheffer (power 1) or Sheffer-Appell (2) array: P[1/l^power] if h is y,

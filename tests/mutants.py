@@ -195,6 +195,12 @@ MUTANTS = {
         "    return n\n",
         ["tests/test_verify.py::test_lemma_checks"],
     ),
+    "factorization-composes-l-for-its-reciprocal": (
+        "identities.py",
+        "pascal_matrix(rl.compose(pair.h.truncate(n)), n)",
+        "pascal_matrix(pair.l.truncate(n).compose(pair.h.truncate(n)), n)",
+        ["tests/test_verify.py::test_lemma_checks"],
+    ),
     # -- matrices -------------------------------------------------------------
     "pascal-matrix-takes-comb-for-perm": (
         "matrices.py",

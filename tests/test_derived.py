@@ -309,6 +309,22 @@ def test_lemma_sweep_builds_one_product(monkeypatch):
     assert calls == [10]
 
 
+def test_factorization_composes_at_its_own_size(monkeypatch):
+    """With the array and g built, the size-12 factorization of an order-32
+    pair composes 1/l with h at order 12, not at the pair's order."""
+    pair = make_pair("laguerre", 32, {"lambda": Fraction(5, 2)})
+    pair.sheffer_appell_polys, pair.g
+    orders, compose = [], TruncatedSeries.compose
+
+    def counted(self, inner):
+        orders.append(self.order)
+        return compose(self, inner)
+
+    monkeypatch.setattr(TruncatedSeries, "compose", counted)
+    assert factorization_check(pair, 12)
+    assert orders and max(orders) <= 12
+
+
 # -- the factorization product kept on the pair ------------------------------
 
 
@@ -628,7 +644,6 @@ def reference_derived(pair: ShefferPair) -> dict:
     rows = [list(s.coeffs) for s in (rl_g, rl_g * rl, g)]
     return {
         "g": g,
-        "reciprocal_l_of_h": rl_h,
         "sheffer_polys": tuple(riordan_rows(rows[0], rows[2])),
         "sheffer_appell_polys": tuple(riordan_rows(rows[1], rows[2])),
         **{
@@ -689,7 +704,7 @@ def test_extractors_at_n_zero_on_an_order_one_pair():
 
 
 # (compositions, reciprocals, compositions with y and inversions of y)
-BUILD_COST = {"laguerre": (4, 4, 0), "log-assoc": (4, 4, 0), "hermite": (3, 3, 3)}
+BUILD_COST = {"laguerre": (3, 4, 0), "log-assoc": (3, 4, 0), "hermite": (2, 3, 2)}
 
 
 @pytest.mark.parametrize(
@@ -697,11 +712,11 @@ BUILD_COST = {"laguerre": (4, 4, 0), "log-assoc": (4, 4, 0), "hermite": (3, 3, 3
     [("laguerre", {"lambda": Fraction(5, 2)}), ("log-assoc", {}), ("hermite", {})],
 )
 def test_full_derived_build_cost(monkeypatch, family, params):
-    """Both arrays, 1/l(h) and the four vector sets: four compositions (one
-    checks h(g) = y) and four reciprocals (one is 1/d, for d column 0 of the
+    """Both arrays and the four vector sets: three compositions (one checks
+    h(g) = y) and four reciprocals (one is 1/d, for d column 0 of the
     Sheffer-Appell array, as g is read off it).  An Appell pair takes g = y,
-    with neither the read-off nor the check, and composes with y three times;
-    none of these three calls runs a product."""
+    with neither the read-off nor the check, and composes with y twice; neither
+    call runs a product."""
     from sheffermat import series
 
     pair = make_pair(family, 12, params)
@@ -729,7 +744,7 @@ def test_full_derived_build_cost(monkeypatch, family, params):
         return honest(a, b)
 
     monkeypatch.setattr(series, "_product", product)
-    pair.sheffer_polys, pair.sheffer_appell_polys, pair.reciprocal_l_of_h
+    pair.sheffer_polys, pair.sheffer_appell_polys
     for label in LABELS:
         COEFF_EXTRACTORS[label](pair, 11)
     names = [name for name, _ in calls]
