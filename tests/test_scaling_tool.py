@@ -1,5 +1,6 @@
 """The pure helpers of ``tools/scaling.py``: bit sizes, the exponent fit, the
-shape of a cell's record, the digest comparison and the fixed grid."""
+shape of a cell's record, the pairs won, the digest comparison and the fixed
+grid."""
 
 import hashlib
 import importlib.util
@@ -38,34 +39,50 @@ def test_fit_exponent_uses_the_two_largest_sizes():
 
 
 def test_measurement_and_cell_record_shape():
-    m = scaling.measurement([0.3, 0.1, 0.2], "[1/3]", 0)
+    m = scaling.measurement([0.3, 0.1, 0.2, 0.4, 0.5], "[1/3]", 0, True)
     assert m == {
         "seconds": 0.1,
-        "runs": 3,
+        "quartiles": [0.2, 0.3, 0.4],
+        "runs": 5,
         "sha256": hashlib.sha256(b"[1/3]").hexdigest(),
         "peak_num_bits": 1,
         "peak_den_bits": 2,
         "exit": 0,
     }
+    checks = scaling.measurement([0.2, 0.2], "[True,False]", 0, False)
+    assert checks["peak_num_bits"] is checks["peak_den_bits"] is None
+    assert checks["quartiles"] == [0.2, 0.2, 0.2]
     slow = dict(m, seconds=0.4)
     record = scaling.cell_record(
         "lemma hermite", "library",
-        {200: {"parent": slow, "change": slow}, 100: {"parent": m, "change": m}},
+        {200: {"parent": slow, "change": slow, "change_wins": 4},
+         100: {"parent": m, "change": m, "change_wins": 0}},
     )
     assert record == {
         "cell": "lemma hermite",
         "kind": "library",
-        "points": [{"n": 100, "parent": m, "change": m},
-                   {"n": 200, "parent": slow, "change": slow}],
-        "exponent": {"change": 2.0, "parent": 2.0},
+        "points": [{"n": 100, "parent": m, "change": m, "change_wins": 0},
+                   {"n": 200, "parent": slow, "change": slow, "change_wins": 4}],
+        "exponent": {"parent": 2.0, "change": 2.0},
     }
-    single = scaling.cell_record("families", "cli", {None: {"change": m}})
-    assert single["points"] == [{"n": None, "change": m}]
-    assert single["exponent"] == {"change": None}
+    one = scaling.cell_record("families", "cli", {None: {"parent": m, "change": m}})
+    assert one["points"] == [{"n": None, "parent": m, "change": m}]
+    assert one["exponent"] == {"parent": None, "change": None}
+
+
+def test_change_wins_counts_strict_wins_by_pair():
+    seconds = {"parent": [1.0, 2.0, 3.0, 4.0], "change": [0.5, 2.0, 3.5, 1.0]}
+    assert scaling.change_wins(seconds) == 2  # the tie at 2.0 counts for neither
+
+
+def test_only_coefficient_cells_record_bit_sizes():
+    firsts = {name.split()[0] for name, _, _ in scaling.grid()}
+    assert firsts == {"gen", "verify", "audit", "families", "lemma", "array", "g", "sweep"}
+    assert set(scaling.COEFFICIENT_CELLS) == {"gen", "audit", "lemma", "array", "g"}
 
 
 def test_digest_mismatches_name_the_points_that_differ():
-    m = scaling.measurement([0.1], "[1]", 0)
+    m = scaling.measurement([0.1, 0.1], "[1]", 0, True)
     other, failed = dict(m, sha256="0" * 64), dict(m, exit=1)
     cells = [
         scaling.cell_record("gen hermite", "cli", {

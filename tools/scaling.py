@@ -1,8 +1,7 @@
-"""The scaling trajectory: a fixed grid of cells, timed on this tree and, with
-``--parent``, on a checkout of another commit, alternately per cell.
+"""The scaling trajectory: a fixed grid of cells, timed on a checkout of the
+parent commit and on this tree, alternately per cell.
 
-    python tools/scaling.py                         # this tree; the point to stdout
-    python tools/scaling.py --parent DIR --out FILE # both trees; append to FILE
+    python tools/scaling.py --parent DIR --out FILE
 
 The grid, on six pairs (laguerre lambda=0 and lambda=5/2, log-assoc, hermite,
 miller-lee m=1 and bernoulli):
@@ -16,15 +15,18 @@ miller-lee m=1 and bernoulli):
   g (read off the array and checked by h(g) = y) and each label's residual
   sweep.
 
-Each point of a cell records, per tree, the minimum of ``RUNS`` runs, the
-SHA-256 of the output (a CLI cell's stdout; a library cell's result written
-as text, every rational as reduced p/q) and the peak numerator and
-denominator bit lengths of the rationals in that output; each cell records
-the log-log exponent between its two largest n.  With ``--parent`` each run
-times the parent's tree, then this one, and the command exits 1, appending
-nothing, if a digest differs between the two.  ``--out`` appends the point
-to the JSON list in FILE.  Stdlib only; it imports the package only in its
-library-cell processes, from the tree being timed.
+Each point of a cell is timed in ``RUNS`` pairs of runs, one run on each
+tree, the first side alternating from pair to pair.  It records, per tree,
+the minimum and the quartiles of its runs, the SHA-256 of the output (a CLI
+cell's stdout; a library cell's result written as text, every rational as
+reduced p/q, every check as its pass flag) and, for a cell whose output is
+coefficients (``gen``, ``audit``, the lemma's R, the array and g), the peak
+numerator and denominator bit lengths of the rationals in it, else null; and
+the number of pairs the change won.  Each cell records each tree's log-log
+exponent of the minima between its two largest n.  The command exits 1,
+appending nothing, if a digest differs between the trees; else it appends
+the point to the JSON list in FILE.  Stdlib only; it imports the package
+only in its library-cell processes, from the tree being timed.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import math
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 import time
@@ -44,7 +47,8 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUNS = 3
+RUNS = 10
+TREES = ("parent", "change")
 PAIRS = {  # id -> (family, CLI --param values)
     "laguerre-0": ("laguerre", {"lambda": "0"}),
     "laguerre-5/2": ("laguerre", {"lambda": "5/2"}),
@@ -57,6 +61,7 @@ CLI_N = (25, 50, 100)
 LEMMA_N = (100, 200)
 STAGE_N = 200
 LABELS = ("2.1", "3.1", "3.2", "3.3")
+COEFFICIENT_CELLS = ("gen", "audit", "lemma", "array", "g")  # a cell name's first word
 _RATIONAL = re.compile(r"(\d+)(?:/(\d+))?")
 
 
@@ -109,12 +114,15 @@ def fit_exponent(points: dict) -> float | None:
     return round(math.log(points[n2] / points[n1]) / math.log(n2 / n1), 3)
 
 
-def measurement(seconds: list[float], text: str, code: int) -> dict:
-    """One tree's record of one point: the minimum time, and the output's digest,
-    bit sizes and exit code."""
-    num, den = bit_sizes(text)
+def measurement(seconds: list[float], text: str, code: int, coefficients: bool) -> dict:
+    """One tree's record of one point: the minimum and quartiles of its times,
+    and the output's digest, bit sizes (null unless it is coefficients) and
+    exit code."""
+    num, den = bit_sizes(text) if coefficients else (None, None)
+    quartiles = statistics.quantiles(seconds, n=4, method="inclusive")
     return {
         "seconds": round(min(seconds), 6),
+        "quartiles": [round(q, 6) for q in quartiles],
         "runs": len(seconds),
         "sha256": hashlib.sha256(text.encode()).hexdigest(),
         "peak_num_bits": num,
@@ -123,10 +131,16 @@ def measurement(seconds: list[float], text: str, code: int) -> dict:
     }
 
 
+def change_wins(seconds: dict) -> int:
+    """The pairs of runs, {tree: [seconds by pair]}, the change won; a tie wins
+    for neither side."""
+    return sum(c < p for p, c in zip(seconds["parent"], seconds["change"]))
+
+
 def cell_record(name: str, kind: str, points: dict) -> dict:
-    """A cell: {n: {tree: measurement}} as its points, by n, and each tree's
-    exponent between the two largest n."""
-    trees = sorted({tree for by_tree in points.values() for tree in by_tree})
+    """A cell: {n: {"parent": measurement, "change": measurement, "change_wins":
+    int}} as its points, by n, and each tree's exponent between the two
+    largest n."""
     ordered = sorted(points, key=lambda n: -1 if n is None else n)
     return {
         "cell": name,
@@ -134,7 +148,7 @@ def cell_record(name: str, kind: str, points: dict) -> dict:
         "points": [{"n": n, **points[n]} for n in ordered],
         "exponent": {
             tree: fit_exponent({n: points[n][tree]["seconds"] for n in points})
-            for tree in trees
+            for tree in TREES
         },
     }
 
@@ -144,7 +158,7 @@ def digest_mismatches(cells: list[dict]) -> list[str]:
     bad = []
     for cell in cells:
         for point in cell["points"]:
-            seen = {(m["sha256"], m["exit"]) for k, m in point.items() if k != "n"}
+            seen = {(point[tree]["sha256"], point[tree]["exit"]) for tree in TREES}
             if len(seen) > 1:
                 bad.append(f"{cell['cell']} n={point['n']}")
     return bad
@@ -172,22 +186,28 @@ def run_once(kind: str, argv: list[str], src: Path) -> tuple[float, str, int]:
 
 
 def run_grid(cells: list, trees: dict) -> list[dict]:
-    """Each point of each cell ``RUNS`` times on every tree, the trees in turn;
-    a point's digest is of its first run on each tree."""
+    """Each point of each cell in ``RUNS`` pairs of runs, one on each tree, the
+    first side alternating; a point's digest is of its first run on each tree."""
     records = []
     for name, kind, by_n in cells:
+        coefficients = name.split()[0] in COEFFICIENT_CELLS
         points = {}
         for n, argv in by_n.items():
-            seconds, first = {tree: [] for tree in trees}, {}
-            for _ in range(RUNS):
-                for tree, src in trees.items():
-                    took, output, code = run_once(kind, argv, src)
+            seconds, first = {tree: [] for tree in TREES}, {}
+            for run in range(RUNS):
+                for tree in TREES[:: 1 if run % 2 == 0 else -1]:
+                    took, output, code = run_once(kind, argv, trees[tree])
                     seconds[tree].append(took)
                     first.setdefault(tree, (output, code))
-            points[n] = {tree: measurement(seconds[tree], *first[tree]) for tree in trees}
+            points[n] = {
+                tree: measurement(seconds[tree], *first[tree], coefficients)
+                for tree in TREES
+            }
+            points[n]["change_wins"] = change_wins(seconds)
         records.append(cell_record(name, kind, points))
         timings = [
-            f"n={p['n']} " + "/".join(f"{p[tree]['seconds']:.4f}" for tree in trees)
+            f"n={p['n']} " + "/".join(f"{p[tree]['seconds']:.4f}" for tree in TREES)
+            + f" ({p['change_wins']}/{RUNS})"
             for p in records[-1]["points"]
         ]
         print(f"{name}: {', '.join(timings)}", file=sys.stderr)
@@ -202,13 +222,13 @@ def _row_text(den: int, p: list[int]) -> str:
 
 
 def _text(value) -> str:
-    """A result as text: rows of reduced p/q, checks as name=passed."""
+    """A result as text: rows of reduced p/q, checks as their pass flags."""
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_text(v) for v in value) + "]"
     if hasattr(value, "integer_row"):  # a Matrix
         return "[" + ",".join(_row_text(*value.integer_row(i)) for i in range(value.rows)) + "]"
     if hasattr(value, "passed"):  # a CheckResult
-        return f"{value.name}={value.passed}"
+        return str(value.passed)
     return _row_text(*value.row)  # a Poly or a TruncatedSeries
 
 
@@ -250,9 +270,9 @@ def main(argv: list[str] | None = None) -> int:
         seconds, output = stage(name, pair_id, int(n))
         print(f"{seconds!r}\n{output}", end="")
         return 0
-    trees = {"change": ROOT / "src"}
-    if args.parent:
-        trees = {"parent": args.parent.resolve() / "src", **trees}
+    if args.parent is None or args.out is None:
+        parser.error("--parent and --out are required")
+    trees = {"parent": args.parent.resolve() / "src", "change": ROOT / "src"}
     cells = run_grid(grid(), trees)
     bad = digest_mismatches(cells)
     if bad:
@@ -263,12 +283,9 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
         "runs": RUNS,
-        "trees": list(trees),
+        "trees": list(TREES),
         "cells": cells,
     }
-    if args.out is None:
-        print(json.dumps(point, indent=1))
-        return 0
     history = json.loads(args.out.read_text()) if args.out.exists() else []
     args.out.write_text(json.dumps([*history, point], indent=1) + "\n")
     return 0
