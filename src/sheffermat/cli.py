@@ -49,7 +49,7 @@ CLOSED_STDOUT = 141
 MAX_N = 100
 # Most decimal digits of a --param numerator or denominator, checked before
 # any pair is built.  At this many and n = MAX_N the slowest cell, verify
-# --all --lemma on miller-lee, took 3.7 s on a 2-core x86-64 VM (6.8 s at 18).
+# --all --lemma on miller-lee, took 2.5 s on a 2-core x86-64 VM (4.7 s at 18).
 MAX_PARAM_DIGITS = 12
 
 

@@ -12,7 +12,9 @@ composition, exponential and Lagrange reversion, the Riordan array [d, g]
 built one column d g^k at a time, the product of two such matrices, and
 the Pascal rows and derivative vectors that fix an Appell pair's arrays and
 identity rows).  ``near_misses_of_y`` gives the
-series one detail away from y, for the kernel's fast paths on y.
+series one detail away from y, for the kernel's fast paths on y;
+``geometric_series`` and ``exponential_series`` give 1/(1-y) and e^y; and
+``dense_pairs`` draws the random non-Appell pairs at served sizes.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import zip_longest
+
+from hypothesis import strategies as st
 
 from sheffermat import Poly, TruncatedSeries
 
@@ -190,3 +194,29 @@ def near_misses_of_y(order: int) -> list[TruncatedSeries]:
 
     misses = [linear(2), linear(Fraction(1, 2)), linear(-1)]
     return misses + [linear(1, k) for k in {2, order} if 2 <= k <= order]
+
+
+def geometric_series(order: int) -> TruncatedSeries:
+    """1/(1-y): every coefficient 1."""
+    return TruncatedSeries([Fraction(1)] * (order + 1))
+
+
+def exponential_series(order: int) -> TruncatedSeries:
+    """e^y: the coefficients 1/k!."""
+    return TruncatedSeries([Fraction(1, math.factorial(k)) for k in range(order + 1)])
+
+
+# p/q with |p| <= 9 and 1 <= q <= 9
+digit = st.builds(Fraction, st.integers(-9, 9), st.integers(min_value=1, max_value=9))
+
+
+@st.composite
+def dense_pairs(draw, constant):
+    """(l, h) as coefficient lists at an order n from 20 to 40: l(0) drawn from
+    ``constant``, h'(0) a nonzero digit other than +-1, every other
+    coefficient a digit."""
+    n = draw(st.integers(min_value=20, max_value=40))
+    l = [draw(constant)] + draw(st.lists(digit, min_size=n, max_size=n))
+    slope = draw(digit.filter(lambda q: q and abs(q) != 1))
+    h = [Fraction(0), slope] + draw(st.lists(digit, min_size=n - 1, max_size=n - 1))
+    return l, h

@@ -315,20 +315,24 @@ def test_negative_degree_is_rejected(fn, least, most):
             fn(most + 1)
 
 
-def repeated_derivative_combination(triple, poly, n):
-    """The repeated Poly.derivative form of sum_k (x a_k + b_k + c_k)
-    poly^(k)/k!, kept as the reference for the integer kernel."""
+def plain_combination(terms):
+    """sum (beta + alpha x) q^(k)/k! in plain Poly arithmetic."""
     acc = Poly()
-    for k in range(n + 1):
-        factor = Poly((triple.b[k] + triple.c[k], triple.a[k]))
-        acc = add(acc, mul(factor, poly.derivative(k)) * Fraction(1, math.factorial(k)))
+    for alpha, beta, q, k in terms:
+        factor = Poly((beta, alpha)) * Fraction(1, math.factorial(k))
+        acc = add(acc, mul(factor, q.derivative(k)))
     return acc
+
+
+def triple_terms(triple, poly, n):
+    """The terms (a_k, b_k + c_k, poly, k), k <= n, of sum_k (x a_k + b_k + c_k)
+    poly^(k)/k!."""
+    return [(triple.a[k], triple.b[k] + triple.c[k], poly, k) for k in range(n + 1)]
 
 
 def triple_combination(triple, poly, n):
     """The same sum through the integer kernel."""
-    terms = [(triple.a[k], triple.b[k] + triple.c[k], poly, k) for k in range(n + 1)]
-    return derivative_combination(terms)
+    return derivative_combination(triple_terms(triple, poly, n))
 
 
 small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
@@ -344,7 +348,7 @@ def test_derivative_combination_matches_repeated_derivatives(data):
     a, b, c = (data.draw(vector) for _ in range(3))
     triple = CoeffTriple.from_rationals("2.1", a, b, c)
     poly = Poly(coeffs)
-    expected = repeated_derivative_combination(triple, poly, n)
+    expected = plain_combination(triple_terms(triple, poly, n))
     assert triple_combination(triple, poly, n) == expected
 
 
@@ -359,17 +363,8 @@ def test_derivative_combination_edge_cases():
     vector = tuple(Fraction(k - 4, k + 1) for k in range(16))
     rotated = vector[3:] + vector[:3]
     triple = CoeffTriple.from_rationals("2.1", vector, vector[::-1], rotated)
-    expected = repeated_derivative_combination(triple, dense, 15)
+    expected = plain_combination(triple_terms(triple, dense, 15))
     assert triple_combination(triple, dense, 15) == expected
-
-
-def plain_combination(terms):
-    """sum (beta + alpha x) q^(k)/k! in plain Poly arithmetic."""
-    acc = Poly()
-    for alpha, beta, q, k in terms:
-        factor = Poly((beta, alpha)) * Fraction(1, math.factorial(k))
-        acc = add(acc, mul(factor, q.derivative(k)))
-    return acc
 
 
 kernel_terms = st.lists(
@@ -427,11 +422,11 @@ def test_kernel_edge_cases():
 
 
 def differential_reference(t, s, n):
-    return sub(repeated_derivative_combination(t, s[n], n), s[n] * n)
+    return sub(plain_combination(triple_terms(t, s[n], n)), s[n] * n)
 
 
 def derivative_reference(t, s, n):
-    return sub(s[n + 1], repeated_derivative_combination(t, s[n], n))
+    return sub(s[n + 1], plain_combination(triple_terms(t, s[n], n)))
 
 
 def mixed_reference(t, s, n):

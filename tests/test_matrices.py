@@ -22,6 +22,8 @@ from sheffermat import (
     wronskian_vector,
 )
 
+import plain_fractions as plain
+
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
@@ -29,16 +31,6 @@ def rational_series(order):
     return st.lists(
         rationals, min_size=order + 1, max_size=order + 1
     ).map(TruncatedSeries)
-
-
-def exponential(order):
-    return TruncatedSeries(
-        [Fraction(1, math.factorial(k)) for k in range(order + 1)]
-    )
-
-
-def geometric(order):
-    return TruncatedSeries([Fraction(1)] * (order + 1))
 
 
 def above_diagonal(m):
@@ -69,14 +61,6 @@ def test_matmul_and_shapes():
         a @ Matrix([[1, 2]])
 
 
-def schoolbook_product(a, b):
-    """Reference product: one Fraction multiply-add at a time."""
-    return [
-        [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
-        for row in a
-    ]
-
-
 @st.composite
 def matrix_pairs(draw):
     """(A, B) with A p x q and B q x r: dense, or both lower triangular,
@@ -103,14 +87,14 @@ def matrix_pairs(draw):
 @given(matrix_pairs())
 def test_matmul_is_the_schoolbook_product(case):
     a, b = case
-    assert Matrix(a) @ Matrix(b) == Matrix(schoolbook_product(a, b))
+    assert Matrix(a) @ Matrix(b) == Matrix(plain.matmul(a, b))
 
 
 def test_triangular_matmul_matches_schoolbook():
-    p = pascal_matrix(geometric(6), 6)
+    p = pascal_matrix(plain.geometric_series(6), 6)
     w = wronskian_powers_matrix(TruncatedSeries([0, Fraction(2, 3), 5, 1, 0, 0, 7]), 6)
     p_rows, w_rows = ([m.row(i) for i in range(7)] for m in (p, w))
-    assert p @ w == Matrix(schoolbook_product(p_rows, w_rows))
+    assert p @ w == Matrix(plain.matmul(p_rows, w_rows))
 
 
 def test_scalar_and_addition():
@@ -246,14 +230,6 @@ def series_up_to_order(max_order, delta=False):
     return st.integers(1 if delta else 0, max_order).flatmap(build)
 
 
-def fraction_product(a, b):
-    """Truncated series product, one Fraction multiply-add at a time."""
-    return [
-        sum((a[k] * b[m - k] for k in range(m + 1)), Fraction(0))
-        for m in range(len(a))
-    ]
-
-
 def assert_rows(m, expected):
     assert (m.rows, m.cols) == (len(expected), len(expected[0]))
     for i, row in enumerate(expected):
@@ -288,7 +264,7 @@ def test_powers_matrix_is_repeated_series_products(h):
     columns, power = [], [Fraction(1)] + [Fraction(0)] * n
     for _ in range(n + 1):
         columns.append([math.factorial(k) * c for k, c in enumerate(power)])
-        power = fraction_product(power, list(h.coeffs))
+        power = plain.truncated_product(power, list(h.coeffs))
     assert_rows(wronskian_powers_matrix(h, n), [list(r) for r in zip(*columns)])
 
 
@@ -310,7 +286,7 @@ def test_omega_and_its_inverse_are_their_definitions(n):
 
 
 def test_pascal_of_exponential():
-    m = pascal_matrix(exponential(2), 2)
+    m = pascal_matrix(plain.exponential_series(2), 2)
     assert m == Matrix([[1, 0, 0], [1, 1, 0], [1, 2, 1]])
 
 
@@ -320,22 +296,22 @@ def test_pascal_of_one_is_identity():
 
 
 def test_pascal_of_geometric():
-    m = pascal_matrix(geometric(2), 2)
+    m = pascal_matrix(plain.geometric_series(2), 2)
     assert m == Matrix([[1, 0, 0], [1, 1, 0], [2, 2, 1]])
 
 
 def test_builders_reject_a_negative_size():
     with pytest.raises(ValueError):
-        pascal_matrix(geometric(2), -1)
+        pascal_matrix(plain.geometric_series(2), -1)
     with pytest.raises(ValueError):
-        wronskian_vector(geometric(2), -1)
+        wronskian_vector(plain.geometric_series(2), -1)
     with pytest.raises(ValueError):
         wronskian_powers_matrix(TruncatedSeries([0, 1, 3]), -1)
 
 
 def test_pascal_requires_order():
     with pytest.raises(InsufficientOrderError):
-        pascal_matrix(geometric(2), 3)
+        pascal_matrix(plain.geometric_series(2), 3)
 
 
 # -- Wronskian vectors and matrices -----------------------------------------
@@ -400,7 +376,7 @@ def test_powers_matrix_diagonal_entries():
 
 def test_powers_matrix_requires_delta():
     with pytest.raises(NotDeltaSeriesError):
-        wronskian_powers_matrix(geometric(3), 3)
+        wronskian_powers_matrix(plain.geometric_series(3), 3)
 
 
 def test_omega_and_inverse():
@@ -413,11 +389,11 @@ def test_omega_and_inverse():
 
 
 def test_pascal_product_exponential_geometric():
-    assert check_property_product_pascal(exponential(6), geometric(6), 6)
+    assert check_property_product_pascal(plain.exponential_series(6), plain.geometric_series(6), 6)
 
 
 def test_wronskian_product_mixed_rings():
-    e = exponential(5)
+    e = plain.exponential_series(5)
     assert check_property_product_wronskian(e, e, 5)
     # e^y * e^{ty} has the derivative vector of e^{(t+1)y}
     t = Fraction(2, 3)
@@ -428,23 +404,23 @@ def test_wronskian_product_mixed_rings():
 
 
 def test_composition_property_collapse():
-    l = geometric(5)
+    l = plain.geometric_series(5)
     h = TruncatedSeries([0, -1, -1, -1, -1, -1])
     assert check_property_composition(l, h, 5)
     assert l.compose(h) == TruncatedSeries([1, -1, 0, 0, 0, 0])
 
 
 def test_composition_property_identity_delta():
-    l = exponential(4)
+    l = plain.exponential_series(4)
     assert check_property_composition(l, TruncatedSeries.identity(4), 4)
 
 
 def test_composition_requires_delta():
     with pytest.raises(NotDeltaSeriesError):
-        check_property_composition(geometric(3), geometric(3), 3)
+        check_property_composition(plain.geometric_series(3), plain.geometric_series(3), 3)
     # h(0) = 0 and h'(0) = 0: the composition is defined, the powers matrix is not
     with pytest.raises(NotDeltaSeriesError):
-        check_property_composition(geometric(3), TruncatedSeries([0, 0, 1, 1]), 3)
+        check_property_composition(plain.geometric_series(3), TruncatedSeries([0, 0, 1, 1]), 3)
 
 
 @given(rational_series(4), rational_series(4), rationals, rationals)

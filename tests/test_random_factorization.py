@@ -21,18 +21,8 @@ from sheffermat import ShefferPair, TruncatedSeries, identities
 
 import plain_fractions as plain
 
-# p/q with |p| <= 9 and 1 <= q <= 9; l(0) < 0 and h'(0) is not +-1
-digit = st.builds(Fraction, st.integers(-9, 9), st.integers(min_value=1, max_value=9))
+# l(0) < 0: p/q with -9 <= p <= -1 and 1 <= q <= 9
 negative = st.builds(Fraction, st.integers(-9, -1), st.integers(min_value=1, max_value=9))
-slopes = digit.filter(lambda q: q and abs(q) != 1)
-
-
-@st.composite
-def dense_pairs(draw):
-    n = draw(st.integers(min_value=20, max_value=40))
-    l = [draw(negative)] + draw(st.lists(digit, min_size=n, max_size=n))
-    h = [Fraction(0), draw(slopes)] + draw(st.lists(digit, min_size=n - 1, max_size=n - 1))
-    return l, h
 
 
 def schoolbook_factor(l: list[Fraction], h: list[Fraction]) -> list[list[Fraction]]:
@@ -72,7 +62,7 @@ def check_pair(l: list[Fraction], h: list[Fraction]) -> None:
 
 
 @settings(max_examples=10, deadline=None)
-@given(dense_pairs())
+@given(plain.dense_pairs(negative))
 def test_kept_product_is_the_schoolbook_product_of_its_factors(lh):
     check_pair(*lh)
 

@@ -17,7 +17,6 @@ import random
 from fractions import Fraction
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sheffermat import (
     COEFF_EXTRACTORS,
@@ -29,18 +28,8 @@ from sheffermat import (
 
 import plain_fractions as plain
 
-# p/q with |p| <= 9 and 1 <= q <= 9; l(0) may be negative, h'(0) is not +-1
-digit = st.builds(Fraction, st.integers(-9, 9), st.integers(min_value=1, max_value=9))
-nonzero = digit.filter(bool)
-
-
-@st.composite
-def dense_pairs(draw):
-    n = draw(st.integers(min_value=20, max_value=40))
-    l = [draw(nonzero)] + draw(st.lists(digit, min_size=n, max_size=n))
-    slope = draw(nonzero.filter(lambda q: abs(q) != 1))
-    h = [Fraction(0), slope] + draw(st.lists(digit, min_size=n - 1, max_size=n - 1))
-    return l, h
+# l(0) may be negative
+nonzero = plain.digit.filter(bool)
 
 
 def reference_rows(l: list[Fraction], h: list[Fraction], g: list[Fraction]) -> dict:
@@ -83,7 +72,7 @@ def check_pair(l: list[Fraction], h: list[Fraction]) -> None:
 
 
 @settings(max_examples=10, deadline=None)
-@given(dense_pairs())
+@given(plain.dense_pairs(nonzero))
 def test_arrays_times_the_riordan_inverse_give_the_identity(lh):
     check_pair(*lh)
 

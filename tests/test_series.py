@@ -41,16 +41,6 @@ def delta_strategy(order):
     )
 
 
-def geometric(order):
-    return TruncatedSeries([Fraction(1)] * (order + 1))
-
-
-def exponential(order):
-    return TruncatedSeries(
-        [Fraction(1, math.factorial(k)) for k in range(order + 1)]
-    )
-
-
 # -- construction & basics -------------------------------------------------
 
 
@@ -122,7 +112,7 @@ def test_mul_truncates():
 
 
 def test_mul_exp_pair():
-    e = exponential(5)
+    e = plain.exponential_series(5)
     e_neg = TruncatedSeries(
         [Fraction((-1) ** k, math.factorial(k)) for k in range(6)]
     )
@@ -131,7 +121,7 @@ def test_mul_exp_pair():
 
 def test_mul_geometric_squared():
     # independently confirmed coefficient pattern (k+1)
-    g = geometric(3)
+    g = plain.geometric_series(3)
     assert (g * g).coeffs == (1, 2, 3, 4)
 
 
@@ -143,7 +133,7 @@ def test_derivative_examples():
     assert y2.derivative() == TruncatedSeries([0, 2])
     one = TruncatedSeries([1], 3)
     assert one.derivative() == TruncatedSeries([0], 2)
-    assert geometric(4).derivative() == TruncatedSeries([1, 2, 3, 4])
+    assert plain.geometric_series(4).derivative() == TruncatedSeries([1, 2, 3, 4])
 
 
 def test_derivative_requires_positive_order():
@@ -156,11 +146,11 @@ def test_derivative_requires_positive_order():
 
 def test_reciprocal_geometric():
     one_minus = TruncatedSeries([1, -1, 0, 0])
-    assert one_minus.reciprocal() == geometric(3)
+    assert one_minus.reciprocal() == plain.geometric_series(3)
 
 
 def test_reciprocal_exponential():
-    assert exponential(3).reciprocal() == TruncatedSeries(
+    assert plain.exponential_series(3).reciprocal() == TruncatedSeries(
         [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 6)]
     )
 
@@ -185,7 +175,7 @@ def test_compose_identity_is_noop():
 
 def test_compose_geometric_with_mobius():
     # 1/(1 - y/(y-1)) collapses to 1 - y
-    f = geometric(4)
+    f = plain.geometric_series(4)
     g = TruncatedSeries([0, -1, -1, -1, -1])
     assert f.compose(g) == TruncatedSeries([1, -1, 0, 0, 0])
 
@@ -194,14 +184,14 @@ def test_compose_exp_with_log():
     log1p = TruncatedSeries(
         [Fraction(0), 1, Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 4)]
     )
-    assert exponential(4).compose(log1p) == TruncatedSeries([1, 1, 0, 0, 0])
+    assert plain.exponential_series(4).compose(log1p) == TruncatedSeries([1, 1, 0, 0, 0])
 
 
 def test_compose_requires_delta_inner():
     with pytest.raises(NotDeltaSeriesError):
-        geometric(3).compose(TruncatedSeries([1, 1, 0, 0]))
+        plain.geometric_series(3).compose(TruncatedSeries([1, 1, 0, 0]))
     with pytest.raises(TypeError, match="compose expects a TruncatedSeries"):
-        geometric(3).compose(Poly((0, 1)))
+        plain.geometric_series(3).compose(Poly((0, 1)))
 
 
 # -- compositional inverse ----------------------------------------------------
@@ -280,7 +270,7 @@ def test_inverse_off_a_broken_array_is_a_contract_error(monkeypatch):
 
 def test_exp_of_y():
     y = TruncatedSeries.identity(3)
-    assert y.exp() == exponential(3)
+    assert y.exp() == plain.exponential_series(3)
 
 
 def test_exp_of_log_series():
@@ -302,7 +292,7 @@ def derivative_vector(s):
 
 
 def test_derivative_vector_geometric():
-    assert derivative_vector(geometric(4)) == (1, 1, 2, 6, 24)
+    assert derivative_vector(plain.geometric_series(4)) == (1, 1, 2, 6, 24)
 
 
 def test_derivative_vector_y_minus_y2():
@@ -320,8 +310,8 @@ def test_derivative_vector_scaled_linear():
 
 
 def test_truncate_shrinks_only():
-    s = geometric(4)
-    assert s.truncate(2) == geometric(2)
+    s = plain.geometric_series(4)
+    assert s.truncate(2) == plain.geometric_series(2)
     with pytest.raises(InsufficientOrderError):
         s.truncate(7)
 
@@ -446,15 +436,6 @@ def horner_compose(f, g):
     return TruncatedSeries(result)
 
 
-def horner_exp(g):
-    """exp by Horner on ``*`` and scalar multiples, kept as the reference."""
-    one = TruncatedSeries([1], g.order)
-    result = one
-    for k in range(g.order, 0, -1):
-        result = result * g * Fraction(1, k) + one
-    return result
-
-
 compose_orders = st.integers(min_value=0, max_value=40)
 
 
@@ -572,7 +553,7 @@ def test_compositional_inverse_matches_plain_reversion(h):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=15).flatmap(zero_constant_strategy))
 def test_exp_matches_repeated_products(g):
-    assert g.exp() == horner_exp(g)
+    assert g.exp() == TruncatedSeries(plain.exponential(g.coeffs))
 
 
 def test_riordan_polys_match_repeated_products():
@@ -604,7 +585,7 @@ def test_compose_and_inverse_call_no_common_denominator(monkeypatch):
     g = TruncatedSeries([0, Fraction(2, 3)] + [Fraction(1, k * k) for k in range(2, 31)])
     h = TruncatedSeries([0, 1] + [Fraction(1, math.factorial(k)) for k in range(2, 31)])
     inverse = TruncatedSeries(plain.reversion(h.coeffs))
-    want = horner_compose(f, g), inverse, horner_exp(h)
+    want = horner_compose(f, g), inverse, TruncatedSeries(plain.exponential(h.coeffs))
     scaled = []
     honest = series.common_denominator
 

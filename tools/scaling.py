@@ -16,22 +16,27 @@ miller-lee m=1 and bernoulli):
   sweep.
 
 Each point of a cell is timed in ``RUNS`` pairs of runs, one run on each
-tree, the first side alternating from pair to pair.  It records, per tree,
-the minimum and the quartiles of its runs, the SHA-256 of the output (a CLI
-cell's stdout; a library cell's result written as text, every rational as
-reduced p/q, every check as its pass flag) and, for a cell whose output is
-coefficients (``gen``, ``audit``, the lemma's R, the array and g), the peak
-numerator and denominator bit lengths of the rationals in it, else null; and
-the number of pairs the change won.  Each cell records each tree's log-log
-exponent of the minima between its two largest n.  The command exits 1,
-appending nothing, if a digest differs between the trees; else it appends
-the point to the JSON list in FILE.  Stdlib only; it imports the package
-only in its library-cell processes, from the tree being timed.
+tree, the first side alternating from pair to pair.  The point's first run
+fixes its output: a CLI cell's stdout, or a library cell's result written as
+text (every rational as reduced p/q, every check as its pass flag), and the
+exit code.  Every later run, on either tree, must give the same output; the
+first that does not stops the command with exit 1, naming the cell, n, tree
+and run, and nothing is appended.  A point records its output once: the
+SHA-256, the exit code and, for a cell whose output is coefficients
+(``gen``, ``audit``, the lemma's R, the array and g), the peak numerator and
+denominator bit lengths of the rationals in it, else null.  Per tree it
+records the minimum and the quartiles of its runs, and it records the number
+of pairs the change won.  Each cell records each tree's log-log exponent of
+the minima between its two largest n.  The point is appended to the JSON
+list in FILE.  Both trees' bytecode is compiled before the grid, so no CLI
+run compiles the package.  Stdlib only; it imports the package only in its
+library-cell processes, from the tree being timed.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import json
 import math
@@ -114,21 +119,18 @@ def fit_exponent(points: dict) -> float | None:
     return round(math.log(points[n2] / points[n1]) / math.log(n2 / n1), 3)
 
 
-def measurement(seconds: list[float], text: str, code: int, coefficients: bool) -> dict:
-    """One tree's record of one point: the minimum and quartiles of its times,
-    and the output's digest, bit sizes (null unless it is coefficients) and
-    exit code."""
+def output_record(text: str, code: int, coefficients: bool) -> dict:
+    """A point's output, recorded once: its digest, exit code and bit sizes
+    (null unless it is coefficients)."""
     num, den = bit_sizes(text) if coefficients else (None, None)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    return {"sha256": digest, "exit": code, "peak_num_bits": num, "peak_den_bits": den}
+
+
+def measurement(seconds: list[float]) -> dict:
+    """One tree's record of one point: the minimum and quartiles of its times."""
     quartiles = statistics.quantiles(seconds, n=4, method="inclusive")
-    return {
-        "seconds": round(min(seconds), 6),
-        "quartiles": [round(q, 6) for q in quartiles],
-        "runs": len(seconds),
-        "sha256": hashlib.sha256(text.encode()).hexdigest(),
-        "peak_num_bits": num,
-        "peak_den_bits": den,
-        "exit": code,
-    }
+    return {"seconds": round(min(seconds), 6), "quartiles": [round(q, 6) for q in quartiles]}
 
 
 def change_wins(seconds: dict) -> int:
@@ -138,9 +140,9 @@ def change_wins(seconds: dict) -> int:
 
 
 def cell_record(name: str, kind: str, points: dict) -> dict:
-    """A cell: {n: {"parent": measurement, "change": measurement, "change_wins":
-    int}} as its points, by n, and each tree's exponent between the two
-    largest n."""
+    """A cell: {n: {**output_record, "parent": measurement, "change":
+    measurement, "change_wins": int}} as its points, by n, and each tree's
+    exponent between the two largest n."""
     ordered = sorted(points, key=lambda n: -1 if n is None else n)
     return {
         "cell": name,
@@ -151,17 +153,6 @@ def cell_record(name: str, kind: str, points: dict) -> dict:
             for tree in TREES
         },
     }
-
-
-def digest_mismatches(cells: list[dict]) -> list[str]:
-    """"cell n=N" for every point whose trees differ in digest or exit code."""
-    bad = []
-    for cell in cells:
-        for point in cell["points"]:
-            seen = {(point[tree]["sha256"], point[tree]["exit"]) for tree in TREES}
-            if len(seen) > 1:
-                bad.append(f"{cell['cell']} n={point['n']}")
-    return bad
 
 
 # -- the runs -----------------------------------------------------------------
@@ -187,22 +178,26 @@ def run_once(kind: str, argv: list[str], src: Path) -> tuple[float, str, int]:
 
 def run_grid(cells: list, trees: dict) -> list[dict]:
     """Each point of each cell in ``RUNS`` pairs of runs, one on each tree, the
-    first side alternating; a point's digest is of its first run on each tree."""
+    first side alternating; exit 1 at the first run whose output is not the
+    point's first run's."""
     records = []
     for name, kind, by_n in cells:
         coefficients = name.split()[0] in COEFFICIENT_CELLS
         points = {}
         for n, argv in by_n.items():
-            seconds, first = {tree: [] for tree in TREES}, {}
+            seconds, first = {tree: [] for tree in TREES}, None
             for run in range(RUNS):
                 for tree in TREES[:: 1 if run % 2 == 0 else -1]:
-                    took, output, code = run_once(kind, argv, trees[tree])
+                    took, *output = run_once(kind, argv, trees[tree])
                     seconds[tree].append(took)
-                    first.setdefault(tree, (output, code))
-            points[n] = {
-                tree: measurement(seconds[tree], *first[tree], coefficients)
-                for tree in TREES
-            }
+                    first = first or output  # the point's first run
+                    if output != first:
+                        sys.exit(
+                            f"{name} n={n}: run {len(seconds[tree])} on {tree} differs"
+                            " from the point's first run"
+                        )
+            points[n] = output_record(*first, coefficients)
+            points[n].update({tree: measurement(seconds[tree]) for tree in TREES})
             points[n]["change_wins"] = change_wins(seconds)
         records.append(cell_record(name, kind, points))
         timings = [
@@ -273,11 +268,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.parent is None or args.out is None:
         parser.error("--parent and --out are required")
     trees = {"parent": args.parent.resolve() / "src", "change": ROOT / "src"}
+    for src in trees.values():  # else a tree without bytecode compiles it in every run
+        compileall.compile_dir(src, quiet=1)
     cells = run_grid(grid(), trees)
-    bad = digest_mismatches(cells)
-    if bad:
-        print("digests differ between the trees: " + "; ".join(bad), file=sys.stderr)
-        return 1
     point = {
         "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "python": platform.python_version(),
