@@ -42,7 +42,7 @@ MUTANTS = {
         "rationals.py",
         "        weight *= lq // den\n",
         "",
-        ["tests/test_rationals.py::test_combine_is_the_fraction_sum"],
+        ["tests/test_rationals.py::test_combine_row_is_the_fraction_sum_and_reduces_to_one_form"],
     ),
     "format-row-without-its-gcd": (
         "rationals.py",
@@ -68,7 +68,7 @@ MUTANTS = {
         "series.py",
         "    for i, ai in enumerate(pa):",
         "    for i, ai in enumerate(pa[:-1]):",
-        ["tests/test_series.py::test_product_matches_schoolbook"],
+        ["tests/test_row_kernels.py::test_series_ring_operations"],
     ),
     "reciprocal-newton-step-keeps-the-sign": (
         "series.py",
@@ -86,7 +86,7 @@ MUTANTS = {
         "series.py",
         "carried = reduce_row(*_product(giant, reduce_row(*acc)))",
         "carried = reduce_row(*acc)",
-        ["tests/test_series.py::test_compose_matches_horner"],
+        ["tests/test_row_kernels.py::test_compose_and_exp"],
     ),
     # -- pairs: the Pascal read-off and the leading-coefficient contract --------
     "pascal-read-off-takes-comb-for-perm": (
@@ -162,7 +162,7 @@ MUTANTS = {
         "polynomials.py",
         "row = [math.comb(m, k) * c for m, c in enumerate(p[k:], k)] if k else p",
         "row = [math.perm(m, k) * c for m, c in enumerate(p[k:], k)] if k else p",
-        ["tests/test_identities.py::test_derivative_combination_matches_repeated_derivatives"],
+        ["tests/test_row_kernels.py::test_derivative_combination"],
     ),
     "derivative-takes-comb-for-perm": (
         "polynomials.py",

@@ -5,14 +5,17 @@ raises one to a power or evaluates it, never subtracts two
 ``TruncatedSeries`` and never builds a monomial; it sums integer rows
 instead.  The tests state their expected
 values with these functions, which work one ``Fraction`` coefficient at a
-time, so they are also an independent reference for the row kernels
-(``mul`` and ``add`` for ``derivative_combination``; the functions on
-coefficient lists for the truncated series product, reciprocal,
-composition, exponential and Lagrange reversion, the Riordan array [d, g]
-built one column d g^k at a time, the product of two such matrices, and
-the Pascal rows and derivative vectors that fix an Appell pair's arrays and
-identity rows).  ``near_misses_of_y`` gives the
-series one detail away from y, for the kernel's fast paths on y;
+time, so they are also the one independent reference of each row kernel:
+``weighted_sum`` for ``combine_row``; ``combination`` for
+``derivative_combination``; the functions on coefficient lists for the
+truncated series product, reciprocal, composition, exponential and Lagrange
+reversion, the Riordan array [d, g] built one column d g^k at a time, a
+pair's two such arrays (``sheffer_arrays``), the product of two matrices,
+and the Pascal rows and derivative vectors that fix an Appell pair's arrays
+and identity rows; and ``derived_rows`` for g and the (a, b, c) vectors of
+the four identities.  ``entries`` and ``coefficients`` draw the operands of
+the kernels; ``near_misses_of_y`` gives the series one detail away from y,
+for the kernel's fast paths on y;
 ``geometric_series`` and ``exponential_series`` give 1/(1-y) and e^y; and
 ``dense_pairs`` draws the random non-Appell pairs at served sizes.
 """
@@ -81,6 +84,25 @@ def evaluate(p: Poly, value: Fraction | int) -> Fraction:
     return acc
 
 
+def combination(terms, dw: int = 1) -> Poly:
+    """sum (beta + alpha x) q^(k)/(k! dw) over the terms (alpha, beta, q, k),
+    with the x^i coefficient of q^(k)/k! as C(i + k, k) q_(i+k)."""
+    out = Poly()
+    for alpha, beta, q, k in terms:
+        scaled = Poly(math.comb(i, k) * c for i, c in enumerate(q.coeffs[k:], k))
+        out = add(out, mul(Poly((Fraction(beta) / dw, Fraction(alpha) / dw)), scaled))
+    return out
+
+
+def weighted_sum(weights, rows) -> list[Fraction]:
+    """sum_t weights[t] * rows[t], short rows zero-padded to the longest."""
+    out = [Fraction(0)] * max((len(r) for r in rows), default=0)
+    for w, r in zip(weights, rows):
+        for j, c in enumerate(r):
+            out[j] += w * c
+    return out
+
+
 def series_sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     if a.order != b.order:
         raise ValueError("orders differ")
@@ -106,14 +128,23 @@ def reciprocal(c: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def composition(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    """f(g(y)) = sum f_k g^k, g[0] = 0, one power of g at a time: g^k starts
+def powers(g: list[Fraction]) -> list[list[Fraction]]:
+    """g^0, ..., g^n for n = len(g) - 1, truncated at y^n, g[0] = 0: g^k starts
     at y^k, so each product skips its k leading zeros."""
-    out, power = [Fraction(0)] * len(f), [Fraction(1)] + [Fraction(0)] * (len(f) - 1)
-    for c in f:
-        out = [o + c * p for o, p in zip(out, power)]
-        power = truncated_product(power, g)
+    out = [[Fraction(1)] + [Fraction(0)] * (len(g) - 1)]
+    for _ in g[1:]:
+        out.append(truncated_product(out[-1], g))
     return out
+
+
+def at_powers(f: list[Fraction], g_powers: list[list[Fraction]]) -> list[Fraction]:
+    """sum f_k g^k from the powers of g, truncated to the length of f."""
+    return [sum((c * p[i] for c, p in zip(f, g_powers)), Fraction(0)) for i in range(len(f))]
+
+
+def composition(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
+    """f(g(y)) = sum f_k g^k, g[0] = 0."""
+    return at_powers(f, powers(g))
 
 
 def exponential(g: list[Fraction]) -> list[Fraction]:
@@ -173,6 +204,46 @@ def reversion(h: list[Fraction]) -> list[Fraction]:
     return out
 
 
+def sheffer_arrays(l: list[Fraction], g: list[Fraction]) -> tuple[list[Poly], list[Poly]]:
+    """The Sheffer array [1/l(g), g] and the Sheffer-Appell array
+    [1/(l(g) l), g] of the pair whose h is g^-1."""
+    d = reciprocal(composition(l, g))
+    return riordan_rows(d, g), riordan_rows(truncated_product(d, reciprocal(l)), g)
+
+
+def derived_rows(l: list[Fraction], h: list[Fraction]) -> dict:
+    """g = h^-1 by reversion, and under each identity label the derivative
+    vectors (a, b, c), k = 0..n-1, of its series, for a pair (l, h) of order
+    n.  The series are built by the formulas the engine used before every
+    composite became 1/l or l'/l composed with g or h: l, l' and h' are each
+    composed with g or h, and the compositions inverted."""
+    n, prod = len(l) - 1, truncated_product
+    g, rl = reversion(h), reciprocal(l)
+    pg, ph = powers(g), powers(h)  # a composite of length n reads them to y^(n-1)
+    rl_g, rl_h = reciprocal(at_powers(l, pg)), reciprocal(at_powers(l, ph))
+    lp, hp = derivative(l), derivative(h)
+    lp_over_l = prod(lp, rl[:n])
+    lp_over_l_of_g = prod(at_powers(lp, pg), rl_g[:n])
+    hp_of_g = at_powers(hp, pg)
+    a = reciprocal(hp)
+
+    def neg(c):
+        return [-x for x in c]
+
+    recurrence = (a, neg(prod(at_powers(lp, ph), rl_h[:n])), neg(prod(lp_over_l, a)))
+    series = {
+        "2.1": [prod(h[:n], c) for c in recurrence],
+        "3.1": recurrence,
+        "3.2": (hp_of_g, neg(prod(hp_of_g, lp_over_l)), neg(lp_over_l_of_g)),
+        "3.3": (
+            reciprocal(hp_of_g),
+            neg(lp_over_l),
+            neg(prod(lp_over_l_of_g, reciprocal(hp_of_g))),
+        ),
+    }
+    return {"g": g, **{k: [derivative_vector(c) for c in v] for k, v in series.items()}}
+
+
 def matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
     """The product of two matrices, one Fraction at a time, skipping zero terms
     (so a product of lower triangular matrices costs its nonzero terms only)."""
@@ -204,6 +275,30 @@ def geometric_series(order: int) -> TruncatedSeries:
 def exponential_series(order: int) -> TruncatedSeries:
     """e^y: the coefficients 1/k!."""
     return TruncatedSeries([Fraction(1, math.factorial(k)) for k in range(order + 1)])
+
+
+# Negative numerators, denominators up to 10^12, zeros, ones and a negative
+# non-unit.
+entries = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(-7, 3)]),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**12),
+)
+nonzero = entries.filter(bool)
+
+
+def coefficients(order: int, constant=entries):
+    """order + 1 coefficients, the first drawn from ``constant`` (a strategy
+    or a fixed value); the rest dense, all zero, or one nonzero term."""
+    if not isinstance(constant, st.SearchStrategy):
+        constant = st.just(Fraction(constant))
+    dense = st.lists(entries, min_size=order, max_size=order)
+    zero = st.just([Fraction(0)] * order)
+    single = st.tuples(st.integers(0, max(order - 1, 0)), nonzero).map(
+        lambda t: [t[1] if k == t[0] else Fraction(0) for k in range(order)]
+    )
+    tail = st.one_of(dense, zero, single) if order else st.just([])
+    return st.tuples(constant, tail).map(lambda t: [t[0], *t[1]])
 
 
 # p/q with |p| <= 9 and 1 <= q <= 9

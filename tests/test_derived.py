@@ -41,9 +41,8 @@ from sheffermat import (
     sheffer_appell_sequence,
     sheffer_sequence,
     wronskian_powers_matrix,
-    wronskian_vector,
 )
-from plain_fractions import add, monomial, reversion, riordan_rows
+from plain_fractions import add, derived_rows, monomial, reversion, sheffer_arrays
 
 # -- sympy oracle on random valid pairs --------------------------------------
 
@@ -609,59 +608,22 @@ def test_leading_coefficient_contract_runs_once_per_array(monkeypatch):
     assert sorted(calls) == ["sheffer", "sheffer-appell"]
 
 
-# -- the derived series against the formulas they replaced --------------------
-
-
-def reference_derived(pair: ShefferPair) -> dict:
-    """The derived series by the formulas the engine used before every
-    composite became 1/l or l'/l composed with g or h: l, l' and h' are
-    composed separately and the compositions inverted, with g by the
-    plain-Fraction Lagrange reversion of h."""
-    l, h = pair.l, pair.h
-
-    def low(s):
-        return s.truncate(pair.order - 1)
-
-    g = TruncatedSeries(reversion(h.coeffs))
-    rl = l.reciprocal()
-    rl_g, rl_h = l.compose(g).reciprocal(), l.compose(h).reciprocal()
-    lp, hp = l.derivative(), h.derivative()
-    lp_over_l = lp * low(rl)
-    lp_over_l_of_g = lp.compose(low(g)) * low(rl_g)
-    hp_of_g = hp.compose(low(g))
-    a = hp.reciprocal()
-    recurrence = (a, -lp.compose(low(h)) * low(rl_h), -lp_over_l * a)
-    series = {  # the (a, b, c) series of each identity label
-        "3.1": recurrence,
-        "2.1": [low(h) * s for s in recurrence],
-        "3.2": (hp_of_g, -hp_of_g * lp_over_l, -lp_over_l_of_g),
-        "3.3": (
-            hp_of_g.reciprocal(),
-            -lp_over_l,
-            -lp_over_l_of_g * hp_of_g.reciprocal(),
-        ),
-    }
-    rows = [list(s.coeffs) for s in (rl_g, rl_g * rl, g)]
-    return {
-        "g": g,
-        "sheffer_polys": tuple(riordan_rows(rows[0], rows[2])),
-        "sheffer_appell_polys": tuple(riordan_rows(rows[1], rows[2])),
-        **{
-            k: tuple(wronskian_vector(s, s.order).column_entries(0) for s in v)
-            for k, v in series.items()
-        },
-    }
+# -- the derived series against the plain-Fraction formulas they replaced -----
 
 
 def assert_matches_reference(pair: ShefferPair) -> None:
-    """The derived series, and the (a, b, c) vectors read through the
-    extractors at the largest degree they serve."""
-    want = reference_derived(pair)
-    got = {name: getattr(pair, name) for name in want if name not in LABELS}
+    """g and the (a, b, c) vectors read through the extractors at the largest
+    degree they serve, against ``derived_rows``, and both arrays against
+    ``sheffer_arrays`` of that g."""
+    l = list(pair.l.coeffs)
+    want = derived_rows(l, list(pair.h.coeffs))
+    got = {"g": list(pair.g.coeffs)}
     for label in LABELS:
         t = COEFF_EXTRACTORS[label](pair, pair.order - 1)
-        got[label] = (t.a, t.b, t.c)
+        got[label] = [list(t.a), list(t.b), list(t.c)]
     assert got == want
+    arrays = [list(pair.sheffer_polys), list(pair.sheffer_appell_polys)]
+    assert arrays == list(sheffer_arrays(l, want["g"]))
 
 
 @st.composite

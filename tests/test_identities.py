@@ -36,7 +36,7 @@ from sheffermat import (
 )
 from sheffermat.polynomials import derivative_combination
 
-from plain_fractions import add, mul, sub
+from plain_fractions import add, combination, mul, sub
 
 
 def zeros(n):
@@ -315,15 +315,6 @@ def test_negative_degree_is_rejected(fn, least, most):
             fn(most + 1)
 
 
-def plain_combination(terms):
-    """sum (beta + alpha x) q^(k)/k! in plain Poly arithmetic."""
-    acc = Poly()
-    for alpha, beta, q, k in terms:
-        factor = Poly((beta, alpha)) * Fraction(1, math.factorial(k))
-        acc = add(acc, mul(factor, q.derivative(k)))
-    return acc
-
-
 def triple_terms(triple, poly, n):
     """The terms (a_k, b_k + c_k, poly, k), k <= n, of sum_k (x a_k + b_k + c_k)
     poly^(k)/k!."""
@@ -333,23 +324,6 @@ def triple_terms(triple, poly, n):
 def triple_combination(triple, poly, n):
     """The same sum through the integer kernel."""
     return derivative_combination(triple_terms(triple, poly, n))
-
-
-small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_derivative_combination_matches_repeated_derivatives(data):
-    degree = data.draw(st.integers(-1, 12), label="degree")  # -1: the zero polynomial
-    n = data.draw(st.integers(0, 15), label="n")
-    coeffs = data.draw(st.lists(small_rationals, min_size=degree + 1, max_size=degree + 1))
-    vector = st.lists(small_rationals, min_size=n + 1, max_size=n + 1).map(tuple)
-    a, b, c = (data.draw(vector) for _ in range(3))
-    triple = CoeffTriple.from_rationals("2.1", a, b, c)
-    poly = Poly(coeffs)
-    expected = plain_combination(triple_terms(triple, poly, n))
-    assert triple_combination(triple, poly, n) == expected
 
 
 def test_derivative_combination_edge_cases():
@@ -363,30 +337,8 @@ def test_derivative_combination_edge_cases():
     vector = tuple(Fraction(k - 4, k + 1) for k in range(16))
     rotated = vector[3:] + vector[:3]
     triple = CoeffTriple.from_rationals("2.1", vector, vector[::-1], rotated)
-    expected = plain_combination(triple_terms(triple, dense, 15))
+    expected = combination(triple_terms(triple, dense, 15))
     assert triple_combination(triple, dense, 15) == expected
-
-
-kernel_terms = st.lists(
-    st.tuples(
-        small_rationals,
-        small_rationals,
-        st.lists(small_rationals, max_size=10).map(Poly),
-        st.integers(0, 12),
-    ),
-    max_size=8,
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(kernel_terms, st.data())
-def test_kernel_matches_plain_poly_arithmetic(terms, data):
-    # Repeat some polynomials by identity: their integer rows are shared.
-    reuse = st.tuples(small_rationals, small_rationals, st.integers(0, 7), st.integers(0, 4))
-    for alpha, beta, i, k in data.draw(st.lists(reuse, max_size=4)):
-        if i < len(terms):
-            terms.append((alpha, beta, terms[i][2], k))
-    assert derivative_combination(terms) == plain_combination(terms)
 
 
 def test_kernel_nonzero_example():
@@ -399,7 +351,7 @@ def test_kernel_nonzero_example():
         Poly((0, 7)),
     )
     result = derivative_combination(terms)
-    assert result == expected == plain_combination(terms)
+    assert result == expected == combination(terms)
     assert not result.is_zero
 
 
@@ -422,11 +374,11 @@ def test_kernel_edge_cases():
 
 
 def differential_reference(t, s, n):
-    return sub(plain_combination(triple_terms(t, s[n], n)), s[n] * n)
+    return sub(combination(triple_terms(t, s[n], n)), s[n] * n)
 
 
 def derivative_reference(t, s, n):
-    return sub(s[n + 1], plain_combination(triple_terms(t, s[n], n)))
+    return sub(s[n + 1], combination(triple_terms(t, s[n], n)))
 
 
 def mixed_reference(t, s, n):

@@ -3,7 +3,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sheffermat import (
@@ -84,17 +84,18 @@ def matrix_pairs(draw):
     return a, b
 
 
+def rows(m):
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
 @given(matrix_pairs())
+@example((
+    rows(pascal_matrix(plain.geometric_series(6), 6)),
+    rows(wronskian_powers_matrix(TruncatedSeries([0, Fraction(2, 3), 5, 1, 0, 0, 7]), 6)),
+))
 def test_matmul_is_the_schoolbook_product(case):
     a, b = case
     assert Matrix(a) @ Matrix(b) == Matrix(plain.matmul(a, b))
-
-
-def test_triangular_matmul_matches_schoolbook():
-    p = pascal_matrix(plain.geometric_series(6), 6)
-    w = wronskian_powers_matrix(TruncatedSeries([0, Fraction(2, 3), 5, 1, 0, 0, 7]), 6)
-    p_rows, w_rows = ([m.row(i) for i in range(7)] for m in (p, w))
-    assert p @ w == Matrix(plain.matmul(p_rows, w_rows))
 
 
 def test_scalar_and_addition():
@@ -259,13 +260,17 @@ def test_wronskian_vector_is_its_definition(f):
 
 
 @given(series_up_to_order(10, delta=True))
+@example(TruncatedSeries([0, Fraction(2, 3), 5, Fraction(-1, 7), 0, 2, Fraction(1, 9)]))
 def test_powers_matrix_is_repeated_series_products(h):
+    """At every size m up to the series' order n: the leading block of size n."""
     n = h.order
     columns, power = [], [Fraction(1)] + [Fraction(0)] * n
     for _ in range(n + 1):
         columns.append([math.factorial(k) * c for k, c in enumerate(power)])
         power = plain.truncated_product(power, list(h.coeffs))
-    assert_rows(wronskian_powers_matrix(h, n), [list(r) for r in zip(*columns)])
+    expected = [list(r) for r in zip(*columns)]
+    for m in range(n + 1):
+        assert_rows(wronskian_powers_matrix(h, m), [r[: m + 1] for r in expected[: m + 1]])
 
 
 @pytest.mark.parametrize("n", range(31))
@@ -280,6 +285,7 @@ def test_omega_and_its_inverse_are_their_definitions(n):
     for got, want in ((omega(n), factorials), (omega_inverse(n), inverses)):
         assert got == Matrix(diag(want))
         assert hash(got) == hash(Matrix(diag(want)))
+    assert omega(n) @ omega_inverse(n) == Matrix(diag([1] * (n + 1)))
 
 
 # -- Pascal matrices -----------------------------------------------------------
@@ -354,17 +360,6 @@ def test_powers_matrix_of_mobius():
     )
 
 
-def test_powers_matrix_matches_repeated_products():
-    h = TruncatedSeries([0, Fraction(2, 3), 5, Fraction(-1, 7), 0, 2, Fraction(1, 9)])
-    columns, power = [], TruncatedSeries([1], 6)
-    for _ in range(7):
-        columns.append(wronskian_vector(power, 6).column_entries(0))
-        power = power * h
-    assert wronskian_powers_matrix(h, 6) == Matrix(zip(*columns))
-    assert wronskian_powers_matrix(h, 4) == Matrix(
-        [row[:5] for row in zip(*columns)][:5]
-    )
-
 def test_powers_matrix_diagonal_entries():
     h = TruncatedSeries([0, Fraction(2, 3), 5, 1])
     m = wronskian_powers_matrix(h, 3)
@@ -377,12 +372,6 @@ def test_powers_matrix_diagonal_entries():
 def test_powers_matrix_requires_delta():
     with pytest.raises(NotDeltaSeriesError):
         wronskian_powers_matrix(plain.geometric_series(3), 3)
-
-
-def test_omega_and_inverse():
-    assert omega(2) == Matrix(diag([1, 1, 2]))
-    assert omega_inverse(3) == Matrix(diag([1, 1, Fraction(1, 2), Fraction(1, 6)]))
-    assert omega(4) @ omega_inverse(4) == Matrix(diag([1] * 5))
 
 
 # -- the four properties ---------------------------------------------------

@@ -9,8 +9,10 @@ Fractions from the powers of h and a schoolbook l(h): no g, no production
 matrix and no Lagrange inversion, so the check does not share the engine's
 way of building its arrays.  The engine's g, read off its Sheffer-Appell
 array, and the (a, b, c) rows of the four identities are compared with
-references built one Fraction at a time: g by Lagrange reversion, and every
-composite by schoolbook composition, with no kernel of the engine.
+``plain_fractions.derived_rows``, built one Fraction at a time by the
+formulas the engine replaced: g by Lagrange reversion, l, l' and h' each
+composed by schoolbook composition and the compositions inverted, with no
+kernel and no formula of the engine.
 """
 
 import random
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 
 from sheffermat import (
     COEFF_EXTRACTORS,
+    LABELS,
     ShefferPair,
     TruncatedSeries,
     sheffer_appell_sequence,
@@ -32,28 +35,6 @@ import plain_fractions as plain
 nonzero = plain.digit.filter(bool)
 
 
-def reference_rows(l: list[Fraction], h: list[Fraction], g: list[Fraction]) -> dict:
-    """The (a, b, c) derivative vectors, k = 0..n-1, of "2.1", "3.1", "3.2" and
-    "3.3", with L = l'/l, g = h^{-1} and h'(g) = 1/g' (see ``pairs``)."""
-    n, mul = len(l) - 1, plain.truncated_product
-    low_h = h[:n]
-    lp_over_l = mul(plain.derivative(l), plain.reciprocal(l)[:n])
-    a, gp = plain.reciprocal(plain.derivative(h)), plain.derivative(g)
-    hp_of_g, lp_over_l_of_g = plain.reciprocal(gp), plain.composition(lp_over_l, g[:n])
-
-    def neg(c):
-        return [-x for x in c]
-
-    recurrence = (a, neg(plain.composition(lp_over_l, low_h)), neg(mul(lp_over_l, a)))
-    series = {
-        "2.1": [mul(low_h, c) for c in recurrence],
-        "3.1": recurrence,
-        "3.2": (hp_of_g, neg(mul(hp_of_g, lp_over_l)), neg(lp_over_l_of_g)),
-        "3.3": (gp, neg(lp_over_l), neg(mul(lp_over_l_of_g, gp))),
-    }
-    return {k: [plain.derivative_vector(c) for c in v] for k, v in series.items()}
-
-
 def check_pair(l: list[Fraction], h: list[Fraction]) -> None:
     n = len(l) - 1
     pair = ShefferPair(TruncatedSeries(l), TruncatedSeries(h))
@@ -64,11 +45,11 @@ def check_pair(l: list[Fraction], h: list[Fraction]) -> None:
         array = [[*p.coeffs] + [Fraction(0)] * (n - i) for i, p in enumerate(sequence)]
         inverse = plain.riordan_matrix(d, h)
         assert plain.matmul(array, inverse) == identity, sequence.kind
-    g = plain.reversion(h)
-    assert list(pair.g.coeffs) == g
-    for label, want in reference_rows(l, h, g).items():
+    want = plain.derived_rows(l, h)
+    assert list(pair.g.coeffs) == want["g"]
+    for label in LABELS:
         t = COEFF_EXTRACTORS[label](pair, n - 1)
-        assert [list(t.a), list(t.b), list(t.c)] == want, label
+        assert [list(t.a), list(t.b), list(t.c)] == want[label], label
 
 
 @settings(max_examples=10, deadline=None)

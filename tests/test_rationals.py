@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from sheffermat import Poly, format_rational, parse_rational, rat
 from sheffermat.rationals import combine_row, common_denominator, format_row, reduce_row
 
+import plain_fractions as plain
+
 
 def test_parse_plain_integer():
     assert parse_rational("2") == Fraction(2)
@@ -61,23 +63,6 @@ def test_common_denominator():
     assert common_denominator([]) == (1, [])
 
 
-def fraction_sum(weights, rows):
-    """Reference: sum_t weights[t] * rows[t] one Fraction at a time, short
-    rows zero-padded to the longest."""
-    out = [Fraction(0)] * max((len(r) for r in rows), default=0)
-    for w, r in zip(weights, rows):
-        for j, c in enumerate(r):
-            out[j] += w * c
-    return out
-
-
-def combine(weights, rows):
-    """combine_row with rational weights over one common denominator, each
-    output entry reduced as a Fraction."""
-    den, out = combine_row(*common_denominator(weights), rows)
-    return [Fraction(c, den) for c in out]
-
-
 small = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 weight = st.one_of(st.just(0), st.integers(-6, 6), small)
 
@@ -93,19 +78,11 @@ def weighted_rows(draw):
 
 
 @given(weighted_rows())
-def test_combine_is_the_fraction_sum(case):
-    weights, rows = case
-    got = combine(weights, [common_denominator(r) for r in rows])
-    assert got == fraction_sum(weights, rows)
-    assert all(type(c) is Fraction for c in got)
-
-
-@given(weighted_rows())
 def test_combine_row_is_the_fraction_sum_and_reduces_to_one_form(case):
     weights, rows = case
     dw, numerators = common_denominator(weights)
     den, out = combine_row(dw, numerators, [common_denominator(r) for r in rows])
-    expected = fraction_sum(weights, rows)
+    expected = plain.weighted_sum(weights, rows)
     assert [Fraction(c, den) for c in out] == expected
     reduced_den, reduced = reduce_row(den, out)
     assert math.gcd(reduced_den, *reduced) == 1
@@ -113,11 +90,13 @@ def test_combine_row_is_the_fraction_sum_and_reduces_to_one_form(case):
 
 
 def test_combine_edge_cases():
-    assert combine([], []) == []
+    assert combine_row(1, [], []) == (1, [])
     rows = [common_denominator([Fraction(1, 3), 2]), common_denominator([5])]
-    assert combine([0, 0], rows) == [0, 0]
-    assert combine([Fraction(3, 4)], rows[:1]) == [Fraction(1, 4), Fraction(3, 2)]
-    assert combine([1, -1], rows) == [Fraction(-14, 3), 2]
+    assert combine_row(1, [0, 0], rows) == (1, [0, 0])
+    # (3/4) (1/3, 2) = (3/12, 18/12) = (1/4, 3/2)
+    assert combine_row(4, [3], rows[:1]) == (12, [3, 18])
+    # (1/3, 2) - (5, 0) = (-14/3, 6/3)
+    assert combine_row(1, [1, -1], rows) == (3, [-14, 6])
 
 
 def test_combine_skips_zero_weight_rows():
@@ -126,12 +105,12 @@ def test_combine_skips_zero_weight_rows():
             raise AssertionError("a zero-weight row was read")
 
     rows = [(7, Untouchable([1, 2])), common_denominator([Fraction(1, 2)])]
-    assert combine([0, 4], rows) == [2, 0]
+    assert combine_row(1, [0, 4], rows) == (2, [4, 0])
 
 
 def test_combine_needs_one_weight_per_row():
     with pytest.raises(ValueError):
-        combine([1], [])
+        combine_row(1, [1], [])
 
 
 @given(

@@ -1,23 +1,27 @@
-"""Every row kernel against the plain-Fraction reference, orders 0..20.
+"""Every row kernel against its plain-Fraction reference, once.
 
 ``Poly`` and ``TruncatedSeries`` store one reduced integer row
 ``(D, numerators)``.  Each operation that works on rows is compared here
-with its one-Fraction-at-a-time reference from ``plain_fractions`` on
-coefficients with negative numerators, denominators up to 10^12, zero
-series and delta series with h'(0) != 1, and every result is checked to
-be in canonical form: D > 0, gcd(D, *numerators) = 1 and, for a ``Poly``,
-no trailing zero.  A pair's arrays are compared with [d, g] built one column
-d g^k at a time, with g = h^-1 by plain reversion; the pair's choice between
-reading P[d] (h = y) and the production recurrence is also checked on fixed
-inputs: h = y at orders 1..40 (P[d] alone from order 0), and the near misses
-of y (``plain.near_misses_of_y``).
+with its one-Fraction-at-a-time reference from ``plain_fractions``, at
+orders up to 40 (20 for the inverse and the arrays), on coefficients with negative numerators, denominators up to
+10^12, zero series, one-term series and delta series with h'(0) != 1, and
+every result is checked to be in canonical form: D > 0,
+gcd(D, *numerators) = 1 and, for a ``Poly``, no trailing zero.  The series
+product also takes y^k, c y^k and 1 - y in both argument orders; the
+composition and exponential take inner series with no linear term; the
+inverse is the plain Lagrange reversion.  A pair's arrays are compared
+with [d, g] built one column d g^k at a time, with g = h^-1 by plain
+reversion; the pair's choice between reading P[d] (h = y) and the
+production recurrence is also checked on fixed inputs: h = y at orders
+1..40 (P[d] alone from order 0), and the near misses of y
+(``plain.near_misses_of_y``).
 """
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sheffermat import (
@@ -33,34 +37,43 @@ from sheffermat.polynomials import derivative_combination
 from sheffermat.rationals import format_rational
 
 import plain_fractions as plain
+from plain_fractions import coefficients, entries, nonzero
 
-entries = st.one_of(
-    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(-7, 3)]),
-    st.fractions(min_value=-50, max_value=50, max_denominator=12),
-    st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**12),
-)
-nonzero = entries.filter(lambda q: q != 0)
-orders = st.integers(min_value=0, max_value=20)
-
-
-def coefficients(order: int, constant=entries):
-    """order + 1 coefficients, the first drawn from ``constant`` (a strategy
-    or a fixed value); the rest dense, all zero, or one nonzero term."""
-    if not isinstance(constant, st.SearchStrategy):
-        constant = st.just(Fraction(constant))
-    dense = st.lists(entries, min_size=order, max_size=order)
-    zero = st.just([Fraction(0)] * order)
-    single = st.tuples(st.integers(0, max(order - 1, 0)), nonzero).map(
-        lambda t: [t[1] if k == t[0] else Fraction(0) for k in range(order)]
-    )
-    tail = st.one_of(dense, zero, single) if order else st.just([])
-    return st.tuples(constant, tail).map(lambda t: [t[0], *t[1]])
+orders = st.integers(min_value=0, max_value=40)
 
 
 def delta(order: int):
     """A delta series' coefficients: h(0) = 0, h'(0) any nonzero rational."""
     tail = st.lists(entries, min_size=order - 1, max_size=order - 1)
     return st.tuples(nonzero, tail).map(lambda t: [Fraction(0), t[0], *t[1]])
+
+
+def sparse(order: int):
+    """y^k, c y^k (k = 0..order) or 1 - y: factors whose zeros the product
+    skips when they outnumber the other factor's."""
+    def at(k, c):
+        return [Fraction(0)] * k + [Fraction(c)] + [Fraction(0)] * (order - k)
+
+    power = st.integers(0, order).map(lambda k: at(k, 1))
+    single = st.tuples(st.integers(0, order), nonzero).map(lambda t: at(*t))
+    one_minus_y = [Fraction(1), Fraction(-1)][: order + 1] + [Fraction(0)] * (order - 1)
+    return st.one_of(power, single, st.just(one_minus_y))
+
+
+def inner(order: int):
+    """g with g(0) = 0: ``coefficients(order, 0)``, a delta series, or, from
+    order 2, one whose linear term is zero too (y^2, y^3 + y^5 truncated,
+    or drawn)."""
+    options = [coefficients(order, 0)]
+    if order:
+        options.append(delta(order))
+    if order >= 2:
+        fixed = ([0, 0, 1], [0, 0, 0, 1, 0, 1])
+        options.append(st.sampled_from([
+            [Fraction(c) for c in (cs + [0] * order)[: order + 1]] for cs in fixed
+        ]))
+        options.append(coefficients(order - 1, 0).map(lambda c: [Fraction(0), *c]))
+    return st.one_of(options)
 
 
 def refuse_product(a, b):
@@ -80,23 +93,28 @@ def same(series: TruncatedSeries, coeffs: list[Fraction]) -> bool:
     return canonical(series) and list(series.coeffs) == coeffs
 
 
-@settings(max_examples=60, deadline=None)
-@given(orders.flatmap(lambda n: st.tuples(coefficients(n), coefficients(n))), entries)
+def operand(order: int):
+    return st.one_of(coefficients(order), sparse(order))
+
+
+@settings(max_examples=80, deadline=None)
+@given(orders.flatmap(lambda n: st.tuples(operand(n), operand(n))), entries)
 def test_series_ring_operations(operands, scalar):
     a, b = operands
     sa, sb = TruncatedSeries(a), TruncatedSeries(b)
     assert same(sa, a) and same(sb, b)
     assert same(sa * sb, plain.truncated_product(a, b))
+    assert same(sb * sa, plain.truncated_product(b, a))
     assert same(sa + sb, [x + y for x, y in zip(a, b)])
     assert same(-sa, [-x for x in a])
     assert same(sa * scalar, [x * scalar for x in a]) and scalar * sa == sa * scalar
     assert plain.series_sub(sa, sb) == sa + -sb
-    dv = tuple(x * math.factorial(k) for k, x in enumerate(a))
+    dv = tuple(plain.derivative_vector(a))
     assert wronskian_vector(sa, sa.order).column_entries(0) == dv
     for k in range(len(a)):
         assert same(sa.truncate(k), a[: k + 1])
     if len(a) > 1:
-        assert same(sa.derivative(), [x * k for k, x in enumerate(a)][1:])
+        assert same(sa.derivative(), plain.derivative(a))
 
 
 @settings(max_examples=60, deadline=None)
@@ -105,8 +123,8 @@ def test_reciprocal(c):
     assert same(TruncatedSeries(c).reciprocal(), plain.reciprocal(c))
 
 
-@settings(max_examples=40, deadline=None)
-@given(orders.flatmap(lambda n: st.tuples(coefficients(n), coefficients(n, 0))))
+@settings(max_examples=60, deadline=None)
+@given(orders.flatmap(lambda n: st.tuples(coefficients(n), inner(n))))
 def test_compose_and_exp(operands):
     f, g = operands
     sf, sg = TruncatedSeries(f), TruncatedSeries(g)
@@ -120,6 +138,7 @@ def test_compositional_inverse(h):
     g = TruncatedSeries(h).compositional_inverse()
     y = [Fraction(0), Fraction(1)] + [Fraction(0)] * (len(h) - 2)
     assert canonical(g) and g.is_delta
+    assert list(g.coeffs) == plain.reversion(h)
     assert plain.composition(h, list(g.coeffs)) == y
     assert plain.composition(list(g.coeffs), h) == y
 
@@ -145,40 +164,42 @@ def test_poly_operations(p, scalar, k):
 weights = st.one_of(st.integers(-(10**12), 10**12), entries)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.tuples(weights, weights, polys, st.integers(0, 6)), max_size=6),
-    st.one_of(st.just(1), st.integers(2, 10**12)),
-)
+@st.composite
+def combination_terms(draw):
+    """Up to 16 terms (alpha, beta, q, k), k <= 15, each q one of up to four
+    drawn polynomials, so that some terms share a q by identity."""
+    pool = draw(st.lists(polys, min_size=1, max_size=4))
+    term = st.tuples(weights, weights, st.sampled_from(pool), st.integers(0, 15))
+    return draw(st.lists(term, max_size=16))
+
+
+@settings(max_examples=100, deadline=None)
+@given(combination_terms(), st.one_of(st.just(1), st.integers(2, 10**12)))
 def test_derivative_combination(terms, dw):
     """Integer and Fraction weights over a common denominator dw: 1 as the
     audit passes them, or D > 1 as the identity residuals do."""
     got = derivative_combination(terms, dw)
-    want = plain.add(*(
-        plain.mul(Poly((Fraction(beta) / dw, Fraction(alpha) / dw)), q.derivative(k))
-        * Fraction(1, math.factorial(k))
-        for alpha, beta, q, k in terms
-    ))
-    assert canonical(got) and got == want
+    assert canonical(got) and got == plain.combination(terms, dw)
 
 
 def same_arrays(l: list[Fraction], h: list[Fraction]) -> bool:
     """The pair's two arrays are canonical and equal [1/l(g), g] and
     [1/(l(g) l), g] built one column d g^k at a time, g = h^-1 by reversion."""
     pair = ShefferPair(TruncatedSeries(l), TruncatedSeries(h))
-    g = plain.reversion(h)
-    d = plain.reciprocal(plain.composition(l, g))
-    want = [d, plain.truncated_product(d, plain.reciprocal(l))]
     got = [pair.sheffer_polys, pair.sheffer_appell_polys]
     return all(canonical(p) for polys in got for p in polys) and [
         list(polys) for polys in got
-    ] == [plain.riordan_rows(d, g) for d in want]
+    ] == list(plain.sheffer_arrays(l, plain.reversion(h)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    orders.filter(bool).flatmap(lambda n: st.tuples(coefficients(n, nonzero), delta(n)))
+    st.integers(1, 20).flatmap(lambda n: st.tuples(coefficients(n, nonzero), delta(n)))
 )
+@example(tuple(
+    list(map(Fraction, cs))
+    for cs in (["3/2", -1, "1/7", 0, 2, "-5/3"], [0, "2/3", 0, 1, "1/4", -3])
+))
 def test_riordan_and_appell_arrays(operands):
     l, h = operands
     assert same_arrays(l, h)

@@ -157,11 +157,15 @@ def test_one_real_point_has_the_record_shape():
 def test_the_grid_is_fixed():
     cells = scaling.grid()
     names = [name for name, _, _ in cells]
-    assert len(names) == len(set(names)) == 6 * 2 + 3 + 6 * 7
+    # g only on the three pairs with h != y
+    assert len(names) == len(set(names)) == 6 * 2 + 3 + 6 * 6 + 3 == 54
     sizes = {name: list(by_n) for name, _, by_n in cells}
+    assert sum(map(len, sizes.values())) == 86
     assert sizes["gen laguerre-5/2"] == sizes["audit"] == [25, 50, 100]
     assert sizes["lemma miller-lee-1"] == [100, 200]
-    assert sizes["sweep 3.3 log-assoc"] == sizes["g bernoulli"] == [200]
+    assert sizes["sweep 3.3 log-assoc"] == sizes["g log-assoc"] == [200]
+    assert [name for name in names if name.startswith("g ")] == [
+        "g laguerre-0", "g laguerre-5/2", "g log-assoc"]
     assert sizes["families"] == [None]
     _, kind, by_n = cells[names.index("verify --all --lemma laguerre-0")]
     assert kind == "cli" and by_n[100] == [

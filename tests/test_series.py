@@ -160,6 +160,17 @@ def test_reciprocal_one_minus_squared():
     assert square.reciprocal().coeffs == (1, 2, 3, 4)
 
 
+def test_reciprocal_order_zero_and_one():
+    assert TruncatedSeries([Fraction(-7, 3)]).reciprocal() == TruncatedSeries(
+        [Fraction(-3, 7)]
+    )
+    # 1/(c0 + c1 y) = 1/c0 - c1/c0^2 y
+    assert TruncatedSeries([Fraction(-7, 3), 5]).reciprocal() == TruncatedSeries(
+        [Fraction(-3, 7), Fraction(-45, 49)]
+    )
+    assert TruncatedSeries([1, 0]).reciprocal() == TruncatedSeries([1, 0])
+
+
 def test_reciprocal_needs_nonzero_constant():
     with pytest.raises(NotInvertibleError):
         TruncatedSeries([0, 1]).reciprocal()
@@ -347,122 +358,17 @@ def test_compose_distributes_over_mul(f, g, h):
     assert (f * g).compose(h) == f.compose(h) * g.compose(h)
 
 
-@given(series_strategy(5))
-def test_derivative_vector_matches_coeffs(s):
-    dv = derivative_vector(s)
-    assert all(
-        dv[k] / math.factorial(k) == s.coeffs[k] for k in range(s.order + 1)
-    )
-
-
 @given(delta_strategy(4), delta_strategy(4))
 def test_exp_is_additive(f, g):
     assert (f + g).exp() == f.exp() * g.exp()
 
 
-# -- integer kernels against the plain-Fraction references -------------------
-
-
-# Denominators up to 10^6, zeros, ones and a negative non-unit constant.
-wide = st.one_of(
-    st.sampled_from([Fraction(0), Fraction(1), Fraction(-7, 3)]),
-    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
-)
-wide_nonzero = wide.filter(lambda q: q != 0)
-kernel_orders = st.integers(min_value=0, max_value=40)
-
-
-def kernel_operand(order, constant=wide):
-    """A dense series, or a zero-heavy one c0 + c y^k (c y^k when c0 = 0)."""
-    dense = st.lists(wide, min_size=order, max_size=order)
-    sparse = st.tuples(st.integers(1, max(order, 1)), wide_nonzero).map(
-        lambda t: [Fraction(0)] * (t[0] - 1) + [t[1]] + [Fraction(0)] * (order - t[0])
-    )
-    tail = st.one_of(dense, sparse) if order else st.just([])
-    return st.tuples(constant, tail).map(lambda t: TruncatedSeries([t[0], *t[1]]))
-
-
-def sparse_operand(order):
-    """y^k, 1 - y or c y^k (k = 0..order): factors whose zeros the product
-    skips when they outnumber the other factor's."""
-    def at(k, c):
-        return TruncatedSeries([0] * k + [c] + [0] * (order - k))
-
-    power = st.integers(0, order).map(lambda k: at(k, 1))
-    single = st.tuples(st.integers(0, order), wide_nonzero).map(lambda t: at(*t))
-    one_minus_y = TruncatedSeries([1, -1][: order + 1], order)
-    return st.one_of(power, single, st.just(one_minus_y))
-
-
-def any_operand(order):
-    return st.one_of(kernel_operand(order), sparse_operand(order))
-
-
-@settings(max_examples=80, deadline=None)
-@given(kernel_orders.flatmap(lambda n: st.tuples(any_operand(n), any_operand(n))))
-def test_product_matches_schoolbook(operands):
-    """Dense, zero-heavy and sparse factors, in both argument orders."""
-    for a, b in (operands, operands[::-1]):
-        assert list((a * b).coeffs) == plain.truncated_product(a.coeffs, b.coeffs)
-
-
-@settings(max_examples=60, deadline=None)
-@given(kernel_orders.flatmap(lambda n: kernel_operand(n, constant=wide_nonzero)))
-def test_reciprocal_matches_schoolbook(c):
-    assert list(c.reciprocal().coeffs) == plain.reciprocal(c.coeffs)
-
-
-def test_reciprocal_order_zero_and_one():
-    assert TruncatedSeries([Fraction(-7, 3)]).reciprocal() == TruncatedSeries(
-        [Fraction(-3, 7)]
-    )
-    # 1/(c0 + c1 y) = 1/c0 - c1/c0^2 y
-    assert TruncatedSeries([Fraction(-7, 3), 5]).reciprocal() == TruncatedSeries(
-        [Fraction(-3, 7), Fraction(-45, 49)]
-    )
-    assert TruncatedSeries([1, 0]).reciprocal() == TruncatedSeries([1, 0])
-
-
 # -- Paterson-Stockmeyer composition and fixed-factor loops -------------------
 
 
-def horner_compose(f, g):
-    """The Horner composition that ``compose`` replaced, kept as the reference."""
-    n = f.order
-    result = [Fraction(0)] * (n + 1)
-    for c in reversed(f.coeffs):
-        result = plain.truncated_product(result, g.coeffs)
-        result[0] += c
-    return TruncatedSeries(result)
-
-
-compose_orders = st.integers(min_value=0, max_value=40)
-
-
-def zero_constant_strategy(order):
-    """An inner series: a delta series, or one whose linear term is zero
-    too (y^2, y^3 + y^5, the zero series or random), truncated at order."""
-    special = ([0, 0, 1], [0, 0, 0, 1, 0, 1], [0])
-    fixed = st.sampled_from([TruncatedSeries(cs[: order + 1], order) for cs in special])
-    if order < 2:
-        return st.one_of(fixed, delta_strategy(order)) if order else fixed
-    no_linear = st.tuples(*[rationals] * (order - 1)).map(
-        lambda cs: TruncatedSeries((Fraction(0), Fraction(0)) + cs)
-    )
-    return st.one_of(fixed, no_linear, delta_strategy(order))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    compose_orders.flatmap(
-        lambda n: st.tuples(
-            kernel_operand(n, constant=rationals), zero_constant_strategy(n)
-        )
-    )
-)
-def test_compose_matches_horner(operands):
-    f, g = operands
-    assert f.compose(g) == horner_compose(f, g)
+def composition(f, g):
+    """f(g) by the plain-Fraction composition."""
+    return TruncatedSeries(plain.composition(list(f.coeffs), list(g.coeffs)))
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 8, 10, 15])
@@ -471,7 +377,7 @@ def test_compose_chunk_boundaries(order):
     f = TruncatedSeries([Fraction(k + 1, 3 - k % 3) for k in range(order + 1)])
     tail = [Fraction(1, k) for k in range(2, order + 1)]
     g = TruncatedSeries([0, Fraction(-2, 5), *tail])
-    assert f.compose(g) == horner_compose(f, g)
+    assert f.compose(g) == composition(f, g)
     assert f.compose(TruncatedSeries.identity(order)) == f
 
 
@@ -479,9 +385,9 @@ def test_compose_with_all_zero_chunks():
     # order 8 gives m = 3: chunks y^0..y^2, y^3..y^5 (zero), y^6..y^8 (zero)
     f = TruncatedSeries([2, Fraction(-1, 3), 5], order=8)
     g = TruncatedSeries([0, 1, Fraction(1, 2), 0, 0, 3, 0, 0, 1])
-    assert f.compose(g) == horner_compose(f, g)
+    assert f.compose(g) == composition(f, g)
     middle = TruncatedSeries([1, 0, 0, 0, 0, 0, Fraction(7, 2), 0, 1])
-    assert middle.compose(g) == horner_compose(middle, g)
+    assert middle.compose(g) == composition(middle, g)
     zero = TruncatedSeries([0], 8)
     assert zero.compose(g) == zero
 
@@ -495,12 +401,10 @@ def _no_product(a, b):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=40).flatmap(
-        lambda n: kernel_operand(n, constant=rationals)
-    )
+    st.integers(min_value=1, max_value=40).flatmap(plain.coefficients).map(TruncatedSeries)
 )
 def test_compose_with_y_and_inverse_of_y_run_no_product(f):
-    """f(y) = f against the Horner reference, and y^-1 = y, with every
+    """f(y) = f against the plain composition, and y^-1 = y, with every
     product of the kernel patched to raise."""
     y = TruncatedSeries.identity(f.order)
     want = plain.composition(list(f.coeffs), list(y.coeffs))
@@ -544,40 +448,6 @@ def test_near_misses_of_y_take_the_general_path(monkeypatch, order):
         assert plain.composition(list(inner.coeffs), list(inverse.coeffs)) == y
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=20).flatmap(delta_strategy))
-def test_compositional_inverse_matches_plain_reversion(h):
-    assert list(h.compositional_inverse().coeffs) == plain.reversion(h.coeffs)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=15).flatmap(zero_constant_strategy))
-def test_exp_matches_repeated_products(g):
-    assert g.exp() == TruncatedSeries(plain.exponential(g.coeffs))
-
-
-def test_riordan_polys_match_repeated_products():
-    """The Sheffer array [1/l(g), g] of a pair, built with no g, against its
-    columns d g^k by repeated ``*``, with g = h^-1 by the plain-Fraction
-    Lagrange reversion."""
-    l = TruncatedSeries([Fraction(3, 2), -1, Fraction(1, 7), 0, 2, Fraction(-5, 3)])
-    h = TruncatedSeries([0, Fraction(2, 3), 0, 1, Fraction(1, 4), -3])
-    g = TruncatedSeries(plain.reversion(h.coeffs))
-    d = l.compose(g).reciprocal()
-    columns, power = [], d
-    for _ in range(d.order + 1):
-        columns.append(power.coeffs)
-        power = power * g
-    want = tuple(
-        Poly(
-            math.factorial(i) // math.factorial(k) * columns[k][i]
-            for k in range(i + 1)
-        )
-        for i in range(d.order + 1)
-    )
-    assert ShefferPair(l, h).sheffer_polys == want
-
-
 def test_compose_and_inverse_call_no_common_denominator(monkeypatch):
     from sheffermat import series
 
@@ -585,7 +455,7 @@ def test_compose_and_inverse_call_no_common_denominator(monkeypatch):
     g = TruncatedSeries([0, Fraction(2, 3)] + [Fraction(1, k * k) for k in range(2, 31)])
     h = TruncatedSeries([0, 1] + [Fraction(1, math.factorial(k)) for k in range(2, 31)])
     inverse = TruncatedSeries(plain.reversion(h.coeffs))
-    want = horner_compose(f, g), inverse, TruncatedSeries(plain.exponential(h.coeffs))
+    want = composition(f, g), inverse, TruncatedSeries(plain.exponential(h.coeffs))
     scaled = []
     honest = series.common_denominator
 

@@ -12,8 +12,9 @@ miller-lee m=1 and bernoulli):
 * library cells, one process per run that builds the pair at order n + 1 (as
   ``verify`` does) and what the stage reads, untimed, then times the stage
   alone: the lemma at n = 100 and 200; at n = 200 the Sheffer-Appell array,
-  g (read off the array and checked by h(g) = y) and each label's residual
-  sweep.
+  each label's residual sweep and, on the three pairs with h != y, g (read
+  off the array and checked by h(g) = y; for h = y, g = y is returned at
+  once).
 
 Each point of a cell is timed in ``RUNS`` pairs of runs, one run on each
 tree, the first side alternating from pair to pair.  The point's first run
@@ -62,6 +63,7 @@ PAIRS = {  # id -> (family, CLI --param values)
     "miller-lee-1": ("miller-lee", {"m": "1"}),
     "bernoulli": ("bernoulli", {}),
 }
+APPELL_PAIRS = ("hermite", "miller-lee-1", "bernoulli")  # h = y: no g cell
 CLI_N = (25, 50, 100)
 LEMMA_N = (100, 200)
 STAGE_N = 200
@@ -88,7 +90,9 @@ def grid() -> list[tuple[str, str, dict]]:
     cells.append(("verify --properties", "cli", {None: properties}))
     cells.append(("families", "cli", {None: ["families"]}))
     for pair_id in PAIRS:
-        stages = [("lemma", LEMMA_N), ("array", (STAGE_N,)), ("g", (STAGE_N,))]
+        stages = [("lemma", LEMMA_N), ("array", (STAGE_N,))]
+        if pair_id not in APPELL_PAIRS:
+            stages.append(("g", (STAGE_N,)))
         stages += [(f"sweep {label}", (STAGE_N,)) for label in LABELS]
         for stage, sizes in stages:
             by_n = {n: [stage, pair_id, str(n)] for n in sizes}
