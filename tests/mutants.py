@@ -144,6 +144,19 @@ MUTANTS = {
         "        return _vectors((a, -hp * self._lp_over_l, -self._of_g))",
         ["tests/test_random_sheffer_pairs.py"],
     ),
+    # -- cost: work done twice moves a cell of tests/cost_budgets.json ----------
+    "lp-over-l-built-on-every-read": (
+        "pairs.py",
+        "    @cached_property\n    def _lp_over_l",
+        "    @property\n    def _lp_over_l",
+        ["tests/test_cost_budgets.py::test_counts_equal_the_budgets"],
+    ),
+    "factorization-product-rebuilt-on-every-call": (
+        "identities.py",
+        "if rhs is None or rhs.rows <= n:",
+        "if True:",
+        ["tests/test_cost_budgets.py::test_counts_equal_the_budgets"],
+    ),
     # -- sequences, families --------------------------------------------------
     "appell-sequence-without-the-reciprocal": (
         "sequences.py",

@@ -7,7 +7,8 @@ package arithmetic runs on the expected side.  The frozen digests of
 kind up to the largest degree the CLI accepts.  Run in this process, they
 also cover n = 200: the Appell kind of every case, the Sheffer-Appell kind
 at one parameter per family, and, off the catalog, the Sheffer kind of the
-Abel pair (1, y e^{ay}), whose g is not an involution.
+Abel pair (1, y e^{ay}) and the Bessel-type pair (1, y - y^2/2), whose g
+is not an involution.
 For h = y the Sheffer kind e^{xy}/l is the Appell kind, and the
 Sheffer-Appell kind e^{xy}/l^2 is the Appell kind of l^2.
 """
@@ -143,6 +144,20 @@ def abel(n, a):
     ]
 
 
+def bessel(n):
+    """The Bessel type (1, y - y^2/2): the x^k coefficient of degree i is
+    (2i - k - 1)! / ((k - 1)! (i - k)!) 2^(k - i) for 1 <= k <= i (Roman,
+    The Umbral Calculus, 1984, section 4.1)."""
+    return [[1]] + [
+        [0] + [
+            Fraction(factorial(2 * i - k - 1), factorial(k - 1) * factorial(i - k))
+            / 2 ** (i - k)
+            for k in range(1, i + 1)
+        ]
+        for i in range(1, n + 1)
+    ]
+
+
 LAMBDAS = (0, Fraction(5, 2), Fraction(-7, 3))
 MS = (0, 1, Fraction(-5, 2))
 
@@ -249,3 +264,9 @@ def test_abel_sheffer_rows_match_closed_form_at_200():
     a = Fraction(-2, 3)
     h = TruncatedSeries([0] + [a**k / factorial(k) for k in range(BIG_N)])
     assert_rows(sheffer_sequence(ShefferPair.associated(h), BIG_N), abel(BIG_N, a), BIG_N)
+
+
+def test_bessel_sheffer_rows_match_closed_form_at_200():
+    """The associated pair (1, y - y^2/2), built from h alone."""
+    h = TruncatedSeries([0, 1, Fraction(-1, 2)], BIG_N)
+    assert_rows(sheffer_sequence(ShefferPair.associated(h), BIG_N), bessel(BIG_N), BIG_N)

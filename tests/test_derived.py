@@ -3,7 +3,6 @@
 import math
 import sys
 from fractions import Fraction
-from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +41,7 @@ from sheffermat import (
     sheffer_sequence,
     wronskian_powers_matrix,
 )
+from cost_counts import counting
 from plain_fractions import add, derived_rows, monomial, reversion, sheffer_arrays
 
 # -- sympy oracle on random valid pairs --------------------------------------
@@ -294,69 +294,12 @@ def test_lemma_sweep_edge_sizes(monkeypatch):
     assert [c.passed for c in lemma_checks(pair, 0)] == [False]
 
 
-def test_lemma_sweep_builds_one_product(monkeypatch):
-    calls = []
-    powers = identities.wronskian_powers_matrix
-
-    def counted(h, n):
-        calls.append(n)
-        return powers(h, n)
-
-    monkeypatch.setattr(identities, "wronskian_powers_matrix", counted)
-    pair = make_pair("laguerre", 12, {"lambda": Fraction(5, 2)})
-    assert all(c.passed for c in lemma_checks(pair, 10))
-    assert calls == [10]
-
-
-def test_factorization_composes_at_its_own_size(monkeypatch):
-    """With the array and g built, the size-12 factorization of an order-32
-    pair composes 1/l with h at order 12, not at the pair's order."""
-    pair = make_pair("laguerre", 32, {"lambda": Fraction(5, 2)})
-    pair.sheffer_appell_polys, pair.g
-    orders, compose = [], TruncatedSeries.compose
-
-    def counted(self, inner):
-        orders.append(self.order)
-        return compose(self, inner)
-
-    monkeypatch.setattr(TruncatedSeries, "compose", counted)
-    assert factorization_check(pair, 12)
-    assert orders and max(orders) <= 12
-
-
 # -- the factorization product kept on the pair ------------------------------
-
-
-def count_products(monkeypatch) -> list[int]:
-    """The sizes of the factorization products built from now on."""
-    calls = []
-    powers = identities.wronskian_powers_matrix
-
-    def counted(h, n):
-        calls.append(n)
-        return powers(h, n)
-
-    monkeypatch.setattr(identities, "wronskian_powers_matrix", counted)
-    return calls
-
-
-def test_factorization_product_is_rebuilt_only_for_a_larger_size(monkeypatch):
-    calls = count_products(monkeypatch)
-    pair = make_pair("laguerre", 12, {"lambda": Fraction(5, 2)})
-    for n in (8, 3, 8, 0, 5, 8):
-        assert factorization_check(pair, n)
-    assert calls == [8]
-    assert factorization_check(pair, 11)
-    assert calls == [8, 11]
-    for n in range(12):
-        assert factorization_check(pair, n)
-    assert calls == [8, 11]
 
 
 @pytest.mark.parametrize("broken_first", [False, True])
 @pytest.mark.parametrize("row", [0, 4, 7])
 def test_kept_product_does_not_hide_a_broken_row(monkeypatch, row, broken_first):
-    calls = count_products(monkeypatch)
     pair = make_pair("log-assoc", 11)
 
     def sweep(n, broken):
@@ -369,7 +312,6 @@ def test_kept_product_does_not_hide_a_broken_row(monkeypatch, row, broken_first)
         for n in (9, 7):
             want = [d < row or not broken for d in range(n + 1)]
             assert sweep(n, broken) == want
-    assert calls == [9]
 
 
 @settings(max_examples=30, deadline=None)
@@ -446,30 +388,7 @@ def test_production_matrix_of_random_pairs(pair):
     assert production_matrix(pair, n) == production_closed_form(pair, n)
 
 
-# -- no compositional inverse on any path --------------------------------------
-
-
-def test_sweep_runs_no_compositional_inverse(monkeypatch):
-    """g is read off the Sheffer-Appell array, so a full sweep of residuals and
-    the factorization, on Sheffer and Appell pairs, inverts no series."""
-    calls = []
-    inverse = TruncatedSeries.compositional_inverse
-
-    def counted(self):
-        calls.append(self)
-        return inverse(self)
-
-    monkeypatch.setattr(TruncatedSeries, "compositional_inverse", counted)
-    pairs_ = [
-        make_pair("laguerre", 8, {"lambda": Fraction(5, 2)}),
-        make_pair("log-assoc", 8),
-        make_pair("hermite", 8),
-    ]
-    for pair in pairs_:
-        sheffer_sequence(pair, 7)
-        assert all(r.passed for r in residual_checks(pair, 6))
-        assert all(r.passed for r in lemma_checks(pair, 6))
-    assert len(calls) == 0
+# -- integer rows, built once per pair: no rescale and no Fraction ------------
 
 
 def test_warm_residual_sweep_calls_no_common_denominator(monkeypatch):
@@ -489,24 +408,6 @@ def test_warm_residual_sweep_calls_no_common_denominator(monkeypatch):
             monkeypatch.setattr(module, "common_denominator", counted)
     assert all(r.passed for r in residual_checks(pair, 10))
     assert calls == []
-
-
-def test_log_derivative_of_l_is_built_once_per_pair(monkeypatch):
-    calls = []
-    lp_over_l = ShefferPair._lp_over_l.func
-
-    def counted(self):
-        calls.append(self)
-        return lp_over_l(self)
-
-    counted_property = cached_property(counted)
-    counted_property.__set_name__(ShefferPair, "_lp_over_l")
-    monkeypatch.setattr(ShefferPair, "_lp_over_l", counted_property)
-    pair = make_pair("laguerre", 8, {"lambda": Fraction(5, 2)})
-    for n in range(8):
-        for label in LABELS:
-            COEFF_EXTRACTORS[label](pair, n)
-    assert len(calls) == 1 and calls[0] is pair
 
 
 def test_derived_series_are_built_lazily():
@@ -665,59 +566,6 @@ def test_extractors_at_n_zero_on_an_order_one_pair():
         assert (t.a, t.b, t.c) == want[label]
 
 
-# (compositions, reciprocals, compositions with y and inversions of y)
-BUILD_COST = {"laguerre": (3, 4, 0), "log-assoc": (3, 4, 0), "hermite": (2, 3, 2)}
-
-
-@pytest.mark.parametrize(
-    "family, params",
-    [("laguerre", {"lambda": Fraction(5, 2)}), ("log-assoc", {}), ("hermite", {})],
-)
-def test_full_derived_build_cost(monkeypatch, family, params):
-    """Both arrays and the four vector sets: three compositions (one checks
-    h(g) = y) and four reciprocals (one is 1/d, for d column 0 of the
-    Sheffer-Appell array, as g is read off it).  An Appell pair takes g = y,
-    with neither the read-off nor the check, and composes with y twice; neither
-    call runs a product."""
-    from sheffermat import series
-
-    pair = make_pair(family, 12, params)
-    calls, on_y, products_on_y = [], [], []
-    for name in ("compose", "reciprocal", "compositional_inverse"):
-        method = getattr(TruncatedSeries, name)
-
-        def counted(self, *args, _name=name, _method=method):
-            operand = args[0] if args else self
-            is_y = _name != "reciprocal" and operand.coeffs == (0, 1) + (0,) * (
-                operand.order - 1
-            )
-            calls.append((_name, is_y))
-            on_y.append(is_y)
-            try:
-                return _method(self, *args)
-            finally:
-                on_y.pop()
-
-        monkeypatch.setattr(TruncatedSeries, name, counted)
-    honest = series._product
-
-    def product(a, b):
-        products_on_y.append(any(on_y))
-        return honest(a, b)
-
-    monkeypatch.setattr(series, "_product", product)
-    pair.sheffer_polys, pair.sheffer_appell_polys
-    for label in LABELS:
-        COEFF_EXTRACTORS[label](pair, 11)
-    names = [name for name, _ in calls]
-    assert (
-        names.count("compose"),
-        names.count("reciprocal"),
-        sum(is_y for _, is_y in calls),
-    ) == BUILD_COST[family]
-    assert products_on_y and not any(products_on_y)
-
-
 ROW_ATTRS = {
     "2.1": "differential_equation",
     "3.1": "derivative_recurrence",
@@ -746,23 +594,21 @@ def test_identity_rows_are_reduced(family, params):
 
 
 @pytest.mark.parametrize("family, params", CATALOG_CELLS, ids=CATALOG_IDS)
-def test_arrays_of_an_appell_pair_cost_one_product(monkeypatch, family, params):
+def test_arrays_of_an_appell_pair_cost_one_product(family, params):
     """With its derived series built, an Appell pair (g = y) reads both
-    arrays off P[d]: the one product is d = 1/l 1/l.  Any other h builds both
-    arrays by the "3.1" recurrence on its integer row, with no series product."""
-    from sheffermat import series
-
+    arrays off P[d]: all they cost is the product d = 1/l 1/l.  Any other h
+    builds both arrays by the "3.1" recurrence on its integer row, with no
+    series product."""
     pair = make_pair(family, 32, params)
     pair.reciprocal_l, pair.derivative_recurrence
-    calls, honest = [], series._product
-
-    def counted(a, b):
-        calls.append(1)
-        return honest(a, b)
-
-    monkeypatch.setattr(series, "_product", counted)
-    pair.sheffer_polys, pair.sheffer_appell_polys
-    assert len(calls) == (0 if family in ("laguerre", "log-assoc") else 1)
+    with counting() as arrays:
+        pair.sheffer_polys, pair.sheffer_appell_polys
+    with counting() as square:
+        pair.reciprocal_l * pair.reciprocal_l
+    if family in ("laguerre", "log-assoc"):
+        assert arrays["product"] == [0, 0]
+    else:
+        assert arrays == square
 
 
 def test_log_assoc_derivative_recurrence_row_is_integral():

@@ -31,11 +31,11 @@ from sheffermat import (
     appell_sequence,
     wronskian_vector,
 )
-from sheffermat import pairs, series
 from sheffermat.pairs import pascal_polys
 from sheffermat.polynomials import derivative_combination
 from sheffermat.rationals import format_rational
 
+from cost_counts import NO_WORK, counting
 import plain_fractions as plain
 from plain_fractions import coefficients, entries, nonzero
 
@@ -74,10 +74,6 @@ def inner(order: int):
         ]))
         options.append(coefficients(order - 1, 0).map(lambda c: [Fraction(0), *c]))
     return st.one_of(options)
-
-
-def refuse_product(a, b):
-    raise AssertionError("a series product ran")
 
 
 def canonical(x) -> bool:
@@ -215,40 +211,28 @@ def spread(order: int) -> list[Fraction]:
     return [Fraction((-1) ** k * ((k + 1) % 7), k % 5 + 1) for k in range(order + 1)]
 
 
-def counted_recurrence_steps(monkeypatch) -> list:
-    """The production-recurrence steps that build a pair's arrays, from now on."""
-    calls, honest = [], pairs.derivative_combination
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return honest(*args, **kwargs)
-
-    monkeypatch.setattr(pairs, "derivative_combination", counted)
-    return calls
-
-
 @pytest.mark.parametrize("order", range(41))
-def test_riordan_array_with_g_y_is_read_off_d(monkeypatch, order):
-    """[d, y] is P[d], read off d's row with no series product, at every order;
-    an Appell pair (h = y) reads both arrays so, with no recurrence step."""
-    calls = counted_recurrence_steps(monkeypatch)
+def test_riordan_array_with_g_y_is_read_off_d(order):
+    """[d, y] is P[d], read off d's row with no work in either kernel, at
+    every order; an Appell pair (h = y) reads both arrays so, with no
+    recurrence step (no row combination)."""
     d, y = spread(order), [Fraction(k == 1) for k in range(order + 1)]
-    with monkeypatch.context() as patch:
-        patch.setattr(series, "_product", refuse_product)
+    with counting() as counts:
         got = pascal_polys(TruncatedSeries(d))
+    assert counts == NO_WORK
     assert all(map(canonical, got)) and list(got) == plain.riordan_rows(d, y)
     if order:
-        assert same_arrays(d, y)
-    assert calls == []
+        with counting() as counts:
+            assert same_arrays(d, y)
+        assert counts["combine"] == [0, 0]
 
 
 @pytest.mark.parametrize("order", [1, 2, 9, 40])
-def test_riordan_array_near_y_takes_the_general_path(monkeypatch, order):
-    calls = counted_recurrence_steps(monkeypatch)
+def test_riordan_array_near_y_takes_the_general_path(order):
     for h in plain.near_misses_of_y(order):
-        del calls[:]
-        assert same_arrays(spread(order), list(h.coeffs)), h
-        assert calls, h
+        with counting() as counts:
+            assert same_arrays(spread(order), list(h.coeffs)), h
+        assert counts["combine"][0], h
 
 
 def test_appell_sequence_of_an_order_zero_l():

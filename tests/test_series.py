@@ -1,7 +1,6 @@
 import math
 import operator
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +16,10 @@ from sheffermat import (
     ShefferPair,
     TruncatedSeries,
     make_pair,
-    series,
     wronskian_vector,
 )
 
+from cost_counts import NO_WORK, counting
 import plain_fractions as plain
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -230,34 +229,23 @@ def test_inverse_requires_delta():
         TruncatedSeries([1, 1]).compositional_inverse()
 
 
-def test_inverse_is_the_g_of_the_associated_pair(monkeypatch):
+def test_inverse_is_the_g_of_the_associated_pair():
     """One inversion in the package: h^-1 is the g of the pair (1, h), read
-    off one Sheffer-Appell array, equal to the plain-Fraction Lagrange
-    reversion; y and the series that are not delta series build no array."""
-    builds = []
-    honest = ShefferPair._array
-
-    def counted(self, power):
-        builds.append(power)
-        return honest(self, power)
-
-    monkeypatch.setattr(ShefferPair, "_array", counted)
+    off its Sheffer-Appell array, equal to the plain-Fraction Lagrange
+    reversion; y is its own inverse, and a series that is not a delta series
+    has none."""
     dense = TruncatedSeries(
         [0, Fraction(-3, 2)] + [Fraction((-1) ** k * k, k + 3) for k in range(2, 16)]
     )
     hs = (make_pair("laguerre", 15, {"lambda": Fraction(5, 2)}).h,
           make_pair("log-assoc", 15).h, dense)
     for h in hs:
-        del builds[:]
         assert list(h.compositional_inverse().coeffs) == plain.reversion(h.coeffs)
-        assert builds == [2], h
-    del builds[:]
     y = TruncatedSeries.identity(15)
     assert y.compositional_inverse() == y
     for coeffs in ([1, 1], [0], [0, 0, 1]):
         with pytest.raises(NotDeltaSeriesError):
             TruncatedSeries(coeffs).compositional_inverse()
-    assert builds == []
 
 
 def test_inverse_off_a_broken_array_is_a_contract_error(monkeypatch):
@@ -395,21 +383,18 @@ def test_compose_with_all_zero_chunks():
 # -- y: composing with it and inverting it return at once ---------------------
 
 
-def _no_product(a, b):
-    raise AssertionError("a product ran")
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=1, max_value=40).flatmap(plain.coefficients).map(TruncatedSeries)
 )
 def test_compose_with_y_and_inverse_of_y_run_no_product(f):
-    """f(y) = f against the plain composition, and y^-1 = y, with every
-    product of the kernel patched to raise."""
+    """f(y) = f against the plain composition, and y^-1 = y, with no work in
+    either arithmetic kernel."""
     y = TruncatedSeries.identity(f.order)
     want = plain.composition(list(f.coeffs), list(y.coeffs))
-    with mock.patch.object(series, "_product", _no_product):
+    with counting() as counts:
         composed, inverse = f.compose(y), y.compositional_inverse()
+    assert counts == NO_WORK
     assert list(composed.coeffs) == want
     assert inverse == y
 
@@ -417,34 +402,27 @@ def test_compose_with_y_and_inverse_of_y_run_no_product(f):
 def test_y_at_order_one_runs_no_product():
     """The shortest row of y, (1, [0, 1]): no zero padding to compare."""
     y, f = TruncatedSeries([0, 1]), TruncatedSeries([Fraction(-7, 3), 5])
-    with mock.patch.object(series, "_product", _no_product):
+    with counting() as counts:
         assert f.compose(y) == f
         assert y.compositional_inverse() == y
         assert TruncatedSeries([0, 1]).exp() == TruncatedSeries([1, 1])
+    assert counts == NO_WORK
 
 
 @pytest.mark.parametrize("order", [1, 2, 9, 40])
-def test_near_misses_of_y_take_the_general_path(monkeypatch, order):
+def test_near_misses_of_y_take_the_general_path(order):
     f = TruncatedSeries([Fraction(k + 1, 3 - k % 3) for k in range(order + 1)])
     y = [Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1)
-    products = []
-    honest = series._product
-
-    def counted(a, b):
-        products.append(1)
-        return honest(a, b)
-
-    monkeypatch.setattr(series, "_product", counted)
     for inner in plain.near_misses_of_y(order):
-        del products[:]
-        composed = f.compose(inner)
-        assert products, inner
+        with counting() as counts:
+            composed = f.compose(inner)
+        assert counts["product"][0], inner
         assert list(composed.coeffs) == plain.composition(
             list(f.coeffs), list(inner.coeffs)
         )
-        del products[:]
-        inverse = inner.compositional_inverse()
-        assert products, inner
+        with counting() as counts:
+            inverse = inner.compositional_inverse()
+        assert counts["product"][0], inner
         assert plain.composition(list(inner.coeffs), list(inverse.coeffs)) == y
 
 
