@@ -223,11 +223,9 @@ class TruncatedSeries:
 
     def compositional_inverse(self) -> TruncatedSeries:
         """g with self(g) = y: the g of the pair (1, self), read off its array and
-        a ContractError unless self(g) = y; y is its own inverse, returned at once."""
+        a ContractError unless self(g) = y; that pair returns y's g, y, at once."""
         if not self.is_delta:
             raise NotDeltaSeriesError("only a delta series has a compositional inverse")
-        if self.is_identity:
-            return self
         from .pairs import ShefferPair  # pairs imports this module
 
         return ShefferPair.associated(self).g

@@ -44,21 +44,28 @@ class CheckResult(Record):
 def residual_checks(
     pair: ShefferPair, n: int, label: str | None = None
 ) -> list[CheckResult]:
-    """One identity's residuals (None: all four) at each degree 0..n."""
+    """One identity's residuals (None: all four) at each degree 0..n.
+
+    For h != y both arrays are built from the "3.1" row, so its residual is
+    zero whatever the row holds.  "3.1" is the arrays' production relation, so
+    there it holds at d iff rows 0..d + 1 of the size-(n + 1) factorization do.
+    """
     check_size(n, pair.order - 1, "degree")
     if label is not None and label not in LABELS:
         raise ValueError(f"unknown identity label {label!r}")
     results = []
     for label in LABELS if label is None else (label,):
-        residual_fn = RESIDUALS[label]
+        bad = None
+        if label == "3.1" and not pair.h.is_identity:
+            bad = first_factorization_mismatch(pair, n + 1)
         for d in range(n + 1):
-            r = residual_fn(pair, d)
+            if bad is None:
+                r = RESIDUALS[label](pair, d)
+                passed, why = r.is_zero, f"residual = {r}"
+            else:
+                passed, why = d + 1 < bad, f"factorization differs at row {bad}"
             results.append(
-                CheckResult(
-                    f"residual[{label}] n={d}",
-                    r.is_zero,
-                    "" if r.is_zero else f"residual = {r}",
-                )
+                CheckResult(f"residual[{label}] n={d}", passed, "" if passed else why)
             )
     return results
 

@@ -112,13 +112,13 @@ MUTANTS = {
         "pairs.py",
         "        z = c if power == 1 else [u + v for u, v in zip(b, c)]",
         "        z = c if power == 1 else b",
-        ["tests/test_random_sheffer_pairs.py"],
+        ["tests/test_derived.py::test_derived_series_match_reference_on_random_pairs"],
     ),
     "production-reads-a-k-minus-1": (
         "pairs.py",
         "terms = [(a[k], z[k], polys[i], k) for k in range(i + 1)]",
         "terms = [(a[k - 1], z[k], polys[i], k) for k in range(i + 1)]",
-        ["tests/test_random_sheffer_pairs.py"],
+        ["tests/test_derived.py::test_derived_series_match_reference_on_random_pairs"],
     ),
     "g-read-off-column-2": (
         "pairs.py",
@@ -130,7 +130,7 @@ MUTANTS = {
         "pairs.py",
         "polys = [Poly._reduced(rd**power, [r[0] ** power])]",
         "polys = [Poly._reduced(rd**power, [abs(r[0]) ** power])]",
-        ["tests/test_random_sheffer_pairs.py::test_a_seeded_pair_at_order_60"],
+        ["tests/test_derived.py::test_derived_series_match_reference_on_random_pairs"],
     ),
     # y^13 added to the "3.2" a-series when |h'(0)| != 1 and the order is above
     # 13: no catalog family and no test at orders 2-12 reaches it.
@@ -142,7 +142,19 @@ MUTANTS = {
         "            y13 = [0] * 13 + [1] + [0] * (hp.order - 13)\n"
         "            a = hp + TruncatedSeries._reduced(1, y13)\n"
         "        return _vectors((a, -hp * self._lp_over_l, -self._of_g))",
-        ["tests/test_random_sheffer_pairs.py"],
+        ["tests/test_random_sheffer_pairs.py::test_a_seeded_pair_at_order_60"],
+    ),
+    # D added to b[2] of the "3.1" row when h is not y.  Both arrays are built
+    # from that row, so the "3.1" residual stays zero; "3.1" is read off the
+    # factorization there.
+    "derivative-recurrence-b2-gains-d-off-y": (
+        "pairs.py",
+        "        return _vectors(self._recurrence_series)\n",
+        "        den, a, b, c = _vectors(self._recurrence_series)\n"
+        "        if not self.h.is_identity and len(b) > 2:\n"
+        "            b = [*b[:2], b[2] + den, *b[3:]]\n"
+        "        return den, a, b, c\n",
+        ["tests/test_verify.py::test_a_corrupted_row_fails_its_label[3.1-log-assoc]"],
     ),
     # -- cost: work done twice moves a cell of tests/cost_budgets.json ----------
     "lp-over-l-built-on-every-read": (

@@ -16,8 +16,10 @@ and identity rows; and ``derived_rows`` for g and the (a, b, c) vectors of
 the four identities.  ``entries`` and ``coefficients`` draw the operands of
 the kernels; ``near_misses_of_y`` gives the series one detail away from y,
 for the kernel's fast paths on y;
-``geometric_series`` and ``exponential_series`` give 1/(1-y) and e^y; and
-``dense_pairs`` draws the random non-Appell pairs at served sizes.
+``geometric_series`` and ``exponential_series`` give 1/(1-y) and e^y.
+``pairs`` is the one generator of random pairs (l, h), and ``check_pair``
+the one check of a whole pair: its g, its (a, b, c) rows and its two arrays
+against the references.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from itertools import zip_longest
 
 from hypothesis import strategies as st
 
-from sheffermat import Poly, TruncatedSeries
+from sheffermat import COEFF_EXTRACTORS, LABELS, Poly, ShefferPair, TruncatedSeries
 
 
 def monomial(degree: int, coefficient: Fraction | int = 1) -> Poly:
@@ -113,10 +115,17 @@ def series_sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 def truncated_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """The schoolbook product, skipping the zero coefficients of a."""
-    out = [Fraction(0)] * len(a)
-    for k in range(len(a)):
-        out[k] = sum((a[i] * b[k - i] for i in range(k + 1) if a[i]), Fraction(0))
+    """The schoolbook product, one nonzero coefficient of the sparser factor
+    at a time, skipping the terms with a zero factor."""
+    n = len(a)
+    if sum(map(bool, a)) > sum(map(bool, b)):
+        a, b = b, a
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a):
+        if x:
+            for k in range(i, n):
+                if b[k - i]:
+                    out[k] += x * b[k - i]
     return out
 
 
@@ -139,7 +148,8 @@ def powers(g: list[Fraction]) -> list[list[Fraction]]:
 
 def at_powers(f: list[Fraction], g_powers: list[list[Fraction]]) -> list[Fraction]:
     """sum f_k g^k from the powers of g, truncated to the length of f."""
-    return [sum((c * p[i] for c, p in zip(f, g_powers)), Fraction(0)) for i in range(len(f))]
+    return [sum((c * p[i] for c, p in zip(f, g_powers) if c and p[i]), Fraction(0))
+            for i in range(len(f))]
 
 
 def composition(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
@@ -174,23 +184,15 @@ def pascal_rows(f: list[Fraction]) -> list[list[Fraction]]:
     ]
 
 
-def riordan_matrix(d: list[Fraction], g: list[Fraction]) -> list[list[Fraction]]:
-    """The square matrix of [d, g]: entry (i, k) is i!/k! [y^i] d g^k (zero for
-    k > i), one product per column d g^k."""
+def riordan_rows(d: list[Fraction], g: list[Fraction]) -> list[Poly]:
+    """Degrees 0..n of [d, g]: the x^k coefficient of degree i is
+    i!/k! [y^i] d g^k, one product per column d g^k."""
     columns, power = [], d
     for _ in d:
         columns.append(power)
         power = truncated_product(power, g)
-    return [
-        [math.perm(i, i - k) * columns[k][i] if k <= i else Fraction(0)
-         for k in range(len(d))]
-        for i in range(len(d))
-    ]
-
-
-def riordan_rows(d: list[Fraction], g: list[Fraction]) -> list[Poly]:
-    """Degree i of [d, g]: row i of :func:`riordan_matrix` as a polynomial."""
-    return [Poly(row[: i + 1]) for i, row in enumerate(riordan_matrix(d, g))]
+    return [Poly(math.perm(i, i - k) * columns[k][i] for k in range(i + 1))
+            for i in range(len(d))]
 
 
 def reversion(h: list[Fraction]) -> list[Fraction]:
@@ -303,15 +305,47 @@ def coefficients(order: int, constant=entries):
 
 # p/q with |p| <= 9 and 1 <= q <= 9
 digit = st.builds(Fraction, st.integers(-9, 9), st.integers(min_value=1, max_value=9))
+nonzero_digit = digit.filter(bool)
 
 
 @st.composite
-def dense_pairs(draw, constant):
-    """(l, h) as coefficient lists at an order n from 20 to 40: l(0) drawn from
-    ``constant``, h'(0) a nonzero digit other than +-1, every other
-    coefficient a digit."""
-    n = draw(st.integers(min_value=20, max_value=40))
-    l = [draw(constant)] + draw(st.lists(digit, min_size=n, max_size=n))
-    slope = draw(digit.filter(lambda q: q and abs(q) != 1))
-    h = [Fraction(0), slope] + draw(st.lists(digit, min_size=n - 1, max_size=n - 1))
-    return l, h
+def pairs(draw, min_order: int, max_order: int, appell: bool = False):
+    """(l, h) as coefficient lists at an order n from min_order to max_order,
+    every coefficient a digit: l(0) nonzero, of either sign, and h = y if
+    ``appell``, else h'(0) any nonzero digit (negative, unit and non-unit)."""
+    n = draw(st.integers(min_value=min_order, max_value=max_order))
+    l = [draw(nonzero_digit)] + draw(st.lists(digit, min_size=n, max_size=n))
+    if appell:
+        return l, [Fraction(0), Fraction(1)] + [Fraction(0)] * (n - 1)
+    tail = draw(st.lists(digit, min_size=n - 1, max_size=n - 1))
+    return l, [Fraction(0), draw(nonzero_digit), *tail]
+
+
+def sheffer_pair(l: list[Fraction], h: list[Fraction]) -> ShefferPair:
+    return ShefferPair(TruncatedSeries(l), TruncatedSeries(h))
+
+
+def canonical(x: Poly | TruncatedSeries) -> bool:
+    """One reduced integer row: D > 0, gcd(D, *numerators) = 1 and, for a
+    ``Poly``, no trailing zero."""
+    den, p = x.row
+    if type(den) is not int or den <= 0 or any(type(c) is not int for c in p):
+        return False
+    if isinstance(x, Poly) and p and p[-1] == 0:
+        return False
+    return math.gcd(den, *p) == 1
+
+
+def check_pair(l: list[Fraction], h: list[Fraction]) -> None:
+    """The pair (l, h) of order >= 1 against the references: its g and the
+    (a, b, c) rows read through the extractors at the largest degree they
+    serve against ``derived_rows``, and its two arrays, each polynomial
+    canonical, against ``sheffer_arrays`` of the reference g."""
+    pair, want = sheffer_pair(l, h), derived_rows(l, h)
+    arrays = [pair.sheffer_polys, pair.sheffer_appell_polys]
+    assert all(canonical(p) for polys in arrays for p in polys)
+    assert [list(polys) for polys in arrays] == list(sheffer_arrays(l, want["g"]))
+    assert list(pair.g.coeffs) == want["g"]
+    for label in LABELS:
+        t = COEFF_EXTRACTORS[label](pair, pair.order - 1)
+        assert [list(t.a), list(t.b), list(t.c)] == want[label], label

@@ -42,20 +42,14 @@ from sheffermat import (
     wronskian_powers_matrix,
 )
 from cost_counts import counting
-from plain_fractions import add, derived_rows, monomial, reversion, sheffer_arrays
+import plain_fractions as plain
+from plain_fractions import add, monomial, reversion
 
 # -- sympy oracle on random valid pairs --------------------------------------
 
-small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-nonzero = small.filter(lambda q: q != 0)
 
-
-@st.composite
-def pairs(draw):
-    order = draw(st.integers(min_value=1, max_value=6))
-    l = [draw(nonzero)] + [draw(small) for _ in range(order)]
-    h = [Fraction(0), draw(nonzero)] + [draw(small) for _ in range(order - 1)]
-    return ShefferPair(TruncatedSeries(l), TruncatedSeries(h))
+def random_pairs(min_order: int) -> st.SearchStrategy[ShefferPair]:
+    return plain.pairs(min_order, 6).map(lambda lh: plain.sheffer_pair(*lh))
 
 
 def sympy_sequences(pair: ShefferPair) -> dict[str, list[Poly]]:
@@ -97,7 +91,7 @@ def sympy_sequences(pair: ShefferPair) -> dict[str, list[Poly]]:
 
 
 @settings(max_examples=100, deadline=None)
-@given(pairs())
+@given(random_pairs(1))
 def test_sequences_match_sympy_expansion(pair):
     expected = sympy_sequences(pair)
     n = pair.order
@@ -107,7 +101,7 @@ def test_sequences_match_sympy_expansion(pair):
 
 
 @settings(max_examples=60, deadline=None)
-@given(pairs().filter(lambda pair: pair.order >= 2))
+@given(random_pairs(2))
 def test_identities_hold_for_random_pairs(pair):
     checks = residual_checks(pair, pair.order - 1) + lemma_checks(pair, pair.order)
     assert [c.name for c in checks if not c.passed] == []
@@ -332,7 +326,11 @@ def test_kept_product_answers_as_a_fresh_pair(family_params, calls):
             assert want == min(row, n + 1)
 
 
-# -- production-matrix oracle -------------------------------------------------
+# -- production-matrix oracle, for h = y only ----------------------------------
+# For h != y the engine builds sA from the "3.1" row by this same production
+# recurrence, so the comparison below holds whatever that row holds: there it
+# checks the recurrence's arithmetic, not the row.  For h = y, sA is read off
+# P[1/l^2] and the comparison is a check of the row.
 
 
 def production_matrix(pair: ShefferPair, n: int) -> list[list[Fraction]]:
@@ -379,13 +377,6 @@ def test_production_matrix_of_catalog_families(family):
     spec_params = {k: v for k, v in params.items() if k in FAMILIES[family].params}
     pair = make_pair(family, 10, spec_params)
     assert production_matrix(pair, 8) == production_closed_form(pair, 8)
-
-
-@settings(max_examples=60, deadline=None)
-@given(pairs().filter(lambda pair: pair.order >= 2))
-def test_production_matrix_of_random_pairs(pair):
-    n = pair.order - 2
-    assert production_matrix(pair, n) == production_closed_form(pair, n)
 
 
 # -- integer rows, built once per pair: no rescale and no Fraction ------------
@@ -509,45 +500,21 @@ def test_leading_coefficient_contract_runs_once_per_array(monkeypatch):
     assert sorted(calls) == ["sheffer", "sheffer-appell"]
 
 
-# -- the derived series against the plain-Fraction formulas they replaced -----
-
-
-def assert_matches_reference(pair: ShefferPair) -> None:
-    """g and the (a, b, c) vectors read through the extractors at the largest
-    degree they serve, against ``derived_rows``, and both arrays against
-    ``sheffer_arrays`` of that g."""
-    l = list(pair.l.coeffs)
-    want = derived_rows(l, list(pair.h.coeffs))
-    got = {"g": list(pair.g.coeffs)}
-    for label in LABELS:
-        t = COEFF_EXTRACTORS[label](pair, pair.order - 1)
-        got[label] = [list(t.a), list(t.b), list(t.c)]
-    assert got == want
-    arrays = [list(pair.sheffer_polys), list(pair.sheffer_appell_polys)]
-    assert arrays == list(sheffer_arrays(l, want["g"]))
-
-
-@st.composite
-def wide_pairs(draw):
-    """Orders 2..12 with h'(0) != 1, so 1/g' differs from g'."""
-    order = draw(st.integers(min_value=2, max_value=12))
-    l = [draw(nonzero)] + [draw(small) for _ in range(order)]
-    h1 = draw(nonzero.filter(lambda q: q != 1))
-    h = [Fraction(0), h1] + [draw(small) for _ in range(order - 1)]
-    return ShefferPair(TruncatedSeries(l), TruncatedSeries(h))
+# -- the whole pair against the plain-Fraction references ----------------------
 
 
 @settings(max_examples=60, deadline=None)
-@given(wide_pairs())
-def test_derived_series_match_reference_on_random_pairs(pair):
-    assert_matches_reference(pair)
+@given(plain.pairs(2, 12))
+def test_derived_series_match_reference_on_random_pairs(lh):
+    plain.check_pair(*lh)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_derived_series_match_reference_on_catalog(family):
     params = {"lambda": Fraction(5, 2), "m": 2}
     spec_params = {k: v for k, v in params.items() if k in FAMILIES[family].params}
-    assert_matches_reference(make_pair(family, 40, spec_params))
+    pair = make_pair(family, 40, spec_params)
+    plain.check_pair(list(pair.l.coeffs), list(pair.h.coeffs))
 
 
 def test_extractors_at_n_zero_on_an_order_one_pair():

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sheffermat import (
     COEFF_EXTRACTORS,
@@ -35,6 +34,7 @@ from sheffermat import (
 )
 from sheffermat.polynomials import derivative_combination
 
+import plain_fractions as plain
 from plain_fractions import add, combination, mul, sub
 
 
@@ -407,21 +407,12 @@ REFERENCES = {
     "3.3": ("convolution_recurrence", convolution_reference),
 }
 
-tiny = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-tiny_nonzero = tiny.filter(lambda q: q != 0)
-
-
-@st.composite
-def random_pairs(draw):
-    order = draw(st.integers(min_value=2, max_value=7))
-    l = [draw(tiny_nonzero)] + [draw(tiny) for _ in range(order)]
-    h = [Fraction(0), draw(tiny_nonzero)] + [draw(tiny) for _ in range(order - 1)]
-    return ShefferPair(TruncatedSeries(l), TruncatedSeries(h))
+random_pairs = plain.pairs(2, 7).map(lambda lh: plain.sheffer_pair(*lh))
 
 
 @pytest.mark.parametrize("label", sorted(REFERENCES))
 @settings(max_examples=30, deadline=None)
-@given(pair=random_pairs(), other=random_pairs())
+@given(pair=random_pairs, other=random_pairs)
 def test_residuals_match_references(label, pair, other):
     """Equal to the references on valid pairs (both zero), and on the
     sequence of one pair with the integer (a, b, c) vectors of another

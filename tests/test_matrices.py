@@ -27,12 +27,6 @@ import plain_fractions as plain
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
-def rational_series(order):
-    return st.lists(
-        rationals, min_size=order + 1, max_size=order + 1
-    ).map(TruncatedSeries)
-
-
 def above_diagonal(m):
     return [m.row(i)[j] for i in range(m.rows) for j in range(i + 1, m.cols)]
 
@@ -410,36 +404,3 @@ def test_composition_requires_delta():
     # h(0) = 0 and h'(0) = 0: the composition is defined, the powers matrix is not
     with pytest.raises(NotDeltaSeriesError):
         check_property_composition(plain.geometric_series(3), TruncatedSeries([0, 0, 1, 1]), 3)
-
-
-@given(rational_series(4), rational_series(4), rationals, rationals)
-def test_linearity_of_pascal_and_wronskian(f, g, u, v):
-    combo = f * u + g * v
-    assert pascal_matrix(combo, 4) == pascal_matrix(f, 4) * u + pascal_matrix(
-        g, 4
-    ) * v
-    assert wronskian_vector(combo, 4) == wronskian_vector(
-        f, 4
-    ) * u + wronskian_vector(g, 4) * v
-
-
-@given(rational_series(4), rational_series(4))
-def test_pascal_product_randomized(f, g):
-    assert all(e == 0 for e in above_diagonal(pascal_matrix(f, 4)))
-    assert check_property_product_pascal(f, g, 4)
-
-
-@given(rational_series(4), rational_series(4))
-def test_wronskian_product_randomized(f, g):
-    assert check_property_product_wronskian(f, g, 4)
-
-
-@given(
-    rational_series(4),
-    st.tuples(
-        rationals.filter(lambda q: q != 0), rationals, rationals, rationals
-    ),
-)
-def test_composition_randomized(l, tail):
-    h = TruncatedSeries((Fraction(0),) + tail)
-    assert check_property_composition(l, h, 4)

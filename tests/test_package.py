@@ -155,5 +155,6 @@ def test_every_kept_result_is_declared_on_the_pair():
     assert set(vars(pair)) <= set(ShefferPair._fields) | cached
     read = {"g", "sheffer_appell_polys", "kept", "derivative_recurrence"}
     assert read <= set(vars(pair))
-    residuals = {(label, n) for label in LABELS for n in range(9)}
+    # h != y: "3.1" is read off the kept factorization, and keeps no residual
+    residuals = {(label, n) for label in LABELS if label != "3.1" for n in range(9)}
     assert set(pair.kept) == {"factorization"} | residuals

@@ -9,12 +9,11 @@ every result is checked to be in canonical form: D > 0,
 gcd(D, *numerators) = 1 and, for a ``Poly``, no trailing zero.  The series
 product also takes y^k, c y^k and 1 - y in both argument orders; the
 composition and exponential take inner series with no linear term; the
-inverse is the plain Lagrange reversion.  A pair's arrays are compared
-with [d, g] built one column d g^k at a time, with g = h^-1 by plain
-reversion; the pair's choice between reading P[d] (h = y) and the
-production recurrence is also checked on fixed inputs: h = y at orders
-1..40 (P[d] alone from order 0), and the near misses of y
-(``plain.near_misses_of_y``).
+inverse is the plain Lagrange reversion.  A whole pair, its two arrays
+among what it derives, goes through ``plain.check_pair``; the pair's choice
+between reading P[d] (h = y) and the production recurrence is also checked
+on fixed inputs: h = y at orders 1..40 (P[d] alone from order 0), and the
+near misses of y (``plain.near_misses_of_y``).
 """
 
 import math
@@ -26,7 +25,6 @@ from hypothesis import strategies as st
 
 from sheffermat import (
     Poly,
-    ShefferPair,
     TruncatedSeries,
     appell_sequence,
     wronskian_vector,
@@ -37,7 +35,7 @@ from sheffermat.rationals import format_rational
 
 from cost_counts import NO_WORK, counting
 import plain_fractions as plain
-from plain_fractions import coefficients, entries, nonzero
+from plain_fractions import canonical, check_pair, coefficients, entries, nonzero
 
 orders = st.integers(min_value=0, max_value=40)
 
@@ -74,15 +72,6 @@ def inner(order: int):
         ]))
         options.append(coefficients(order - 1, 0).map(lambda c: [Fraction(0), *c]))
     return st.one_of(options)
-
-
-def canonical(x) -> bool:
-    den, p = x.row
-    if type(den) is not int or den <= 0 or any(type(c) is not int for c in p):
-        return False
-    if isinstance(x, Poly) and p and p[-1] == 0:
-        return False
-    return math.gcd(den, *p) == 1
 
 
 def same(series: TruncatedSeries, coeffs: list[Fraction]) -> bool:
@@ -178,16 +167,6 @@ def test_derivative_combination(terms, dw):
     assert canonical(got) and got == plain.combination(terms, dw)
 
 
-def same_arrays(l: list[Fraction], h: list[Fraction]) -> bool:
-    """The pair's two arrays are canonical and equal [1/l(g), g] and
-    [1/(l(g) l), g] built one column d g^k at a time, g = h^-1 by reversion."""
-    pair = ShefferPair(TruncatedSeries(l), TruncatedSeries(h))
-    got = [pair.sheffer_polys, pair.sheffer_appell_polys]
-    return all(canonical(p) for polys in got for p in polys) and [
-        list(polys) for polys in got
-    ] == list(plain.sheffer_arrays(l, plain.reversion(h)))
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(1, 20).flatmap(lambda n: st.tuples(coefficients(n, nonzero), delta(n)))
@@ -198,7 +177,7 @@ def same_arrays(l: list[Fraction], h: list[Fraction]) -> bool:
 ))
 def test_riordan_and_appell_arrays(operands):
     l, h = operands
-    assert same_arrays(l, h)
+    check_pair(l, h)
     r = plain.reciprocal(l)
     for i, p in enumerate(appell_sequence(TruncatedSeries(l), len(l) - 1)):
         want = [math.perm(i, i - k) * r[i - k] for k in range(i + 1)]
@@ -209,6 +188,14 @@ def spread(order: int) -> list[Fraction]:
     """order + 1 coefficients with signs, zeros and unequal denominators, so
     that each truncation of the row has its own denominator."""
     return [Fraction((-1) ** k * ((k + 1) % 7), k % 5 + 1) for k in range(order + 1)]
+
+
+def array_work(l: list[Fraction], h: list[Fraction]) -> dict:
+    """The kernels' work in building both arrays of the pair (l, h)."""
+    pair = plain.sheffer_pair(l, h)
+    with counting() as counts:
+        pair.sheffer_polys, pair.sheffer_appell_polys
+    return counts
 
 
 @pytest.mark.parametrize("order", range(41))
@@ -222,17 +209,15 @@ def test_riordan_array_with_g_y_is_read_off_d(order):
     assert counts == NO_WORK
     assert all(map(canonical, got)) and list(got) == plain.riordan_rows(d, y)
     if order:
-        with counting() as counts:
-            assert same_arrays(d, y)
-        assert counts["combine"] == [0, 0]
+        assert array_work(d, y)["combine"] == [0, 0]
+        check_pair(d, y)
 
 
 @pytest.mark.parametrize("order", [1, 2, 9, 40])
 def test_riordan_array_near_y_takes_the_general_path(order):
     for h in plain.near_misses_of_y(order):
-        with counting() as counts:
-            assert same_arrays(spread(order), list(h.coeffs)), h
-        assert counts["combine"][0], h
+        assert array_work(spread(order), list(h.coeffs))["combine"][0], h
+        check_pair(spread(order), list(h.coeffs))
 
 
 def test_appell_sequence_of_an_order_zero_l():

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from sheffermat import (
+    LABELS,
     Matrix,
+    cli,
     lemma_checks,
     matrices,
     make_pair,
@@ -164,3 +166,45 @@ def test_property_suite_catches_an_off_by_one_binomial(monkeypatch):
         "property-composition": True,
         "fixed-exponential-wronskian": True,
     }
+
+
+# -- a corrupted identity row fails its own label ----------------------------
+# For h != y both arrays are built from the "3.1" row, so a "3.1" residual
+# would be zero whatever that row holds; verify answers "3.1" there from the
+# factorization instead.
+
+ROWS = {"2.1": "differential_equation", "3.1": "derivative_recurrence",
+        "3.2": "mixed_recurrence", "3.3": "convolution_recurrence"}
+FAMILY_ARGS = {
+    "laguerre-5/2": ["--family", "laguerre", "--param", "lambda=5/2"],
+    "log-assoc": ["--family", "log-assoc"],
+    "miller-lee-1": ["--family", "miller-lee", "--param", "m=1"],
+    "hermite": ["--family", "hermite"],
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_ARGS)
+@pytest.mark.parametrize("label", LABELS)
+def test_a_corrupted_row_fails_its_label(monkeypatch, capsys, label, family):
+    """b[2] of the label's cached (D, a, b, c) row gains D.  verify --theorem
+    passes on the true row; on the corrupted one it fails from degree 2, the
+    first that reads b[2], and exits 1.  For h != y the "3.1" line names row 3
+    of the factorization, the first row built from b[2]."""
+    argv = ["verify", *FAMILY_ARGS[family], "--n", "8", "--theorem", label]
+    assert cli.main(argv) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    build, attr = cli.make_pair, ROWS[label]
+
+    def corrupted(*args):
+        pair = build(*args)
+        den, a, b, c = getattr(pair, attr)
+        vars(pair)[attr] = (den, a, [*b[:2], b[2] + den, *b[3:]], c)
+        return pair
+
+    monkeypatch.setattr(cli, "make_pair", corrupted)
+    assert cli.main(argv) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert fails[0].startswith(f"FAIL residual[{label}] n=2  (")
+    assert len(fails) == 7
+    if label == "3.1" and family in ("laguerre-5/2", "log-assoc"):
+        assert fails[0].endswith("(factorization differs at row 3)")

@@ -233,8 +233,9 @@ def _text(value) -> str:
 
 def stage(name: str, pair_id: str, n: int) -> tuple[float, str]:
     """(seconds, output) of one library stage on a pair of order n + 1; what the
-    stage reads (the array; g for the lemma; the label's row for a sweep) is
-    built first, untimed."""
+    stage reads (the array; g for the lemma and for "3.1", which reads the
+    factorization when h is not y; the label's row for a sweep) is built
+    first, untimed."""
     from sheffermat.families import make_pair
     from sheffermat.identities import COEFF_EXTRACTORS
     from sheffermat.verify import lemma_checks, residual_checks
@@ -244,9 +245,9 @@ def stage(name: str, pair_id: str, n: int) -> tuple[float, str]:
     label = name.removeprefix("sweep ")
     if name != "array":
         pair.sheffer_appell_polys
-    if name == "lemma":
+    if label in ("lemma", "3.1"):
         pair.g
-    elif label in LABELS:
+    if label in LABELS:
         COEFF_EXTRACTORS[label](pair, n)
     work = {
         "array": lambda: pair.sheffer_appell_polys,
