@@ -237,7 +237,8 @@ def associated_residual(pair: ShefferPair, n: int, which: str) -> Poly:
 
     The "3.2" specialization coincides with "3.1" and is checked as that
     same derivative recurrence.  Requires l to be the constant series 1;
-    b and c then vanish identically, which is checked.
+    b and c then vanish identically, which is checked.  For h != y, "3.1"
+    also needs rows 0..n + 1 of the factorization (its residual cannot fail).
     """
     if which not in LABELS:
         raise ValueError(f"which must be one of {LABELS}, got {which!r}")
@@ -247,4 +248,8 @@ def associated_residual(pair: ShefferPair, n: int, which: str) -> Poly:
     _, _, b, c = COEFF_EXTRACTORS[effective](pair, n).row
     if any(b) or any(c):
         raise ContractError(f"identity {effective} has nonzero b or c with l = 1")
+    if effective == "3.1" and not pair.h.is_identity:
+        bad = first_factorization_mismatch(pair, n + 1)
+        if bad <= n + 1:
+            raise ContractError(f"identity 3.1: factorization differs at row {bad}")
     return RESIDUALS[effective](pair, n)

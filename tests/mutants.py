@@ -55,7 +55,7 @@ MUTANTS = {
         "errors.py",
         "    if n > most:",
         "    if n >= most:",
-        ["tests/test_sequences.py::test_monomial_pair_gives_powers"],
+        ["tests/test_appell_oracles.py::test_sheffer_kinds_match_closed_form[sheffer-monomial]"],
     ),
     "record-equal-to-any-record": (
         "errors.py",
@@ -93,7 +93,7 @@ MUTANTS = {
         "pairs.py",
         "Poly._reduced(den, [math.perm(i, i - k) * f[i - k] for k in range(i + 1)])",
         "Poly._reduced(den, [math.comb(i, i - k) * f[i - k] for k in range(i + 1)])",
-        ["tests/test_sequences.py::test_exp_shift_sequences_are_shifted_powers"],
+        ["tests/test_appell_oracles.py::test_sheffer_kinds_match_closed_form[sheffer-exp-shift]"],
     ),
     "pascal-read-off-mod-2-192": (
         "pairs.py",
@@ -200,7 +200,7 @@ MUTANTS = {
         "identities.py",
         "s[n - k], 0) for k, w in enumerate(weights)]",
         "s[n - k], 0) for k, w in enumerate(weights) if k]",
-        ["tests/test_identities.py::test_residuals_vanish_across_catalog"],
+        ["tests/test_acceptance.py::test_criterion_2_recurrences"],
     ),
     "coeff-triple-left-unreduced": (
         "identities.py",
@@ -212,7 +212,18 @@ MUTANTS = {
         "identities.py",
         "terms.append((0, den, s[n + 1], 0))",
         "terms.append((0, -den, s[n + 1], 0))",
-        ["tests/test_identities.py::test_named_example_residuals"],
+        ["tests/test_acceptance.py::test_criterion_2_recurrences"],
+    ),
+    # For h != y the associated "3.1" and "3.2" residuals are zero whatever the
+    # "3.1" row holds; without the factorization they pass a corrupted row.
+    "associated-residual-skips-the-factorization": (
+        "identities.py",
+        '    if effective == "3.1" and not pair.h.is_identity:\n'
+        "        bad = first_factorization_mismatch(pair, n + 1)\n"
+        "        if bad <= n + 1:\n"
+        '            raise ContractError(f"identity 3.1: factorization differs at row {bad}")\n',
+        "",
+        ["tests/test_identities.py::test_associated_corrupted_row_fails_3_1_and_3_2"],
     ),
     "factorization-misses-row-n": (
         "identities.py",

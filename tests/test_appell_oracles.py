@@ -8,7 +8,9 @@ kind up to the largest degree the CLI accepts.  Run in this process, they
 also cover n = 200: the Appell kind of every case, the Sheffer-Appell kind
 at one parameter per family, and, off the catalog, the Sheffer kind of the
 Abel pair (1, y e^{ay}) and the Bessel-type pair (1, y - y^2/2), whose g
-is not an involution.
+is not an involution.  The Charlier pair (e^{a(e^y - 1)}, a(e^y - 1)), whose
+l is not 1 and whose g is not an involution, is checked in both kinds at
+n = MAX_N, and its formulas against sympy at n <= 8.
 For h = y the Sheffer kind e^{xy}/l is the Appell kind, and the
 Sheffer-Appell kind e^{xy}/l^2 is the Appell kind of l^2.
 """
@@ -18,6 +20,9 @@ from functools import cache, partial
 from math import comb, factorial
 
 import pytest
+from sympy import QQ
+from sympy.polys.ring_series import rs_exp, rs_log
+from sympy.polys.rings import ring
 
 from sheffermat import (
     ShefferPair,
@@ -158,6 +163,57 @@ def bessel(n):
     ]
 
 
+def touchard(n, t):
+    """k! [y^k] e^{t (e^y - 1)} = sum_j S(k, j) t^j for k = 0..n, with the
+    Stirling numbers of the second kind S(k + 1, j) = j S(k, j) + S(k, j - 1)."""
+    stirling, numbers = [1], [Fraction(1)]
+    for _ in range(n):
+        pairs = zip(stirling + [0], [0] + stirling)
+        stirling = [j * s + r for j, (s, r) in enumerate(pairs)]
+        numbers.append(sum(s * t**j for j, s in enumerate(stirling)))
+    return numbers
+
+
+def charlier(n, a):
+    """The Charlier pair (e^{a(e^y - 1)}, a(e^y - 1)), a = p/q: g = log(1 + y/a)
+    and l(g) = e^y, so its Sheffer rows are those of e^{-y} (1 + y/a)^x,
+    C_i = sum_k C(i, k) (-1)^(i-k) a^(-k) (x)_k (Roman, The Umbral Calculus,
+    1984, section 4.1), and its Sheffer-Appell rows the Appell transform
+    sA_i = sum_k C(i, k) t_k C_(i-k) with t_k = k! [y^k] 1/l = touchard(k, -a).
+    Both kinds are summed as integer rows, p^i C_i and (p q)^i sA_i, since
+    q^k t_k is an integer."""
+    p, q = a.numerator, a.denominator
+    t = [c * q**k for k, c in enumerate(touchard(n, -a))]
+    assert all(c.denominator == 1 for c in t)
+
+    def transform(weight, rows):
+        """sum_k weight(i, k) rows[k] for each degree i."""
+        out = []
+        for i in range(n + 1):
+            row = [0] * (i + 1)
+            for k in range(i + 1):
+                w = weight(i, k)
+                for j, c in enumerate(rows[k]):
+                    row[j] += w * c
+            out.append(row)
+        return out
+
+    sheffer = transform(
+        lambda i, k: comb(i, k) * (-1) ** (i - k) * q**k * p ** (i - k), falling(n))
+    appell = transform(lambda i, k: comb(i, k) * int(t[i - k]) * p ** (i - k) * q**k, sheffer)
+    return (
+        [[Fraction(c, p**i) for c in row] for i, row in enumerate(sheffer)],
+        [[Fraction(c, (p * q) ** i) for c in row] for i, row in enumerate(appell)],
+    )
+
+
+def charlier_pair(n, a):
+    """(l, h) at order n: l_k = touchard(k, a)/k! and h = a (e^y - 1)."""
+    l = TruncatedSeries([c / factorial(k) for k, c in enumerate(touchard(n, a))])
+    h = TruncatedSeries([0] + [a / factorial(k) for k in range(1, n + 1)])
+    return ShefferPair(l, h)
+
+
 LAMBDAS = (0, Fraction(5, 2), Fraction(-7, 3))
 MS = (0, 1, Fraction(-5, 2))
 
@@ -270,3 +326,33 @@ def test_bessel_sheffer_rows_match_closed_form_at_200():
     """The associated pair (1, y - y^2/2), built from h alone."""
     h = TruncatedSeries([0, 1, Fraction(-1, 2)], BIG_N)
     assert_rows(sheffer_sequence(ShefferPair.associated(h), BIG_N), bessel(BIG_N), BIG_N)
+
+
+CHARLIER_AS = (Fraction(2), Fraction(3, 2))
+
+
+@pytest.mark.parametrize("a", CHARLIER_AS, ids=str)
+def test_charlier_formulas_match_sympy(a):
+    """Both kinds' formulas at n <= 8 against sympy's expansion of
+    e^{-y} (1 + y/a)^x, and of it times 1/l = e^{-a(e^y - 1)}."""
+    R, x, y = ring("x, y", QQ)
+    prec, qa = 9, QQ(a.numerator, a.denominator)
+    exponent = x * rs_log(1 + y / qa, y, prec) - y
+    expected = []
+    for extra in (0, qa * (rs_exp(y, y, prec) - 1)):
+        gf = rs_exp(exponent - extra, y, prec)
+        expected.append([
+            [Fraction(int(c.numerator), int(c.denominator)) for c in
+             (gf.coeff_wrt(y, i).coeff(x**k) * factorial(i) for k in range(i + 1))]
+            for i in range(prec)
+        ])
+    assert list(charlier(prec - 1, a)) == expected
+
+
+@pytest.mark.parametrize("a", CHARLIER_AS, ids=str)
+def test_charlier_rows_match_closed_form(a):
+    """The first closed-form pair with l != 1 and a g that is not an
+    involution, both kinds on one pair."""
+    pair, (sheffer, sheffer_appell) = charlier_pair(N, a), charlier(N, a)
+    assert_rows(sheffer_sequence(pair, N), sheffer, N)
+    assert_rows(sheffer_appell_sequence(pair, N), sheffer_appell, N)

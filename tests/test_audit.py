@@ -47,14 +47,6 @@ def test_frozen_status_vectors(report):
         assert report.statuses(identity) == expected, identity
 
 
-def test_pass_rows_have_zero_residual(report):
-    for entry in report:
-        if entry.status == PASS:
-            assert entry.residual == Poly()
-        else:
-            assert entry.residual != Poly()
-
-
 def test_entry_json_shape(report):
     payload = report.to_json()
     assert len(payload) == len(report)

@@ -337,20 +337,6 @@ def test_verify_color_gating(capsys, monkeypatch):
 # -- audit -------------------------------------------------------------------
 
 
-def test_audit_json(capsys):
-    code, out, _ = run_cli(capsys, "audit", "--n", "6")
-    assert code == 0
-    payload = json.loads(out)
-    assert len(payload) == 35
-    statuses = {
-        row["identity-id"]: [] for row in payload
-    }
-    for row in payload:
-        statuses[row["identity-id"]].append(row["status"])
-    assert statuses["laguerre-differential-recurrence"] == ["PASS"] + ["FAIL"] * 6
-    assert statuses["miller-lee-mixed-recurrence"] == ["FAIL"] * 7
-
-
 def test_audit_table(capsys):
     code, out, _ = run_cli(capsys, "audit", "--n", "3", "--format", "table")
     assert code == 0

@@ -34,54 +34,6 @@ def test_polysequence_container_protocol():
     assert list(seq) == [Poly((1,)), Poly((0, 1))]
 
 
-def test_monomial_pair_gives_powers():
-    pair = make_pair("monomial", 5)
-    for seq in (sheffer_appell_sequence(pair, 5), sheffer_sequence(pair, 5)):
-        assert list(seq) == [monomial(k) for k in range(6)]
-
-
-def test_laguerre_sheffer_appell_start():
-    pair = make_pair("laguerre", 4, {"lambda": 0})
-    seq = sheffer_appell_sequence(pair, 3)
-    assert seq[0] == Poly((1,))
-    assert seq[1] == Poly((0, -1))
-    assert seq[2] == Poly((0, -2, 1))
-    assert seq[3] == Poly((0, -6, 6, -1))
-
-
-def test_laguerre_sheffer_start():
-    pair = make_pair("laguerre", 4, {"lambda": 0})
-    seq = sheffer_sequence(pair, 2)
-    assert seq[1] == Poly((1, -1))
-    assert seq[2] == Poly((2, -4, 1))
-
-
-def test_miller_lee_appell_start():
-    pair = make_pair("miller-lee", 4, {"m": 0})
-    seq = sheffer_appell_sequence(pair, 3)
-    assert seq[1] == Poly((2, 1))
-    assert seq[2] == Poly((6, 4, 1))
-    assert seq[3] == Poly((24, 18, 6, 1))
-
-
-def test_exp_shift_sequences_are_shifted_powers():
-    pair = make_pair("exp-shift", 6)
-    appellish = sheffer_appell_sequence(pair, 6)
-    plain = sheffer_sequence(pair, 6)
-    for k in range(7):
-        assert appellish[k] == power(Poly((-2, 1)), k)
-        assert plain[k] == power(Poly((-1, 1)), k)
-
-
-def test_hermite_and_bernoulli_values():
-    hermite = sheffer_sequence(make_pair("hermite", 4), 3)
-    assert hermite[2] == Poly((-1, 0, 1))
-    assert hermite[3] == Poly((0, -3, 0, 1))
-    bernoulli = sheffer_sequence(make_pair("bernoulli", 4), 2)
-    assert bernoulli[1] == Poly((Fraction(-1, 2), 1))
-    assert bernoulli[2] == Poly((Fraction(1, 6), -1, 1))
-
-
 def test_appell_sequence_function():
     l = TruncatedSeries([1, 1, Fraction(1, 2), Fraction(1, 6)])
     seq = appell_sequence(l, 3)
@@ -120,14 +72,6 @@ def test_degree_bounds_checked():
         sheffer_sequence(pair, -1)
 
 
-def test_truncation_stability():
-    low = make_pair("laguerre", 5, {"lambda": 1})
-    high = make_pair("laguerre", 11, {"lambda": 1})
-    assert list(sheffer_appell_sequence(low, 5)) == list(
-        sheffer_appell_sequence(high, 5)
-    )
-
-
 def test_laguerre_sheffer_appell_is_free_of_lambda():
     # g = h = y/(y - 1) and l(g) l = 1, so every lambda gives the l = 1 Sheffer sequence
     expected = list(sheffer_sequence(make_pair("laguerre", 20, {"lambda": -1}), 20))
@@ -157,18 +101,6 @@ def test_exp_kernel_shifts_powers():
     powers = PolySequence("sheffer", tuple(monomial(k) for k in range(5)))
     shifted = fraction_convolution(kernel, powers)
     assert list(shifted) == [power(Poly((-1, 1)), k) for k in range(5)]
-
-
-def test_kernel_times_sheffer_is_sheffer_appell():
-    for name, params in (
-        ("laguerre", {"lambda": 2}),
-        ("miller-lee", {"m": 1}),
-        ("hermite", None),
-    ):
-        pair = make_pair(name, 8, params)
-        kernel = wronskian_vector(pair.l.reciprocal(), 8).column_entries(0)
-        convolved = fraction_convolution(kernel, sheffer_sequence(pair, 8))
-        assert list(convolved) == list(sheffer_appell_sequence(pair, 8))
 
 
 def test_leading_coefficients():

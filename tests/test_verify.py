@@ -61,13 +61,6 @@ def test_lemma_checks():
     assert results[-1].name == "factorization n=4"
 
 
-def test_verify_family_end_to_end():
-    pair = make_pair("miller-lee", 6, {"m": 1})
-    results = residual_checks(pair, 4) + lemma_checks(pair, 4)
-    assert len(results) == 4 * 5 + 5
-    assert all(r.passed for r in results)
-
-
 def test_property_suite_passes_and_is_seeded():
     first = property_suite(cases=25)
     second = property_suite(cases=25)
