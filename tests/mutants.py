@@ -74,7 +74,7 @@ MUTANTS = {
         "series.py",
         "e = [2 * de - e[0]] + [-c for c in e[1:]]",
         "e = [2 * de - e[0]] + [c for c in e[1:]]",
-        ["tests/test_series.py::test_reciprocal_geometric"],
+        ["tests/test_row_kernels.py::test_reciprocal"],
     ),
     "y-test-compares-only-numerators": (
         "series.py",
@@ -180,7 +180,7 @@ MUTANTS = {
         "families.py",
         "coeffs[-1] * (k - alpha) / (k + 1)",
         "coeffs[-1] * (k + alpha) / (k + 1)",
-        ["tests/test_families.py::test_binomial_series_geometric"],
+        ["tests/test_appell_oracles.py::test_appell_rows_match_closed_form"],
     ),
     # -- polynomials ----------------------------------------------------------
     "combination-takes-perm-for-comb": (
@@ -193,7 +193,7 @@ MUTANTS = {
         "polynomials.py",
         "[math.perm(i, k) * c for i, c in enumerate(p[k:], k)]",
         "[math.comb(i, k) * c for i, c in enumerate(p[k:], k)]",
-        ["tests/test_polynomials.py::test_derivative_examples"],
+        ["tests/test_row_kernels.py::test_poly_operations"],
     ),
     # -- identities -----------------------------------------------------------
     "convolution-starts-at-k-1": (
@@ -248,7 +248,7 @@ MUTANTS = {
         "matrices.py",
         "[math.factorial(i) * s * p[i] for s, p in scaled]",
         "[s * p[i] for s, p in scaled]",
-        ["tests/test_matrices.py::test_powers_matrix_diagonal_entries"],
+        ["tests/test_matrices.py::test_powers_matrix_is_repeated_series_products"],
     ),
     # -- verify ---------------------------------------------------------------
     "property-suite-draws-another-stream": (

@@ -16,7 +16,7 @@ and identity rows; and ``derived_rows`` for g and the (a, b, c) vectors of
 the four identities.  ``entries`` and ``coefficients`` draw the operands of
 the kernels; ``near_misses_of_y`` gives the series one detail away from y,
 for the kernel's fast paths on y;
-``geometric_series`` and ``exponential_series`` give 1/(1-y) and e^y.
+``geometric_series`` gives 1/(1-y).
 ``pairs`` is the one generator of random pairs (l, h), and ``check_pair``
 the one check of a whole pair: its g, its (a, b, c) rows and its two arrays
 against the references.
@@ -272,11 +272,6 @@ def near_misses_of_y(order: int) -> list[TruncatedSeries]:
 def geometric_series(order: int) -> TruncatedSeries:
     """1/(1-y): every coefficient 1."""
     return TruncatedSeries([Fraction(1)] * (order + 1))
-
-
-def exponential_series(order: int) -> TruncatedSeries:
-    """e^y: the coefficients 1/k!."""
-    return TruncatedSeries([Fraction(1, math.factorial(k)) for k in range(order + 1)])
 
 
 # Negative numerators, denominators up to 10^12, zeros, ones and a negative

@@ -12,7 +12,9 @@ is not an involution.  The Charlier pair (e^{a(e^y - 1)}, a(e^y - 1)), whose
 l is not 1 and whose g is not an involution, is checked in both kinds at
 n = MAX_N, and its formulas against sympy at n <= 8.
 For h = y the Sheffer kind e^{xy}/l is the Appell kind, and the
-Sheffer-Appell kind e^{xy}/l^2 is the Appell kind of l^2.
+Sheffer-Appell kind e^{xy}/l^2 is the Appell kind of l^2.  Acceptance
+criterion 6, the closed forms of Laguerre (lambda = 0), Hermite and
+Bernoulli, is the Sheffer kind of those three cases.
 """
 
 from fractions import Fraction
@@ -214,8 +216,13 @@ def charlier_pair(n, a):
     return ShefferPair(l, h)
 
 
-LAMBDAS = (0, Fraction(5, 2), Fraction(-7, 3))
+# The l of these lambda and m are the binomial series (1 - y)^alpha at
+# alpha = -1, -2, -7/2, 4/3 (laguerre) and 1, 2, -3/2 (miller-lee).
+LAMBDAS = (0, 1, Fraction(5, 2), Fraction(-7, 3))
 MS = (0, 1, Fraction(-5, 2))
+# The Laguerre Sheffer-Appell kind is free of lambda, also where l = 1
+# (lambda = -1) or l is a polynomial (lambda = -2).
+FREE_LAMBDAS = LAMBDAS + (-1, -2, Fraction(-1, 3), 7)
 
 CASES = [
     ("monomial", {}, lambda n: powers(n, 0)),
@@ -252,7 +259,7 @@ KIND_CASES = [
     ],
     *[
         ("sheffer_appell", "laguerre", {"lambda": lam}, laguerre_sheffer_appell)
-        for lam in LAMBDAS
+        for lam in FREE_LAMBDAS
     ],
 ]
 # At n = BIG_N: the Sheffer-Appell kind at one parameter per family, each

@@ -3,6 +3,7 @@
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,6 @@ from sheffermat import (
     LABELS,
     Matrix,
     Poly,
-    RESIDUALS,
     ShefferPair,
     TruncatedSeries,
     appell_sequence,
@@ -44,6 +44,9 @@ from sheffermat import (
 from cost_counts import counting
 import plain_fractions as plain
 from plain_fractions import add, monomial, reversion
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from session_worker import run_task, serialize  # noqa: E402
 
 # -- sympy oracle on random valid pairs --------------------------------------
 
@@ -440,34 +443,21 @@ def test_coefficient_vectors_are_built_once_per_pair(monkeypatch):
             assert got == want[: n + 1]
 
 
-def session_task(pair: ShefferPair, kind: str, n: int) -> list:
-    """One task of a long-lived session on a pair, as served: the sequence of
-    one kind, the four (a, b, c) triples, the four residuals, the factorization
-    at min(n, 12), and the JSON text of each."""
-    if kind == "appell":
-        sequence = appell_sequence(pair.l, n)
-    elif kind == "sheffer":
-        sequence = sheffer_sequence(pair, n)
-    else:
-        sequence = sheffer_appell_sequence(pair, n)
-    triples = [COEFF_EXTRACTORS[label](pair, n).to_json() for label in LABELS]
-    residuals = [RESIDUALS[label](pair, n).to_strings() for label in LABELS]
-    return [[p.to_strings() for p in sequence], triples, residuals,
-            factorization_check(pair, min(n, 12))]
-
-
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_first_visit_session_task_builds_no_fraction(monkeypatch, family, kind):
-    """A pair's first task builds every derived series, array and (a, b, c) row
-    it reads, and serves all of it from integer rows: no Fraction is built."""
+    """A pair's first task of the benchmark's session (sequence, triples,
+    residuals and factorization), with its serialization, builds every
+    derived series, array and (a, b, c) row it reads, and serves all of it
+    from integer rows: no Fraction is built."""
     params = {"lambda": Fraction(5, 2), "m": 1}
     spec_params = {k: v for k, v in params.items() if k in FAMILIES[family].params}
-    pair = make_pair(family, 32, spec_params)
+    pool = {family: make_pair(family, 32, spec_params)}
     built = count_fractions(monkeypatch)
-    result = session_task(pair, kind, 30)
+    results = run_task(pool, f"task|{family}|{kind}|30")
+    serialize(results)
     assert built == []
-    assert result[-1] is True
+    assert results["factorization"] is True
 
 
 @pytest.mark.parametrize(
@@ -509,11 +499,19 @@ def test_derived_series_match_reference_on_random_pairs(lh):
     plain.check_pair(*lh)
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_derived_series_match_reference_on_catalog(family):
-    params = {"lambda": Fraction(5, 2), "m": 2}
-    spec_params = {k: v for k, v in params.items() if k in FAMILIES[family].params}
-    pair = make_pair(family, 40, spec_params)
+CATALOG_PAIRS = [
+    pytest.param(family, {k: v for k, v in {"lambda": Fraction(5, 2), "m": 2}.items()
+                          if k in FAMILIES[family].params}, id=family)
+    for family in sorted(FAMILIES)
+] + [
+    pytest.param("laguerre", {"lambda": 0}, id="laguerre-lambda=0"),
+    pytest.param("miller-lee", {"m": 1}, id="miller-lee-m=1"),
+]
+
+
+@pytest.mark.parametrize("family, params", CATALOG_PAIRS)
+def test_derived_series_match_reference_on_catalog(family, params):
+    pair = make_pair(family, 40, params)
     plain.check_pair(list(pair.l.coeffs), list(pair.h.coeffs))
 
 

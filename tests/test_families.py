@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -6,9 +5,7 @@ import pytest
 from sheffermat import (
     FAMILIES,
     ParameterError,
-    TruncatedSeries,
     UnknownFamilyError,
-    binomial_series,
     list_families,
     make_pair,
 )
@@ -36,78 +33,6 @@ def test_catalog_json_shape():
     assert payload["name"] == "laguerre"
     assert payload["params"] == [{"name": "lambda", "type": "rational"}]
     assert isinstance(payload["description"], str) and payload["description"]
-
-
-def test_binomial_series_geometric():
-    # alpha = -1 gives 1/(1-y): all coefficients 1
-    assert binomial_series(Fraction(-1), 4) == TruncatedSeries([1, 1, 1, 1, 1])
-
-
-def test_binomial_series_square():
-    assert binomial_series(Fraction(-2), 3) == TruncatedSeries([1, 2, 3, 4])
-
-
-def test_binomial_series_terminating():
-    assert binomial_series(Fraction(2), 4) == TruncatedSeries([1, -2, 1, 0, 0])
-
-
-def test_monomial_pair():
-    pair = make_pair("monomial", 3)
-    assert pair.l == TruncatedSeries([1], 3)
-    assert pair.h == TruncatedSeries.identity(3)
-
-
-def test_laguerre_pair_at_zero():
-    pair = make_pair("laguerre", 4, {"lambda": 0})
-    assert pair.l.coeffs == (1, 1, 1, 1, 1)
-    assert pair.h.coeffs == (0, -1, -1, -1, -1)
-
-
-def test_laguerre_pair_general():
-    pair = make_pair("laguerre", 3, {"lambda": "5/2"})
-    assert pair.l == binomial_series(Fraction(-7, 2), 3)
-    assert pair.h.coeffs == (0, -1, -1, -1)
-
-
-def test_miller_lee_pair():
-    pair = make_pair("miller-lee", 3, {"m": 1})
-    assert pair.l.coeffs == (1, -2, 1, 0)
-    assert pair.h == TruncatedSeries.identity(3)
-
-
-def test_hermite_pair():
-    pair = make_pair("hermite", 4)
-    assert pair.l.coeffs == (1, 0, Fraction(1, 2), 0, Fraction(1, 8))
-    assert pair.h == TruncatedSeries.identity(4)
-
-
-def test_bernoulli_pair():
-    pair = make_pair("bernoulli", 3)
-    assert pair.l.coeffs == (
-        1,
-        Fraction(1, 2),
-        Fraction(1, 6),
-        Fraction(1, 24),
-    )
-
-
-def test_euler_pair():
-    pair = make_pair("euler", 3)
-    assert pair.l.coeffs == (1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 12))
-
-
-def test_exp_shift_pair():
-    pair = make_pair("exp-shift", 3)
-    assert pair.l.coeffs == tuple(
-        Fraction(1, math.factorial(k)) for k in range(4)
-    )
-    assert pair.h == TruncatedSeries.identity(3)
-
-
-def test_log_assoc_pair():
-    pair = make_pair("log-assoc", 3)
-    assert pair.l == TruncatedSeries([1], 3)
-    assert pair.h.coeffs == (0, 1, Fraction(1, 2), Fraction(1, 6))
 
 
 def test_unknown_family():

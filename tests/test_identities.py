@@ -16,13 +16,10 @@ from sheffermat import (
     appell_sequence,
     associated_residual,
     binomial_series,
-    convolution_recurrence_coeffs,
     derivative_recurrence_coeffs,
-    differential_equation_coeffs,
     factorization_check,
     lemma_checks,
     make_pair,
-    mixed_recurrence_coeffs,
     omega,
     omega_inverse,
     pascal_matrix,
@@ -103,66 +100,6 @@ def test_extracted_triples_equal_their_rational_twins(family, params):
             t = COEFF_EXTRACTORS[label](pair, n)
             twin = CoeffTriple.from_rationals(label, t.a, t.b, t.c)
             assert t == twin and hash(t) == hash(twin) and len(t.a) == n + 1
-
-
-# -- coefficient vectors on simple pairs ----------------------------------
-
-
-def test_monomial_coeffs_all_labels():
-    pair = make_pair("monomial", 6)
-    for label, expected_a0 in (("2.1", 0), ("3.1", 1), ("3.2", 1), ("3.3", 1)):
-        t = COEFF_EXTRACTORS[label](pair, 4)
-        assert t.label == label
-        assert t.b == zeros(5) and t.c == zeros(5)
-        if label == "2.1":
-            # h/h' = y: a = (0, 1, 0, ...)
-            assert t.a == (0, 1, 0, 0, 0)
-        else:
-            assert t.a == (expected_a0, 0, 0, 0, 0)
-
-
-def test_exp_shift_coeffs():
-    pair = make_pair("exp-shift", 6)
-    t = derivative_recurrence_coeffs(pair, 3)
-    # l = e^y: l'/l = 1, so b = c = (-1, 0, 0, 0)
-    assert t.a == (1, 0, 0, 0)
-    assert t.b == (-1, 0, 0, 0)
-    assert t.c == (-1, 0, 0, 0)
-
-
-def test_laguerre_derivative_recurrence_coeffs():
-    pair = make_pair("laguerre", 6, {"lambda": 0})
-    t = derivative_recurrence_coeffs(pair, 4)
-    assert t.a == (-1, 2, -2, 0, 0)
-    assert t.b == (-1, 1, 0, 0, 0)
-    assert t.c == (1, -1, 0, 0, 0)
-
-
-def test_laguerre_differential_equation_coeffs():
-    pair = make_pair("laguerre", 6, {"lambda": 0})
-    t = differential_equation_coeffs(pair, 4)
-    assert t.a == (0, 1, -2, 0, 0)
-
-
-def test_miller_lee_mixed_coeffs():
-    m = 1
-    pair = make_pair("miller-lee", 6, {"m": m})
-    t = mixed_recurrence_coeffs(pair, 4)
-    assert t.a == (1, 0, 0, 0, 0)
-    expected = tuple(
-        Fraction((m + 1) * math.factorial(k)) for k in range(5)
-    )
-    assert t.b == expected
-    assert t.c == expected
-
-
-def test_convolution_coeffs_depend_only_on_pair():
-    pair = make_pair("hermite", 6)
-    t = convolution_recurrence_coeffs(pair, 3)
-    assert t.a == (1, 0, 0, 0)
-    # l = e^{y^2/2}: l'/l = y, so b = (0, -1, 0, 0), twice
-    assert t.b == (0, -1, 0, 0)
-    assert t.c == (0, -1, 0, 0)
 
 
 def test_coeffs_need_one_extra_order():

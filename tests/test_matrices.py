@@ -13,8 +13,6 @@ from sheffermat import (
     Poly,
     TruncatedSeries,
     check_property_composition,
-    check_property_product_pascal,
-    check_property_product_wronskian,
     omega,
     omega_inverse,
     pascal_matrix,
@@ -25,10 +23,6 @@ from sheffermat import (
 import plain_fractions as plain
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
-
-
-def above_diagonal(m):
-    return [m.row(i)[j] for i in range(m.rows) for j in range(i + 1, m.cols)]
 
 
 def diag(entries):
@@ -255,6 +249,7 @@ def test_wronskian_vector_is_its_definition(f):
 
 @given(series_up_to_order(10, delta=True))
 @example(TruncatedSeries([0, Fraction(2, 3), 5, Fraction(-1, 7), 0, 2, Fraction(1, 9)]))
+@example(TruncatedSeries.identity(3))
 def test_powers_matrix_is_repeated_series_products(h):
     """At every size m up to the series' order n: the leading block of size n."""
     n = h.order
@@ -282,22 +277,7 @@ def test_omega_and_its_inverse_are_their_definitions(n):
     assert omega(n) @ omega_inverse(n) == Matrix(diag([1] * (n + 1)))
 
 
-# -- Pascal matrices -----------------------------------------------------------
-
-
-def test_pascal_of_exponential():
-    m = pascal_matrix(plain.exponential_series(2), 2)
-    assert m == Matrix([[1, 0, 0], [1, 1, 0], [1, 2, 1]])
-
-
-def test_pascal_of_one_is_identity():
-    one = TruncatedSeries([1], 2)
-    assert pascal_matrix(one, 2) == Matrix(diag([1] * 3))
-
-
-def test_pascal_of_geometric():
-    m = pascal_matrix(plain.geometric_series(2), 2)
-    assert m == Matrix([[1, 0, 0], [1, 1, 0], [2, 2, 1]])
+# -- refusals (the four matrix properties: test_acceptance, criterion 4) ---------
 
 
 def test_builders_reject_a_negative_size():
@@ -314,88 +294,9 @@ def test_pascal_requires_order():
         pascal_matrix(plain.geometric_series(2), 3)
 
 
-# -- Wronskian vectors and matrices -----------------------------------------
-
-
-def exp_ty(t, order):
-    """e^{ty}: the series e^{xy} with x set to the rational t."""
-    return (TruncatedSeries.identity(order) * t).exp()
-
-
-def test_wronskian_of_exp_xy():
-    # W_2[e^{xy}] = (1, x, x^2)^T: entries of degree <= 2 in x, so three
-    # distinct rationals x = t pin the identity down
-    for t in (Fraction(-3, 2), Fraction(0), Fraction(5, 7)):
-        assert wronskian_vector(exp_ty(t, 2), 2) == Matrix.column([1, t, t**2])
-
-
-def test_wronskian_of_constant_one():
-    one = TruncatedSeries([1], 2)
-    assert wronskian_vector(one, 2) == Matrix.column([1, 0, 0])
-
-
-def test_wronskian_of_y_squared():
-    y2 = TruncatedSeries([0, 0, 1])
-    assert wronskian_vector(y2, 2) == Matrix.column([0, 0, 2])
-
-
-# -- powers matrix and omega ---------------------------------------------------
-
-
-def test_powers_matrix_of_identity_is_omega():
-    y = TruncatedSeries.identity(3)
-    assert wronskian_powers_matrix(y, 3) == omega(3)
-
-
-def test_powers_matrix_of_mobius():
-    h = TruncatedSeries([0, -1, -1])
-    assert wronskian_powers_matrix(h, 2) == Matrix(
-        [[1, 0, 0], [0, -1, 0], [0, -2, 2]]
-    )
-
-
-def test_powers_matrix_diagonal_entries():
-    h = TruncatedSeries([0, Fraction(2, 3), 5, 1])
-    m = wronskian_powers_matrix(h, 3)
-    assert all(e == 0 for e in above_diagonal(m))
-    for j in range(4):
-        assert m.row(j)[j] == math.factorial(j) * Fraction(2, 3) ** j
-    assert m.row(1)[1] == Fraction(2, 3)
-
-
 def test_powers_matrix_requires_delta():
     with pytest.raises(NotDeltaSeriesError):
         wronskian_powers_matrix(plain.geometric_series(3), 3)
-
-
-# -- the four properties ---------------------------------------------------
-
-
-def test_pascal_product_exponential_geometric():
-    assert check_property_product_pascal(plain.exponential_series(6), plain.geometric_series(6), 6)
-
-
-def test_wronskian_product_mixed_rings():
-    e = plain.exponential_series(5)
-    assert check_property_product_wronskian(e, e, 5)
-    # e^y * e^{ty} has the derivative vector of e^{(t+1)y}
-    t = Fraction(2, 3)
-    lhs = wronskian_vector(e * exp_ty(t, 5), 5)
-    rhs = pascal_matrix(e, 5) @ wronskian_vector(exp_ty(t, 5), 5)
-    assert lhs == rhs
-    assert lhs == Matrix.column([(t + 1) ** k for k in range(6)])
-
-
-def test_composition_property_collapse():
-    l = plain.geometric_series(5)
-    h = TruncatedSeries([0, -1, -1, -1, -1, -1])
-    assert check_property_composition(l, h, 5)
-    assert l.compose(h) == TruncatedSeries([1, -1, 0, 0, 0, 0])
-
-
-def test_composition_property_identity_delta():
-    l = plain.exponential_series(4)
-    assert check_property_composition(l, TruncatedSeries.identity(4), 4)
 
 
 def test_composition_requires_delta():

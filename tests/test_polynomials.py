@@ -63,13 +63,6 @@ def test_power():
     assert power(Poly((0, 2)), 0) == Poly((1,))
 
 
-def test_derivative_examples():
-    assert monomial(3).derivative() == monomial(2, 3)
-    assert Poly((0, 1, Fraction(1, 2))).derivative(2) == Poly((1,))
-    assert Poly((5,)).derivative() == Poly()
-    assert Poly((1, 2, 3)).derivative(0) == Poly((1, 2, 3))
-
-
 def test_derivative_count_must_be_nonneg():
     with pytest.raises(ValueError):
         Poly((1,)).derivative(-1)

@@ -104,12 +104,16 @@ def test_series_ring_operations(operands, scalar):
 
 @settings(max_examples=60, deadline=None)
 @given(orders.flatmap(lambda n: coefficients(n, constant=nonzero)))
+@example([Fraction(-7, 3)])
+@example([Fraction(-7, 3), Fraction(5)])
+@example([Fraction(1), Fraction(0)])
 def test_reciprocal(c):
     assert same(TruncatedSeries(c).reciprocal(), plain.reciprocal(c))
 
 
 @settings(max_examples=60, deadline=None)
 @given(orders.flatmap(lambda n: st.tuples(coefficients(n), inner(n))))
+@example(([Fraction(c) for c in (3, 1, 4, 1)], [Fraction(c) for c in (0, 1, 0, 0)]))
 def test_compose_and_exp(operands):
     f, g = operands
     sf, sg = TruncatedSeries(f), TruncatedSeries(g)
@@ -133,6 +137,7 @@ polys = st.integers(0, 20).flatmap(lambda n: coefficients(n)).map(Poly)
 
 @settings(max_examples=60, deadline=None)
 @given(polys, entries, st.integers(0, 4))
+@example(Poly((0, 1, Fraction(1, 2))), Fraction(-7, 3), 2)
 def test_poly_operations(p, scalar, k):
     assert canonical(p) and p == Poly(p.coeffs) and hash(p) == hash(Poly(p.coeffs))
     assert p.to_strings() == [format_rational(c) for c in p.coeffs]

@@ -1,3 +1,12 @@
+"""``TruncatedSeries`` beyond its values: construction, the refusals of each
+operation, the one inversion, composition's chunk boundaries and the fast
+paths on y.
+
+The value of every operation (``*``, ``+``, the derivative, ``reciprocal``,
+``compose``, ``exp`` and ``compositional_inverse``) is compared with its
+plain-Fraction reference in one property test of ``test_row_kernels``.
+"""
+
 import math
 import operator
 from fractions import Fraction
@@ -16,29 +25,10 @@ from sheffermat import (
     ShefferPair,
     TruncatedSeries,
     make_pair,
-    wronskian_vector,
 )
 
 from cost_counts import NO_WORK, counting
 import plain_fractions as plain
-
-rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
-
-
-def series_strategy(order, first=rationals):
-    return st.tuples(
-        first, *[rationals] * order
-    ).map(lambda cs: TruncatedSeries(cs))
-
-
-nonzero = rationals.filter(lambda q: q != 0)
-
-
-def delta_strategy(order):
-    return st.tuples(nonzero, *[rationals] * (order - 1)).map(
-        lambda cs: TruncatedSeries((Fraction(0),) + cs)
-    )
-
 
 # -- construction & basics -------------------------------------------------
 
@@ -82,18 +72,21 @@ def test_delta_and_invertible_predicates():
     assert not TruncatedSeries([0, 1]).is_invertible
 
 
-# -- addition ----------------------------------------------------------------
+def test_non_rational_coefficients_rejected():
+    with pytest.raises(TypeError, match="not a rational"):
+        TruncatedSeries([Fraction(1), Poly((0, 1))])
+    with pytest.raises(TypeError, match="not a rational"):
+        TruncatedSeries(["0", ["0", "1"]])
 
 
-def test_addition_examples():
-    one_plus = TruncatedSeries([1, 1, 0])
-    one_minus = TruncatedSeries([1, -1, 0])
-    assert one_plus + one_minus == TruncatedSeries([2], 2)
-    zero = TruncatedSeries([0], 2)
-    assert one_plus + zero == one_plus
-    y = TruncatedSeries.identity(2)
-    y2 = TruncatedSeries([0, 0, 1])
-    assert y * 2 + y2 * 3 == TruncatedSeries([0, 2, 3])
+# -- each operation refuses what it cannot take ------------------------------
+
+
+def test_truncate_shrinks_only():
+    s = plain.geometric_series(4)
+    assert s.truncate(2) == plain.geometric_series(2)
+    with pytest.raises(InsufficientOrderError):
+        s.truncate(7)
 
 
 def test_addition_requires_equal_orders():
@@ -101,100 +94,14 @@ def test_addition_requires_equal_orders():
         TruncatedSeries([1, 1]) + TruncatedSeries([1, 1, 1])
 
 
-# -- multiplication ---------------------------------------------------------
-
-
-def test_mul_truncates():
-    one_plus = TruncatedSeries([1, 1, 0, 0])
-    one_minus = TruncatedSeries([1, -1, 0, 0])
-    assert one_plus * one_minus == TruncatedSeries([1, 0, -1, 0])
-
-
-def test_mul_exp_pair():
-    e = plain.exponential_series(5)
-    e_neg = TruncatedSeries(
-        [Fraction((-1) ** k, math.factorial(k)) for k in range(6)]
-    )
-    assert e * e_neg == TruncatedSeries([1], 5)
-
-
-def test_mul_geometric_squared():
-    # independently confirmed coefficient pattern (k+1)
-    g = plain.geometric_series(3)
-    assert (g * g).coeffs == (1, 2, 3, 4)
-
-
-# -- derivative ---------------------------------------------------------------
-
-
-def test_derivative_examples():
-    y2 = TruncatedSeries([0, 0, 1])
-    assert y2.derivative() == TruncatedSeries([0, 2])
-    one = TruncatedSeries([1], 3)
-    assert one.derivative() == TruncatedSeries([0], 2)
-    assert plain.geometric_series(4).derivative() == TruncatedSeries([1, 2, 3, 4])
-
-
 def test_derivative_requires_positive_order():
     with pytest.raises(ValueError):
         TruncatedSeries([5]).derivative()
 
 
-# -- reciprocal ---------------------------------------------------------------
-
-
-def test_reciprocal_geometric():
-    one_minus = TruncatedSeries([1, -1, 0, 0])
-    assert one_minus.reciprocal() == plain.geometric_series(3)
-
-
-def test_reciprocal_exponential():
-    assert plain.exponential_series(3).reciprocal() == TruncatedSeries(
-        [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 6)]
-    )
-
-
-def test_reciprocal_one_minus_squared():
-    square = TruncatedSeries([1, -2, 1, 0])
-    assert square.reciprocal().coeffs == (1, 2, 3, 4)
-
-
-def test_reciprocal_order_zero_and_one():
-    assert TruncatedSeries([Fraction(-7, 3)]).reciprocal() == TruncatedSeries(
-        [Fraction(-3, 7)]
-    )
-    # 1/(c0 + c1 y) = 1/c0 - c1/c0^2 y
-    assert TruncatedSeries([Fraction(-7, 3), 5]).reciprocal() == TruncatedSeries(
-        [Fraction(-3, 7), Fraction(-45, 49)]
-    )
-    assert TruncatedSeries([1, 0]).reciprocal() == TruncatedSeries([1, 0])
-
-
 def test_reciprocal_needs_nonzero_constant():
     with pytest.raises(NotInvertibleError):
         TruncatedSeries([0, 1]).reciprocal()
-
-
-# -- composition -----------------------------------------------------------
-
-
-def test_compose_identity_is_noop():
-    f = TruncatedSeries([3, 1, 4, 1])
-    assert f.compose(TruncatedSeries.identity(3)) == f
-
-
-def test_compose_geometric_with_mobius():
-    # 1/(1 - y/(y-1)) collapses to 1 - y
-    f = plain.geometric_series(4)
-    g = TruncatedSeries([0, -1, -1, -1, -1])
-    assert f.compose(g) == TruncatedSeries([1, -1, 0, 0, 0])
-
-
-def test_compose_exp_with_log():
-    log1p = TruncatedSeries(
-        [Fraction(0), 1, Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 4)]
-    )
-    assert plain.exponential_series(4).compose(log1p) == TruncatedSeries([1, 1, 0, 0, 0])
 
 
 def test_compose_requires_delta_inner():
@@ -204,29 +111,17 @@ def test_compose_requires_delta_inner():
         plain.geometric_series(3).compose(Poly((0, 1)))
 
 
-# -- compositional inverse ----------------------------------------------------
-
-
-def test_inverse_of_identity():
-    y = TruncatedSeries.identity(4)
-    assert y.compositional_inverse() == y
-
-
-def test_inverse_of_mobius_is_itself():
-    h = TruncatedSeries([0, -1, -1, -1, -1])
-    assert h.compositional_inverse() == h
-
-
-def test_inverse_of_exp_minus_one_is_log():
-    h = TruncatedSeries([0, 1, Fraction(1, 2), Fraction(1, 6)])
-    assert h.compositional_inverse() == TruncatedSeries(
-        [Fraction(0), 1, Fraction(-1, 2), Fraction(1, 3)]
-    )
-
-
 def test_inverse_requires_delta():
     with pytest.raises(NotDeltaSeriesError):
         TruncatedSeries([1, 1]).compositional_inverse()
+
+
+def test_exp_needs_zero_constant_term():
+    with pytest.raises(ValueError):
+        TruncatedSeries([1, 1]).exp()
+
+
+# -- compositional inverse ----------------------------------------------------
 
 
 def test_inverse_is_the_g_of_the_associated_pair():
@@ -262,93 +157,6 @@ def test_inverse_off_a_broken_array_is_a_contract_error(monkeypatch):
     h = TruncatedSeries([0, Fraction(-3, 2), 1, Fraction(2, 5), -4])
     with pytest.raises(ContractError, match="h\\(g\\) = y"):
         h.compositional_inverse()
-
-
-# -- exponential ---------------------------------------------------------------
-
-
-def test_exp_of_y():
-    y = TruncatedSeries.identity(3)
-    assert y.exp() == plain.exponential_series(3)
-
-
-def test_exp_of_log_series():
-    log1p = TruncatedSeries([Fraction(0), 1, Fraction(-1, 2), Fraction(1, 3)])
-    assert log1p.exp() == TruncatedSeries([1, 1, 0, 0])
-
-
-def test_exp_needs_zero_constant_term():
-    with pytest.raises(ValueError):
-        TruncatedSeries([1, 1]).exp()
-
-
-# -- derivative vector -------------------------------------------------------
-
-
-def derivative_vector(s):
-    """[f(0), f'(0), ..., f^(order)(0)], read off the Wronskian vector."""
-    return wronskian_vector(s, s.order).column_entries(0)
-
-
-def test_derivative_vector_geometric():
-    assert derivative_vector(plain.geometric_series(4)) == (1, 1, 2, 6, 24)
-
-
-def test_derivative_vector_y_minus_y2():
-    s = TruncatedSeries([0, 1, -1, 0, 0])
-    assert derivative_vector(s) == (0, 1, -2, 0, 0)
-
-
-def test_derivative_vector_scaled_linear():
-    lam = Fraction(3)
-    s = TruncatedSeries([lam + 1, -(lam + 1), 0])
-    assert derivative_vector(s) == (4, -4, 0)
-
-
-# -- helpers -------------------------------------------------------------------
-
-
-def test_truncate_shrinks_only():
-    s = plain.geometric_series(4)
-    assert s.truncate(2) == plain.geometric_series(2)
-    with pytest.raises(InsufficientOrderError):
-        s.truncate(7)
-
-
-# -- coefficient ring -------------------------------------------------------------
-
-
-def test_non_rational_coefficients_rejected():
-    with pytest.raises(TypeError, match="not a rational"):
-        TruncatedSeries([Fraction(1), Poly((0, 1))])
-    with pytest.raises(TypeError, match="not a rational"):
-        TruncatedSeries(["0", ["0", "1"]])
-
-
-# -- randomized invariants ---------------------------------------------------
-
-
-@given(series_strategy(5, first=nonzero))
-def test_reciprocal_is_right_inverse(s):
-    assert s * s.reciprocal() == TruncatedSeries([1], 5)
-
-
-@given(delta_strategy(5))
-def test_compositional_inverse_both_sides(h):
-    g = h.compositional_inverse()
-    y = TruncatedSeries.identity(5)
-    assert h.compose(g) == y
-    assert g.compose(h) == y
-
-
-@given(series_strategy(4), series_strategy(4), delta_strategy(4))
-def test_compose_distributes_over_mul(f, g, h):
-    assert (f * g).compose(h) == f.compose(h) * g.compose(h)
-
-
-@given(delta_strategy(4), delta_strategy(4))
-def test_exp_is_additive(f, g):
-    assert (f + g).exp() == f.exp() * g.exp()
 
 
 # -- Paterson-Stockmeyer composition and fixed-factor loops -------------------

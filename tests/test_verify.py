@@ -176,28 +176,47 @@ FAMILY_ARGS = {
 }
 
 
-@pytest.mark.parametrize("family", FAMILY_ARGS)
-@pytest.mark.parametrize("label", LABELS)
-def test_a_corrupted_row_fails_its_label(monkeypatch, capsys, label, family):
-    """b[2] of the label's cached (D, a, b, c) row gains D.  verify --theorem
-    passes on the true row; on the corrupted one it fails from degree 2, the
-    first that reads b[2], and exits 1.  For h != y the "3.1" line names row 3
-    of the factorization, the first row built from b[2]."""
+# (label, family, corrupted entry); a case id names the label and the family,
+# and ends in "-a" when the entry is a[2] rather than b[2].
+CORRUPTIONS = [
+    pytest.param(label, family, entry, id=f"{label}-{family}" + "-a" * (entry == "a"))
+    for entry in ("b", "a") for family in FAMILY_ARGS for label in LABELS
+]
+
+
+@pytest.mark.parametrize("label, family, entry", CORRUPTIONS)
+def test_a_corrupted_row_fails_its_label(monkeypatch, capsys, label, family, entry):
+    """b[2] or a[2] of the label's cached (D, a, b, c) row gains D.  verify
+    --theorem passes on the true row; on the corrupted one it fails from
+    degree 2, the first that reads the entry, and exits 1.  For h != y the
+    "3.1" line names row 3 of the factorization, the first row built from
+    b[2]; a corrupted a[2] there moves the g read off the array, and verify
+    refuses it as a broken contract, h(g) != y, with exit 3."""
     argv = ["verify", *FAMILY_ARGS[family], "--n", "8", "--theorem", label]
     assert cli.main(argv) == 0
     assert "FAIL" not in capsys.readouterr().out
-    build, attr = cli.make_pair, ROWS[label]
+    build, attr, k = cli.make_pair, ROWS[label], "ab".index(entry)
 
     def corrupted(*args):
         pair = build(*args)
-        den, a, b, c = getattr(pair, attr)
-        vars(pair)[attr] = (den, a, [*b[:2], b[2] + den, *b[3:]], c)
+        den, *vectors = getattr(pair, attr)
+        v = vectors[k]
+        vectors[k] = [*v[:2], v[2] + den, *v[3:]]
+        vars(pair)[attr] = (den, *vectors)
         return pair
 
     monkeypatch.setattr(cli, "make_pair", corrupted)
-    assert cli.main(argv) == 1
-    fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    off_y = label == "3.1" and family in ("laguerre-5/2", "log-assoc")
+    if off_y and entry == "a":
+        assert (code, out) == (3, "")
+        assert err == ("internal error: contract violation: "
+                       "g read off the Sheffer-Appell array fails h(g) = y\n")
+        return
+    assert code == 1
+    fails = [line for line in out.splitlines() if "FAIL" in line]
     assert fails[0].startswith(f"FAIL residual[{label}] n=2  (")
     assert len(fails) == 7
-    if label == "3.1" and family in ("laguerre-5/2", "log-assoc"):
+    if off_y:
         assert fails[0].endswith("(factorization differs at row 3)")
