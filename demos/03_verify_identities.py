@@ -49,13 +49,7 @@ print()
 
 # --- associated specialization ------------------------------------------------
 # With l = 1 the b and c vectors vanish and the same recurrences hold for
-# the associated sequence of h alone.
-from sheffermat import associated_residual
-
+# the associated sequence of h alone: the same four checks on the pair (1, h).
 touchard = make_pair("log-assoc", 10)
-ok = all(
-    associated_residual(touchard, n, which).is_zero
-    for which in LABELS
-    for n in range(9)
-)
+ok = all(r.passed for r in residual_checks(touchard, 8))
 print(f"associated-pair (1, e^y - 1) specializations n=0..8: {'all zero' if ok else 'NONZERO'}")

@@ -39,7 +39,6 @@ from .identities import (
     LABELS,
     RESIDUALS,
     CoeffTriple,
-    associated_residual,
     convolution_recurrence_coeffs,
     convolution_recurrence_residual,
     derivative_recurrence_coeffs,

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ContractError, Record, check_size
+from .errors import Record, check_size
 from .matrices import omega_inverse, pascal_matrix, wronskian_powers_matrix
 from .pairs import ShefferPair
 from .polynomials import Poly, Term, derivative_combination
@@ -231,25 +231,3 @@ def factorization_check(pair: ShefferPair, n: int) -> bool:
     """
     return first_factorization_mismatch(pair, n) > n
 
-
-def associated_residual(pair: ShefferPair, n: int, which: str) -> Poly:
-    """Residual of the l = 1 specialization of one of the four identities.
-
-    The "3.2" specialization coincides with "3.1" and is checked as that
-    same derivative recurrence.  Requires l to be the constant series 1;
-    b and c then vanish identically, which is checked.  For h != y, "3.1"
-    also needs rows 0..n + 1 of the factorization (its residual cannot fail).
-    """
-    if which not in LABELS:
-        raise ValueError(f"which must be one of {LABELS}, got {which!r}")
-    if pair.l.row != (1, [1] + [0] * pair.order):
-        raise ValueError("associated-sequence identities require l = 1")
-    effective = "3.1" if which == "3.2" else which
-    _, _, b, c = COEFF_EXTRACTORS[effective](pair, n).row
-    if any(b) or any(c):
-        raise ContractError(f"identity {effective} has nonzero b or c with l = 1")
-    if effective == "3.1" and not pair.h.is_identity:
-        bad = first_factorization_mismatch(pair, n + 1)
-        if bad <= n + 1:
-            raise ContractError(f"identity 3.1: factorization differs at row {bad}")
-    return RESIDUALS[effective](pair, n)

@@ -144,6 +144,14 @@ MUTANTS = {
         "        return _vectors((a, -hp * self._lp_over_l, -self._of_g))",
         ["tests/test_random_sheffer_pairs.py::test_a_seeded_pair_at_order_60"],
     ),
+    # "3.2"'s a = h'(g) replaced by g' = 1/h'(g): equal for h = y, so only a
+    # pair with h != y sees it, the associated pairs among them.
+    "mixed-row-drops-the-reciprocal": (
+        "pairs.py",
+        "hp = self.g.derivative().reciprocal()",
+        "hp = self.g.derivative()",
+        ["tests/test_acceptance.py::test_criterion_5_associated_specializations"],
+    ),
     # D added to b[2] of the "3.1" row when h is not y.  Both arrays are built
     # from that row, so the "3.1" residual stays zero; "3.1" is read off the
     # factorization there.
@@ -213,17 +221,6 @@ MUTANTS = {
         "terms.append((0, den, s[n + 1], 0))",
         "terms.append((0, -den, s[n + 1], 0))",
         ["tests/test_acceptance.py::test_criterion_2_recurrences"],
-    ),
-    # For h != y the associated "3.1" and "3.2" residuals are zero whatever the
-    # "3.1" row holds; without the factorization they pass a corrupted row.
-    "associated-residual-skips-the-factorization": (
-        "identities.py",
-        '    if effective == "3.1" and not pair.h.is_identity:\n'
-        "        bad = first_factorization_mismatch(pair, n + 1)\n"
-        "        if bad <= n + 1:\n"
-        '            raise ContractError(f"identity 3.1: factorization differs at row {bad}")\n',
-        "",
-        ["tests/test_identities.py::test_associated_corrupted_row_fails_3_1_and_3_2"],
     ),
     "factorization-misses-row-n": (
         "identities.py",

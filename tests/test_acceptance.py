@@ -15,12 +15,11 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from sheffermat import (
+    COEFF_EXTRACTORS,
     LABELS,
-    Poly,
     ShefferPair,
     TruncatedSeries,
     appell_sequence,
-    associated_residual,
     lemma_checks,
     make_pair,
     property_suite,
@@ -124,10 +123,13 @@ def test_criterion_5_associated_specializations(capsys):
             ShefferPair.associated(mobius),
             ShefferPair.associated(exp_minus_one),
         )
-        for pair in pairs:
-            for which in LABELS:
-                for n in range(11):
-                    assert associated_residual(pair, n, which) == Poly()
+        for pair in pairs:  # with l = 1, L = l'/l = 0: every b and c row is zero
+            results = residual_checks(pair, 10)
+            failed = [r.name for r in results if not r.passed]
+            assert len(results) == 44 and not failed, failed
+            for label in LABELS:
+                _, _, b, c = COEFF_EXTRACTORS[label](pair, 10).row
+                assert not any(b) and not any(c), label
 
 
 def test_criterion_7_convolution_consistency(capsys):

@@ -8,9 +8,11 @@ kind up to the largest degree the CLI accepts.  Run in this process, they
 also cover n = 200: the Appell kind of every case, the Sheffer-Appell kind
 at one parameter per family, and, off the catalog, the Sheffer kind of the
 Abel pair (1, y e^{ay}) and the Bessel-type pair (1, y - y^2/2), whose g
-is not an involution.  The Charlier pair (e^{a(e^y - 1)}, a(e^y - 1)), whose
-l is not 1 and whose g is not an involution, is checked in both kinds at
-n = MAX_N, and its formulas against sympy at n <= 8.
+is not an involution; at n = MAX_N, also the Abel pair at a = 1 and the
+Mittag-Leffler pair (1, (e^y - 1)/(e^y + 1)).  The Charlier pair
+(e^{a(e^y - 1)}, a(e^y - 1)), whose l is not 1 and whose g is not an
+involution, is checked in both kinds at n = MAX_N, and its formulas against
+sympy at n <= 8.
 For h = y the Sheffer kind e^{xy}/l is the Appell kind, and the
 Sheffer-Appell kind e^{xy}/l^2 is the Appell kind of l^2.  Acceptance
 criterion 6, the closed forms of Laguerre (lambda = 0), Hermite and
@@ -19,7 +21,7 @@ Bernoulli, is the Sheffer kind of those three cases.
 
 from fractions import Fraction
 from functools import cache, partial
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import pytest
 from sympy import QQ
@@ -165,6 +167,27 @@ def bessel(n):
     ]
 
 
+def transform(n, weight, rows):
+    """sum_k weight(i, k) rows[k] for each degree i = 0..n."""
+    out = []
+    for i in range(n + 1):
+        row = [0] * (i + 1)
+        for k in range(i + 1):
+            w = weight(i, k)
+            for j, c in enumerate(rows[k]):
+                row[j] += w * c
+        out.append(row)
+    return out
+
+
+def mittag_leffler(n):
+    """The Mittag-Leffler pair (1, (e^y - 1)/(e^y + 1)): sum_k C(i, k) (i - 1)_{i-k}
+    2^k (x)_k, with (i - 1)_{i-k} a falling factorial, zero at k = 0 < i
+    (Roman, The Umbral Calculus, 1984, section 4.1)."""
+    return transform(
+        n, lambda i, k: comb(i, k) * perm(i - 1, i - k) * 2**k if i else 1, falling(n))
+
+
 def touchard(n, t):
     """k! [y^k] e^{t (e^y - 1)} = sum_j S(k, j) t^j for k = 0..n, with the
     Stirling numbers of the second kind S(k + 1, j) = j S(k, j) + S(k, j - 1)."""
@@ -187,22 +210,10 @@ def charlier(n, a):
     p, q = a.numerator, a.denominator
     t = [c * q**k for k, c in enumerate(touchard(n, -a))]
     assert all(c.denominator == 1 for c in t)
-
-    def transform(weight, rows):
-        """sum_k weight(i, k) rows[k] for each degree i."""
-        out = []
-        for i in range(n + 1):
-            row = [0] * (i + 1)
-            for k in range(i + 1):
-                w = weight(i, k)
-                for j, c in enumerate(rows[k]):
-                    row[j] += w * c
-            out.append(row)
-        return out
-
     sheffer = transform(
-        lambda i, k: comb(i, k) * (-1) ** (i - k) * q**k * p ** (i - k), falling(n))
-    appell = transform(lambda i, k: comb(i, k) * int(t[i - k]) * p ** (i - k) * q**k, sheffer)
+        n, lambda i, k: comb(i, k) * (-1) ** (i - k) * q**k * p ** (i - k), falling(n))
+    appell = transform(
+        n, lambda i, k: comb(i, k) * int(t[i - k]) * p ** (i - k) * q**k, sheffer)
     return (
         [[Fraction(c, p**i) for c in row] for i, row in enumerate(sheffer)],
         [[Fraction(c, (p * q) ** i) for c in row] for i, row in enumerate(appell)],
@@ -322,11 +333,32 @@ def test_sheffer_kinds_match_closed_form_at_200(kind, family, params, oracle):
     check_kind(BIG_N, kind, family, params, oracle)
 
 
+def abel_h(n, a):
+    """y e^{ay} at order n."""
+    return TruncatedSeries([0] + [Fraction(a) ** k / factorial(k) for k in range(n)])
+
+
 def test_abel_sheffer_rows_match_closed_form_at_200():
     """The associated pair (1, y e^{ay}) at a = -2/3, built from h alone."""
     a = Fraction(-2, 3)
-    h = TruncatedSeries([0] + [a**k / factorial(k) for k in range(BIG_N)])
+    h = abel_h(BIG_N, a)
     assert_rows(sheffer_sequence(ShefferPair.associated(h), BIG_N), abel(BIG_N, a), BIG_N)
+
+
+def mittag_leffler_h(n):
+    """(e^y - 1)/(e^y + 1) at order n."""
+    tail = [Fraction(1, factorial(k)) for k in range(1, n + 1)]
+    return TruncatedSeries([0] + tail) * TruncatedSeries([2] + tail).reciprocal()
+
+
+@pytest.mark.parametrize("h, oracle", [
+    pytest.param(partial(abel_h, a=1), partial(abel, a=1), id="abel-a=1"),
+    pytest.param(mittag_leffler_h, mittag_leffler, id="mittag-leffler"),
+])
+def test_associated_sheffer_rows_match_closed_form(h, oracle):
+    """The associated pairs (1, y e^y), whose row is x (x - i)^(i-1), and
+    (1, (e^y - 1)/(e^y + 1)), built from h alone at n = MAX_N."""
+    assert_rows(sheffer_sequence(ShefferPair.associated(h(N)), N), oracle(N), N)
 
 
 def test_bessel_sheffer_rows_match_closed_form_at_200():

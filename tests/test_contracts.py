@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from sheffermat import ContractError, Poly, associated_residual, make_pair
-from sheffermat import cli, identities, pairs, sheffer_appell_sequence, sheffer_sequence
+from sheffermat import ContractError, Poly, make_pair
+from sheffermat import cli, pairs, sheffer_appell_sequence, sheffer_sequence
 from sheffermat.cli import MAX_N, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -161,21 +161,6 @@ def test_zero_polynomial_in_an_array_is_a_contract_violation(capsys, monkeypatch
     assert main(["gen", "--family", "hermite", "--kind", kind, "--n", "3"]) == 3
     message = f"{kind} degree 4 has the wrong leading coefficient"
     assert capsys.readouterr().err == f"internal error: contract violation: {message}\n"
-
-
-def test_nonzero_associated_vectors_are_a_contract_error(monkeypatch):
-    pair = make_pair("log-assoc", 6)
-    honest = identities.COEFF_EXTRACTORS["3.1"]
-
-    def drifted(pair, n):
-        t = honest(pair, n)
-        b = (1,) + t.b[1:]
-        return identities.CoeffTriple.from_rationals(t.label, t.a, b, t.c)
-
-    monkeypatch.setitem(identities.COEFF_EXTRACTORS, "3.1", drifted)
-    with pytest.raises(ContractError):
-        associated_residual(pair, 3, "3.1")
-    assert associated_residual(pair, 3, "3.3") == Poly()
 
 
 def test_cli_maps_contract_errors_to_exit_3(capsys, monkeypatch):

@@ -14,7 +14,6 @@ from sheffermat import (
     Poly,
     ShefferPair,
     appell_sequence,
-    associated_residual,
     binomial_series,
     derivative_recurrence_coeffs,
     factorization_check,
@@ -124,28 +123,17 @@ def test_residual_requires_order():
 def test_associated_corrupted_row_fails_3_1_and_3_2():
     """a[2] of log-assoc's "3.1" row gains D before the array is built from
     it.  The "3.1" residual reads the row the array was built from, so it
-    stays zero; the factorization, whose g read off that array fails
-    h(g) = y, refuses every degree."""
+    stays zero; residual_checks answers "3.1" from the factorization and
+    "3.2" through h'(g), and the g read off that array fails h(g) = y, so
+    both refuse every degree."""
     pair = make_pair("log-assoc", 12)
     den, a, b, c = pair.derivative_recurrence
     vars(pair)["derivative_recurrence"] = (den, [*a[:2], a[2] + den, *a[3:]], b, c)
     for n in range(12):
         assert RESIDUALS["3.1"](pair, n) == Poly()
-        for which in ("3.1", "3.2"):
+        for label in ("3.1", "3.2"):
             with pytest.raises(ContractError):
-                associated_residual(pair, n, which)
-
-
-def test_associated_rejects_general_l():
-    pair = make_pair("laguerre", 5, {"lambda": 0})
-    with pytest.raises(ValueError):
-        associated_residual(pair, 3, "3.1")
-
-
-def test_associated_rejects_unknown_label():
-    pair = make_pair("monomial", 5)
-    with pytest.raises(ValueError):
-        associated_residual(pair, 3, "4.1")
+                residual_checks(pair, n, label)
 
 
 PAIR = make_pair("monomial", 5)  # order 5: l = 1, h = y
@@ -165,10 +153,6 @@ SIZE_CALLS = [
         for k, f in COEFF_EXTRACTORS.items()
     ),
     *(pytest.param(at(f), 0, 4, id=f"residual-{k}") for k, f in RESIDUALS.items()),
-    *(
-        pytest.param(at(associated_residual, k), 0, 4, id=f"associated-{k}")
-        for k in LABELS
-    ),
     pytest.param(at(residual_checks), 0, 4, id="residual_checks"),
     pytest.param(at(sheffer_sequence), 0, 5, id="sheffer_sequence"),
     pytest.param(at(sheffer_appell_sequence), 0, 5, id="sheffer_appell_sequence"),
