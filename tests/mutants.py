@@ -267,6 +267,39 @@ MUTANTS = {
         '            sep = ", "',
         ["tests/test_cli.py::test_audit_json_is_streamed_as_the_bytes_of_one_dump"],
     ),
+    "n-gate-lets-max-n-plus-1-through": (
+        "cli.py",
+        "    if n > MAX_N:\n",
+        "    if n > MAX_N + 1:\n",
+        ["tests/test_cli.py::test_cli_contract[gen-MAX_N+1]"],
+    ),
+    "n-gate-lets-minus-1-through": (
+        "cli.py",
+        "    if n < 0:\n",
+        "    if n < -1:\n",
+        ["tests/test_cli.py::test_cli_contract[gen-n=-1]"],
+    ),
+    "digit-cap-lets-10-to-the-cap-through": (
+        "cli.py",
+        ">= 10**MAX_PARAM_DIGITS",
+        "> 10**MAX_PARAM_DIGITS",
+        [
+            "tests/test_cli.py::test_cli_contract[param-10**12-numerator]",
+            "tests/test_cli.py::test_cli_contract[param-10**12-denominator]",
+        ],
+    ),
+    "audit-gate-lets-n-2-through": (
+        "cli.py",
+        'args.verb == "audit" and n < 3',
+        'args.verb == "audit" and n < 2',
+        ["tests/test_cli.py::test_cli_contract[audit-n=2]"],
+    ),
+    "repeated-param-overwrites": (
+        "cli.py",
+        "        if name in params:\n",
+        "        if False:\n",
+        ["tests/test_cli.py::test_cli_contract[param-repeated]"],
+    ),
     # -- audit ----------------------------------------------------------------
     "printed-table-not-sliced-per-degree": (
         "audit.py",

@@ -19,9 +19,10 @@ from sheffermat import (
     ContractError,
     InsufficientOrderError,
     Poly,
+    pairs,
     run_worked_example_audit,
 )
-from sheffermat.cli import main, poly_to_latex
+from sheffermat.cli import MAX_N, MAX_PARAM_DIGITS, main, poly_to_latex
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -213,22 +214,6 @@ def test_coeffs_n_zero_is_the_k0_prefix(capsys, family, theorem):
         assert zero[key] == one[key][:1]
 
 
-def test_coeffs_requires_known_theorem(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(
-            [
-                "coeffs",
-                "--family",
-                "monomial",
-                "--theorem",
-                "4.7",
-                "--n",
-                "3",
-            ]
-        )
-    assert info.value.code == 2
-
-
 # -- verify ------------------------------------------------------------------
 
 
@@ -373,155 +358,128 @@ def test_audit_json_is_streamed_as_the_bytes_of_one_dump(capsys, n):
     assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def test_audit_rejects_small_n(capsys, monkeypatch):
-    ran = []
-    monkeypatch.setattr(cli, "run_worked_example_audit", lambda *a: ran.append(a))
-    with pytest.raises(SystemExit) as info:
-        main(["audit", "--n", "2"])
-    assert info.value.code == 2 and ran == []
-    err = capsys.readouterr().err
-    assert "error:" in err and "audit needs --n >= 3" in err
+# -- the input contract: exit 2 before any work, exit 3 for an error in it ---
 
 
-# -- error handling ----------------------------------------------------------
+class WorkStarted(BaseException):
+    """The spy's stop: not an Exception, which main would report as exit 3."""
 
 
-def test_unknown_family_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "gen", "--family", "legendre", "--n", "3")
-    assert code == 2
-    assert err.startswith("error: unknown family")
-    assert '"' not in err.splitlines()[0]
+def row(id, argv, code, says, raises=WorkStarted, worked=False):
+    """argv; main's exit code (None: the spy stopped the work); a fragment of
+    stderr, or of stdout at exit 0; what building the first pair raises
+    (None: the pair is built); whether a pair was built."""
+    return pytest.param(argv, code, says, raises, worked, id=id)
 
 
-def test_missing_parameter_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "gen", "--family", "laguerre", "--n", "3")
-    assert code == 2
-    assert "lambda" in err
+DIGITS = f"at most {MAX_PARAM_DIGITS} digits\n"
+TOP = "9" * MAX_PARAM_DIGITS
+CAP = 10**MAX_PARAM_DIGITS  # the least part with one digit too many
+CONTRACT = [
+    *(
+        row(f"{argv[0]}-{id}", [*argv, "--n", str(n)], code, says, worked=code is None)
+        for argv in (
+            ["gen", "--family", "monomial"],
+            ["coeffs", "--family", "monomial", "--theorem", "3.1"],
+            ["verify", "--family", "monomial", "--all", "--lemma"],
+            ["audit"],
+        )
+        for id, n, code, says in (
+            ("MAX_N", MAX_N, None, ""),
+            ("MAX_N+1", MAX_N + 1, 2, f"--n must be <= {MAX_N}\n"),
+            ("10**9", 10**9, 2, f"--n must be <= {MAX_N}\n"),
+            ("n=-1", -1, 2, "--n must be >= 0\n"),
+        )
+    ),
+    *(
+        row(id, ["gen", "--family", "monomial", "--n", n], 2,
+            "argument --n: invalid int value")
+        for id, n in [("arabic-indic", "\u0663"), ("underscore", "1_0"),
+                      ("spaces", " 4 "), ("plus", "+2")]
+    ),
+    row("audit-n=2", ["audit", "--n", "2"], 2, "audit needs --n >= 3"),
+    row("unknown-theorem",
+        ["coeffs", "--family", "monomial", "--theorem", "4.7", "--n", "3"], 2,
+        "argument --theorem: invalid choice: '4.7'"),
+    row("unknown-family", ["gen", "--family", "legendre", "--n", "3"], 2,
+        "error: unknown family 'legendre' (known: monomial,"),
+    row("param-missing", ["gen", "--family", "laguerre", "--n", "3"], 2,
+        "error: family 'laguerre' requires parameter(s) lambda\n"),
+    *(
+        row(f"param-{id}", ["gen", "--family", "laguerre", *params, "--n", "3"], 2, says)
+        for id, params, says in [
+            ("malformed", ["--param", "lambda"],
+             "--param expects name=value, got 'lambda'\n"),
+            ("non-rational", ["--param", "lambda=1.5"], "not a rational literal: '1.5'\n"),
+            ("newline", ["--param", "lambda=1/2\n"], "not a rational literal: '1/2\\n'\n"),
+            ("repeated", ["--param", "lambda=1", "--param", "lambda=2"],
+             "--param lambda given more than once\n"),
+            ("10**12-numerator", ["--param", f"lambda=-{CAP}/7"], DIGITS),
+            ("10**12-denominator", ["--param", f"lambda=1/{CAP}"], DIGITS),
+        ]
+    ),
+    *(
+        row(f"param-1000-digits-{id}", [*argv, "--n", str(MAX_N)], 2, DIGITS)
+        for id, argv in [
+            ("gen-numerator",
+             ["gen", "--family", "laguerre", "--param", f"lambda={'9' * 1000}"]),
+            ("gen-denominator",
+             ["gen", "--family", "laguerre", "--param", f"lambda=1/{'9' * 1000}"]),
+            ("coeffs", ["coeffs", "--family", "miller-lee", "--param",
+                        f"m=-{'9' * 1000}/7", "--theorem", "3.3"]),
+            ("verify", ["verify", "--family", "miller-lee", "--param",
+                        f"m=2/{'9' * 1000}", "--all", "--lemma"]),
+        ]
+    ),
+    row("param-12-digits",
+        ["gen", "--family", "laguerre", "--param", f"lambda=-{TOP}/{TOP[:-1]}8",
+         "--n", "2"], 0, f'"lambda": "-{TOP}/{TOP[:-1]}8"', raises=None, worked=True),
+    *(
+        row(error.__name__, argv, 3, f"internal error: {says}broken mid-request\n",
+            raises=error, worked=True)
+        for error, argv, says in [
+            (InsufficientOrderError, ["gen", "--family", "monomial", "--n", "3"], ""),
+            (ValueError, ["gen", "--family", "hermite", "--n", "3"], ""),
+            (TypeError, ["gen", "--family", "hermite", "--n", "3"], ""),
+            (ContractError, ["audit", "--n", "6"], "contract violation: "),
+        ]
+    ),
+]
 
 
-def test_malformed_param_is_usage_error():
-    with pytest.raises(SystemExit) as info:
-        main(["gen", "--family", "laguerre", "--param", "lambda", "--n", "3"])
-    assert info.value.code == 2
-
-
-def test_non_rational_param_is_usage_error():
-    with pytest.raises(SystemExit) as info:
-        main(["gen", "--family", "laguerre", "--param", "lambda=1.5", "--n", "3"])
-    assert info.value.code == 2
-
-
-def test_newline_suffixed_param_is_usage_error():
-    with pytest.raises(SystemExit) as info:
-        main(["gen", "--family", "laguerre", "--param", "lambda=1/2\n", "--n", "2"])
-    assert info.value.code == 2
-
-
-def test_repeated_param_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["gen", "--family", "laguerre", "--param", "lambda=1",
-              "--param", "lambda=2", "--n", "1"])
-    assert info.value.code == 2
-    assert "--param lambda given more than once" in capsys.readouterr().err
-
-
-HUGE = "9" * 1000
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["gen", "--family", "laguerre", "--param", f"lambda={HUGE}", "--n", "100"],
-        ["gen", "--family", "laguerre", "--param", f"lambda=1/{HUGE}", "--n", "100"],
-        ["coeffs", "--family", "miller-lee", "--param", f"m=-{HUGE}/7",
-         "--theorem", "3.3", "--n", "100"],
-        ["verify", "--family", "miller-lee", "--param", f"m=2/{HUGE}",
-         "--n", "100", "--all", "--lemma"],
-    ],
-    ids=["gen-numerator", "gen-denominator", "coeffs", "verify"],
-)
-def test_huge_param_is_refused_before_any_pair_is_built(argv, capsys, monkeypatch):
+@pytest.mark.parametrize("argv, code, says, raises, worked", CONTRACT)
+def test_cli_contract(argv, code, says, raises, worked, capsys, monkeypatch):
+    """Exit 2 refuses a request in under a second, before any pair is built;
+    an error raised by the work itself, of whatever type, exits 3 with
+    stderr one line and never reads as a usage error.  No refusal writes to
+    stdout, and none quotes its message whole, as str() of a KeyError would."""
     built = []
-    monkeypatch.setattr(cli, "make_pair", lambda *a: built.append(a))
+    honest = pairs.ShefferPair.__post_init__
+
+    def spy(pair):
+        built.append(pair)
+        if raises is not None:
+            raise raises("broken mid-request")
+        honest(pair)
+
+    monkeypatch.setattr(pairs.ShefferPair, "__post_init__", spy)
     start = time.perf_counter()
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert time.perf_counter() - start < 1
-    assert info.value.code == 2 and built == []
-    assert f"at most {cli.MAX_PARAM_DIGITS} digits" in capsys.readouterr().err
-
-
-def test_param_at_the_digit_cap_is_accepted(capsys):
-    top = "9" * cli.MAX_PARAM_DIGITS
-    code, out, _ = run_cli(
-        capsys, "gen", "--family", "laguerre", "--param", f"lambda=-{top}/{top[:-1]}8",
-        "--n", "2",
-    )
-    assert code == 0
-    assert json.loads(out)["parameters"] == {"lambda": f"-{top}/{top[:-1]}8"}
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["gen", "--family", "monomial"],
-        ["coeffs", "--family", "monomial", "--theorem", "3.1"],
-        ["verify", "--family", "monomial"],
-        ["audit"],
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_negative_n_is_usage_error(argv, capsys):
-    with pytest.raises(SystemExit) as info:
-        main([*argv, "--n", "-1"])
-    assert info.value.code == 2
-    assert "--n must be >= 0" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "n",
-    ["\u0663", "1_0", " 4 ", "+2"],
-    ids=["arabic-indic", "underscore", "spaces", "plus"],
-)
-def test_n_outside_ascii_digits_is_usage_error(n, capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["gen", "--family", "monomial", "--n", n])
-    assert info.value.code == 2
-    assert "argument --n: invalid int value" in capsys.readouterr().err
-
-
-def test_internal_error_exit_code(capsys, monkeypatch):
-    def explode(*a, **k):
-        raise InsufficientOrderError("order too small")
-
-    monkeypatch.setattr(cli, "make_pair", explode)
-    code, _, err = run_cli(capsys, "gen", "--family", "monomial", "--n", "3")
-    assert code == 3
-    assert err.startswith("internal error:")
-
-
-def test_contract_violation_exit_code(capsys, monkeypatch):
-    def explode(*a, **k):
-        raise ContractError("leading coefficient drifted")
-
-    monkeypatch.setattr(cli, "run_worked_example_audit", explode)
-    code, _, err = run_cli(capsys, "audit", "--n", "6")
-    assert code == 3
-    assert err.startswith("internal error: contract violation")
-
-
-@pytest.mark.parametrize("error", [ValueError, TypeError])
-def test_error_during_work_is_an_internal_error(error, capsys, monkeypatch):
-    """Exit 2 means refused before any work: an exception raised by the
-    work itself, of whatever type, exits 3 and never reads as a usage error."""
-
-    def explode(*a, **k):
-        raise error("broken mid-request")
-
-    monkeypatch.setattr(cli, "sheffer_appell_sequence", explode)
-    code, out, err = run_cli(capsys, "gen", "--family", "hermite", "--n", "3")
-    assert code == 3 and out == ""
-    assert err == "internal error: broken mid-request\n"
+    try:
+        exit_code = main(argv)
+    except SystemExit as info:
+        exit_code = info.code
+    except WorkStarted:
+        exit_code = None
+    took = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (exit_code, bool(built)) == (code, worked)
+    assert worked or took < 1
+    if code == 0:
+        assert says in out and err == ""
+    else:
+        assert out == "" and says in err and '"' not in err
+    if code == 3:
+        assert err == says
 
 
 @pytest.mark.parametrize(
