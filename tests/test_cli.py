@@ -482,6 +482,16 @@ def test_cli_contract(argv, code, says, raises, worked, capsys, monkeypatch):
         assert err == says
 
 
+def test_contract_violation_exit_code(capsys, monkeypatch):
+    def explode(*a, **k):
+        raise ContractError("leading coefficient drifted")
+
+    monkeypatch.setattr(cli, "run_worked_example_audit", explode)
+    code, _, err = run_cli(capsys, "audit", "--n", "6")
+    assert code == 3
+    assert err.startswith("internal error: contract violation")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from sheffermat import ContractError, Poly, make_pair
-from sheffermat import pairs, sheffer_appell_sequence, sheffer_sequence
+from sheffermat import cli, pairs, sheffer_appell_sequence, sheffer_sequence
 from sheffermat.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -161,3 +161,12 @@ def test_zero_polynomial_in_an_array_is_a_contract_violation(capsys, monkeypatch
     message = f"{kind} degree 4 has the wrong leading coefficient"
     assert capsys.readouterr().err == f"internal error: contract violation: {message}\n"
 
+
+def test_cli_maps_contract_errors_to_exit_3(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ContractError("h(g) != y")
+
+    monkeypatch.setattr(cli, "sheffer_appell_sequence", broken)
+    code = main(["gen", "--family", "hermite", "--n", "3"])
+    assert code == 3
+    assert capsys.readouterr().err == "internal error: contract violation: h(g) != y\n"

@@ -15,6 +15,7 @@ from sheffermat import (
     ShefferPair,
     appell_sequence,
     binomial_series,
+    derivative_recurrence_coeffs,
     factorization_check,
     lemma_checks,
     make_pair,
@@ -98,6 +99,22 @@ def test_extracted_triples_equal_their_rational_twins(family, params):
             t = COEFF_EXTRACTORS[label](pair, n)
             twin = CoeffTriple.from_rationals(label, t.a, t.b, t.c)
             assert t == twin and hash(t) == hash(twin) and len(t.a) == n + 1
+
+
+def test_coeffs_need_one_extra_order():
+    pair = make_pair("laguerre", 4, {"lambda": 0})
+    derivative_recurrence_coeffs(pair, 3)
+    with pytest.raises(InsufficientOrderError):
+        derivative_recurrence_coeffs(pair, 4)
+
+
+# -- residuals -------------------------------------------------------------
+
+
+def test_residual_requires_order():
+    pair = make_pair("monomial", 4)
+    with pytest.raises(InsufficientOrderError):
+        RESIDUALS["3.1"](pair, 4)
 
 
 # -- associated-sequence specializations -----------------------------------

@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sheffermat import (
+    InsufficientOrderError,
     Matrix,
     NotDeltaSeriesError,
     Poly,
@@ -277,6 +278,20 @@ def test_omega_and_its_inverse_are_their_definitions(n):
 
 
 # -- refusals (the four matrix properties: test_acceptance, criterion 4) ---------
+
+
+def test_builders_reject_a_negative_size():
+    with pytest.raises(ValueError):
+        pascal_matrix(plain.geometric_series(2), -1)
+    with pytest.raises(ValueError):
+        wronskian_vector(plain.geometric_series(2), -1)
+    with pytest.raises(ValueError):
+        wronskian_powers_matrix(TruncatedSeries([0, 1, 3]), -1)
+
+
+def test_pascal_requires_order():
+    with pytest.raises(InsufficientOrderError):
+        pascal_matrix(plain.geometric_series(2), 3)
 
 
 def test_powers_matrix_requires_delta():

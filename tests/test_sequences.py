@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from sheffermat import (
+    InsufficientOrderError,
     NotInvertibleError,
     Poly,
     PolySequence,
@@ -52,6 +53,14 @@ def test_appell_pair_reductions():
     assert list(sheffer_appell_sequence(pair, 6)) == list(
         appell_sequence(pair.l * pair.l, 6)
     )
+
+
+def test_degree_bounds_checked():
+    pair = make_pair("monomial", 3)
+    with pytest.raises(InsufficientOrderError):
+        sheffer_appell_sequence(pair, 4)
+    with pytest.raises(ValueError):
+        sheffer_sequence(pair, -1)
 
 
 def test_shared_pair_object_reuses_expansion():
